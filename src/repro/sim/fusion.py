@@ -8,27 +8,28 @@ first use it partitions the text section into basic blocks (straight
 functional semantics of every instruction in the block — one call per
 block instead of one table lookup + closure call per instruction.
 
-Three flavours are generated, sharing the block layout:
+Two block flavours are generated, sharing the block layout:
 
 ``func``
     ``blk(core) -> next_pc``: architectural state only.  Used by
-    :meth:`FunctionalCore.run` and the LPSU-free portions of system
-    simulation.
-``io``
-    ``blk(core, timing, events) -> next_pc``: additionally inlines the
-    :class:`~repro.uarch.inorder.InOrderTiming` scoreboard update and
-    energy-event accounting for the whole block (static event counts
-    are folded into one batched update per block).
-``ooo``
-    ``blk(core, timing) -> next_pc``: inlines functional semantics and
-    feeds the out-of-order model through its
-    :meth:`~repro.uarch.ooo.OOOTiming.consume_op` entry point (the OOO
-    window state is too dynamic to fold statically).
+    :meth:`FunctionalCore.run`.
+``gpp``
+    ``blk(core, timing) -> next_pc``: the same semantics, then one
+    ``timing.run_block(recs, addrs, ctrl_pc, taken, counts)`` call
+    that hands the GPP timing model (in-order or out-of-order) the
+    block's static ``(src1, src2, dst, kind)`` records, its memory
+    addresses in program order, the outcome of its terminating
+    control op, and its folded static event counts.  The records
+    carry no configuration (each model maps ``kind`` to its own
+    latencies), so one table serves every GPP.
+
+The ``lpsu`` flavour (:class:`_LPSUGen`, :func:`lpsu_engine`) compiles
+xloop bodies into the fused-lane LPSU engine.
 
 Every generated function is an exact behavioural replica of the
 step-at-a-time path: same architectural updates in the same order, same
 cache/predictor access sequence, same stall and energy accounting.
-``repro verify --fast-slow`` and the tier-1 suite enforce this
+``repro verify --ladder`` and the tier-1 suite enforce this
 bit-for-bit.  Instructions the generator does not recognize are simply
 left out of any block; the drivers fall back to single-stepping them
 through the decoded-handler path, so unknown ops degrade gracefully
@@ -208,6 +209,84 @@ def block_runs(program, break_pcs=frozenset()):
 
 
 # ---------------------------------------------------------------------------
+# timing records (`gpp` flavour)
+# ---------------------------------------------------------------------------
+
+#: record kinds.  Compute first (ALU, then the four LLFU classes in
+#: :class:`~repro.uarch.params.LatencyTable` order), then the memory
+#: kinds, the fence, and the control kinds that can only end a block,
+#: so the GPP models classify a record with range tests.
+(K_ALU, K_MUL, K_DIV, K_FPU, K_FDIV, K_LOAD, K_STORE, K_AMO, K_FENCE,
+ K_BRANCH, K_JAL, K_JALR) = range(12)
+
+_FU_KIND = {FU.ALU: K_ALU, FU.MUL: K_MUL, FU.DIV: K_DIV, FU.FPU: K_FPU,
+            FU.FDIV: K_FDIV}
+
+#: layout of a block's static event-count tuple
+COUNT_FIELDS = ("n", "rf_read", "rf_write", "alu_io", "mem_fu", "mul_op",
+                "div_op", "fpu_op", "fdiv_op", "dc_access", "bpred")
+
+
+def _timing_record(ins):
+    """``(src1, src2, dst, kind)`` for one static instruction.
+
+    Sources are the deduplicated nonzero source registers, padded with
+    0; ``dst`` is 0 when the instruction writes no register.  Register
+    0 is a safe "no source": neither GPP model ever raises its ready
+    time above the current issue floor."""
+    op = ins.op
+    srcs = []
+    for s in ins.src_regs():
+        if s and s not in srcs:
+            srcs.append(s)
+    srcs += [0] * (2 - len(srcs))
+    if op.is_load:
+        kind = K_LOAD
+    elif op.is_store:
+        kind = K_STORE
+    elif op.is_amo:
+        kind = K_AMO
+    elif op.is_fence:
+        kind = K_FENCE
+    elif op.is_branch or op.is_xloop:
+        kind = K_BRANCH
+    elif op.fmt == Fmt.JALR:
+        kind = K_JALR
+    elif op.is_jump:
+        kind = K_JAL
+    else:
+        kind = _FU_KIND[op.fu]
+    return (srcs[0], srcs[1], ins.dst_reg() or 0, kind)
+
+
+def _block_counts(instrs, idxs):
+    """The block's static energy-event counts, laid out as
+    :data:`COUNT_FIELDS`.  ``alu_io`` counts the ALU, branch and jump
+    ops; ``mem_fu`` the loads, stores, AMOs and fences, which the
+    out-of-order model also counts as ALU ops and the in-order model
+    does not."""
+    c = dict.fromkeys(COUNT_FIELDS, 0)
+    for i in idxs:
+        ins = instrs[i]
+        op = ins.op
+        c["n"] += 1
+        c["rf_read"] += sum(1 for s in ins.src_regs() if s)
+        if ins.dst_reg() is not None:
+            c["rf_write"] += 1
+        if op.fu in FU.LLFU_CLASSES:
+            c[op.fu + "_op"] += 1
+        elif op.fu == FU.MEM:
+            c["mem_fu"] += 1
+        else:
+            c["alu_io"] += 1
+        if op.is_mem:
+            c["dc_access"] += 1
+        if op.is_branch or op.is_xloop:
+            c["bpred"] += 1
+    return tuple(c[f] for f in COUNT_FIELDS)
+
+
+# ---------------------------------------------------------------------------
 # code emission
 # ---------------------------------------------------------------------------
 
@@ -232,35 +311,38 @@ def _sem_value_expr(ins):
     return None
 
 
-def _emit_sem(out, ins):
+def _emit_sem(out, ins, a="_a"):
     """Append the pure functional statements for a non-control *ins*.
 
-    Mem ops leave the access address in ``_a``.  Mirrors the
-    ``decode_instr`` handlers: compute ops with rd == x0 are no-ops
-    except R2 (evaluated for exceptions, like the slow path)."""
+    Mem ops leave the access address in the variable named *a*.
+    Mirrors the ``decode_instr`` handlers: compute ops with rd == x0
+    are no-ops except R2 (evaluated for exceptions, like the slow
+    path)."""
     op = ins.op
     fmt = op.fmt
     m = op.mnemonic
     rd = ins.rd
     if fmt == Fmt.LOAD:
         size, signed = _LOAD_SIZE[m]
-        out.append("_a = (R[%d] + %d) & %s" % (ins.rs1, ins.imm, _M))
+        out.append("%s = (R[%d] + %d) & %s" % (a, ins.rs1, ins.imm, _M))
         if rd:
-            out.append("R[%d] = mem.load(_a, %d, %r)" % (rd, size, signed))
+            out.append("R[%d] = mem.load(%s, %d, %r)" % (rd, a, size,
+                                                        signed))
         else:
-            out.append("mem.load(_a, %d, %r)" % (size, signed))
+            out.append("mem.load(%s, %d, %r)" % (a, size, signed))
         return
     if fmt == Fmt.STORE:
-        out.append("_a = (R[%d] + %d) & %s" % (ins.rs1, ins.imm, _M))
-        out.append("mem.store(_a, %d, R[%d])"
-                   % (_STORE_SIZE[m], ins.rs2))
+        out.append("%s = (R[%d] + %d) & %s" % (a, ins.rs1, ins.imm, _M))
+        out.append("mem.store(%s, %d, R[%d])"
+                   % (a, _STORE_SIZE[m], ins.rs2))
         return
     if fmt == Fmt.AMO:
-        out.append("_a = R[%d]" % ins.rs1)
+        out.append("%s = R[%d]" % (a, ins.rs1))
         if rd:
-            out.append("R[%d] = mem.amo(%r, _a, R[%d])" % (rd, m, ins.rs2))
+            out.append("R[%d] = mem.amo(%r, %s, R[%d])" % (rd, m, a,
+                                                          ins.rs2))
         else:
-            out.append("mem.amo(%r, _a, R[%d])" % (m, ins.rs2))
+            out.append("mem.amo(%r, %s, R[%d])" % (m, a, ins.rs2))
         return
     if fmt == Fmt.NONE:
         return
@@ -304,240 +386,45 @@ def _ctrl_of(ins):
     return None
 
 
-def _nonzero_srcs(ins):
-    """(dedup'd nonzero sources for the scoreboard, raw rf_read count)"""
-    srcs = ins.src_regs()
-    nz = []
-    count = 0
-    for s in srcs:
-        if s:
-            count += 1
-            if s not in nz:
-                nz.append(s)
-    return nz, count
-
-
-def _gen_func(name, instrs, idxs, lines):
-    lines.append("def %s(c):" % name)
+def _gen_block(name, instrs, idxs, lines, timing):
+    """One block function: inlined semantics, then (``gpp`` flavour)
+    one ``t.run_block`` call.  All of the block's semantics run before
+    its timing call; that is safe because timing reads only the memory
+    addresses and the branch outcome, and it still sees every cache and
+    predictor access in program order."""
+    lines.append("def %s(c, t):" % name if timing else "def %s(c):" % name)
     lines.append(" R = c.regs")
     lines.append(" mem = c.mem")
-    body = []
+    addrs = []
     ctrl = None
     for i in idxs:
         ins = instrs[i]
         ctrl = _ctrl_of(ins)
         if ctrl is None:
-            _emit_sem(body, ins)
+            a = "_a%d" % len(addrs)
+            if ins.op.is_mem:
+                addrs.append(a)
+            body = []
+            _emit_sem(body, ins, a)
+            lines.extend(" " + ln for ln in body)
         elif ctrl[0] == "jump":
-            body.extend(ctrl[2])
-    for ln in body:
-        lines.append(" " + ln)
+            lines.extend(" " + ln for ln in ctrl[2])
     last = instrs[idxs[-1]]
     if ctrl is None:
         lines.append(" _n = %d" % (last.pc + 4))
+        taken = "False"
     elif ctrl[0] == "cond":
-        lines.append(" if %s:" % ctrl[1])
-        lines.append("  _n = %d" % ctrl[2])
-        lines.append(" else:")
-        lines.append("  _n = %d" % ctrl[3])
+        lines.append(" _k = %s" % ctrl[1])
+        lines.append(" _n = %d if _k else %d" % (ctrl[2], ctrl[3]))
+        taken = "_k"
     else:
         lines.append(" _n = %s" % ctrl[1])
-    lines.append(" c.icount += %d" % len(idxs))
-    lines.append(" c.pc = _n")
-    lines.append(" return _n")
-    lines.append("")
-
-
-def _gen_io(name, instrs, idxs, lines, config):
-    """In-order flavour: functional semantics + inlined scoreboard."""
-    lat = config.latencies
-    hit = config.cache.hit_latency
-    pen = config.mispredict_penalty
-    has_mem = any(instrs[i].op.is_mem and not instrs[i].op.is_fence
-                  for i in idxs)
-    has_pred = any(instrs[i].op.is_branch or instrs[i].op.is_xloop
-                   for i in idxs)
-    has_ctrl = has_pred or any(instrs[i].op.is_jump for i in idxs)
-    has_srcs = any(_nonzero_srcs(instrs[i])[0] for i in idxs)
-
-    lines.append("def %s(c, t, ev):" % name)
-    lines.append(" R = c.regs")
-    lines.append(" mem = c.mem")
-    lines.append(" rr = t.reg_ready")
-    lines.append(" cyc = t.cycle")
-    if has_mem:
-        lines.append(" cache = t.cache")
-        lines.append(" smem = 0")
-        lines.append(" dcm = 0")
-    if has_pred:
-        lines.append(" pred = t.predictor")
-    if has_srcs:
-        lines.append(" sraw = 0")
-    if has_ctrl:
-        lines.append(" sbr = 0")
-
-    n_rf_read = n_rf_write = n_bpred = n_mem = 0
-    fu_counts = {}
-    ctrl = None
-
-    for i in idxs:
-        ins = instrs[i]
-        op = ins.op
-        nz, raw_count = _nonzero_srcs(ins)
-        n_rf_read += raw_count
-        if ins.dst_reg() is not None:
-            n_rf_write += 1
-        fu = op.fu
-        if fu == FU.BR or fu == FU.XLOOP:
-            fu_counts["alu_op"] = fu_counts.get("alu_op", 0) + 1
-        elif fu == FU.ALU:
-            fu_counts["alu_op"] = fu_counts.get("alu_op", 0) + 1
-        elif fu == FU.MUL:
-            fu_counts["mul_op"] = fu_counts.get("mul_op", 0) + 1
-        elif fu == FU.DIV:
-            fu_counts["div_op"] = fu_counts.get("div_op", 0) + 1
-        elif fu == FU.FPU:
-            fu_counts["fpu_op"] = fu_counts.get("fpu_op", 0) + 1
-        elif fu == FU.FDIV:
-            fu_counts["fdiv_op"] = fu_counts.get("fdiv_op", 0) + 1
-
-        # issue cycle: max(cyc, reg_ready[srcs])
-        if not nz:
-            issue = "cyc"
-        else:
-            issue = "_i"
-            lines.append(" _i = rr[%d]" % nz[0])
-            for s in nz[1:]:
-                lines.append(" _x = rr[%d]" % s)
-                lines.append(" if _x > _i: _i = _x")
-            lines.append(" if _i < cyc: _i = cyc")
-            lines.append(" sraw += _i - cyc")
-
-        ctrl = _ctrl_of(ins)
-        dst = ins.dst_reg()
-
-        if op.is_mem and not op.is_fence:
-            n_mem += 1
-            body = []
-            _emit_sem(body, ins)
-            for ln in body:
-                lines.append(" " + ln)
-            lines.append(" _x = cache.access(_a, %r)" % bool(op.is_store))
-            if op.is_amo:
-                if dst is not None:
-                    lines.append(" rr[%d] = %s + %d + _x"
-                                 % (dst, issue, lat.amo - hit))
-            elif op.is_load:
-                if dst is not None:
-                    lines.append(" rr[%d] = %s + _x" % (dst, issue))
-            else:
-                pass  # store writes no register
-            lines.append(" if _x > %d:" % hit)
-            lines.append("  dcm += 1")
-            lines.append("  smem += _x - %d" % hit)
-            lines.append(" cyc = %s + 1" % issue)
-        elif ctrl is None:
-            body = []
-            _emit_sem(body, ins)
-            for ln in body:
-                lines.append(" " + ln)
-            if dst is not None:
-                if fu in (FU.MUL, FU.DIV, FU.FPU, FU.FDIV):
-                    latency = lat.for_fu(fu)
-                else:
-                    latency = 1
-                lines.append(" rr[%d] = %s + %d" % (dst, issue, latency))
-            lines.append(" cyc = %s + 1" % issue)
-        elif ctrl[0] == "cond":
-            n_bpred += 1
-            lines.append(" if %s:" % ctrl[1])
-            lines.append("  _n = %d" % ctrl[2])
-            lines.append("  if pred.predict_and_update(%d, True):"
-                         % ins.pc)
-            lines.append("   cyc = %s + %d" % (issue, 1 + pen))
-            lines.append("   sbr += %d" % pen)
-            lines.append("  else:")
-            lines.append("   cyc = %s + 1" % issue)
-            lines.append(" else:")
-            lines.append("  _n = %d" % ctrl[3])
-            lines.append("  if pred.predict_and_update(%d, False):"
-                         % ins.pc)
-            lines.append("   cyc = %s + %d" % (issue, 1 + pen))
-            lines.append("   sbr += %d" % pen)
-            lines.append("  else:")
-            lines.append("   cyc = %s + 1" % issue)
-        else:  # jump (jal / jalr / xloop.break)
-            for ln in ctrl[2]:
-                lines.append(" " + ln)
-            if dst is not None:
-                lines.append(" rr[%d] = %s + 1" % (dst, issue))
-            lines.append(" _n = %s" % ctrl[1])
-            lines.append(" cyc = %s + 2" % issue)
-            lines.append(" sbr += 1")
-
-    last = instrs[idxs[-1]]
-    if ctrl is None:
-        lines.append(" _n = %d" % (last.pc + 4))
-    lines.append(" t.cycle = cyc")
-    if has_srcs:
-        lines.append(" t.stall_raw += sraw")
-    if has_mem:
-        lines.append(" t.stall_mem += smem")
-    if has_ctrl:
-        lines.append(" t.stall_branch += sbr")
-    lines.append(" t.retired += %d" % len(idxs))
-    lines.append(" c.icount += %d" % len(idxs))
-    lines.append(" c.pc = _n")
-    lines.append(" ev.ic_access += %d" % len(idxs))
-    if n_rf_read:
-        lines.append(" ev.rf_read += %d" % n_rf_read)
-    if n_rf_write:
-        lines.append(" ev.rf_write += %d" % n_rf_write)
-    for field, count in sorted(fu_counts.items()):
-        lines.append(" ev.%s += %d" % (field, count))
-    if n_mem:
-        lines.append(" ev.dc_access += %d" % n_mem)
-        lines.append(" ev.dc_miss += dcm")
-    if n_bpred:
-        lines.append(" ev.bpred += %d" % n_bpred)
-    lines.append(" return _n")
-    lines.append("")
-
-
-def _gen_ooo(name, instrs, idxs, lines):
-    """OOO flavour: inline semantics, feed timing via consume_op."""
-    lines.append("def %s(c, t):" % name)
-    lines.append(" R = c.regs")
-    lines.append(" mem = c.mem")
-    lines.append(" co = t.consume_op")
-    ctrl = None
-    for i in idxs:
-        ins = instrs[i]
-        op = ins.op
-        ctrl = _ctrl_of(ins)
-        iname = "I%d" % i
-        if ctrl is None:
-            body = []
-            _emit_sem(body, ins)
-            for ln in body:
-                lines.append(" " + ln)
-            addr = "_a" if (op.is_mem and not op.is_fence) else "None"
-            lines.append(" co(%s, %d, %s, False)" % (iname, ins.pc, addr))
-        elif ctrl[0] == "cond":
-            lines.append(" if %s:" % ctrl[1])
-            lines.append("  _n = %d" % ctrl[2])
-            lines.append("  co(%s, %d, None, True)" % (iname, ins.pc))
-            lines.append(" else:")
-            lines.append("  _n = %d" % ctrl[3])
-            lines.append("  co(%s, %d, None, False)" % (iname, ins.pc))
-        else:
-            for ln in ctrl[2]:
-                lines.append(" " + ln)
-            lines.append(" _n = %s" % ctrl[1])
-            lines.append(" co(%s, %d, None, True)" % (iname, ins.pc))
-    last = instrs[idxs[-1]]
-    if ctrl is None:
-        lines.append(" _n = %d" % (last.pc + 4))
+        taken = "True"
+    if timing:
+        recs = tuple(_timing_record(instrs[i]) for i in idxs)
+        lines.append(" t.run_block(%r, (%s), %d, %s, %r)"
+                     % (recs, "".join(a + ", " for a in addrs), last.pc,
+                        taken, _block_counts(instrs, idxs)))
     lines.append(" c.icount += %d" % len(idxs))
     lines.append(" c.pc = _n")
     lines.append(" return _n")
@@ -548,7 +435,7 @@ def _gen_ooo(name, instrs, idxs, lines):
 # build + cache
 # ---------------------------------------------------------------------------
 
-def _build(program, flavor, break_pcs, config):
+def _build(program, flavor, break_pcs):
     instrs = program.instrs
     runs = block_runs(program, break_pcs)
     ns = {
@@ -564,16 +451,7 @@ def _build(program, flavor, break_pcs, config):
     for idxs in runs:
         name = "_b%d" % idxs[0]
         names.append(name)
-        if flavor == "func":
-            _gen_func(name, instrs, idxs, lines)
-        elif flavor == "io":
-            _gen_io(name, instrs, idxs, lines, config)
-        elif flavor == "ooo":
-            for i in idxs:
-                ns["I%d" % i] = instrs[i]
-            _gen_ooo(name, instrs, idxs, lines)
-        else:
-            raise ValueError("unknown fusion flavor %r" % flavor)
+        _gen_block(name, instrs, idxs, lines, flavor == "gpp")
     src = "\n".join(lines)
     code = compile(src, "<fused:%s>" % flavor, "exec")
     exec(code, ns)
@@ -582,11 +460,11 @@ def _build(program, flavor, break_pcs, config):
 
 
 #: compiled block tables shared across program *objects* by content.
-#: ``func``/``io`` closures bind nothing program-specific (PCs are
-#: literals, state arrives via the core/timing arguments), so two
-#: recompiles of the same kernel — e.g. repeated cold runs after
-#: ``clear_cache`` — can reuse one compiled table.  ``ooo`` binds
-#: per-program instruction objects and stays per-program.
+#: Block functions bind nothing program-specific (PCs are literals,
+#: state arrives via the core/timing arguments), so two recompiles of
+#: the same kernel — e.g. repeated cold runs after ``clear_cache`` —
+#: reuse one compiled table, and a ``gpp`` table serves the in-order
+#: and every out-of-order GPP alike.
 _BLOCK_TABLE_CACHE = {}
 
 
@@ -595,37 +473,25 @@ def _program_content(program):
                   ins.pc) for ins in program.instrs)
 
 
-def fused_blocks(program, flavor="func", break_pcs=(), config=None):
-    """PC-indexed dict of fused block functions, cached on *program*.
-
-    *config* (a :class:`~repro.uarch.params.GPPConfig`) is required for
-    the ``io`` flavour, whose latencies/penalties are folded into the
-    generated code.
-    """
+def fused_blocks(program, flavor="func", break_pcs=()):
+    """PC-indexed dict of fused block functions, cached on *program*
+    per (flavour, break set) and across programs by content."""
+    if flavor not in ("func", "gpp"):
+        raise ValueError("unknown fusion flavor %r" % flavor)
     bk = frozenset(break_pcs)
-    if flavor == "io":
-        ck = (config.mispredict_penalty, repr(config.latencies),
-              repr(config.cache))
-    else:
-        ck = None
-    key = (flavor, bk, ck)
+    key = (flavor, bk)
     cache = getattr(program, "_fused", None)
     if cache is None:
         cache = program._fused = {}
     tbl = cache.get(key)
     if tbl is None:
-        if flavor == "ooo":
-            tbl = _build(program, flavor, bk, config)
-        else:
-            mk = (flavor, bk, ck, _program_content(program))
-            shared = _BLOCK_TABLE_CACHE.get(mk)
-            if shared is None:
-                shared = _BLOCK_TABLE_CACHE[mk] = \
-                    _build(program, flavor, bk, config)
-            # per-program copy: callers may prune entries to force the
-            # single-step fallback
-            tbl = dict(shared)
-        cache[key] = tbl
+        mk = (flavor, bk, _program_content(program))
+        shared = _BLOCK_TABLE_CACHE.get(mk)
+        if shared is None:
+            shared = _BLOCK_TABLE_CACHE[mk] = _build(program, flavor, bk)
+        # per-program copy: callers may prune entries to force the
+        # single-step fallback
+        tbl = cache[key] = dict(shared)
     return tbl
 
 

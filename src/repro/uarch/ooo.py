@@ -16,13 +16,20 @@ of gem5's O3 at the fidelity the paper's results depend on:
   instructions to complete and stalls fetch until it completes — the
   paper calls its out-of-order AMO implementation "rather conservative"
   and attributes the <1x traditional-execution speedups to it.
+
+Like the in-order model it takes the instruction stream one step at a
+time (:meth:`OOOTiming.consume`) or one fused block at a time
+(:meth:`OOOTiming.run_block`).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heapreplace
 
 from ..isa.instructions import FU
+from ..sim.fusion import (K_ALU, K_AMO, K_BRANCH, K_FDIV, K_JALR, K_LOAD,
+                          K_STORE)
 from .branch import BimodalPredictor, make_predictor
 from .cache import L1Cache
 from .params import GPPConfig
@@ -34,7 +41,11 @@ _UNPIPELINED = (FU.DIV, FU.FDIV)
 
 
 class _UnitPool:
-    """A small pool of units, each free at some cycle."""
+    """A small pool of identical units, each free at some cycle.
+
+    ``free_at`` is a min-heap: timing depends only on the multiset of
+    free times, so which of several equally-free units an op takes is
+    immaterial, and the earliest-free unit is always ``free_at[0]``."""
 
     __slots__ = ("free_at",)
 
@@ -43,14 +54,9 @@ class _UnitPool:
 
     def acquire(self, ready, occupy):
         """Earliest issue >= *ready* on any unit; occupy it."""
-        best = 0
         best_t = self.free_at[0]
-        for i in range(1, len(self.free_at)):
-            t = self.free_at[i]
-            if t < best_t:
-                best, best_t = i, t
         start = ready if ready >= best_t else best_t
-        self.free_at[best] = start + occupy
+        heapreplace(self.free_at, start + occupy)
         return start
 
 
@@ -83,6 +89,11 @@ class OOOTiming:
         self.retired = 0
         self.mispredicts = 0
         self.serializations = 0
+        # LLFU record kinds (MUL, DIV, FPU, FDIV) -> latency / occupancy
+        lat = self.lat
+        self._kind_lat = (1, lat.mul, lat.div, lat.fpu, lat.fdiv)
+        self._kind_occ = (1, 1, lat.div, 1, lat.fdiv)
+        self._hit = self.cache.config.hit_latency
 
     # -- helpers ---------------------------------------------------------
 
@@ -112,12 +123,14 @@ class OOOTiming:
     # -- main entry -------------------------------------------------------
 
     def consume(self, step):
-        return self.consume_op(step.instr, step.pc, step.addr, step.taken)
-
-    def consume_op(self, instr, pc, addr, taken):
-        """Account one dynamic instruction from explicit operands —
-        the entry point fused superblocks (:mod:`repro.sim.fusion`)
-        call directly, skipping the :class:`StepInfo` indirection."""
+        """Account one dynamic instruction (a
+        :class:`~repro.sim.functional.StepInfo`); returns its issue
+        cycle.  The step-at-a-time reference that :meth:`run_block`
+        must match bit for bit."""
+        instr = step.instr
+        pc = step.pc
+        addr = step.addr
+        taken = step.taken
         op = instr.op
         ev = self.events
         srcs = instr.src_regs()
@@ -219,6 +232,172 @@ class OOOTiming:
         rob.append(retire)
         self.retired += 1
         return issue
+
+    def run_block(self, recs, addrs, ctrl_pc, taken, counts):
+        """Account one fused block (the ``gpp`` flavour of
+        :mod:`repro.sim.fusion`): :meth:`consume` over the block's
+        static ``(src1, src2, dst, kind)`` records, with the window
+        state held in locals for the whole block.
+
+        Only the block's last record can be a branch or jump, so its
+        predictor access and fetch redirect run after the loop, and
+        mid-block redirects come only from serializing ops (AMO,
+        fence): the redirect check runs at block entry and after each
+        of those.  A full ROB stays full within a block (every record
+        pops one entry and pushes one)."""
+        rr = self.reg_ready
+        rob = self._rob
+        pop = rob.popleft
+        push = rob.append
+        nrob = len(rob)
+        rob_size = self._rob_size
+        width = self.width
+        alus = self._alus.free_at
+        sready = self._store_ready
+        hit = self._hit
+        fc = self._fetch_cycle
+        fn = self._fetch_count
+        rc = self._retire_cycle
+        rn = self._retire_count
+        redirect = self._redirect
+        mc = self._max_complete
+        if fc < redirect:
+            fc = redirect
+            fn = 0
+        dcm = ai = 0
+        for s1, s2, dst, kind in recs:
+            if fn < width:
+                fn += 1
+            else:
+                fc += 1
+                fn = 1
+            ready = fc + 1
+            if nrob < rob_size:
+                nrob += 1
+            else:
+                x = pop()
+                if x > ready:
+                    ready = x
+            x = rr[s1]
+            if x > ready:
+                ready = x
+            x = rr[s2]
+            if x > ready:
+                ready = x
+            if kind == K_ALU or kind >= K_BRANCH:
+                x = alus[0]
+                complete = (ready if ready >= x else x) + 1
+                heapreplace(alus, complete)
+            elif kind <= K_FDIV:
+                pool = self._llfu.free_at
+                x = pool[0]
+                issue = ready if ready >= x else x
+                heapreplace(pool, issue + self._kind_occ[kind])
+                complete = issue + self._kind_lat[kind]
+            elif kind <= K_STORE:
+                a = addrs[ai]
+                ai += 1
+                if kind == K_LOAD:
+                    x = sready.get(a & -4)
+                    if x is not None and x > ready:
+                        ready = x
+                    latency = self.cache.access(a, False)
+                    if latency > hit:
+                        dcm += 1
+                else:
+                    if self.cache.access(a, True) > hit:
+                        dcm += 1
+                    latency = self.lat.store
+                pool = self._mem.free_at
+                x = pool[0]
+                issue = ready if ready >= x else x
+                heapreplace(pool, issue + 1)
+                complete = issue + latency
+                if kind == K_STORE:
+                    sready[a & -4] = complete
+            else:
+                # conservative AMO / fence: wait for every earlier
+                # instruction, and hold fetch until this one completes
+                if mc > ready:
+                    ready = mc
+                self.serializations += 1
+                if kind == K_AMO:
+                    a = addrs[ai]
+                    ai += 1
+                    x = self.cache.access(a, False)
+                    if x > hit:
+                        dcm += 1
+                    latency = self.lat.amo + x - hit
+                    pool = self._mem.free_at
+                    x = pool[0]
+                    issue = ready if ready >= x else x
+                    heapreplace(pool, issue + 1)
+                    complete = issue + latency
+                    sready[a & -4] = complete
+                else:
+                    x = alus[0]
+                    complete = (ready if ready >= x else x) + 1
+                    heapreplace(alus, complete)
+                if complete > redirect:
+                    redirect = complete
+                if fc < redirect:
+                    fc = redirect
+                    fn = 0
+            if complete > mc:
+                mc = complete
+            if dst:
+                rr[dst] = complete
+            # in-order retirement bounded by width
+            if complete > rc:
+                rc = complete
+                rn = 1
+            elif rn < width:
+                rn += 1
+            else:
+                rc += 1
+                rn = 1
+            push(rc)
+        if kind == K_BRANCH:
+            if self.predictor.predict_and_update(ctrl_pc, taken):
+                self.mispredicts += 1
+                x = complete + self.config.mispredict_penalty
+                if x > redirect:
+                    redirect = x
+        elif kind == K_JALR:
+            # ideal return-address stack: one-bubble redirect
+            if fc + 2 > redirect:
+                redirect = fc + 2
+        self._fetch_cycle = fc
+        self._fetch_count = fn
+        self._retire_cycle = rc
+        self._retire_count = rn
+        self._redirect = redirect
+        self._max_complete = mc
+        self.retired += len(recs)
+        ev = self.events
+        if ev is not None:
+            n, rfr, rfw, alu, mem, mul, div, fpu, fdiv, dc, bp = counts
+            ev.ic_access += n
+            ev.ooo_rename += n
+            ev.iq_op += n
+            ev.rob_op += n
+            ev.rf_read += rfr
+            ev.rf_write += rfw
+            ev.alu_op += alu + mem
+            if mul:
+                ev.mul_op += mul
+            if div:
+                ev.div_op += div
+            if fpu:
+                ev.fpu_op += fpu
+            if fdiv:
+                ev.fdiv_op += fdiv
+            if dc:
+                ev.dc_access += dc
+                ev.lsq_search += dc
+                ev.dc_miss += dcm
+            if bp:
+                ev.bpred += bp
 
     def _count_fu(self, ev, op):
         fu = op.fu

@@ -230,14 +230,9 @@ class SystemSimulator:
             xloop_pcs = frozenset(ins.pc for ins in program.instrs
                                   if ins.op.is_xloop)
             break_pcs = xloop_pcs
-        io = not self.config.gpp.is_ooo
-        if io:
-            blocks = fused_blocks(program, "io", break_pcs,
-                                  self.config.gpp)
-        else:
-            blocks = fused_blocks(program, "ooo", break_pcs)
-        get = blocks.get
-        ev = self.events
+        # one block table per (program, break set), whichever GPP:
+        # blocks hand their static records to timing.run_block
+        get = fused_blocks(program, "gpp", break_pcs).get
         instrs = program.instrs
         base = program.text_base
         steps0 = core.icount
@@ -249,10 +244,8 @@ class SystemSimulator:
             blk = get(pc)
             if blk is None:
                 consume(core_step())
-            else:
-                npc = blk(core, timing, ev) if io else blk(core, timing)
-                if npc == HALT_PC:
-                    core.halted = True
+            elif blk(core, timing) == HALT_PC:
+                core.halted = True
             if core.icount - steps0 > max_steps:
                 raise SimError("GPP exceeded %d steps" % max_steps)
 

@@ -30,12 +30,18 @@ from typing import List, Optional, Tuple
 from ..kernels import ALL_KERNELS, get_kernel
 from ..lang import compile_source
 from ..sim import Memory
-from ..uarch import IO, SystemConfig, simulate
+from ..uarch import IO, OOO2, OOO4, SystemConfig, simulate
 from .genloops import LPSU_SWEEP, random_cases
 
-#: GPP design point used for every conformance run: the in-order core
-#: (fastest to simulate; the LPSU-side invariants are GPP-agnostic)
+#: GPP design point of the verified traditional-vs-specialized runs:
+#: the in-order core (fastest to simulate; the LPSU-side invariants
+#: are GPP-agnostic, and verification forces the interp tier anyway)
 _GPP = IO
+
+#: GPPs the fast-slow and ladder harnesses run every point on: each
+#: Table II GPP, since each drives the fused GPP blocks through its
+#: own timing model
+_LADDER_GPPS = (IO, OOO2, OOO4)
 
 
 @dataclass
@@ -194,10 +200,9 @@ def check_counterexample(source, entry, params, proof, sweep=LPSU_SWEEP):
 # fast-vs-slow differential mode
 # ----------------------------------------------------------------------
 
-def _run_snapshot(program, entry, args, mem, lpsu, mode, fast,
+def _run_snapshot(program, entry, args, mem, gpp, lpsu, mode, fast,
                   no_engine=False, backend=None):
-    cfg = (SystemConfig("conf-x", _GPP, lpsu) if lpsu is not None
-           else SystemConfig("conf-io", _GPP))
+    cfg = SystemConfig("conf", gpp, lpsu)
     if no_engine:
         # exercise the interpreted-stepper + schedule-memo fast path
         # with the compiled fused-lane engine disabled
@@ -223,6 +228,11 @@ def _run_snapshot(program, entry, args, mem, lpsu, mode, fast,
     }
 
 
+def _gpp_points(points):
+    """Every (GPP, harness point) pair the differential modes check."""
+    return [(gpp, point) for gpp in _LADDER_GPPS for point in points]
+
+
 def _diff_detail(a, b, blabel="slow"):
     for k in a:
         if a[k] != b[k]:
@@ -237,12 +247,12 @@ def check_fast_slow(name, program, entry, make_args, sweep=LPSU_SWEEP,
     counts, energy-event counts, LPSU stats, adaptive decisions,
     return value, cache totals, and the final memory image must all
     match, for traditional execution and every specialized/adaptive
-    LPSU design point.  Never raises."""
+    LPSU design point, on every Table II GPP.  Never raises."""
     res = ConformanceResult(name=name)
     try:
         points = [("traditional", None)]
         points += _specialized_points(sweep, adaptive)
-        for mode, lpsu in points:
+        for gpp, (mode, lpsu) in _gpp_points(points):
             # LPSU points get a third variant: fast with the compiled
             # fused-lane engine disabled, pinning the interpreted
             # stepper + schedule-memo layer to the same contract
@@ -255,21 +265,21 @@ def check_fast_slow(name, program, entry, make_args, sweep=LPSU_SWEEP,
                 mem = Memory()
                 args = make_args(mem)
                 snaps.append(_run_snapshot(program, entry, args, mem,
-                                           lpsu, mode, fast,
+                                           gpp, lpsu, mode, fast,
                                            no_engine=no_engine))
                 mems.append(mem)
             res.configs += 1
             for v in range(1, len(variants)):
                 label = variants[v][0]
                 if snaps[0] != snaps[v]:
-                    return res.fail("%s/%r fast!=%s: %s"
-                                    % (mode, lpsu, label,
+                    return res.fail("%s/%s/%r fast!=%s: %s"
+                                    % (gpp.name, mode, lpsu, label,
                                        _diff_detail(snaps[0], snaps[v],
                                                     label)))
                 if not mems[0].pages_equal(mems[v]):
                     return res.fail(
-                        "%s/%r fast memory differs from %s at 0x%x"
-                        % (mode, lpsu, label,
+                        "%s/%s/%r fast memory differs from %s at 0x%x"
+                        % (gpp.name, mode, lpsu, label,
                            mems[0].first_difference(mems[v])))
     except Exception as exc:
         return res.fail("%s: %s" % (type(exc).__name__, exc))
@@ -283,11 +293,12 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
     cycles, instr counts, energy-event counts, LPSU stats, adaptive
     decisions, return value, cache totals — and the final memory image
     must agree pairwise across all tiers, for traditional execution and
-    every specialized/adaptive LPSU design point.  The failure detail
-    names the diverging tier.  The vector rung joins the ladder only
-    when its optional numpy dependency is importable (without it,
-    ``auto`` cannot resolve to vector, so three rungs cover every
-    reachable configuration).  Never raises."""
+    every specialized/adaptive LPSU design point, on every Table II
+    GPP.  The failure detail names the GPP and the diverging tier.
+    The vector rung joins the ladder only when its optional numpy
+    dependency is importable (without it, ``auto`` cannot resolve to
+    vector, so three rungs cover every reachable configuration).
+    Never raises."""
     res = ConformanceResult(name=name)
     tiers = ("interp", "fused", "turbo")
     from ..sim.vector import HAS_NUMPY
@@ -296,14 +307,14 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
     try:
         points = [("traditional", None)]
         points += _specialized_points(sweep, adaptive)
-        for mode, lpsu in points:
+        for gpp, (mode, lpsu) in _gpp_points(points):
             snaps = []
             mems = []
             for tier in tiers:
                 mem = Memory()
                 args = make_args(mem)
                 snaps.append(_run_snapshot(program, entry, args, mem,
-                                           lpsu, mode, fast=None,
+                                           gpp, lpsu, mode, fast=None,
                                            backend=tier))
                 mems.append(mem)
             res.configs += 1
@@ -312,14 +323,14 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
             for v in range(1, len(tiers)):
                 label = tiers[v]
                 if snaps[0] != snaps[v]:
-                    return res.fail("%s/%r interp!=%s: %s"
-                                    % (mode, lpsu, label,
+                    return res.fail("%s/%s/%r interp!=%s: %s"
+                                    % (gpp.name, mode, lpsu, label,
                                        _diff_detail(snaps[0], snaps[v],
                                                     label)))
                 if not mems[0].pages_equal(mems[v]):
                     return res.fail(
-                        "%s/%r %s memory differs from interp at 0x%x"
-                        % (mode, lpsu, label,
+                        "%s/%s/%r %s memory differs from interp at 0x%x"
+                        % (gpp.name, mode, lpsu, label,
                            mems[0].first_difference(mems[v])))
             # fused-vs-turbo closes the pairwise triangle (their
             # snapshots already both equal interp's; memory too)

@@ -118,10 +118,14 @@ def test_distributed_section(baseline):
     assert dist["warm_served_fraction"] >= 0.95
     assert dist["warm_simulator_invocations"] == 0
     assert dist["warm_enqueued"] == 0
-    # the scaling bar only binds where the host can actually run
-    # workers in parallel (simulations are CPU-bound)
-    if dist["host_cpus"] >= 2:
+    # the scaling bar only binds where the host can run all four
+    # workers at once (simulations are CPU-bound); elsewhere the ratio
+    # is recorded as unmeasured, with the reason
+    if dist["host_cpus"] >= 4:
         assert dist["scaling_4_over_1"] >= 1.3
+    else:
+        assert dist["scaling_4_over_1"] is None
+        assert dist["scaling_unmeasured"]
 
 
 def test_check_mode_flags_regressions():
@@ -173,10 +177,11 @@ def test_check_mode_flags_regressions():
     assert any("invoked the simulator" in p for p in problems)
     assert any("serving rate" in p for p in problems)
     # the distributed gates: warm contract always binds, the scaling
-    # floor only on multi-core hosts
+    # floor wherever the ratio was measured
     dist_ok = {"patterns": {}, "long_kernels": {},
                "distributed": {"points": 28, "host_cpus": 1,
-                               "scaling_4_over_1": 0.9,
+                               "scaling_4_over_1": None,
+                               "scaling_unmeasured": "1 CPU",
                                "warm_served_fraction": 1.0,
                                "warm_simulator_invocations": 0,
                                "warm_enqueued": 0,

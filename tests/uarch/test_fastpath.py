@@ -12,10 +12,10 @@ import pytest
 
 from repro.kernels import get_kernel
 from repro.lang import compile_source
-from repro.sim import Memory
+from repro.sim import Memory, fusion
 from repro.sim.functional import FunctionalCore, run_program
 from repro.sim.fusion import block_runs, fused_blocks
-from repro.uarch import IO, LPSUConfig, SystemConfig, simulate
+from repro.uarch import IO, OOO2, OOO4, LPSUConfig, SystemConfig, simulate
 from repro.uarch.schedmemo import ScheduleMemo
 from repro.uarch.system import SystemSimulator
 from repro.verify import check_fast_slow
@@ -76,6 +76,32 @@ class TestBlockLayout:
                          break_pcs=(program.text_base + 4,))
         assert b is not a
 
+    def test_gpp_blocks_compiled_once_for_every_gpp(self, monkeypatch):
+        # one `gpp` block table per (program content, break set),
+        # shared by io, ooo/2 and ooo/4: no configuration in the key
+        compiled = []
+
+        def counting_compile(src, filename, *args, **kwargs):
+            compiled.append(filename)
+            return compile(src, filename, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "_BLOCK_TABLE_CACHE", {})
+        monkeypatch.setattr(fusion, "compile", counting_compile,
+                            raising=False)
+        spec = get_kernel("sgemm-uc")
+        for gpp in (IO, OOO2, OOO4):
+            # a fresh program object per GPP: sharing is by content
+            program = compile_source(spec.source).program
+            for mode, lpsu in (("traditional", None),
+                               ("specialized", LPSUConfig())):
+                mem = Memory()
+                args = spec.workload("tiny", 0).apply(mem)
+                simulate(program, SystemConfig("t", gpp, lpsu),
+                         entry=spec.entry, args=args, mem=mem, mode=mode,
+                         backend="fused")
+        # traditional runs break nowhere, specialized ones at the xloops
+        assert compiled.count("<fused:gpp>") == 2
+
 
 # ---------------------------------------------------------------------------
 # functional flavour
@@ -125,8 +151,9 @@ class TestSystemFastSlow:
         res = check_fast_slow(name, program, spec.entry, make_args,
                               sweep=_SWEEP)
         assert res.ok, res.detail
-        # traditional + sweep points + one adaptive run were compared
-        assert res.configs == len(_SWEEP) + 2
+        # traditional + sweep points + one adaptive run were compared,
+        # on each of io, ooo/2 and ooo/4
+        assert res.configs == 3 * (len(_SWEEP) + 2)
 
     @pytest.mark.parametrize("name", _KERNELS)
     def test_noengine_fast_path_stays_bit_identical(self, name,
