@@ -1,15 +1,29 @@
 """Hardened point execution: watchdogs, retry, quarantine, resume.
 
-The sweep executor hands its pending points to this module.  Each
-point runs in its own forked worker process (one process per point,
-bounded concurrency), which buys three properties a shared pool cannot
-provide:
+The sweep executor hands its pending points to this module.  A
+parallel sweep runs them on up to ``jobs`` persistent forked worker
+processes, each fed one point at a time over a pipe until the sweep's
+queue drains.  A worker keeps what it has built warm from one point to
+the next -- the compiled kernels (``runner._compiled``), the generated
+GPP block and LPSU code of :mod:`repro.sim.fusion` and the cache's
+code fingerprint -- so a sweep pays for them once per worker, not once
+per point.  Isolation stays per point:
 
-* a *hung* worker can be killed without poisoning siblings (a Pool
-  worker stuck in C code would wedge ``imap_unordered`` forever),
-* a *crashed* worker (hard exit, OOM kill, corrupted interpreter) is
-  detected from its exit code instead of deadlocking the parent, and
-* a failure is attributable to exactly one point.
+* a worker holds only one point in flight, so a *crashed* worker (hard
+  exit, OOM kill, corrupted interpreter) is attributable to exactly
+  one point, and is detected from its exit sentinel instead of
+  deadlocking the parent,
+* a *hung* worker is killed at the point's wall-clock deadline
+  without poisoning its siblings, and
+* any failed attempt retires its worker -- an error reply, an exit or
+  a watchdog kill alike -- and the next dispatch forks a fresh one, so
+  a retry, and every later point, never runs in a process that saw a
+  failure.
+
+The scheduler blocks in :func:`multiprocessing.connection.wait` on the
+workers' pipes and exit sentinels until the nearest kill deadline or
+backoff expiry, and joins every worker when the sweep ends, also when
+it ends in an exception.
 
 Failures are retried with exponential backoff up to a bounded attempt
 count; the final attempt runs with the simulator fast path disabled
@@ -22,6 +36,9 @@ When worker processes cannot be created at all the engine degrades to
 serial in-process execution (recorded as an incident), which is also
 the ``jobs <= 1`` path.  Long sweeps can checkpoint completed points
 to disk (:class:`SweepCheckpoint`) and resume after an interruption.
+The sweep server and ``repro worker`` run each point through
+:func:`execute_one`: the same engine with a one-point pool, so every
+point they simulate gets a fresh forked worker of its own.
 
 Deterministic failure injection for tests and drills: set
 ``$REPRO_CHAOS`` to a JSON object mapping a point-label substring to
@@ -143,53 +160,77 @@ def _apply_chaos(label, attempt):
 
 
 class SweepCheckpoint:
-    """Atomic on-disk record of a sweep in progress.
+    """Append-only on-disk record of a sweep in progress.
 
     Maps point memo-keys to finished results (and quarantined points
     to their failure records) so an interrupted sweep resumes where it
-    stopped.  Written with the same write-to-temp-then-rename
-    discipline as the disk cache; a truncated or corrupt checkpoint is
-    treated as absent, never as an error.
+    stopped.  Each completion appends one pickled
+    ``(kind, key, value)`` frame to a file opened once, so recording a
+    point costs the same however many came before it.  Loading reads
+    frames until EOF and drops only a torn or corrupt tail (a crash
+    mid-append), which the next append cuts off.  A checkpoint written
+    by older versions -- one pickled ``{"completed", "failed"}``
+    snapshot -- still loads, and an unreadable file is treated as
+    absent, never as an error.
     """
 
     def __init__(self, path):
         self.path = str(path)
         self.completed = {}   # memo_key -> (result, wall)
         self.failed = {}      # memo_key -> PointFailure
-        self._load()
+        self._fh = None
+        self._good = self._load()   # bytes of readable frames
 
     def _load(self):
+        """Apply every readable frame; returns the length of the file
+        prefix they span."""
+        tables = {"completed": self.completed, "failed": self.failed}
+        good = 0
         try:
             with open(self.path, "rb") as fh:
-                state = pickle.load(fh)
-            self.completed = dict(state.get("completed", {}))
-            self.failed = dict(state.get("failed", {}))
-        except (OSError, pickle.UnpicklingError, EOFError,
-                AttributeError, ValueError, KeyError):
-            self.completed = {}
-            self.failed = {}
+                while True:
+                    frame = pickle.load(fh)
+                    if isinstance(frame, dict):   # older snapshot
+                        self.completed.update(frame.get("completed", {}))
+                        self.failed.update(frame.get("failed", {}))
+                    else:
+                        kind, key, value = frame
+                        tables[kind][key] = value
+                    good = fh.tell()
+        except Exception:  # noqa: BLE001 - no file, EOF, or a bad tail,
+            pass           # whose unpickling can raise almost anything
+        return good
 
-    def save(self):
-        tmp = self.path + ".tmp"
+    def _append(self, frame):
+        """Append one frame, opening the file (and cutting off any
+        unreadable tail) on first use; checkpointing must never fail
+        the sweep."""
+        blob = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            with open(tmp, "wb") as fh:
-                pickle.dump({"completed": self.completed,
-                             "failed": self.failed}, fh,
-                            protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self.path)
-        except OSError:  # checkpointing must never fail the sweep
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if self._fh is None:
+                self._fh = open(self.path, "ab")
+                self._fh.truncate(self._good)
+            self._fh.write(blob)
+            self._fh.flush()
+            self._good += len(blob)
+        except OSError:
+            self.close()   # reopened, and re-cut, by the next append
 
     def record_result(self, key, result, wall):
         self.completed[key] = (result, wall)
-        self.save()
+        self._append(("completed", key, (result, wall)))
 
     def record_failure(self, key, failure):
         self.failed[key] = failure
-        self.save()
+        self._append(("failed", key, failure))
+
+    def close(self):
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +238,40 @@ class SweepCheckpoint:
 # ---------------------------------------------------------------------------
 
 
-def _child_main(conn, point, attempt, fast):
-    """Worker entry: run one point, ship the outcome up the pipe."""
-    try:
-        _apply_chaos(point.label(), attempt)
-        t0 = time.perf_counter()
-        before = runner.simulations
-        result = runner.run(point.kernel, point.config, fast=fast,
-                            **point.run_kwargs())
-        wall = time.perf_counter() - t0
-        conn.send(("ok", result, wall, runner.simulations > before,
-                   runner.drain_incidents()))
-    except BaseException as exc:  # noqa: BLE001 - full report, then die
+def _worker_main(conn, inherited):
+    """Persistent worker entry: run the ``(point, attempt, fast)``
+    tasks arriving on *conn* one at a time, replying with each
+    outcome, until a ``None`` task or EOF.  The first failure is
+    reported and then ends the process, so no later point runs where
+    one failed.  *inherited* are parent-side pipe ends this fork
+    copied; closing them lets each worker see EOF when the parent
+    dies."""
+    for other in inherited:
+        other.close()
+    while True:
         try:
-            conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:
-            pass
-        conn.close()
-        os._exit(1)
+            task = conn.recv()
+        except (EOFError, OSError):
+            break
+        if task is None:
+            break
+        point, attempt, fast = task
+        try:
+            _apply_chaos(point.label(), attempt)
+            t0 = time.perf_counter()
+            before = runner.simulations
+            result = runner.run(point.kernel, point.config, fast=fast,
+                                **point.run_kwargs())
+            wall = time.perf_counter() - t0
+            conn.send(("ok", result, wall, runner.simulations > before,
+                       runner.drain_incidents()))
+        except BaseException as exc:  # noqa: BLE001 - full report, then die
+            try:
+                conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
+            except Exception:
+                pass
+            conn.close()
+            os._exit(1)
     conn.close()
 
 
@@ -226,16 +283,28 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-class _Task:
-    __slots__ = ("point", "attempt", "fast", "proc", "conn", "kill_at")
+class _Worker:
+    """One persistent worker process, its pipe, and its point."""
 
-    def __init__(self, point, attempt, fast, proc, conn, kill_at):
-        self.point = point
-        self.attempt = attempt
-        self.fast = fast
+    __slots__ = ("proc", "conn", "task", "kill_at")
+
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.kill_at = kill_at
+        self.task = None      # (point, attempt) in flight, None = idle
+        self.kill_at = 0.0    # monotonic watchdog deadline, 0 = none
+
+    def stop(self, grace):
+        """Close the pipe and reap the process, terminating (then
+        killing) it if it has not exited within *grace* seconds."""
+        self.conn.close()
+        self.proc.join(grace)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(2)
+        if self.proc.is_alive():  # pragma: no cover - stubborn child
+            self.proc.kill()
+            self.proc.join(2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +324,15 @@ class OneOutcome:
 
 
 def execute_one(point, policy):
-    """Run one point under the full hardened ladder -- its own forked
-    worker, wall-clock watchdog, retry with backoff, quarantine on
-    exhaustion -- and return a :class:`OneOutcome`.
+    """Run one point under the full hardened ladder -- a one-point
+    pool of the parallel engine, so a forked worker of its own, with
+    the wall-clock watchdog, retry with backoff in a fresh worker, and
+    quarantine on exhaustion -- and return a :class:`OneOutcome`.
 
-    This is the sweep server's executor: each cache miss goes through
-    exactly the isolation a parallel sweep gives it, one point at a
-    time (the server bounds concurrency itself).  The finished result
+    This is the executor of the sweep server and ``repro worker``:
+    each cache miss goes through exactly the isolation a parallel
+    sweep gives it, one point at a time (the caller bounds concurrency
+    itself).  The finished result
     is seeded into the runner memo, so subsequent submissions of the
     same point are cache-served.  Never raises: an engine-level
     surprise becomes a quarantine record like any other failure."""
@@ -309,10 +380,14 @@ def execute_points(points, jobs, policy, summary):
         else:
             pending.append(pt)
 
-    if jobs <= 1 or len(pending) <= 1:
-        _run_serial(pending, policy, summary, ckpt)
-    else:
-        _run_parallel(pending, jobs, policy, summary, ckpt)
+    try:
+        if jobs <= 1 or len(pending) <= 1:
+            _run_serial(pending, policy, summary, ckpt)
+        else:
+            _run_parallel(pending, jobs, policy, summary, ckpt)
+    finally:
+        if ckpt is not None:
+            ckpt.close()
     summary.incidents.extend(runner.drain_incidents())
 
 
@@ -370,12 +445,17 @@ def _run_serial(points, policy, summary, ckpt):
 
 
 def _run_parallel(points, jobs, policy, summary, ckpt):
+    """Run *points* on up to *jobs* persistent forked workers, one
+    point in flight per worker."""
+    from multiprocessing.connection import wait
+
     from .parallel import PointOutcome
 
     ctx = _mp_context()
     #: (point, attempt, not_before) - a retry waits out its backoff
     queue = deque((pt, 0, 0.0) for pt in points)
-    running = []
+    workers = []
+    degraded = False
 
     def fail(point, attempt, kind, error):
         label = point.label()
@@ -391,129 +471,124 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
             if ckpt is not None:
                 ckpt.record_failure(point.memo_key(), failure)
 
-    def finish(task, result, wall, simulated, incidents):
-        runner.seed_result(task.point.memo_key(), result)
-        summary.outcomes.append(
-            PointOutcome(task.point, wall, simulated))
+    def finish(point, result, wall, simulated, incidents):
+        runner.seed_result(point.memo_key(), result)
+        summary.outcomes.append(PointOutcome(point, wall, simulated))
         summary.incidents.extend(incidents)
         if ckpt is not None:
-            ckpt.record_result(task.point.memo_key(), result, wall)
+            ckpt.record_result(point.memo_key(), result, wall)
 
-    def reap(task):
+    def spawn():
+        parent_conn = child_conn = None
         try:
-            task.conn.close()
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(
+                child_conn, [parent_conn] + [w.conn for w in workers]))
+            proc.start()
         except OSError:
-            pass
-        task.proc.join(timeout=2)
+            for conn in (parent_conn, child_conn):
+                if conn is not None:
+                    conn.close()
+            raise
+        child_conn.close()
+        worker = _Worker(proc, parent_conn)
+        workers.append(worker)
+        return worker
 
-    while queue or running:
-        # spawn up to the concurrency bound (skipping entries still
-        # waiting out their backoff)
-        now = time.monotonic()
-        spawned = True
-        while queue and len(running) < jobs and spawned:
-            spawned = False
-            for _ in range(len(queue)):
+    def retire(worker, grace=2.0):
+        workers.remove(worker)
+        worker.stop(grace)
+
+    try:
+        while True:
+            # dispatch the entries past their backoff: a fresh fork
+            # while under the bound (so a retired worker's slot is
+            # refilled), else an idle worker
+            now = time.monotonic()
+            for _ in range(len(queue) if not degraded else 0):
+                idle = [w for w in workers if w.task is None]
+                if not idle and len(workers) >= jobs:
+                    break
                 pt, attempt, not_before = queue.popleft()
                 if now < not_before:
                     queue.append((pt, attempt, not_before))
                     continue
-                parent_conn = child_conn = None
+                if len(workers) < jobs:
+                    try:
+                        worker = spawn()
+                    except OSError as exc:
+                        # cannot create workers at all: let the ones
+                        # in flight finish, then run the rest serially
+                        degraded = summary.degraded = True
+                        summary.incidents.append(runner.Incident(
+                            kind="parallel-to-serial",
+                            context=pt.label(),
+                            detail="worker spawn failed: %s" % exc))
+                        queue.appendleft((pt, attempt, 0.0))
+                        break
+                else:
+                    worker = idle[0]
                 try:
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_child_main,
-                        args=(child_conn, pt, attempt,
-                              _attempt_fast(policy, attempt)))
-                    proc.start()
-                except OSError as exc:
-                    for conn in (parent_conn, child_conn):
-                        if conn is not None:
-                            try:
-                                conn.close()
-                            except OSError:
-                                pass
-                    # cannot create workers at all: degrade the whole
-                    # sweep to serial in-process execution
-                    summary.degraded = True
-                    summary.incidents.append(runner.Incident(
-                        kind="parallel-to-serial", context=pt.label(),
-                        detail="worker spawn failed: %s" % exc))
-                    queue.appendleft((pt, attempt, 0.0))
-                    _drain_parallel(running, policy, summary, ckpt,
-                                    fail, finish, reap)
-                    running = []
-                    _run_serial([q[0] for q in queue], policy,
-                                summary, ckpt)
-                    return
-                child_conn.close()
-                kill_at = (time.monotonic() + policy.timeout
-                           if policy.timeout else 0.0)
-                running.append(_Task(pt, attempt,
-                                     _attempt_fast(policy, attempt),
-                                     proc, parent_conn, kill_at))
-                spawned = True
+                    worker.conn.send(
+                        (pt, attempt, _attempt_fast(policy, attempt)))
+                except OSError:
+                    pass   # a dead worker shows on its sentinel below
+                worker.task = (pt, attempt)
+                worker.kill_at = (now + policy.timeout
+                                  if policy.timeout else 0.0)
+
+            busy = [w for w in workers if w.task is not None]
+            if not busy and (degraded or not queue):
                 break
+            # sleep until a worker replies or exits, or until the
+            # nearest kill deadline or backoff expiry
+            deadlines = [w.kill_at for w in busy if w.kill_at]
+            if not degraded:
+                deadlines += [nb for _pt, _a, nb in queue if nb > now]
+            timeout = (max(0.0, min(deadlines) - time.monotonic())
+                       if deadlines else None)
+            ready = set(wait([w.conn for w in busy]
+                             + [w.proc.sentinel for w in workers],
+                             timeout))
 
-        progressed = _poll_once(running, policy, fail, finish, reap)
-        if not progressed:
-            time.sleep(0.005)
+            now = time.monotonic()
+            for worker in list(workers):
+                if worker.conn in ready or worker.proc.sentinel in ready:
+                    reply = None
+                    try:
+                        if worker.conn.poll():
+                            reply = worker.conn.recv()
+                    except (EOFError, OSError):
+                        pass
+                    if worker.task is None:   # an idle worker died
+                        retire(worker)
+                        continue
+                    pt, attempt = worker.task
+                    worker.task, worker.kill_at = None, 0.0
+                    if reply is not None and reply[0] == "ok":
+                        finish(pt, *reply[1:])
+                        continue
+                    retire(worker)
+                    if reply is not None:
+                        fail(pt, attempt, "error", reply[1])
+                    else:
+                        fail(pt, attempt, "crash",
+                             "worker exited with code %s"
+                             % worker.proc.exitcode)
+                elif worker.kill_at and now > worker.kill_at:
+                    pt, attempt = worker.task
+                    retire(worker, grace=0)
+                    fail(pt, attempt, "hang",
+                         "killed after %.3gs wall-clock" % policy.timeout)
+    finally:
+        for worker in workers:
+            if worker.task is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass
+        for worker in workers:
+            worker.stop(0 if worker.task is not None else 2.0)
 
-
-def _poll_once(running, policy, fail, finish, reap):
-    """One scheduler pass over the live workers; prunes *running* in
-    place and reports whether anything completed."""
-    progressed = False
-    now = time.monotonic()
-    for task in list(running):
-        msg = None
-        try:
-            if task.conn.poll(0):
-                msg = task.conn.recv()
-        except (EOFError, OSError):
-            msg = None
-        if msg is None and not task.proc.is_alive():
-            # the child exited; give an in-flight message one last
-            # chance to arrive before calling it a crash
-            try:
-                if task.conn.poll(0.2):
-                    msg = task.conn.recv()
-            except (EOFError, OSError):
-                msg = None
-        if msg is not None:
-            running.remove(task)
-            reap(task)
-            if msg[0] == "ok":
-                finish(task, *msg[1:])
-            else:
-                fail(task.point, task.attempt, "error", msg[1])
-            progressed = True
-        elif not task.proc.is_alive():
-            running.remove(task)
-            reap(task)
-            fail(task.point, task.attempt, "crash",
-                 "worker exited with code %s" % task.proc.exitcode)
-            progressed = True
-        elif task.kill_at and now > task.kill_at:
-            task.proc.terminate()
-            task.proc.join(timeout=2)
-            if task.proc.is_alive():  # pragma: no cover - stubborn child
-                task.proc.kill()
-                task.proc.join(timeout=2)
-            running.remove(task)
-            try:
-                task.conn.close()
-            except OSError:
-                pass
-            fail(task.point, task.attempt, "hang",
-                 "killed after %.3gs wall-clock" % policy.timeout)
-            progressed = True
-    return progressed
-
-
-def _drain_parallel(running, policy, summary, ckpt, fail, finish, reap):
-    """Wait out (or time out) workers already in flight before a
-    degradation to serial execution."""
-    while running:
-        if not _poll_once(running, policy, fail, finish, reap):
-            time.sleep(0.005)
+    if degraded:
+        _run_serial([q[0] for q in queue], policy, summary, ckpt)

@@ -1,5 +1,5 @@
-"""Parallel sweep executor: fan simulation points across a process
-pool, backed by the persistent result cache.
+"""Parallel sweep executor: fan simulation points across persistent
+forked workers, backed by the persistent result cache.
 
 A *point* is one ``(kernel, config, mode, binary, xi, scale, seed)``
 simulation -- exactly the argument tuple of
@@ -7,18 +7,20 @@ simulation -- exactly the argument tuple of
 
 * deduplicates the submitted points,
 * serves what it can from the in-process memo and the disk cache,
-* fans the rest across ``--jobs`` worker processes (each worker runs
-  :func:`runner.run`, which writes its result to the shared disk
-  cache),
+* runs the rest on up to ``--jobs`` persistent worker processes of
+  the hardened engine (:mod:`repro.eval.hardening`), one point at a
+  time each; a worker runs :func:`runner.run`, which writes its result
+  to the shared disk cache, and keeps its compiled kernels and
+  generated simulator code warm for its next point,
 * installs every result into the parent's memo, so the table/figure
   assembly code that follows hits the memo and never simulates,
 * reports per-point wall time and cache hit/miss counts.
 
-With ``jobs <= 1`` everything runs in-process (no pool), which is
-also the fallback when :mod:`multiprocessing` cannot provide a
-working context.  Results are bit-identical either way: each point is
-an independent deterministic simulation, and the executor only moves
-*where* it runs.
+With ``jobs <= 1`` everything runs in-process (no workers), which is
+also the fallback when worker processes cannot be created.  Results
+are bit-identical either way: each point is an independent
+deterministic simulation, and the executor only moves *where* it
+runs.
 """
 
 from __future__ import annotations
@@ -153,9 +155,10 @@ class SweepExecutor:
     """Executes batches of sweep points, optionally in parallel.
 
     Execution is delegated to the hardened engine in
-    :mod:`repro.eval.hardening`: each point runs in its own forked
-    worker under a wall-clock watchdog, crashes and hangs are isolated
-    and retried with exponential backoff, exhausted points are
+    :mod:`repro.eval.hardening`: points run one at a time on up to
+    *jobs* persistent forked workers under a wall-clock watchdog,
+    a crash or hang is isolated to its point and retried with
+    exponential backoff in a fresh worker, exhausted points are
     quarantined instead of aborting the sweep, and worker-spawn
     failure degrades to serial in-process execution.
 

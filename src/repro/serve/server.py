@@ -14,9 +14,10 @@ streams results back as they complete:
    joins that computation's future instead of forking a duplicate.
    One simulation fans out to every waiter.
 3. **sim** -- a true miss.  The point is scheduled on a bounded
-   worker pool; each slot runs :func:`repro.eval.hardening.execute_one`
-   -- the same process-per-point isolation, wall-clock watchdog,
-   retry-with-backoff, and quarantine ladder a parallel sweep gets.
+   thread pool; each slot runs :func:`repro.eval.hardening.execute_one`
+   -- a one-point pool of the parallel sweep's engine, so the point
+   runs in a forked worker of its own under the same wall-clock
+   watchdog, retry-with-backoff, and quarantine ladder.
    A quarantined point becomes a structured failure frame for every
    waiter; it never stalls other points or other clients.
 

@@ -9,10 +9,10 @@ bookkeeping:
    lease TTL),
 2. ``lease`` a batch of points; while the batch executes, a
    background thread heartbeats the lease every TTL/3,
-3. run each point through the PR 5 hardened engine
-   (:func:`repro.eval.hardening.execute_one` -- fork-per-point
-   isolation, watchdog, retry ladder, quarantine), and stream each
-   outcome back as a ``complete`` or ``fail`` op,
+3. run each point through the hardened engine as a one-point worker
+   (:func:`repro.eval.hardening.execute_one` -- a forked worker of its
+   own, watchdog, retry ladder, quarantine), and stream each outcome
+   back as a ``complete`` or ``fail`` op,
 4. on ``drain`` exit clean; on an empty queue poll again shortly.
 
 Robustness: the socket is shared by the main loop and the heartbeat

@@ -7,9 +7,14 @@ inside forked worker children, so every recovery path here exercises
 the real machinery: real dead processes, real kills, real retries.
 """
 
+import collections
 import dataclasses
 import json
+import multiprocessing
 import os
+import pickle
+import signal
+import time
 
 import pytest
 
@@ -70,6 +75,66 @@ def _assert_matches(ref):
         assert dataclasses.asdict(r) == ref[pt.memo_key()], pt.label()
 
 
+def _log_runs(monkeypatch, path):
+    """From now on, log the label and pid of every ``runner.run`` call
+    to *path*, made here or in a worker forked from here (workers
+    inherit the wrapper); returns a reader of ``[(label, pid)]`` in
+    completion order."""
+    real_run = runner.run
+
+    def logged(kernel, config, **kwargs):
+        result = real_run(kernel, config, **kwargs)
+        with open(path, "a") as fh:
+            fh.write("%s/%s/%s/%s/%s %d\n" % (
+                kernel, config, kwargs["mode"], kwargs["binary"],
+                kwargs["scale"], os.getpid()))
+        return result
+
+    monkeypatch.setattr(runner, "run", logged)
+
+    def read():
+        if not path.exists():
+            return []
+        return [(label, int(pid)) for label, pid in
+                (line.split() for line in path.read_text().splitlines())]
+    return read
+
+
+class _SpawnCounter:
+    """The real multiprocessing context, counting worker spawns and
+    raising ``OSError`` for every spawn from *fail_from* on."""
+
+    def __init__(self):
+        self.real = hardening._mp_context()
+        self.fail_from = None
+        self.spawned = 0
+
+    def Pipe(self, duplex=True):
+        return self.real.Pipe(duplex)
+
+    def Process(self, *args, **kwargs):
+        if self.fail_from is not None and self.spawned >= self.fail_from:
+            raise OSError("process table full")
+        self.spawned += 1
+        return self.real.Process(*args, **kwargs)
+
+
+def _exited(pid):
+    """True once *pid* has exited (gone, or a zombie nobody reaped)."""
+    try:
+        with open("/proc/%d/stat" % pid) as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.fixture
+def spawns(monkeypatch):
+    counter = _SpawnCounter()
+    monkeypatch.setattr(hardening, "_mp_context", lambda: counter)
+    return counter
+
+
 class TestChaosRecovery:
     def test_worker_crash_is_retried(self, monkeypatch):
         ref = _reference()
@@ -120,6 +185,128 @@ class TestChaosRecovery:
         assert failure.kind == "crash"
         assert summary.points == len(POINTS) - 1
         assert "QUARANTINED" in summary.render()
+        assert not multiprocessing.active_children()
+
+
+class TestPersistentWorkers:
+    """A parallel sweep runs on at most ``jobs`` persistent workers; a
+    failed attempt retires its worker and costs exactly one fresh
+    fork."""
+
+    def test_clean_sweep_reuses_workers(self, tmp_path, monkeypatch,
+                                        spawns):
+        ref = _reference()
+        run_log = _log_runs(monkeypatch, tmp_path / "runs.log")
+        summary = sweep(POINTS, jobs=2)
+        assert summary.ok and not summary.retries
+        runs = run_log()
+        assert sorted(label for label, _ in runs) == \
+            sorted(pt.label() for pt in POINTS)
+        pids = {pid for _, pid in runs}
+        assert len(pids) <= 2 and os.getpid() not in pids
+        assert spawns.spawned <= 2
+        assert not multiprocessing.active_children()
+        _assert_matches(ref)
+
+    @pytest.mark.parametrize("mode", ["crash", "hang"])
+    def test_retry_runs_in_a_fresh_worker(self, tmp_path, monkeypatch,
+                                          spawns, mode):
+        """The last point dispatched fails once: its retry is the next
+        dispatch, which forks the one extra worker."""
+        ref = _reference()
+        run_log = _log_runs(monkeypatch, tmp_path / "runs.log")
+        last = POINTS[-1]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {last.label(): {mode: [0]}}))
+        summary = sweep(POINTS, jobs=2, timeout=3.0, retries=3,
+                        backoff=0.01)
+        assert summary.ok
+        assert [ev.kind for ev in summary.retries] == [mode]
+        assert spawns.spawned == 3
+        pid_of = dict(run_log())
+        assert len(pid_of) == len(POINTS)
+        earlier = {pid for label, pid in pid_of.items()
+                   if label != last.label()}
+        assert pid_of[last.label()] not in earlier
+        assert not multiprocessing.active_children()
+        _assert_matches(ref)
+
+    def test_hang_on_a_used_worker_is_killed(self, tmp_path, monkeypatch,
+                                             spawns):
+        """The third point of a two-worker sweep always lands on a
+        worker that already served one; hung there, it is killed at
+        the timeout and retried in a fresh worker."""
+        ref = _reference()
+        run_log = _log_runs(monkeypatch, tmp_path / "runs.log")
+        third = POINTS[2]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {third.label(): {"hang": [0]}}))
+        summary = sweep(POINTS, jobs=2, timeout=2.0, retries=3,
+                        backoff=0.01)
+        assert summary.ok and summary.points == len(POINTS)
+        [event] = summary.retries
+        assert event.kind == "hang" and "after 2s" in event.error
+        assert summary.wall_time >= 2.0
+        assert spawns.spawned == 3
+        pid_of = dict(run_log())
+        assert pid_of[third.label()] not in {
+            pid_of[pt.label()] for pt in POINTS[:2]}
+        assert not multiprocessing.active_children()
+        _assert_matches(ref)
+
+    def test_second_spawn_failure_degrades_to_serial(self, tmp_path,
+                                                     monkeypatch, spawns):
+        """The first worker forks, the second cannot: the point in
+        flight finishes in its worker, the rest run in-process, and
+        every point runs exactly once."""
+        ref = _reference()
+        run_log = _log_runs(monkeypatch, tmp_path / "runs.log")
+        spawns.fail_from = 1
+        summary = sweep(POINTS, jobs=2)
+        assert summary.ok and summary.degraded
+        assert summary.points == len(POINTS)
+        assert [inc.kind for inc in summary.incidents] == \
+            ["parallel-to-serial"]
+        runs = run_log()
+        counts = collections.Counter(label for label, _ in runs)
+        assert counts == collections.Counter(pt.label() for pt in POINTS)
+        in_worker = [label for label, pid in runs if pid != os.getpid()]
+        assert in_worker == [POINTS[0].label()]
+        assert not multiprocessing.active_children()
+        _assert_matches(ref)
+
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="needs /proc to tell exited workers")
+    def test_workers_exit_when_the_sweep_dies(self, tmp_path,
+                                              monkeypatch):
+        """Both workers get a point before the sweeping process dies
+        at its first result.  Each closed the parent's pipe ends it
+        inherited at fork, so both see EOF (or a broken pipe) and
+        exit instead of waiting forever for their next point."""
+        run_log = _log_runs(monkeypatch, tmp_path / "runs.log")
+        pid = os.fork()
+        if pid == 0:
+            try:
+                runner.seed_result = lambda key, result: os._exit(0)
+                sweep(POINTS, jobs=2)
+            finally:
+                os._exit(1)
+        os.waitpid(pid, 0)
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline:
+                workers = {worker for _, worker in run_log()}
+                if len(workers) == 2 and all(map(_exited, workers)):
+                    break
+                time.sleep(0.05)
+            assert len(workers) == 2 and all(map(_exited, workers))
+        finally:
+            for worker in {worker for _, worker in run_log()}:
+                try:
+                    os.kill(worker, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 class TestSerialFallback:
@@ -192,6 +379,41 @@ class TestCheckpoint:
         ckpt.write_bytes(b"definitely not a pickle")
         summary = sweep(POINTS[:1], jobs=1, checkpoint=str(ckpt))
         assert summary.ok and summary.points == 1
+
+    def test_torn_tail_is_dropped_and_cut(self, tmp_path):
+        """A crash mid-append leaves a torn last frame: resuming keeps
+        every whole frame, re-runs only the torn point, and appends
+        after the cut so the next load sees every point."""
+        ckpt = tmp_path / "sweep.ckpt"
+        sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(blob[:-7])
+        assert len(hardening.SweepCheckpoint(ckpt).completed) == 1
+
+        runner.clear_cache()
+        resumed = sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
+        assert resumed.ok and resumed.points == 2
+        assert resumed.misses == 1
+        reloaded = hardening.SweepCheckpoint(ckpt)
+        assert set(reloaded.completed) == {
+            pt.memo_key() for pt in POINTS[:2]}
+
+    def test_snapshot_checkpoint_still_resumes(self, tmp_path):
+        """A checkpoint written whole, as one pickled snapshot, by
+        older versions resumes, and new frames append after it."""
+        first = sweep(POINTS[:1], jobs=1)
+        key = POINTS[0].memo_key()
+        ckpt = tmp_path / "sweep.ckpt"
+        ckpt.write_bytes(pickle.dumps({
+            "completed": {key: (runner._RESULTS[key],
+                                first.outcomes[0].wall_time)},
+            "failed": {}}))
+
+        runner.clear_cache()
+        resumed = sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
+        assert resumed.ok and resumed.points == 2
+        assert resumed.misses == 1
+        assert len(hardening.SweepCheckpoint(ckpt).completed) == 2
 
 
 class TestRunnerDegradation:
