@@ -1,5 +1,6 @@
 """Simulator speed bench: wall-time per dependence pattern, fast path
-vs slow path, and cached-vs-cold artifact regeneration.
+(``--backend auto``) vs slow path (``--backend interp``), and
+cached-vs-cold artifact regeneration.
 
 Three sections, emitted as a stable-schema JSON report
 (``BENCH_speed.json`` at the repository root):
@@ -197,16 +198,15 @@ SERVICE_RATE_FLOOR = 0.5
 DISTRIBUTED_SCALING_FLOOR = 1.3
 
 
-def _cold(kernel, config, mode, scale, fast=None, backend=None,
-          repeats=3):
+def _cold(kernel, config, mode, scale, backend, repeats=3):
     """Best-of-*repeats* wall time of a fully cold point (compile +
-    simulate, no caches, no retained turbo memos)."""
+    simulate, no caches, no retained turbo memos) on *backend*."""
     best = None
     for _ in range(repeats):
         clear_cache(keep_disk=True)
         t0 = time.perf_counter()
         run(kernel, config, mode=mode, scale=scale,
-            use_disk_cache=False, fast=fast, backend=backend)
+            use_disk_cache=False, backend=backend)
         dt = time.perf_counter() - t0
         if best is None or dt < best:
             best = dt
@@ -471,8 +471,8 @@ def speed_report(scale="small", smoke=False, sections=None):
         try:
             for pattern, (kernel, config, mode,
                           kscale) in pattern_points.items():
-                fast = _cold(kernel, config, mode, kscale, True)
-                slow = _cold(kernel, config, mode, kscale, False)
+                fast = _cold(kernel, config, mode, kscale, "auto")
+                slow = _cold(kernel, config, mode, kscale, "interp")
                 warm = _warm(kernel, config, mode, kscale)
                 report["patterns"][pattern] = {
                     "kernel": kernel, "config": config, "mode": mode,
@@ -483,8 +483,8 @@ def speed_report(scale="small", smoke=False, sections=None):
                     "speedup": round(slow / fast, 2)}
 
             for kernel, (config, mode, kscale) in long_points.items():
-                fast = _cold(kernel, config, mode, kscale, True)
-                slow = _cold(kernel, config, mode, kscale, False)
+                fast = _cold(kernel, config, mode, kscale, "auto")
+                slow = _cold(kernel, config, mode, kscale, "interp")
                 report["long_kernels"][kernel] = {
                     "config": config, "mode": mode, "scale": kscale,
                     "cold_fast_seconds": round(fast, 4),

@@ -43,35 +43,29 @@ def _add_platform_args(p):
                    help="execution mode (default specialized)")
 
 
-def _add_fast_arg(p):
-    p.add_argument("--no-fast", action="store_true",
-                   help="disable the verified simulator fast path "
-                        "(equivalent to --backend interp); results "
-                        "are bit-identical either way")
+def _kernel_name(name):
+    """argparse ``type=`` for a registered kernel name.  The registry
+    (every kernel's source) is imported only when a name is given."""
+    from .kernels import KERNELS
+    if name not in KERNELS:
+        raise argparse.ArgumentTypeError(
+            "unknown kernel %r (see 'repro kernels'; separate several "
+            "names with spaces, not commas)" % name)
+    return name
+
+
+def _add_backend_arg(p):
     p.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                    help="simulation backend ladder rung: interp "
                         "(reference), fused, turbo, vector (needs "
                         "numpy), or auto (highest available; the "
-                        "default).  Exact-mode results are "
-                        "bit-identical across rungs")
+                        "default).  Results are bit-identical across "
+                        "rungs, so a cached result serves any rung")
 
 
-def _add_approx_arg(p):
-    p.add_argument("--approx", type=float, default=0.0, metavar="EPS",
-                   help="turbo only: accept documented timing drift "
-                        "up to a fraction EPS on cache-phase "
-                        "divergence in exchange for skipping miss "
-                        "validation.  Design-space exploration only; "
-                        "approx results are cached separately and "
-                        "never serve exact requests")
-
-
-def _apply_fast_arg(args):
+def _apply_backend_arg(args):
     from .eval import runner
-    if getattr(args, "no_fast", False):
-        runner.set_default_fast(False)
-        runner.set_default_backend("interp")
-    elif getattr(args, "backend", None):
+    if args.backend:
         runner.set_default_backend(args.backend)
 
 
@@ -125,13 +119,13 @@ def build_parser():
     p.add_argument("args", nargs="*", type=lambda v: int(v, 0),
                    help="integer arguments")
     _add_platform_args(p)
-    _add_fast_arg(p)
-    _add_approx_arg(p)
+    _add_backend_arg(p)
 
     sub.add_parser("kernels", help="list bundled application kernels")
 
     p = sub.add_parser("kernel", help="run one bundled kernel")
-    p.add_argument("name", help="kernel name (see 'kernels')")
+    p.add_argument("name", type=_kernel_name,
+                   help="kernel name (see 'kernels')")
     p.add_argument("--scale", default="small",
                    choices=("tiny", "small", "large"))
     p.add_argument("--trace", action="store_true",
@@ -139,8 +133,7 @@ def build_parser():
                         "the first specialized xloop")
     p.add_argument("--trace-width", type=int, default=120)
     _add_platform_args(p)
-    _add_fast_arg(p)
-    _add_approx_arg(p)
+    _add_backend_arg(p)
 
     p = sub.add_parser("table", help="regenerate a paper artifact")
     p.add_argument("which",
@@ -148,12 +141,12 @@ def build_parser():
                             "fig7", "fig9", "fig10"))
     p.add_argument("--scale", default="small",
                    choices=("tiny", "small", "large"))
-    p.add_argument("--kernels", nargs="*",
+    p.add_argument("--kernels", nargs="*", type=_kernel_name,
                    help="restrict to these kernels")
     p.add_argument("--json", metavar="FILE",
                    help="also write the raw data as JSON")
     _add_cache_args(p)
-    _add_fast_arg(p)
+    _add_backend_arg(p)
 
     p = sub.add_parser("sweep",
                        help="run a batch of simulation points "
@@ -166,7 +159,7 @@ def build_parser():
     p.add_argument("--scale", default="small",
                    choices=("tiny", "small", "large"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernels", nargs="*",
+    p.add_argument("--kernels", nargs="*", type=_kernel_name,
                    help="restrict to these kernels")
     p.add_argument("--quiet", action="store_true",
                    help="omit the per-point wall-time table")
@@ -177,7 +170,7 @@ def build_parser():
     p.add_argument("--retries", type=int, default=3, metavar="N",
                    help="max attempts per point before it is "
                         "quarantined (default 3; the last attempt "
-                        "disables the fast path)")
+                        "runs on the interp backend)")
     p.add_argument("--checkpoint", metavar="FILE",
                    help="checkpoint completed points to FILE so an "
                         "interrupted sweep resumes where it stopped")
@@ -204,7 +197,7 @@ def build_parser():
                    help="exit nonzero unless exactly N points "
                         "completed successfully (zero lost points)")
     _add_cache_args(p)
-    _add_fast_arg(p)
+    _add_backend_arg(p)
 
     p = sub.add_parser("serve",
                        help="run the sweep result server (async, "
@@ -302,12 +295,13 @@ def build_parser():
     p.add_argument("--no-cache", action="store_true",
                    help="simulate without the persistent cache (the "
                         "server still stores shipped records)")
-    _add_fast_arg(p)
+    _add_backend_arg(p)
 
     p = sub.add_parser("verify",
                        help="differential conformance: traditional vs "
                             "specialized under the invariant monitor")
     p.add_argument("kernels", nargs="*", metavar="KERNEL",
+                   type=_kernel_name,
                    help="kernels to check (default: all registered; "
                         "see 'repro kernels')")
     p.add_argument("--all", action="store_true",
@@ -321,22 +315,20 @@ def build_parser():
     p.add_argument("--gen", type=int, default=0, metavar="N",
                    help="also check N randomly generated annotated "
                         "loops (default 0)")
-    p.add_argument("--fast-slow", action="store_true",
-                   help="instead check the simulator fast path "
-                        "(fusion + schedule memoization) bit-identical "
-                        "to the slow path: cycles, events, stats, and "
-                        "final memory")
     p.add_argument("--ladder", action="store_true",
                    help="instead check the full backend ladder "
                         "(interp/fused/turbo, plus vector when numpy "
-                        "is available) pairwise bit-identical per "
-                        "point: cycles, events, stats, and final "
-                        "memory; failures name the diverging tier")
+                        "is available, plus fused without the compiled "
+                        "LPSU engine on LPSU points) pairwise "
+                        "bit-identical per point: cycles, events, "
+                        "stats, and final memory; failures name the "
+                        "diverging tier")
 
     p = sub.add_parser("prove",
                        help="symbolic dependence prover: certify or "
                             "refute xloop pragmas")
     p.add_argument("kernels", nargs="*", metavar="KERNEL",
+                   type=_kernel_name,
                    help="kernels to prove (default: all registered; "
                         "see 'repro kernels')")
     p.add_argument("--all", action="store_true",
@@ -359,7 +351,7 @@ def build_parser():
     p = sub.add_parser("profile",
                        help="profile one kernel simulation and print "
                             "the top cumulative hotspots")
-    p.add_argument("name", metavar="KERNEL",
+    p.add_argument("name", metavar="KERNEL", type=_kernel_name,
                    help="kernel name (see 'kernels')")
     p.add_argument("--scale", default="small",
                    choices=("tiny", "small", "large"))
@@ -369,7 +361,7 @@ def build_parser():
                    choices=("cumulative", "tottime", "ncalls"),
                    help="pstats sort order (default cumulative)")
     _add_platform_args(p)
-    _add_fast_arg(p)
+    _add_backend_arg(p)
 
     p = sub.add_parser("cache",
                        help="inspect, clear, or prune the persistent "
@@ -401,6 +393,7 @@ def build_parser():
                    help="campaign seed; the same seed replays the "
                         "same campaign bit-for-bit (default 0)")
     p.add_argument("--kernels", nargs="*", metavar="KERNEL",
+                   type=_kernel_name,
                    help="kernels to inject into (default: one per "
                         "loop-dependence pattern)")
     p.add_argument("--targets", nargs="*", metavar="TARGET",
@@ -481,9 +474,7 @@ def cmd_run(args):
         return 2
     result = simulate(compiled.program, config, entry=args.entry,
                       args=args.args, mode=args.mode,
-                      fast=False if args.no_fast else None,
-                      backend=None if args.no_fast else args.backend,
-                      approx=args.approx)
+                      backend=args.backend)
     print("cycles:        %d" % result.cycles)
     print("instructions:  %d gpp + %d lpsu"
           % (result.gpp_instrs, result.lpsu_instrs))
@@ -509,11 +500,9 @@ def cmd_kernels(_args):
 
 def cmd_kernel(args):
     from .eval.runner import baseline_run, run
-    _apply_fast_arg(args)
+    _apply_backend_arg(args)
     result = run(args.name, args.config, mode=args.mode,
-                 scale=args.scale, approx=args.approx,
-                 backend="turbo" if args.approx and not args.backend
-                 else args.backend)
+                 scale=args.scale)
     base = baseline_run(args.name, args.config, scale=args.scale)
     print("kernel:     %s on %s (%s)" % (args.name, args.config,
                                          args.mode))
@@ -554,7 +543,7 @@ def cmd_table(args):
     from . import eval as ev
     from .eval import export
     _apply_cache_args(args)
-    _apply_fast_arg(args)
+    _apply_backend_arg(args)
     kw = {"scale": args.scale, "jobs": args.jobs}
     if args.kernels:
         kw["kernels"] = args.kernels
@@ -605,7 +594,7 @@ def cmd_sweep(args):
     from .eval import parallel
     from .eval.figures import FIG9_KERNELS, FIG10_KERNELS
     _apply_cache_args(args)
-    _apply_fast_arg(args)
+    _apply_backend_arg(args)
     kernels = args.kernels or None
     scale, seed = args.scale, args.seed
     sets = {
@@ -783,7 +772,7 @@ def cmd_worker(args):
     from .eval import diskcache
     from .serve.protocol import ProtocolError
     from .serve.worker import run_worker
-    _apply_fast_arg(args)
+    _apply_backend_arg(args)
     if args.cache_dir:
         diskcache.configure(cache_dir=args.cache_dir)
     if args.no_cache:
@@ -805,13 +794,13 @@ def cmd_worker(args):
 
 
 def cmd_verify(args):
-    from .verify import run_conformance, run_fast_slow, run_ladder
+    from .verify import run_conformance, run_ladder
     kernels = args.kernels or None
     if args.all:
         kernels = None
 
     def progress(res):
-        if res.ok and (args.fast_slow or args.ladder):
+        if res.ok and args.ladder:
             print("ok   %-16s %-14s %3d points bit-identical"
                   % (res.name, ",".join(res.kinds), res.configs))
         elif res.ok:
@@ -822,9 +811,7 @@ def cmd_verify(args):
         else:
             print("FAIL %-16s %s" % (res.name, res.detail))
 
-    harness = (run_ladder if args.ladder
-               else run_fast_slow if args.fast_slow
-               else run_conformance)
+    harness = run_ladder if args.ladder else run_conformance
     results = harness(kernels=kernels, gen=args.gen,
                       seed=args.seed, scale=args.scale,
                       progress=progress)
@@ -918,14 +905,12 @@ def cmd_profile(args):
     import cProfile
     import pstats
     from .eval import runner
-    _apply_fast_arg(args)
+    _apply_backend_arg(args)
     # a memo- or disk-served result would profile the cache instead of
     # the simulator: drop in-process memos and bypass the disk cache
     runner.clear_cache(keep_disk=True)
     from .sim.backends import resolve_backend
-    backend = resolve_backend(
-        "interp" if getattr(args, "no_fast", False)
-        else args.backend or runner.default_backend())
+    backend = resolve_backend(runner.default_backend())
     prof = cProfile.Profile()
     prof.enable()
     result = runner.run(args.name, args.config, mode=args.mode,

@@ -26,8 +26,10 @@ backoff expiry, and joins every worker when the sweep ends, also when
 it ends in an exception.
 
 Failures are retried with exponential backoff up to a bounded attempt
-count; the final attempt runs with the simulator fast path disabled
-(the most likely software cause of a crash is the fast path itself).
+count; the final attempt runs on the ``interp`` reference rung (the
+most likely software cause of a crash is a faster rung itself).  Its
+result is cached under the same key as any other rung's, so a warm
+re-sweep serves it.
 A point that exhausts its attempts is *quarantined*: the sweep
 completes without it and the summary carries a structured
 :class:`PointFailure` record instead of the whole run aborting.
@@ -71,6 +73,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..resilience.watchdog import DeadlineExceeded, deadline
+from ..sim.backends import resolve_backend
 from . import runner
 
 #: env var holding the JSON chaos plan (worker-side fault injection)
@@ -88,7 +91,6 @@ class HardeningPolicy:
     retries: int = 3          # max attempts per point
     backoff: float = 0.25     # base backoff (doubles per attempt)
     checkpoint: str = ""      # checkpoint file path, "" = disabled
-    degrade_fast: bool = True  # final attempt disables the fast path
 
 
 @dataclass
@@ -239,7 +241,7 @@ class SweepCheckpoint:
 
 
 def _worker_main(conn, inherited):
-    """Persistent worker entry: run the ``(point, attempt, fast)``
+    """Persistent worker entry: run the ``(point, attempt, backend)``
     tasks arriving on *conn* one at a time, replying with each
     outcome, until a ``None`` task or EOF.  The first failure is
     reported and then ends the process, so no later point runs where
@@ -255,13 +257,13 @@ def _worker_main(conn, inherited):
             break
         if task is None:
             break
-        point, attempt, fast = task
+        point, attempt, backend = task
         try:
             _apply_chaos(point.label(), attempt)
             t0 = time.perf_counter()
             before = runner.simulations
-            result = runner.run(point.kernel, point.config, fast=fast,
-                                **point.run_kwargs())
+            result = runner.run(point.kernel, point.config,
+                                backend=backend, **point.run_kwargs())
             wall = time.perf_counter() - t0
             conn.send(("ok", result, wall, runner.simulations > before,
                        runner.drain_incidents()))
@@ -391,13 +393,10 @@ def execute_points(points, jobs, policy, summary):
     summary.incidents.extend(runner.drain_incidents())
 
 
-def _attempt_fast(policy, attempt):
-    """The fast-path setting for this attempt number: the final retry
-    drops to the interpreted slow path."""
-    if policy.degrade_fast and policy.retries > 1 \
-            and attempt == policy.retries - 1:
-        return False
-    return None   # defer to runner.default_fast()
+def _attempt_backend(policy, attempt):
+    """The rung for this attempt number: the final retry of several
+    runs on ``interp``, the others on the process default."""
+    return "interp" if 0 < attempt == policy.retries - 1 else None
 
 
 def _run_serial(points, policy, summary, ckpt):
@@ -415,7 +414,7 @@ def _run_serial(points, policy, summary, ckpt):
                 with deadline(policy.timeout):
                     result = runner.run(
                         pt.kernel, pt.config,
-                        fast=_attempt_fast(policy, attempt),
+                        backend=_attempt_backend(policy, attempt),
                         **pt.run_kwargs())
                 wall = time.perf_counter() - t0
             except (KeyboardInterrupt, SystemExit):
@@ -451,6 +450,9 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
 
     from .parallel import PointOutcome
 
+    # resolve the default rung before forking, so every worker inherits
+    # its lazy imports (numpy, for vector) instead of paying them anew
+    resolve_backend(runner.default_backend())
     ctx = _mp_context()
     #: (point, attempt, not_before) - a retry waits out its backoff
     queue = deque((pt, 0, 0.0) for pt in points)
@@ -530,7 +532,7 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
                     worker = idle[0]
                 try:
                     worker.conn.send(
-                        (pt, attempt, _attempt_fast(policy, attempt)))
+                        (pt, attempt, _attempt_backend(policy, attempt)))
                 except OSError:
                     pass   # a dead worker shows on its sentinel below
                 worker.task = (pt, attempt)

@@ -30,17 +30,16 @@ much per-cycle interpretation they elide:
     ``repro[vector]`` extra (numpy).
 
 ``auto`` resolves to the highest applicable tier: ``vector`` when
-numpy is importable, demoted to ``turbo`` by ``REPRO_NO_VECTOR`` (or a
-missing numpy), then to ``fused`` by ``REPRO_NO_TURBO``.  An explicit
-request is never demoted by the hatches -- they only govern what
-``auto`` means -- but explicitly requesting ``vector`` without numpy
-installed is an error.  ``repro verify --ladder`` enforces the
-bit-identity contract pairwise across all tiers.
+numpy is importable, else ``turbo``.  Explicitly requesting ``vector``
+without numpy installed is an error.  ``--backend`` (mirrored into
+``$REPRO_BACKEND`` for worker processes) and the ``backend=`` argument
+are the only selectors.  ``repro verify --ladder`` enforces the
+bit-identity contract pairwise across all tiers, which is what lets a
+result's cache key omit the tier that computed it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 #: names accepted anywhere a backend is selected
@@ -79,27 +78,15 @@ def _have_numpy():
     return HAS_NUMPY
 
 
-def resolve_backend(name=None, fast=None):
+def resolve_backend(name=None):
     """Resolve a backend selection to a :class:`Backend`.
 
-    *name* may be any of :data:`BACKEND_CHOICES` or None.  When None,
-    the legacy ``fast`` boolean decides (``False`` -> interp,
-    otherwise auto).  ``auto`` resolves to the highest tier whose
-    prerequisites hold: ``vector`` (unless ``REPRO_NO_VECTOR`` is set
-    or numpy is not importable), else ``turbo`` (unless
-    ``REPRO_NO_TURBO`` demotes to ``fused``).  The ``REPRO_NO_FAST``
-    hatch is honoured upstream by the callers that own a default,
-    e.g. :func:`repro.eval.runner.default_backend`.
+    *name* may be any of :data:`BACKEND_CHOICES`; None means ``auto``,
+    the highest tier whose prerequisites hold: ``vector`` when numpy is
+    importable, else ``turbo``.
     """
-    if name is None:
-        name = "interp" if fast is False else "auto"
-    if name == "auto":
-        if os.environ.get("REPRO_NO_TURBO"):
-            name = "fused"
-        elif os.environ.get("REPRO_NO_VECTOR") or not _have_numpy():
-            name = "turbo"
-        else:
-            name = "vector"
+    if name is None or name == "auto":
+        name = "vector" if _have_numpy() else "turbo"
     elif name == "vector" and not _have_numpy():
         raise ValueError(
             "backend 'vector' requires numpy (install the repro[vector] "

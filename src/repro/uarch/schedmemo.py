@@ -33,8 +33,10 @@ fast-forward:
   observation).  Everything else takes the slow path unchanged.
 
 The cycle/energy/stat deltas therefore come out bit-identical to the
-slow path; ``repro verify --fast-slow`` enforces this empirically over
-the kernel suite and generated loops.
+slow path; ``repro verify --ladder`` enforces this empirically over the
+kernel suite and generated loops, through its ``turbo`` tier and its
+``fused-noengine`` tier (the ``fused`` rung uses this memo only when
+the compiled LPSU engine is unavailable).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ execution, so sequential composition is timing-exact).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -72,8 +71,8 @@ class RunResult:
 class SystemSimulator:
     """Simulate *program* on *config* in a given execution mode."""
 
-    def __init__(self, program, config, mem=None, verify=False, fast=True,
-                 max_cycles=None, injector=None, backend=None, approx=0.0):
+    def __init__(self, program, config, mem=None, verify=False,
+                 max_cycles=None, injector=None, backend=None):
         self.program = program
         self.config = config
         # when set, every specialized invocation runs under a
@@ -89,20 +88,13 @@ class SystemSimulator:
         # point.  Injection needs per-step observation, so it forces
         # the slow path like verify does.
         self.injector = injector
-        # backend ladder (repro.sim.backends): interp / fused / turbo.
-        # verify and injection need exact per-step observation, so they
-        # force the interp tier regardless of the requested backend;
-        # the legacy `fast` boolean maps False -> interp, True -> auto.
-        if verify or injector is not None:
-            resolved = resolve_backend("interp")
-        else:
-            resolved = resolve_backend(backend, fast=fast)
+        # backend ladder (repro.sim.backends): interp / fused / turbo /
+        # vector.  verify and injection need exact per-step
+        # observation, so they force the interp tier regardless of the
+        # requested backend.
+        resolved = resolve_backend(
+            "interp" if verify or injector is not None else backend)
         self.backend = resolved.name
-        self.approx = float(approx)
-        if self.approx and not resolved.turbo:
-            raise ValueError(
-                "approx mode requires the turbo backend (got %r)"
-                % resolved.name)
         # bit-identical fast path: fused GPP superblocks + LPSU
         # iteration-schedule memoization
         self.fast = resolved.fast
@@ -131,10 +123,10 @@ class SystemSimulator:
         self._memo_keys = {}   # turbo: content key guarding each memo
         self._vec_engines = {}  # vector: engines this run dispatched to
         # compiled fused-lane LPSU engine (repro.sim.fusion, `lpsu`
-        # flavour); REPRO_NO_LPSU_ENGINE=1 disables just this layer
-        # while keeping the rest of the fast path
-        self._use_engine = (self.fast
-                            and not os.environ.get("REPRO_NO_LPSU_ENGINE"))
+        # flavour).  The ladder harness's `fused-noengine` tier clears
+        # it to pin the path production takes whenever lpsu_engine()
+        # returns None.
+        self._use_engine = self.fast
 
     # ------------------------------------------------------------------
 
@@ -366,11 +358,11 @@ class SystemSimulator:
             # each time rather than trusting the xloop pc alone.
             from ..sim import turbo as _turbo_mod
             key = _turbo_mod.memo_content_key(
-                desc, self.config.lpsu, self.config.gpp, self.approx)
+                desc, self.config.lpsu, self.config.gpp)
             memo = self._memos.get(desc.xloop_pc)
             if memo is None or self._memo_keys.get(desc.xloop_pc) != key:
                 memo = _turbo_mod.turbo_memo(
-                    desc, self.config.lpsu, self.config.gpp, self.approx)
+                    desc, self.config.lpsu, self.config.gpp)
                 self._memos[desc.xloop_pc] = memo
                 self._memo_keys[desc.xloop_pc] = key
         elif self.fast and engine is None:
@@ -442,8 +434,8 @@ class SystemSimulator:
 
 
 def simulate(program, config, entry="main", args=(), mode="traditional",
-             mem=None, verify=False, fast=True, max_cycles=None,
-             injector=None, backend=None, approx=0.0):
+             mem=None, verify=False, max_cycles=None, injector=None,
+             backend=None):
     """One-shot convenience wrapper returning a :class:`RunResult`.
 
     With ``verify=True`` every specialized xloop invocation is checked
@@ -453,11 +445,8 @@ def simulate(program, config, entry="main", args=(), mode="traditional",
 
     ``backend`` selects a rung of the simulation ladder
     (:mod:`repro.sim.backends`): ``interp``/``fused``/``turbo``/
-    ``auto`` (results are bit-identical across tiers; ``repro verify
-    --ladder`` enforces it).  The legacy ``fast`` boolean is honoured
-    when ``backend`` is None: ``fast=False`` means interp.  ``approx``
-    (> 0, turbo only) permits documented timing drift on cache-phase
-    divergence in exchange for skipping miss validation — DSE only.
+    ``vector``/``auto``, where None means ``auto`` (results are
+    bit-identical across tiers; ``repro verify --ladder`` enforces it).
 
     ``max_cycles`` bounds the specialized-phase cycle budget (raising
     :class:`~repro.sim.LivelockError` when exhausted); ``injector``
@@ -465,7 +454,6 @@ def simulate(program, config, entry="main", args=(), mode="traditional",
     specialized invocation (forcing the interp tier, like verify).
     """
     sim = SystemSimulator(program, config, mem=mem, verify=verify,
-                          fast=fast, max_cycles=max_cycles,
-                          injector=injector, backend=backend,
-                          approx=approx)
+                          max_cycles=max_cycles, injector=injector,
+                          backend=backend)
     return sim.run(entry=entry, args=args, mode=mode)

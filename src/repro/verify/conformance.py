@@ -23,14 +23,15 @@ not hide the rest of the sweep.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+from itertools import product
 from typing import List, Optional, Tuple
 
 from ..kernels import ALL_KERNELS, get_kernel
 from ..lang import compile_source
 from ..sim import Memory
-from ..uarch import IO, OOO2, OOO4, SystemConfig, simulate
+from ..uarch import (IO, OOO2, OOO4, SystemConfig, SystemSimulator,
+                     simulate)
 from .genloops import LPSU_SWEEP, random_cases
 
 #: GPP design point of the verified traditional-vs-specialized runs:
@@ -38,9 +39,8 @@ from .genloops import LPSU_SWEEP, random_cases
 #: are GPP-agnostic, and verification forces the interp tier anyway)
 _GPP = IO
 
-#: GPPs the fast-slow and ladder harnesses run every point on: each
-#: Table II GPP, since each drives the fused GPP blocks through its
-#: own timing model
+#: GPPs the ladder harness runs every point on: each Table II GPP,
+#: since each drives the fused GPP blocks through its own timing model
 _LADDER_GPPS = (IO, OOO2, OOO4)
 
 
@@ -197,22 +197,23 @@ def check_counterexample(source, entry, params, proof, sweep=LPSU_SWEEP):
 
 
 # ----------------------------------------------------------------------
-# fast-vs-slow differential mode
+# backend-ladder differential mode
 # ----------------------------------------------------------------------
 
-def _run_snapshot(program, entry, args, mem, gpp, lpsu, mode, fast,
-                  no_engine=False, backend=None):
-    cfg = SystemConfig("conf", gpp, lpsu)
-    if no_engine:
-        # exercise the interpreted-stepper + schedule-memo fast path
-        # with the compiled fused-lane engine disabled
-        os.environ["REPRO_NO_LPSU_ENGINE"] = "1"
-    try:
-        r = simulate(program, cfg, entry=entry, args=args, mem=mem,
-                     mode=mode, fast=fast, backend=backend)
-    finally:
-        if no_engine:
-            os.environ.pop("REPRO_NO_LPSU_ENGINE", None)
+#: the ladder's harness-only tier: ``fused`` with the compiled
+#: fused-lane LPSU engine switched off, i.e. the interpreted stepper +
+#: schedule memo that production runs whenever ``lpsu_engine`` returns
+#: None.  Not a backend anyone can select.
+_NOENGINE = "fused-noengine"
+
+
+def _run_snapshot(program, entry, args, mem, gpp, lpsu, mode, tier):
+    backend = "fused" if tier == _NOENGINE else tier
+    sim = SystemSimulator(program, SystemConfig("conf", gpp, lpsu),
+                          mem=mem, backend=backend)
+    if tier == _NOENGINE:
+        sim._use_engine = False
+    r = sim.run(entry=entry, args=args, mode=mode)
     ev = r.events
     return {
         "cycles": r.cycles,
@@ -228,62 +229,11 @@ def _run_snapshot(program, entry, args, mem, gpp, lpsu, mode, fast,
     }
 
 
-def _gpp_points(points):
-    """Every (GPP, harness point) pair the differential modes check."""
-    return [(gpp, point) for gpp in _LADDER_GPPS for point in points]
-
-
-def _diff_detail(a, b, blabel="slow"):
+def _diff_detail(a, b, blabel):
     for k in a:
         if a[k] != b[k]:
-            return "%s: fast=%r %s=%r" % (k, a[k], blabel, b[k])
+            return "%s: interp=%r %s=%r" % (k, a[k], blabel, b[k])
     return "snapshots differ"
-
-
-def check_fast_slow(name, program, entry, make_args, sweep=LPSU_SWEEP,
-                    adaptive=True):
-    """Demand the fast path (superblock fusion + schedule memoization)
-    is *bit-identical* to the slow path for one loop: cycles, instr
-    counts, energy-event counts, LPSU stats, adaptive decisions,
-    return value, cache totals, and the final memory image must all
-    match, for traditional execution and every specialized/adaptive
-    LPSU design point, on every Table II GPP.  Never raises."""
-    res = ConformanceResult(name=name)
-    try:
-        points = [("traditional", None)]
-        points += _specialized_points(sweep, adaptive)
-        for gpp, (mode, lpsu) in _gpp_points(points):
-            # LPSU points get a third variant: fast with the compiled
-            # fused-lane engine disabled, pinning the interpreted
-            # stepper + schedule-memo layer to the same contract
-            variants = [("fast", True, False), ("slow", False, False)]
-            if lpsu is not None:
-                variants.append(("fast-noengine", True, True))
-            snaps = []
-            mems = []
-            for _label, fast, no_engine in variants:
-                mem = Memory()
-                args = make_args(mem)
-                snaps.append(_run_snapshot(program, entry, args, mem,
-                                           gpp, lpsu, mode, fast,
-                                           no_engine=no_engine))
-                mems.append(mem)
-            res.configs += 1
-            for v in range(1, len(variants)):
-                label = variants[v][0]
-                if snaps[0] != snaps[v]:
-                    return res.fail("%s/%s/%r fast!=%s: %s"
-                                    % (gpp.name, mode, lpsu, label,
-                                       _diff_detail(snaps[0], snaps[v],
-                                                    label)))
-                if not mems[0].pages_equal(mems[v]):
-                    return res.fail(
-                        "%s/%s/%r fast memory differs from %s at 0x%x"
-                        % (gpp.name, mode, lpsu, label,
-                           mems[0].first_difference(mems[v])))
-    except Exception as exc:
-        return res.fail("%s: %s" % (type(exc).__name__, exc))
-    return res
 
 
 def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
@@ -297,7 +247,9 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
     GPP.  The failure detail names the GPP and the diverging tier.
     The vector rung joins the ladder only when its optional numpy
     dependency is importable (without it, ``auto`` cannot resolve to
-    vector, so three rungs cover every reachable configuration).
+    vector, so three rungs cover every reachable configuration).  LPSU
+    points add the ``fused-noengine`` tier, pinning the interpreted
+    stepper + schedule-memo layer to the same contract.
     Never raises."""
     res = ConformanceResult(name=name)
     tiers = ("interp", "fused", "turbo")
@@ -307,21 +259,22 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
     try:
         points = [("traditional", None)]
         points += _specialized_points(sweep, adaptive)
-        for gpp, (mode, lpsu) in _gpp_points(points):
+        for gpp, (mode, lpsu) in product(_LADDER_GPPS, points):
+            point_tiers = tiers if lpsu is None else tiers + (_NOENGINE,)
             snaps = []
             mems = []
-            for tier in tiers:
+            for tier in point_tiers:
                 mem = Memory()
                 args = make_args(mem)
                 snaps.append(_run_snapshot(program, entry, args, mem,
-                                           gpp, lpsu, mode, fast=None,
-                                           backend=tier))
+                                           gpp, lpsu, mode, tier))
                 mems.append(mem)
             res.configs += 1
             # pairwise against the interp reference: the named tier is
-            # the diverging one
-            for v in range(1, len(tiers)):
-                label = tiers[v]
+            # the diverging one (equality is transitive, so the other
+            # pairs follow)
+            for v in range(1, len(point_tiers)):
+                label = point_tiers[v]
                 if snaps[0] != snaps[v]:
                     return res.fail("%s/%s/%r interp!=%s: %s"
                                     % (gpp.name, mode, lpsu, label,
@@ -332,8 +285,6 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
                         "%s/%s/%r %s memory differs from interp at 0x%x"
                         % (gpp.name, mode, lpsu, label,
                            mems[0].first_difference(mems[v])))
-            # fused-vs-turbo closes the pairwise triangle (their
-            # snapshots already both equal interp's; memory too)
     except Exception as exc:
         return res.fail("%s: %s" % (type(exc).__name__, exc))
     return res
@@ -364,38 +315,6 @@ def run_ladder(kernels=None, gen=0, seed=0, scale="tiny",
         xl = compile_source(case.source)
         res = check_ladder(case.name, xl.program, case.entry,
                            case.apply, sweep=sweep, adaptive=False)
-        res.kinds = xl.loop_kinds()
-        results.append(res)
-        if progress is not None:
-            progress(res)
-    return results
-
-
-def run_fast_slow(kernels=None, gen=0, seed=0, scale="tiny",
-                  sweep=LPSU_SWEEP, progress=None):
-    """Fast-vs-slow differential sweep over kernels (all registered
-    when *kernels* is None) plus *gen* generated loops; returns a list
-    of :class:`ConformanceResult`."""
-    names = ([s.name for s in ALL_KERNELS] if kernels is None
-             else list(kernels))
-    results = []
-    for name in names:
-        spec = get_kernel(name)
-        xl = compile_source(spec.source)
-
-        def make_args(mem, _spec=spec):
-            return _spec.workload(scale, seed).apply(mem)
-
-        res = check_fast_slow(name, xl.program, spec.entry, make_args,
-                              sweep=sweep)
-        res.kinds = xl.loop_kinds()
-        results.append(res)
-        if progress is not None:
-            progress(res)
-    for case in random_cases(seed, gen):
-        xl = compile_source(case.source)
-        res = check_fast_slow(case.name, xl.program, case.entry,
-                              case.apply, sweep=sweep, adaptive=False)
         res.kinds = xl.loop_kinds()
         results.append(res)
         if progress is not None:

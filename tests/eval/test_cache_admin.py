@@ -224,31 +224,6 @@ class TestHotTier:
         assert diskcache.load(keys[0]) is None
 
 
-class TestDefaultFast:
-    def test_env_var_disables(self, monkeypatch):
-        from repro.eval import runner
-        monkeypatch.setattr(runner, "_DEFAULT_FAST", None)
-        monkeypatch.setenv("REPRO_NO_FAST", "1")
-        assert runner.default_fast() is False
-        monkeypatch.setattr(runner, "_DEFAULT_FAST", None)
-        monkeypatch.delenv("REPRO_NO_FAST")
-        assert runner.default_fast() is True
-
-    def test_set_default_fast_mirrors_env(self, monkeypatch):
-        from repro.eval import runner
-        saved = runner._DEFAULT_FAST
-        monkeypatch.setenv("REPRO_NO_FAST", "keep")  # restored on exit
-        try:
-            runner.set_default_fast(False)
-            assert os.environ.get("REPRO_NO_FAST") == "1"
-            assert runner.default_fast() is False
-            runner.set_default_fast(True)
-            assert "REPRO_NO_FAST" not in os.environ
-            assert runner.default_fast() is True
-        finally:
-            runner._DEFAULT_FAST = saved
-
-
 class TestCacheCLI:
     def test_stats(self, tmp_path, capsys):
         _populate(tmp_path, n=2)

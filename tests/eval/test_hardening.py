@@ -1,6 +1,6 @@
 """Hardened sweep execution: crash/hang isolation, retry with
 backoff, quarantine, serial degradation, checkpoint/resume, and the
-runner's fast-to-slow degradation ladder.
+runner's fallback to the interp reference rung.
 
 Chaos (deterministic worker sabotage via ``$REPRO_CHAOS``) only acts
 inside forked worker children, so every recovery path here exercises
@@ -20,7 +20,6 @@ import pytest
 
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
-from repro.kernels import get_kernel
 
 SCALE = "tiny"
 
@@ -170,6 +169,21 @@ class TestChaosRecovery:
         kinds = sorted(ev.kind for ev in summary.retries)
         assert kinds == ["crash", "hang"]
         _assert_matches(ref)
+
+    def test_interp_final_retry_serves_the_warm_resweep(self,
+                                                        monkeypatch):
+        """A point that only the final attempt (on the interp rung)
+        saved is stored under the key every rung shares, so the next
+        warm sweep serves it instead of simulating it again."""
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {"sgemm-uc/io/traditional": {"crash": [0, 1]}}))
+        summary = sweep(POINTS, jobs=2, retries=3, backoff=0.01)
+        assert summary.ok and len(summary.retries) == 2
+        monkeypatch.delenv(hardening.CHAOS_ENV)
+        runner.clear_cache(keep_disk=True)   # as a fresh process would
+        warm = sweep(POINTS, jobs=2)
+        assert warm.ok
+        assert (warm.misses, warm.hits) == (0, len(POINTS))
 
     def test_unrecoverable_point_is_quarantined(self, monkeypatch):
         """A point that fails every attempt is quarantined with a
@@ -427,13 +441,15 @@ class TestRunnerDegradation:
 
         ref = dataclasses.asdict(
             runner.run("sgemm-uc", "io+x", mode="specialized",
-                       scale=SCALE, use_disk_cache=False, fast=False))
+                       scale=SCALE, use_disk_cache=False,
+                       backend="interp"))
         runner.clear_cache(keep_disk=True)
         runner.drain_incidents()
 
         monkeypatch.setattr(system, "fused_blocks", boom)
         r = runner.run("sgemm-uc", "io+x", mode="specialized",
-                       scale=SCALE, use_disk_cache=False, fast=True)
+                       scale=SCALE, use_disk_cache=False,
+                       backend="auto")
         incidents = runner.drain_incidents()
         assert len(incidents) == 1
         assert incidents[0].kind == "fast-path-fallback"
@@ -451,7 +467,8 @@ class TestRunnerDegradation:
         monkeypatch.setattr(system.SystemSimulator, "run", raising_run)
         with pytest.raises(InvariantViolation):
             runner.run("sgemm-uc", "io+x", mode="specialized",
-                       scale=SCALE, use_disk_cache=False, fast=True)
+                       scale=SCALE, use_disk_cache=False,
+                       backend="auto")
 
 
 class TestDiskCacheIntegrity:
@@ -459,11 +476,8 @@ class TestDiskCacheIntegrity:
         point = dict(kernel_name="sgemm-uc", config_name="io",
                      mode="traditional", scale=SCALE)
         runner.run(**point)
-        from repro.sim.backends import resolve_backend
-        key = runner._fingerprint(
-            get_kernel("sgemm-uc"), runner._resolve_config("io"),
-            "traditional", "xloops", True, SCALE, 0, False,
-            resolve_backend(runner.default_backend()).name)
+        key = runner._fingerprint(runner.memo_key(
+            "sgemm-uc", "io", "traditional", scale=SCALE))
         path = diskcache._record_path(key)
         blob = open(path, "rb").read()
         with open(path, "wb") as f:

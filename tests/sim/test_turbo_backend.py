@@ -8,15 +8,14 @@ schedule settled, adaptive-mode migrations, and branchy kernels whose
 schedule never repeats.  In every one of those turbo must degrade
 gracefully and stay bit-identical to the reference interpreter.
 
-The cache-key tests pin the other half of the contract: ``verify=True``
-always runs on the interp tier and is never served from (or stored
-to) the result caches, and an ``--approx`` run can never satisfy an
-exact request.
+The cache-key tests pin the other half of the contract: one cached
+record serves every rung, while ``verify=True`` always runs on the
+interp tier and is never served from (or stored to) the result caches.
 """
 
 import pytest
 
-from repro.eval import runner
+from repro.eval import diskcache, runner
 from repro.kernels import get_kernel
 from repro.lang import compile_source
 from repro.sim import Memory
@@ -139,51 +138,55 @@ class TestBackendSelection:
         assert sim.backend == "interp"
         assert not sim.fast
 
-    def test_no_turbo_hatch_demotes_auto_to_fused(self, monkeypatch):
+    def test_auto_is_the_highest_available_rung(self):
         from repro.sim.vector import HAS_NUMPY
-        monkeypatch.delenv("REPRO_NO_TURBO", raising=False)
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
         top = "vector" if HAS_NUMPY else "turbo"
         assert resolve_backend("auto").name == top
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        assert resolve_backend("auto").name == "turbo"
-        monkeypatch.setenv("REPRO_NO_TURBO", "1")
-        assert resolve_backend("auto").name == "fused"
-        # an explicit request is not demoted: the hatches only govern
-        # what "auto" means
-        assert resolve_backend("turbo").name == "turbo"
+        assert resolve_backend(None).name == top
 
-    def test_approx_requires_turbo(self):
-        spec = get_kernel("sgemm-uc")
-        program = compile_source(spec.source).program
-        with pytest.raises(ValueError):
-            SystemSimulator(program, _config(), backend="fused",
-                            approx=0.1)
+
+@pytest.fixture
+def own_disk_cache(tmp_path, monkeypatch):
+    """An empty disk cache of this test's own, forced on even under
+    the hermetic-CI ``REPRO_NO_CACHE=1`` environment."""
+    monkeypatch.delenv(diskcache.ENV_NO_CACHE, raising=False)
+    monkeypatch.setattr(diskcache, "_force_disabled", False)
+    monkeypatch.setattr(diskcache, "_dir_override", str(tmp_path))
+    monkeypatch.setenv(diskcache.ENV_CACHE_DIR, str(tmp_path))
+    runner.clear_cache()   # also drops the decoded-record hot tier
+    yield
+    runner.clear_cache(keep_disk=True)
 
 
 class TestCacheKeys:
-    def test_memo_key_distinguishes_backend_and_approx(self):
-        def key(**kw):
-            return runner.memo_key("vvadd-uc", "io+x",
-                                   mode="specialized", scale="tiny",
-                                   **kw)
-        keys = {key(backend="interp"), key(backend="fused"),
-                key(backend="turbo"), key(backend="turbo", approx=0.5),
-                key(backend="turbo", approx=0.25)}
-        assert len(keys) == 5
+    def test_one_record_serves_every_rung(self, own_disk_cache):
+        # the rungs are bit-identical (verify --ladder), so neither key
+        # names the rung: one simulation and one record serve them all
+        point = dict(mode="specialized", scale="tiny")
+        before = runner.simulations
+        first = runner.run("vvadd-uc", "io+x", backend="fused", **point)
+        assert runner.simulations == before + 1
+        runner.clear_cache(keep_disk=True)
+        for backend in ("interp", "turbo", "auto"):
+            r = runner.run("vvadd-uc", "io+x", backend=backend, **point)
+            assert r.cycles == first.cycles
+        assert runner.simulations == before + 1
+        assert diskcache.disk_stats()["records"] == 1
 
-    def test_fingerprint_distinguishes_backend_and_approx(self):
-        spec = get_kernel("vvadd-uc")
-        from repro.eval.configs import config
-        sysconfig = config("io+x")
-
-        def fp(backend_name, approx):
-            return runner._fingerprint(
-                spec, sysconfig, "specialized", "xloops", True,
-                "tiny", 0, False, backend_name, approx)
-        prints = {fp("interp", 0.0), fp("fused", 0.0),
-                  fp("turbo", 0.0), fp("turbo", 0.5)}
-        assert len(prints) == 4
+    def test_memo_serves_every_rung(self):
+        # the in-process memo key omits the rung too: with the disk
+        # cache bypassed, the memo alone serves the other rungs
+        runner.clear_cache(keep_disk=True)
+        point = dict(mode="specialized", scale="tiny",
+                     use_disk_cache=False)
+        before = runner.simulations
+        first = runner.run("vvadd-uc", "io+x", backend="fused", **point)
+        assert runner.simulations == before + 1
+        for backend in ("interp", "turbo", "auto"):
+            r = runner.run("vvadd-uc", "io+x", backend=backend, **point)
+            assert r is first
+        assert runner.simulations == before + 1
+        runner.clear_cache(keep_disk=True)
 
     def test_verified_run_never_served_from_cache(self):
         runner.clear_cache(keep_disk=True)

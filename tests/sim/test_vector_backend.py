@@ -175,20 +175,11 @@ class TestDivergenceAndFallback:
 
 class TestBackendSelection:
     def test_numpy_absent_demotes_auto_to_turbo(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_TURBO", raising=False)
-        monkeypatch.delenv("REPRO_NO_VECTOR", raising=False)
         monkeypatch.setattr(backends_mod, "_have_numpy", lambda: False)
         assert resolve_backend("auto").name == "turbo"
         # an explicit request must fail loudly, not degrade silently
         with pytest.raises(ValueError):
             resolve_backend("vector")
-
-    def test_no_vector_hatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_TURBO", raising=False)
-        monkeypatch.setenv("REPRO_NO_VECTOR", "1")
-        assert resolve_backend("auto").name == "turbo"
-        # the hatch only governs "auto": explicit vector still works
-        assert resolve_backend("vector").name == "vector"
 
     def test_engagement_counters_in_backend_stats(self):
         n = 300

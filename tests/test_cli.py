@@ -131,14 +131,6 @@ def test_table3(capsys):
     assert "ooo/4" in out and "LPSU" in out
 
 
-def test_verify_fast_slow(capsys):
-    rc = main(["verify", "--fast-slow", "sha-or"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "bit-identical" in out
-    assert "0 failed" in out
-
-
 def test_verify_ladder(capsys):
     rc = main(["verify", "--ladder", "vvadd-uc", "sha-or"])
     assert rc == 0
@@ -147,16 +139,41 @@ def test_verify_ladder(capsys):
     assert "0 failed" in out
 
 
-def test_kernel_backend_flag(capsys):
-    from repro.eval import runner
+def test_verify_ladder_runs_fused_noengine(capsys, monkeypatch):
+    # the ladder's harness-only tier: fused without the compiled LPSU
+    # engine, the path production takes whenever lpsu_engine is None
+    from repro.verify import conformance
+    tiers = set()
+    snapshot = conformance._run_snapshot
+
+    def spy(*args):
+        tiers.add(args[-1])
+        return snapshot(*args)
+
+    monkeypatch.setattr(conformance, "_run_snapshot", spy)
+    rc = main(["verify", "--ladder", "sha-or"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "bit-identical" in out
+    assert "0 failed" in out
+    assert conformance._NOENGINE in tiers
+
+
+def test_kernel_backend_flag(capsys, monkeypatch):
+    from repro.eval import diskcache, runner
+    # a cached record serves every rung: compare the rungs uncached,
+    # each simulating the point and its baseline
+    monkeypatch.setenv(diskcache.ENV_NO_CACHE, "1")
+    outs = []
     try:
-        assert main(["kernel", "vvadd-uc", "--scale", "tiny",
-                     "--backend", "turbo"]) == 0
-        turbo_out = capsys.readouterr().out
-        runner.clear_cache(keep_disk=True)
-        assert main(["kernel", "vvadd-uc", "--scale", "tiny",
-                     "--backend", "interp"]) == 0
-        assert capsys.readouterr().out == turbo_out
+        for backend in ("turbo", "interp"):
+            runner.clear_cache(keep_disk=True)
+            before = runner.simulations
+            assert main(["kernel", "vvadd-uc", "--scale", "tiny",
+                         "--backend", backend]) == 0
+            assert runner.simulations == before + 2
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
     finally:
         import os
         runner.set_default_backend("auto")
@@ -164,18 +181,25 @@ def test_kernel_backend_flag(capsys):
         runner.clear_cache(keep_disk=True)
 
 
-def test_kernel_no_fast_matches_fast(capsys):
-    assert main(["kernel", "sha-or", "--scale", "tiny"]) == 0
-    fast_out = capsys.readouterr().out
-    from repro.eval import runner
-    runner.clear_cache()
-    try:
-        rc = main(["kernel", "sha-or", "--scale", "tiny", "--no-fast"])
-        assert rc == 0
-        assert capsys.readouterr().out == fast_out
-    finally:
-        runner.set_default_fast(True)
-        runner.clear_cache()
+@pytest.mark.parametrize("argv", [
+    ["kernel", "vvadd-uc,saxpy-uc"],
+    ["profile", "nope"],
+    ["verify", "vvadd-uc", "nope"],
+    ["prove", "nope"],
+    ["table", "table2", "--kernels", "vvadd-uc,saxpy-uc"],
+    ["sweep", "table2", "--kernels", "nope"],
+    ["inject", "--kernels", "nope"],
+])
+def test_unknown_kernel_is_a_usage_error(argv, capsys):
+    # exit 2 with one line naming the bad name, not a KeyError
+    # traceback (exit 1 means "a check failed" for verify and prove)
+    bad = next(a for a in argv if a == "nope" or "," in a)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert "unknown kernel %r" % bad in last
+    assert "spaces, not commas" in last
 
 
 def test_cache_prune_requires_max_size(capsys):

@@ -3,7 +3,7 @@ schedule memoization must be bit-identical to the step-at-a-time
 simulators -- cycles, instruction counts, energy events, LPSU stats,
 adaptive decisions, and the final memory image.
 
-``repro verify --fast-slow`` runs the same differential harness over
+``repro verify --ladder`` runs the same differential harness over
 every registered kernel and generated loops; these tests keep a
 representative cross-section in the tier-1 suite.
 """
@@ -18,7 +18,7 @@ from repro.sim.fusion import block_runs, fused_blocks
 from repro.uarch import IO, OOO2, OOO4, LPSUConfig, SystemConfig, simulate
 from repro.uarch.schedmemo import ScheduleMemo
 from repro.uarch.system import SystemSimulator
-from repro.verify import check_fast_slow
+from repro.verify import check_ladder
 
 #: one kernel per dependence pattern, kept cheap via tiny workloads
 _KERNELS = ("sgemm-uc", "adpcm-or", "dynprog-om", "btree-ua",
@@ -148,32 +148,29 @@ class TestSystemFastSlow:
         def make_args(mem):
             return spec.workload("tiny", 0).apply(mem)
 
-        res = check_fast_slow(name, program, spec.entry, make_args,
-                              sweep=_SWEEP)
+        res = check_ladder(name, program, spec.entry, make_args,
+                           sweep=_SWEEP)
         assert res.ok, res.detail
         # traditional + sweep points + one adaptive run were compared,
         # on each of io, ooo/2 and ooo/4
         assert res.configs == 3 * (len(_SWEEP) + 2)
 
     @pytest.mark.parametrize("name", _KERNELS)
-    def test_noengine_fast_path_stays_bit_identical(self, name,
-                                                    monkeypatch):
+    def test_noengine_fast_path_stays_bit_identical(self, name):
         # the interpreted-stepper fast path (schedule memo + batch
-        # loop) must honour the same contract when the compiled
-        # fused-lane engine is disabled via its escape hatch
+        # loop) of the default rung must honour the same contract
+        # with the compiled fused-lane engine switched off, as for a
+        # body lpsu_engine() cannot compile
         spec, program = _program(name)
         results = []
-        for no_engine in (True, False):
-            if no_engine:
-                monkeypatch.setenv("REPRO_NO_LPSU_ENGINE", "1")
-            else:
-                monkeypatch.delenv("REPRO_NO_LPSU_ENGINE",
-                                   raising=False)
+        for use_engine in (False, True):
             mem = Memory()
             args = spec.workload("tiny", 0).apply(mem)
-            r = simulate(program, SystemConfig("t", IO, LPSUConfig()),
-                         entry=spec.entry, args=args, mem=mem,
-                         mode="specialized", fast=True)
+            sim = SystemSimulator(program,
+                                  SystemConfig("t", IO, LPSUConfig()),
+                                  mem=mem)
+            sim._use_engine = use_engine
+            r = sim.run(entry=spec.entry, args=args, mode="specialized")
             results.append((r, mem))
         (ne_r, ne_mem), (en_r, en_mem) = results
         assert ne_r.cycles == en_r.cycles
@@ -195,8 +192,8 @@ class TestSystemFastSlow:
                          entry=spec.entry, args=args, mem=mem,
                          mode="specialized", **kw)
             return r, mem
-        ver_r, ver_mem = run(fast=True, verify=True)
-        fast_r, fast_mem = run(fast=True)
+        ver_r, ver_mem = run(verify=True)
+        fast_r, fast_mem = run()
         assert ver_r.cycles == fast_r.cycles
         assert repr(ver_r.lpsu_stats) == repr(fast_r.lpsu_stats)
         assert ver_mem.pages_equal(fast_mem)
@@ -211,7 +208,7 @@ class TestSystemFastSlow:
             args = spec.workload("tiny", 0).apply(mem)
             sim = SystemSimulator(program,
                                   SystemConfig("t", IO, LPSUConfig()),
-                                  mem=mem, fast=True)
+                                  mem=mem)
             sim.run(entry=spec.entry, args=args, mode="specialized")
             engines = [v for k, v in
                        getattr(program, "_fused", {}).items()
@@ -222,12 +219,12 @@ class TestSystemFastSlow:
     def test_adaptive_decisions_identical(self):
         spec, program = _program("war-om")
         results = []
-        for fast in (True, False):
+        for backend in ("auto", "interp"):
             mem = Memory()
             args = spec.workload("tiny", 0).apply(mem)
             r = simulate(program, SystemConfig("t", IO, LPSUConfig()),
                          entry=spec.entry, args=args, mem=mem,
-                         mode="adaptive", fast=fast)
+                         mode="adaptive", backend=backend)
             results.append(r)
         fast_r, slow_r = results
         assert dict(fast_r.adaptive_decisions)
@@ -242,34 +239,33 @@ class TestSystemFastSlow:
 # ---------------------------------------------------------------------------
 
 class TestScheduleMemo:
-    def _run(self, name, fast, monkeypatch=None):
-        if monkeypatch is not None:
-            # schedule memoization only engages when the fused-lane
-            # engine is unavailable; force the interpreted stepper so
-            # the memo layer is actually exercised
-            monkeypatch.setenv("REPRO_NO_LPSU_ENGINE", "1")
+    def _run(self, name, backend):
         spec, program = _program(name)
         mem = Memory()
         args = spec.workload("tiny", 0).apply(mem)
         sim = SystemSimulator(program, SystemConfig("t", IO,
                                                     LPSUConfig()),
-                              mem=mem, fast=fast)
+                              mem=mem, backend=backend)
+        # the fused rung memoizes schedules only when the fused-lane
+        # engine is unavailable; switch it off so the memo layer is
+        # actually exercised (a no-op on interp)
+        sim._use_engine = False
         r = sim.run(entry=spec.entry, args=args, mode="specialized")
         return sim, r, mem
 
-    def test_memo_replays_and_stays_bit_identical(self, monkeypatch):
+    def test_memo_replays_and_stays_bit_identical(self):
         # Floyd-Warshall re-invokes the same static xloop with a
         # recurring schedule: the memo must actually get hits, and the
         # run must still match the slow path exactly.
-        sim, fast_r, fast_mem = self._run("war-uc", True, monkeypatch)
-        _, slow_r, slow_mem = self._run("war-uc", False)
+        sim, fast_r, fast_mem = self._run("war-uc", "fused")
+        _, slow_r, slow_mem = self._run("war-uc", "interp")
         assert fast_r.cycles == slow_r.cycles
         assert repr(fast_r.lpsu_stats) == repr(slow_r.lpsu_stats)
         assert fast_mem.pages_equal(slow_mem)
         assert sum(m.hits for m in sim._memos.values()) > 0
 
     def test_slow_path_builds_no_memos(self):
-        sim, _r, _m = self._run("war-uc", False)
+        sim, _r, _m = self._run("war-uc", "interp")
         assert not sim._memos
 
     def test_never_hitting_memo_goes_dead(self):
