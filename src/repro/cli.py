@@ -230,7 +230,8 @@ def build_parser():
     p.add_argument("--status", metavar="ADDR",
                    help="one-shot ping of the server at ADDR: print "
                         "live counters (served/simulated/inflight/"
-                        "queued/workers/leases) and exit")
+                        "forked and live simulation workers/queued/"
+                        "distributed workers/leases) and exit")
     p.add_argument("--json", action="store_true",
                    help="with --status: print the raw stats payload "
                         "as JSON")
@@ -715,9 +716,11 @@ def cmd_serve(args):
         pass
     c = server.counters
     print("served %d point(s) over %d connection(s): %d cache, "
-          "%d in-flight joins, %d simulated, %d failed"
+          "%d in-flight joins, %d simulated, %d failed; "
+          "%d worker(s) forked"
           % (c["points"], c["connections"], c["served_cache"],
-             c["served_inflight"], c["simulated"], c["failed"]))
+             c["served_inflight"], c["simulated"], c["failed"],
+             server.workers.spawned))
     if server.queue is not None:
         q = server.queue.counters
         print("queue: %d enqueued, %d completed, %d requeued, "
@@ -759,6 +762,8 @@ def _serve_status(address, as_json=False):
     print("  inflight: %d   connections: %d   submissions: %d"
           % (stats.get("inflight", 0), c.get("connections", 0),
              c.get("submissions", 0)))
+    print("  local workers: %d alive, %d forked so far"
+          % (c.get("workers", 0), c.get("spawned", 0)))
     if stats.get("distributed"):
         print("  queue: %d queued, %d leased, %d worker(s); "
               "%d completed, %d requeued, %d duplicate(s)"
@@ -786,10 +791,10 @@ def cmd_worker(args):
         print("error: %s" % exc, file=sys.stderr)
         return 1
     print("worker done: %d lease(s), %d point(s), %d completed, "
-          "%d failed, %d reconnect(s)"
+          "%d failed, %d reconnect(s), %d process(es) forked"
           % (counters["leases"], counters["points"],
              counters["completed"], counters["failed"],
-             counters["reconnects"]))
+             counters["reconnects"], counters["spawned"]))
     return 0
 
 

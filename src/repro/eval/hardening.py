@@ -1,13 +1,17 @@
 """Hardened point execution: watchdogs, retry, quarantine, resume.
 
-The sweep executor hands its pending points to this module.  A
-parallel sweep runs them on up to ``jobs`` persistent forked worker
-processes, each fed one point at a time over a pipe until the sweep's
-queue drains.  A worker keeps what it has built warm from one point to
-the next -- the compiled kernels (``runner._compiled``), the generated
-GPP block and LPSU code of :mod:`repro.sim.fusion` and the cache's
-code fingerprint -- so a sweep pays for them once per worker, not once
-per point.  Isolation stays per point:
+Every point that needs a process of its own runs on a
+:class:`WorkerPool` of persistent forked workers, each fed one point
+at a time over a pipe.  A parallel sweep holds a pool until its queue
+drains; the sweep server and ``repro worker`` each hold one for their
+lifetime and run every miss through :func:`execute_one` on it.  A
+worker keeps what it has built warm from one point to the next -- the
+compiled kernel (``runner._compiled``), the generated GPP block and
+LPSU code of :mod:`repro.sim.fusion` and the cache's code fingerprint
+-- so repeated points of a kernel pay for them once per worker, not
+once per point.  It keeps *one* kernel warm: before a point of another
+kernel it drops the previous kernel's state, which bounds a
+long-lived worker's memory.  Isolation stays per point:
 
 * a worker holds only one point in flight, so a *crashed* worker (hard
   exit, OOM kill, corrupted interpreter) is attributable to exactly
@@ -16,14 +20,18 @@ per point.  Isolation stays per point:
 * a *hung* worker is killed at the point's wall-clock deadline
   without poisoning its siblings, and
 * any failed attempt retires its worker -- an error reply, an exit or
-  a watchdog kill alike -- and the next dispatch forks a fresh one, so
-  a retry, and every later point, never runs in a process that saw a
-  failure.
+  a watchdog kill alike -- so a retry, and every later point, never
+  runs in a process that saw a failure.
 
-The scheduler blocks in :func:`multiprocessing.connection.wait` on the
+A forked worker's first act is to give up every socket it inherited
+(listening sockets, client connections, other workers' pipe ends), so
+a peer the parent hangs up on sees EOF at once and a worker sees EOF
+on its own pipe when the parent dies.
+
+The scheduler blocks in :func:`multiprocessing.connection.wait` on its
 workers' pipes and exit sentinels until the nearest kill deadline or
-backoff expiry, and joins every worker when the sweep ends, also when
-it ends in an exception.
+backoff expiry.  Closing a pool joins every worker; a point in flight
+when its pool closes fails.
 
 Failures are retried with exponential backoff up to a bounded attempt
 count; the final attempt runs on the ``interp`` reference rung (the
@@ -38,9 +46,6 @@ When worker processes cannot be created at all the engine degrades to
 serial in-process execution (recorded as an incident), which is also
 the ``jobs <= 1`` path.  Long sweeps can checkpoint completed points
 to disk (:class:`SweepCheckpoint`) and resume after an interruption.
-The sweep server and ``repro worker`` run each point through
-:func:`execute_one`: the same engine with a one-point pool, so every
-point they simulate gets a fresh forked worker of its own.
 
 Deterministic failure injection for tests and drills: set
 ``$REPRO_CHAOS`` to a JSON object mapping a point-label substring to
@@ -68,11 +73,14 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import stat
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
 from ..resilience.watchdog import DeadlineExceeded, deadline
+from ..sim import fusion
 from ..sim.backends import resolve_backend
 from . import runner
 
@@ -240,16 +248,58 @@ class SweepCheckpoint:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, inherited):
+def _release_inherited_sockets(keep):
+    """Point every socket fd this fork inherited, except *keep*, at
+    ``/dev/null``.  A copy of the parent's listening socket, of its
+    client connections or of another worker's pipe end would keep
+    that socket open for as long as this worker lives: a client the
+    parent hangs up on would see no EOF, and no worker would see EOF
+    on its pipe when the parent dies.  ``dup2`` rather than
+    ``close``, so the fd number stays taken and a finalizer that
+    closes it later cannot close a reused fd; never ``shutdown``,
+    which would cut the parent's connection too.  Pipes and files
+    stay open."""
+    fd_dir = "/proc/self/fd" if os.path.isdir("/proc/self/fd") \
+        else "/dev/fd"
+    try:
+        fds = [int(name) for name in os.listdir(fd_dir)]
+    except OSError:
+        return
+    devnull = os.open(os.devnull, os.O_RDWR)
+    try:
+        for fd in fds:
+            if fd in (keep, devnull):
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(devnull, fd, inheritable=False)
+            except OSError:
+                pass    # the listing's own fd, closed since
+    finally:
+        os.close(devnull)
+
+
+def _keep_warm(kernel, warm):
+    """The one-warm-kernel rule: before a point of another *kernel*
+    than the *warm* one, drop what that kernel left behind -- its
+    compiled binaries, the result memo, the generated GPP block and
+    LPSU code, and the turbo and vector stores -- so a long-lived
+    worker holds one kernel's state, not that of every kernel it has
+    met.  Returns the kernel now warm."""
+    if warm is not None and kernel != warm:
+        runner.clear_cache(keep_disk=True)
+        fusion.clear()
+    return kernel
+
+
+def _worker_main(conn):
     """Persistent worker entry: run the ``(point, attempt, backend)``
     tasks arriving on *conn* one at a time, replying with each
     outcome, until a ``None`` task or EOF.  The first failure is
     reported and then ends the process, so no later point runs where
-    one failed.  *inherited* are parent-side pipe ends this fork
-    copied; closing them lets each worker see EOF when the parent
-    dies."""
-    for other in inherited:
-        other.close()
+    one failed."""
+    _release_inherited_sockets(conn.fileno())
+    warm = None
     while True:
         try:
             task = conn.recv()
@@ -259,6 +309,7 @@ def _worker_main(conn, inherited):
             break
         point, attempt, backend = task
         try:
+            warm = _keep_warm(point.kernel, warm)
             _apply_chaos(point.label(), attempt)
             t0 = time.perf_counter()
             before = runner.simulations
@@ -309,6 +360,121 @@ class _Worker:
             self.proc.join(2)
 
 
+class PoolClosed(RuntimeError):
+    """A worker was asked of a closed :class:`WorkerPool`."""
+
+
+class WorkerPool:
+    """The forked workers that points needing a process run on.
+
+    A sweep holds one for its parallel part; the sweep server and
+    ``repro worker`` hold one each for their lifetime.  A caller holds
+    a worker for one point at a time and bounds its own concurrency,
+    so the pool forks lazily, and never more workers than its callers
+    have held at once plus one per failed attempt.
+    :meth:`acquire` hands out an idle worker or forks one,
+    :meth:`release` takes a healthy one back and :meth:`retire` reaps
+    one whose attempt failed.  Thread-safe: the server's executor
+    threads share one pool.
+
+    :meth:`close` returns once every worker is joined: idle workers
+    are told to exit and busy ones are killed, which fails the point
+    each holds; their holders reap them.  A closed pool refuses
+    :meth:`acquire` with :class:`PoolClosed`.
+    """
+
+    def __init__(self):
+        self.spawned = 0      # worker processes forked so far
+        self.closed = False
+        self._idle = []
+        self._busy = set()
+        self._cond = threading.Condition()
+
+    @property
+    def live(self):
+        """Worker processes alive now, idle or holding a point."""
+        with self._cond:
+            return len(self._idle) + len(self._busy)
+
+    def acquire(self):
+        """An idle worker, or a freshly forked one when none is idle;
+        raises :class:`PoolClosed`, or ``OSError`` when the fork
+        fails."""
+        with self._cond:
+            if self.closed:
+                raise PoolClosed("worker pool closed")
+            while self._idle:
+                worker = self._idle.pop()
+                if worker.proc.is_alive():
+                    break
+                worker.stop(0)     # died while idle: reap it
+            else:
+                worker = self._fork()
+            self._busy.add(worker)
+            return worker
+
+    def _fork(self):
+        # resolve the default rung before forking, so every worker
+        # inherits its lazy imports (numpy, for vector) instead of
+        # paying them anew
+        resolve_backend(runner.default_backend())
+        ctx = _mp_context()
+        parent_conn = child_conn = None
+        try:
+            parent_conn, child_conn = ctx.Pipe()
+            proc = ctx.Process(target=_worker_main, args=(child_conn,))
+            proc.start()
+        except OSError:
+            for conn in (parent_conn, child_conn):
+                if conn is not None:
+                    conn.close()
+            raise
+        child_conn.close()
+        self.spawned += 1
+        return _Worker(proc, parent_conn)
+
+    def release(self, worker):
+        """Take back a healthy idle *worker*; reaped instead when the
+        pool closed meanwhile."""
+        with self._cond:
+            if not self.closed:
+                self._busy.discard(worker)
+                self._idle.append(worker)
+                return
+        self.retire(worker, 0)
+
+    def retire(self, worker, grace=2.0):
+        """Reap *worker* (see :meth:`_Worker.stop`) and forget it."""
+        worker.stop(grace)
+        with self._cond:
+            self._busy.discard(worker)
+            self._cond.notify_all()
+
+    def close(self):
+        """Join every worker (see the class docstring); idempotent."""
+        with self._cond:
+            self.closed = True
+            idle, self._idle = self._idle, []
+            for worker in self._busy:
+                worker.proc.kill()
+        for worker in idle:
+            try:
+                worker.conn.send(None)
+            except OSError:
+                pass
+        for worker in idle:
+            worker.stop(2.0)
+        with self._cond:
+            self._cond.wait_for(lambda: not self._busy, timeout=60)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        self.close()
+        return False
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -325,23 +491,23 @@ class OneOutcome:
     retries: int = 0         # failed attempts that were retried
 
 
-def execute_one(point, policy):
-    """Run one point under the full hardened ladder -- a one-point
-    pool of the parallel engine, so a forked worker of its own, with
-    the wall-clock watchdog, retry with backoff in a fresh worker, and
-    quarantine on exhaustion -- and return a :class:`OneOutcome`.
+def execute_one(point, policy, pool):
+    """Run one point under the full hardened ladder on a worker of
+    *pool* -- the wall-clock watchdog, retry with backoff in a worker
+    that saw no failure, the ``interp`` final retry, and quarantine on
+    exhaustion -- and return a :class:`OneOutcome`.
 
     This is the executor of the sweep server and ``repro worker``:
     each cache miss goes through exactly the isolation a parallel
     sweep gives it, one point at a time (the caller bounds concurrency
-    itself).  The finished result
-    is seeded into the runner memo, so subsequent submissions of the
-    same point are cache-served.  Never raises: an engine-level
-    surprise becomes a quarantine record like any other failure."""
+    itself).  The finished result is seeded into the runner memo, so
+    subsequent submissions of the same point are cache-served.  Never
+    raises: an engine-level surprise becomes a quarantine record like
+    any other failure."""
     from .parallel import SweepSummary
     summary = SweepSummary(jobs=1)
     try:
-        _run_parallel([point], 1, policy, summary, None)
+        _run_parallel([point], 1, policy, summary, None, pool)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 - report, don't kill the server
@@ -386,7 +552,8 @@ def execute_points(points, jobs, policy, summary):
         if jobs <= 1 or len(pending) <= 1:
             _run_serial(pending, policy, summary, ckpt)
         else:
-            _run_parallel(pending, jobs, policy, summary, ckpt)
+            with WorkerPool() as pool:
+                _run_parallel(pending, jobs, policy, summary, ckpt, pool)
     finally:
         if ckpt is not None:
             ckpt.close()
@@ -443,35 +610,37 @@ def _run_serial(points, policy, summary, ckpt):
                 break
 
 
-def _run_parallel(points, jobs, policy, summary, ckpt):
-    """Run *points* on up to *jobs* persistent forked workers, one
-    point in flight per worker."""
+def _run_parallel(points, jobs, policy, summary, ckpt, pool):
+    """Run *points* on up to *jobs* workers of *pool*, one point in
+    flight per worker."""
     from multiprocessing.connection import wait
 
     from .parallel import PointOutcome
 
-    # resolve the default rung before forking, so every worker inherits
-    # its lazy imports (numpy, for vector) instead of paying them anew
-    resolve_backend(runner.default_backend())
-    ctx = _mp_context()
     #: (point, attempt, not_before) - a retry waits out its backoff
     queue = deque((pt, 0, 0.0) for pt in points)
-    workers = []
+    workers = []     # the pool's workers this run holds
     degraded = False
 
+    def quarantine(point, attempts, kind, error):
+        failure = PointFailure(point.label(), attempts, kind, error)
+        summary.failures.append(failure)
+        if ckpt is not None:
+            ckpt.record_failure(point.memo_key(), failure)
+
     def fail(point, attempt, kind, error):
-        label = point.label()
-        if attempt + 1 < policy.retries:
+        if pool.closed:
+            # the pool's owner is shutting down: no retry, and never
+            # a fallback to simulating in the owner's process
+            quarantine(point, attempt + 1, "error", "worker pool closed")
+        elif attempt + 1 < policy.retries:
             delay = policy.backoff * (2 ** attempt)
             summary.retries.append(
-                RetryEvent(label, attempt, kind, error, delay))
+                RetryEvent(point.label(), attempt, kind, error, delay))
             queue.append((point, attempt + 1,
                           time.monotonic() + delay))
         else:
-            failure = PointFailure(label, attempt + 1, kind, error)
-            summary.failures.append(failure)
-            if ckpt is not None:
-                ckpt.record_failure(point.memo_key(), failure)
+            quarantine(point, attempt + 1, kind, error)
 
     def finish(point, result, wall, simulated, incidents):
         runner.seed_result(point.memo_key(), result)
@@ -480,32 +649,15 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
         if ckpt is not None:
             ckpt.record_result(point.memo_key(), result, wall)
 
-    def spawn():
-        parent_conn = child_conn = None
-        try:
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(target=_worker_main, args=(
-                child_conn, [parent_conn] + [w.conn for w in workers]))
-            proc.start()
-        except OSError:
-            for conn in (parent_conn, child_conn):
-                if conn is not None:
-                    conn.close()
-            raise
-        child_conn.close()
-        worker = _Worker(proc, parent_conn)
-        workers.append(worker)
-        return worker
-
     def retire(worker, grace=2.0):
         workers.remove(worker)
-        worker.stop(grace)
+        pool.retire(worker, grace)
 
     try:
         while True:
-            # dispatch the entries past their backoff: a fresh fork
-            # while under the bound (so a retired worker's slot is
-            # refilled), else an idle worker
+            # dispatch the entries past their backoff: a worker from
+            # the pool while under the bound (so a retired worker's
+            # slot is refilled), else an idle one this run holds
             now = time.monotonic()
             for _ in range(len(queue) if not degraded else 0):
                 idle = [w for w in workers if w.task is None]
@@ -517,7 +669,10 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
                     continue
                 if len(workers) < jobs:
                     try:
-                        worker = spawn()
+                        worker = pool.acquire()
+                    except PoolClosed as exc:
+                        quarantine(pt, attempt, "error", str(exc))
+                        continue
                     except OSError as exc:
                         # cannot create workers at all: let the ones
                         # in flight finish, then run the rest serially
@@ -528,6 +683,7 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
                             detail="worker spawn failed: %s" % exc))
                         queue.appendleft((pt, attempt, 0.0))
                         break
+                    workers.append(worker)
                 else:
                     worker = idle[0]
                 try:
@@ -585,12 +741,9 @@ def _run_parallel(points, jobs, policy, summary, ckpt):
     finally:
         for worker in workers:
             if worker.task is None:
-                try:
-                    worker.conn.send(None)
-                except OSError:
-                    pass
-        for worker in workers:
-            worker.stop(0 if worker.task is not None else 2.0)
+                pool.release(worker)
+            else:
+                pool.retire(worker, 0)
 
     if degraded:
         _run_serial([q[0] for q in queue], policy, summary, ckpt)

@@ -15,9 +15,13 @@ streams results back as they complete:
    One simulation fans out to every waiter.
 3. **sim** -- a true miss.  The point is scheduled on a bounded
    thread pool; each slot runs :func:`repro.eval.hardening.execute_one`
-   -- a one-point pool of the parallel sweep's engine, so the point
-   runs in a forked worker of its own under the same wall-clock
-   watchdog, retry-with-backoff, and quarantine ladder.
+   on the server's :class:`~repro.eval.hardening.WorkerPool`, so the
+   point runs in a persistent forked worker, one point in flight per
+   worker, under the parallel sweep's wall-clock watchdog,
+   retry-with-backoff, and quarantine ladder.  The pool forks lazily
+   (no worker before the first miss), keeps at most one worker per
+   slot plus a fresh one per failed attempt, and keeps each worker
+   warm on the kernel of its last point.
    A quarantined point becomes a structured failure frame for every
    waiter; it never stalls other points or other clients.
 
@@ -42,7 +46,10 @@ Concurrency model: the asyncio loop owns all bookkeeping (in-flight
 table, counters, frame writes); simulations run on a thread pool whose
 threads merely block on the hardened engine's worker pipes, so the GIL
 is never contended by simulation work -- the simulating processes are
-forked children.
+forked children.  The server holds one worker pool for its lifetime:
+a ``shutdown`` op, :meth:`SweepServer.serve`'s exit and
+:meth:`ServerThread.stop` all return only after every worker has been
+joined, and a point still in flight then fails.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .. import __version__
 from ..eval import diskcache, runner
-from ..eval.hardening import HardeningPolicy, execute_one
+from ..eval.hardening import HardeningPolicy, WorkerPool, execute_one
 from . import protocol
 from .queue import (DEFAULT_LEASE_TTL, DEFAULT_REQUEUE_BUDGET,
                     WorkQueue)
@@ -100,10 +107,13 @@ class SweepServer:
                                lease_ttl=lease_ttl,
                                requeue_budget=requeue_budget) \
             if distributed else None
+        #: the forked workers local misses simulate on, joined when
+        #: serve() ends
+        self.workers = WorkerPool()
         #: memo-key -> asyncio.Task computing that point right now
         self._inflight = {}
         self._sem = None
-        self._pool = None
+        self._threads = None
         self._stop_event = None
         self._active_connections = 0
         self._last_activity = 0.0
@@ -131,7 +141,7 @@ class SweepServer:
         loop = asyncio.get_running_loop()
         self._sem = asyncio.Semaphore(self.jobs)
         self._stop_event = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
+        self._threads = ThreadPoolExecutor(
             max_workers=self.jobs, thread_name_prefix="repro-serve")
         self._last_activity = loop.time()
         if path:
@@ -161,14 +171,20 @@ class SweepServer:
                      if self.queue is not None else None)
         try:
             async with server:
-                await self._stop_event.wait()
+                try:
+                    await self._stop_event.wait()
+                finally:
+                    # before leaving the block waits for every client
+                    # connection to end: a point still in flight fails
+                    # now instead of holding its client's connection
+                    self.workers.close()
         finally:
             for task in (watchdog, reclaimer):
                 if task is not None:
                     task.cancel()
             if self.queue is not None:
                 self.queue.close()
-            self._pool.shutdown(wait=False)
+            self._threads.shutdown(wait=False)
             if path and os.path.exists(path):
                 try:
                     os.unlink(path)
@@ -237,6 +253,9 @@ class SweepServer:
                                                self.stats_payload())
                 elif op == "shutdown":
                     drained = await self._drain()
+                    # reply only once no worker is left, so
+                    # ``repro serve --stop`` returns after them
+                    self.workers.close()
                     await protocol.write_frame(writer, {
                         "ok": True, "drained": drained})
                     self._stop_event.set()
@@ -479,7 +498,8 @@ class SweepServer:
         try:
             async with self._sem:
                 outcome = await loop.run_in_executor(
-                    self._pool, execute_one, pt, self.policy)
+                    self._threads, execute_one, pt, self.policy,
+                    self.workers)
         finally:
             self._inflight.pop(key, None)
         self.counters["retried"] += outcome.retries
@@ -501,7 +521,9 @@ class SweepServer:
                    "protocol": protocol.PROTOCOL_VERSION,
                    "jobs": self.jobs, "inflight": len(self._inflight),
                    "distributed": self.queue is not None,
-                   "counters": dict(self.counters),
+                   "counters": dict(self.counters,
+                                    spawned=self.workers.spawned,
+                                    workers=self.workers.live),
                    "cache": {"process": dict(diskcache.stats),
                              "hot": diskcache.hot_stats(),
                              "disk": diskcache.disk_stats()}}
@@ -574,6 +596,8 @@ class ServerThread:
         return self
 
     def stop(self):
+        """Stop the server and join its thread, which ends only after
+        the server's worker processes have been joined."""
         if self._loop is not None:
             try:
                 self._loop.call_soon_threadsafe(

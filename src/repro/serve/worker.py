@@ -9,11 +9,15 @@ bookkeeping:
    lease TTL),
 2. ``lease`` a batch of points; while the batch executes, a
    background thread heartbeats the lease every TTL/3,
-3. run each point through the hardened engine as a one-point worker
-   (:func:`repro.eval.hardening.execute_one` -- a forked worker of its
-   own, watchdog, retry ladder, quarantine), and stream each outcome
-   back as a ``complete`` or ``fail`` op,
+3. run each point through the hardened engine
+   (:func:`repro.eval.hardening.execute_one` on the worker's one
+   :class:`~repro.eval.hardening.WorkerPool`: persistent forked
+   workers, watchdog, retry ladder, quarantine), and stream each
+   outcome back as a ``complete`` or ``fail`` op,
 4. on ``drain`` exit clean; on an empty queue poll again shortly.
+
+The pool lives as long as :meth:`SweepWorker.run`, which returns only
+after every forked worker has been joined.
 
 Robustness: the socket is shared by the main loop and the heartbeat
 thread, so every RPC is send+receive *atomically under one lock* --
@@ -44,7 +48,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-from ..eval.hardening import HardeningPolicy, chaos_modes, execute_one
+from ..eval.hardening import (HardeningPolicy, WorkerPool, chaos_modes,
+                              execute_one)
 from ..resilience.backoff import Backoff, BackoffExhausted
 from . import protocol
 from .client import connect
@@ -93,7 +98,11 @@ class SweepWorker:
         self.lease_ttl = DEFAULT_LEASE_TTL
         self.counters = {"leases": 0, "points": 0, "completed": 0,
                          "failed": 0, "duplicates": 0, "killed": 0,
-                         "hung": 0, "severed": 0, "reconnects": 0}
+                         "hung": 0, "severed": 0, "reconnects": 0,
+                         "spawned": 0}
+        #: the forked workers points simulate on, joined when run()
+        #: ends
+        self.workers = WorkerPool()
         self.drained = False
         self._stop = threading.Event()
         self._wedged = threading.Event()   # hang chaos silences heartbeats
@@ -196,7 +205,17 @@ class SweepWorker:
 
     def run(self):
         """Pull and execute leases until drain or stop; the counters
-        dict (also the return value) summarizes the session."""
+        dict (also the return value) summarizes the session.  Returns
+        only after every worker process it forked has been joined."""
+        try:
+            self._lease_loop()
+        finally:
+            self._drop_socket()
+            self.workers.close()
+            self.counters["spawned"] = self.workers.spawned
+        return self.counters
+
+    def _lease_loop(self):
         reconnect = Backoff(base=0.05, cap=2.0, attempts=10,
                             sleep=lambda s: self._stop.wait(s))
         while not self._stop.is_set():
@@ -215,10 +234,9 @@ class SweepWorker:
                 else:                      # "empty": nothing pending
                     self._stop.wait(self.poll)
             except _ChaosKilled:
-                # a killed worker vanishes: no farewell, no cleanup --
-                # the server learns from the dead socket
-                self._drop_socket()
-                return self.counters
+                # a killed worker vanishes: no farewell -- the server
+                # learns from the dead socket
+                return
             except _Severed:
                 continue                   # reconnect next iteration
             except (protocol.ProtocolError, OSError):
@@ -227,8 +245,6 @@ class SweepWorker:
                     reconnect.sleep()
                 except BackoffExhausted:
                     break                  # server is genuinely gone
-        self._drop_socket()
-        return self.counters
 
     def _run_lease(self, lease):
         lease_id = int(lease.get("lease_id", 0))
@@ -271,7 +287,8 @@ class SweepWorker:
         except protocol.ProtocolError as exc:
             self._report_fail(qkey, "protocol", str(exc), 1)
             return
-        outcome = execute_one(pt, self.policy)
+        outcome = execute_one(pt, self.policy, self.workers)
+        self.counters["spawned"] = self.workers.spawned
         if outcome.failure is not None:
             self._report_fail(qkey, outcome.failure.kind,
                               outcome.failure.error,
@@ -325,6 +342,8 @@ class WorkerThread:
         return self
 
     def stop(self, timeout=10):
+        """Stop the loop and join its thread (within *timeout*), which
+        ends only after the worker's processes have been joined."""
         self.worker.request_stop()
         if self._thread is not None:
             self._thread.join(timeout=timeout)

@@ -1293,3 +1293,10 @@ def lpsu_engine(program, descriptor, lpsu_cfg, gpp_cfg):
                 _LPSUGen(descriptor, lpsu_cfg, gpp_cfg).build()
     cache[key] = make
     return make
+
+
+def clear():
+    """Drop the content-keyed GPP block tables and LPSU engine
+    factories (a long-lived sweep worker switching kernels)."""
+    _BLOCK_TABLE_CACHE.clear()
+    _LPSU_MAKE_CACHE.clear()

@@ -14,12 +14,15 @@ import multiprocessing
 import os
 import pickle
 import signal
+import socket
+import threading
 import time
 
 import pytest
 
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
+from repro.sim import fusion, turbo
 
 SCALE = "tiny"
 
@@ -321,6 +324,140 @@ class TestPersistentWorkers:
                     os.kill(worker, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+
+class TestSharedPool:
+    """:func:`hardening.execute_one` on a caller's long-lived pool, as
+    the sweep server and ``repro worker`` run it."""
+
+    POLICY = hardening.HardeningPolicy(retries=3, backoff=0.01)
+
+    def test_points_reuse_one_worker(self, spawns):
+        with hardening.WorkerPool() as pool:
+            for pt in POINTS:
+                out = hardening.execute_one(pt, self.POLICY, pool)
+                assert out.failure is None and out.simulated
+            assert pool.spawned == spawns.spawned == 1
+            assert pool.live == 1
+        assert pool.live == 0
+        assert not multiprocessing.active_children()
+
+    def test_crash_retires_the_worker(self, tmp_path, monkeypatch,
+                                      spawns):
+        run_log = _log_runs(monkeypatch, tmp_path / "runs.log")
+        first, crashing = POINTS[0], POINTS[1]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {crashing.label(): {"crash": [0]}}))
+        with hardening.WorkerPool() as pool:
+            assert hardening.execute_one(first, self.POLICY,
+                                         pool).failure is None
+            out = hardening.execute_one(crashing, self.POLICY, pool)
+            assert out.failure is None and out.retries == 1
+            assert pool.spawned == 2 and pool.live == 1
+        pid_of = dict(run_log())
+        assert pid_of[crashing.label()] != pid_of[first.label()]
+        assert not multiprocessing.active_children()
+
+    def test_closing_the_pool_fails_the_point_in_flight(
+            self, tmp_path, monkeypatch):
+        """A pool closed under a busy worker kills it and fails its
+        point at once: no retry, and no fallback to simulating in the
+        pool owner's process."""
+        hang = POINTS[0]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {hang.label(): {"hang": [0]}}))
+        started = tmp_path / "started"
+        real = hardening._apply_chaos
+
+        def announce(label, attempt):
+            started.touch()
+            real(label, attempt)
+
+        monkeypatch.setattr(hardening, "_apply_chaos", announce)
+        pool = hardening.WorkerPool()
+        out = {}
+        thread = threading.Thread(target=lambda: out.update(
+            outcome=hardening.execute_one(hang, self.POLICY, pool)))
+        thread.start()
+        try:
+            deadline = time.monotonic() + 10
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert started.exists()
+        finally:
+            before = runner.simulations
+            pool.close()
+            assert pool.live == 0
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not multiprocessing.active_children()
+        failure = out["outcome"].failure
+        assert failure.error == "worker pool closed"
+        assert failure.attempts == 1 and out["outcome"].retries == 0
+        assert runner.simulations == before
+        with pytest.raises(hardening.PoolClosed):
+            pool.acquire()
+
+    def test_worker_gives_up_inherited_sockets(self):
+        """A worker forked while the parent holds a connection keeps
+        no copy of it: the peer sees EOF as soon as the parent closes
+        its end."""
+        ours, peer = socket.socketpair()
+        try:
+            with hardening.WorkerPool() as pool:
+                worker = pool.acquire()
+                worker.conn.send((POINTS[0], 0, None))
+                assert worker.conn.recv()[0] == "ok"   # it has started
+                ours.close()
+                peer.settimeout(5)
+                assert peer.recv(1) == b""
+                pool.release(worker)
+        finally:
+            ours.close()
+            peer.close()
+
+
+class TestOneWarmKernel:
+    """A worker keeps one kernel warm: its reset step drops the
+    previous kernel's compiled binaries and generated code before a
+    point of another kernel."""
+
+    A = SweepPoint("sgemm-uc", "io+x", mode="specialized", scale=SCALE)
+    B = SweepPoint("dither-or", "io+x", mode="specialized", scale=SCALE)
+
+    def _simulate(self, pt):
+        runner.run(pt.kernel, pt.config, use_disk_cache=False,
+                   **pt.run_kwargs())
+
+    def test_a_new_kernel_drops_the_last_ones_state(self):
+        # arriving from another kernel: start from nothing warm
+        warm = hardening._keep_warm(self.A.kernel, "another-kernel")
+        assert not fusion._BLOCK_TABLE_CACHE
+        self._simulate(self.A)
+        program = runner._compiled(self.A.kernel, self.A.binary,
+                                   self.A.xi_enabled).program
+        content = fusion._program_content(program)
+        a_blocks = {k for k in fusion._BLOCK_TABLE_CACHE
+                    if k[2] == content}
+        a_engines = set(fusion._LPSU_MAKE_CACHE)
+        assert a_blocks and a_engines and turbo._TURBO_MEMOS
+
+        warm = hardening._keep_warm(self.B.kernel, warm)
+        assert warm == self.B.kernel
+        assert runner._compiled.cache_info().currsize == 0
+        assert not runner._RESULTS and not turbo._TURBO_MEMOS
+        self._simulate(self.B)
+        assert runner._compiled.cache_info().currsize == 1   # B's own
+        assert not a_blocks & set(fusion._BLOCK_TABLE_CACHE)
+        assert not a_engines & set(fusion._LPSU_MAKE_CACHE)
+
+    def test_the_same_kernel_stays_warm(self):
+        warm = hardening._keep_warm(self.A.kernel, None)
+        self._simulate(self.A)
+        tables = dict(fusion._BLOCK_TABLE_CACHE)
+        assert hardening._keep_warm(self.A.kernel, warm) == self.A.kernel
+        assert runner._compiled.cache_info().currsize == 1
+        assert fusion._BLOCK_TABLE_CACHE == tables
 
 
 class TestSerialFallback:

@@ -15,6 +15,7 @@ completed points.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -125,6 +126,28 @@ class TestDistributedServing:
                         pt.label()
             finally:
                 _stop_workers(workers)
+
+    def test_one_worker_pool_serves_every_lease(self, tmp_path):
+        """A worker with two simulation slots drains points of three
+        kernels over several leases on at most two forked processes,
+        and joins every one of them when it stops."""
+        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
+                          distributed=True) as st:
+            [worker] = _workers(st.address, 1, jobs=2, batch=2,
+                                poll=0.05)
+            try:
+                with ServeClient(st.address) as client:
+                    summary = client.submit(POINTS)
+                assert summary.ok, summary.render()
+                assert summary.misses == len(POINTS)
+            finally:
+                worker.stop(timeout=30)
+            assert not worker.alive
+        counters = worker.worker.counters
+        assert counters["completed"] == len(POINTS)
+        assert counters["leases"] >= 2
+        assert 1 <= counters["spawned"] <= 2
+        assert not multiprocessing.active_children()
 
     def test_no_workers_then_late_worker(self, tmp_path):
         """A submission against a workerless distributed server just

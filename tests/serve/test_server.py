@@ -6,20 +6,32 @@ bit-identity with a direct in-process run.
 The server runs on a background thread (:class:`ServerThread`) over a
 real unix socket, its simulations in real forked workers -- the same
 machinery ``repro serve`` deploys, minus only the second OS process.
+Its misses share one long-lived worker pool: workers are reused across
+kernels and submissions, give up the sockets they inherit, and are all
+joined when the server stops or dies.
 """
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import random
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import pytest
 
+import repro
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint
 from repro.serve import ServeClient, ServerThread
 from repro.serve import protocol
 from repro.serve.client import connect
+from tests.eval.test_hardening import _exited
 
 SCALE = "tiny"
 
@@ -68,6 +80,51 @@ def _snapshot(result):
     return data
 
 
+def _log_attempts(monkeypatch, path):
+    """From now on, log the label, attempt and pid of every attempt a
+    pool worker starts (forked workers inherit the wrapper, and chaos
+    strikes inside it); returns a reader of ``[(label, attempt,
+    pid)]``."""
+    real = hardening._apply_chaos
+
+    def logged(label, attempt):
+        with open(path, "a") as fh:
+            fh.write("%s %d %d\n" % (label, attempt, os.getpid()))
+        real(label, attempt)
+
+    monkeypatch.setattr(hardening, "_apply_chaos", logged)
+
+    def read():
+        if not path.exists():
+            return []
+        return [(label, int(attempt), int(pid)) for label, attempt, pid
+                in (line.split() for line in
+                    path.read_text().splitlines())]
+    return read
+
+
+def _pool_counters(address):
+    with ServeClient(address) as client:
+        counters = client.stats()["counters"]
+    return counters["spawned"], counters["workers"]
+
+
+def _children(pid):
+    """Pids whose parent is *pid*, from ``/proc``."""
+    found = []
+    for name in os.listdir("/proc"):
+        if not name.isdigit():
+            continue
+        try:
+            with open("/proc/%s/stat" % name) as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(name))
+    return found
+
+
 class TestServing:
     def test_cold_then_warm(self, server):
         with ServeClient(server.address) as client:
@@ -107,6 +164,8 @@ class TestServing:
             client.submit(POINTS[:1])
             stats = client.stats()
             assert stats["counters"]["points"] == 1
+            assert stats["counters"]["spawned"] == 1
+            assert stats["counters"]["workers"] == 1
             assert "hot" in stats["cache"]
 
     def test_unknown_kernel_is_structured_failure(self, server):
@@ -244,21 +303,37 @@ class TestProtocolEdges:
 
 
 class TestChaosThroughServer:
-    def test_crash_is_retried_transparently(self, server, monkeypatch):
+    """A crashed attempt retires its worker: the retry runs in another
+    process, and the pool forks exactly one worker per crashed
+    attempt beyond those still alive."""
+
+    def test_crash_is_retried_transparently(self, server, monkeypatch,
+                                            tmp_path):
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        crashing = POINTS[0].label()
         monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
-            {"sgemm-uc/io/traditional": {"crash": [0]}}))
+            {crashing: {"crash": [0]}}))
         with ServeClient(server.address) as client:
             summary = client.submit(POINTS)
         assert summary.ok, summary.render()
         assert summary.points == len(POINTS)
+        assert summary.misses == len(POINTS)
         with ServeClient(server.address) as client:
-            assert client.stats()["counters"]["retried"] >= 1
+            counters = client.stats()["counters"]
+        assert counters["retried"] == 1
+        assert counters["spawned"] - counters["workers"] == 1
+        assert counters["spawned"] <= server.server.jobs + 1
+        pid_of = {(label, attempt): pid
+                  for label, attempt, pid in attempts()}
+        assert pid_of[crashing, 1] != pid_of[crashing, 0]
 
     def test_quarantine_does_not_stall_other_clients(self, server,
-                                                     monkeypatch):
+                                                     monkeypatch,
+                                                     tmp_path):
         """One client's point crashes on every attempt and is
         quarantined; a concurrent client's healthy points all come
         back fine."""
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
         monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
             {"dynprog-om": {"crash": [0, 1, 2]}}))
         doomed = [SweepPoint("dynprog-om", "io+x", mode="specialized",
@@ -280,8 +355,10 @@ class TestChaosThroughServer:
         for t in threads:
             t.join(timeout=60)
 
+        assert not any(t.is_alive() for t in threads)
         assert results["healthy"].ok, results["healthy"].render()
         assert results["healthy"].points == len(POINTS)
+        assert results["healthy"].misses == len(POINTS)
         assert not results["doomed"].ok
         failure = results["doomed"].failures[0]
         assert failure.kind == "crash"
@@ -289,3 +366,202 @@ class TestChaosThroughServer:
         # the server survives for the next customer
         with ServeClient(server.address) as client:
             assert client.ping()["ok"]
+            counters = client.stats()["counters"]
+        # one fork per crashed attempt beyond the live workers
+        assert counters["spawned"] - counters["workers"] == 2
+        assert counters["spawned"] <= server.server.jobs + 2
+        doomed = [pid for label, _attempt, pid in attempts()
+                  if label.startswith("dynprog-om/")]
+        assert len(doomed) == 2 and doomed[0] != doomed[1]
+        # no healthy point was retried
+        assert sorted(attempt for label, attempt, _pid in attempts()
+                      if not label.startswith("dynprog-om/")) == \
+            [0] * len(POINTS)
+
+
+class TestWorkerPool:
+    """Misses run on one long-lived pool per server: at most ``jobs``
+    workers serve every kernel and submission, each worker gives up
+    the sockets it inherits, and none outlives the server."""
+
+    def test_workers_are_reused_across_kernels_and_submissions(
+            self, server):
+        batches = [
+            [SweepPoint("sgemm-uc", "io", scale=SCALE),
+             SweepPoint("sgemm-uc", "io+x", mode="specialized",
+                        scale=SCALE)],
+            [SweepPoint("dither-or", "io", scale=SCALE),
+             SweepPoint("dither-or", "io+x", mode="specialized",
+                        scale=SCALE)],
+            [SweepPoint("vvadd-uc", "io", scale=SCALE),
+             SweepPoint("sgemm-uc", "ooo/2", scale=SCALE)],
+        ]
+        with ServeClient(server.address) as client:
+            for batch in batches:
+                summary = client.submit(batch)
+                assert summary.ok, summary.render()
+                assert summary.misses == len(batch)
+            counters = client.stats()["counters"]
+        assert counters["simulated"] == sum(map(len, batches))
+        assert 1 <= counters["spawned"] <= 2
+        assert counters["workers"] == counters["spawned"]
+
+    def test_eight_clients_share_two_workers(self, server):
+        """Stress: eight clients race shuffled copies of one point set
+        through two simulation slots under a short switch interval.
+        Every unique point simulates exactly once, and the two slots
+        never hold more than two workers."""
+        unique = [SweepPoint(k, cfg, mode=mode, scale=SCALE)
+                  for k in ("sgemm-uc", "dither-or", "vvadd-uc")
+                  for cfg, mode in (("io", "traditional"),
+                                    ("io+x", "specialized"))]
+        summaries, errors = [], []
+
+        def one_client(seed):
+            points = list(unique)
+            random.Random(seed).shuffle(points)
+            try:
+                with ServeClient(server.address) as client:
+                    summaries.append(client.submit(points))
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=one_client, args=(seed,))
+                   for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(summaries) == 8 and all(s.ok for s in summaries)
+        assert sum(s.misses for s in summaries) == len(unique)
+        with ServeClient(server.address) as client:
+            counters = client.stats()["counters"]
+        assert counters["simulated"] == len(unique)
+        assert counters["points"] == 8 * len(unique)
+        assert 1 <= counters["spawned"] <= 2
+
+    def test_a_hung_up_client_sees_eof_while_a_worker_runs(
+            self, tmp_path, monkeypatch):
+        """Client A is connected when client B's point forks a worker,
+        which then hangs.  When the server hangs up on A, A must see
+        EOF at once -- not when B's worker is killed."""
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        hang = SweepPoint("sgemm-uc", "io", scale=SCALE)
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {hang.label(): {"hang": [0]}}))
+        with ServerThread(jobs=2, timeout=4, retries=1,
+                          socket_dir=str(tmp_path)) as st:
+            a = connect(st.address)
+            out = {}
+
+            def client_b():
+                with ServeClient(st.address) as client:
+                    out["b"] = client.submit([hang])
+
+            b = threading.Thread(target=client_b)
+            try:
+                protocol.send_frame(a, {"op": "ping"})
+                assert protocol.recv_frame(a)["ok"]   # A is accepted
+                b.start()
+                deadline = time.monotonic() + 10
+                while not attempts() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert attempts()      # B's point hangs in its worker
+                a.sendall(b"\xbe\xef\xca\xfe garbage that is not json")
+                a.settimeout(5)
+                t0 = time.monotonic()
+                assert a.recv(1) == b""
+                assert time.monotonic() - t0 < 1.0
+            finally:
+                a.close()
+                if b.ident is not None:
+                    b.join(timeout=30)
+            assert not b.is_alive()
+            assert out["b"].failures[0].kind == "hang"
+
+    def test_stop_joins_every_worker(self, tmp_path, monkeypatch):
+        """Stopping the server joins its workers, idle and busy: a
+        point still in flight fails rather than outliving the pool."""
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        hang = SweepPoint("dither-or", "io", scale=SCALE)
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {hang.label(): {"hang": [0]}}))
+        st = ServerThread(jobs=2, socket_dir=str(tmp_path)).start()
+        errors = []
+
+        def doomed():
+            try:
+                with ServeClient(st.address, reconnects=0) as client:
+                    client.submit([hang])
+            except (OSError, protocol.ProtocolError) as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=doomed)
+        try:
+            with ServeClient(st.address) as client:
+                assert client.submit(POINTS).ok
+            t.start()
+            deadline = time.monotonic() + 10
+            while hang.label() not in {label for label, _a, _p
+                                       in attempts()} \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert st.server.workers.live >= 1
+        finally:
+            st.stop()
+            if t.ident is not None:
+                t.join(timeout=30)
+        assert not st._thread.is_alive() and not t.is_alive()
+        assert st.server.workers.live == 0
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="needs /proc to find and tell workers")
+    @pytest.mark.skipif(not hasattr(socket, "AF_UNIX"),
+                        reason="needs unix sockets")
+    def test_workers_exit_when_the_server_is_killed(self, tmp_path):
+        """A ``repro serve`` process killed with SIGKILL cannot join
+        its workers; each sees EOF on its pipe and exits."""
+        sock = str(tmp_path / "serve.sock")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(repro.__file__)))
+        env.pop(hardening.CHAOS_ENV, None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--socket", sock,
+             "--jobs", "2", "--cache-dir", str(tmp_path / "cache")],
+            env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        workers = []
+        try:
+            deadline = time.monotonic() + 30
+            while not os.path.exists(sock):
+                assert proc.poll() is None and \
+                    time.monotonic() < deadline
+                time.sleep(0.05)
+            with ServeClient(sock) as client:
+                assert client.submit(POINTS).ok
+                assert client.stats()["counters"]["workers"] >= 1
+            workers = _children(proc.pid)
+            assert workers
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        try:
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline \
+                    and not all(map(_exited, workers)):
+                time.sleep(0.05)
+            assert all(map(_exited, workers))
+        finally:
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
