@@ -58,9 +58,10 @@ def _add_backend_arg(p):
     p.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                    help="simulation backend ladder rung: interp "
                         "(reference), fused, turbo, vector (needs "
-                        "numpy), or auto (highest available; the "
-                        "default).  Results are bit-identical across "
-                        "rungs, so a cached result serves any rung")
+                        "numpy), or auto (the default: fused on "
+                        "every host).  Results are bit-identical "
+                        "across rungs, so a cached result serves any "
+                        "rung")
 
 
 def _apply_backend_arg(args):
@@ -320,10 +321,10 @@ def build_parser():
                    help="instead check the full backend ladder "
                         "(interp/fused/turbo, plus vector when numpy "
                         "is available, plus fused without the compiled "
-                        "LPSU engine on LPSU points) pairwise "
-                        "bit-identical per point: cycles, events, "
-                        "stats, and final memory; failures name the "
-                        "diverging tier")
+                        "LPSU engine on LPSU points, which include two "
+                        "contexts per lane) pairwise bit-identical per "
+                        "point: cycles, events, stats, and final "
+                        "memory; failures name the diverging tier")
 
     p = sub.add_parser("prove",
                        help="symbolic dependence prover: certify or "

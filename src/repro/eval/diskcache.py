@@ -35,11 +35,13 @@ mtime plus the shard directory's mtime at the moment the index was
 written.  ``disk_stats``/``prune`` read the 256 small index files
 instead of stat()ing every record, so they stay fast at millions of
 records.  The index is *advisory and self-healing*: record lookups
-never consult it, a shard whose directory mtime disagrees with its
-index is rescanned on the spot (deletes and foreign writers invalidate
-automatically, because unlink/rename bump the directory mtime), and
-``repro cache fsck`` rebuilds every index from scratch.  Caches written
-by older versions simply have no index and are indexed lazily.
+never consult it, a store writes only its record, and a shard whose
+directory mtime disagrees with its index is rescanned on the spot at
+the next ``disk_stats``/``prune`` (stores, deletes and foreign writers
+invalidate automatically, because rename/unlink bump the directory
+mtime), and ``repro cache fsck`` rebuilds every index from scratch.
+Caches written by older versions simply have no index and are indexed
+lazily.
 
 On top of the disk tier sits a bounded in-memory *hot tier*: a
 process-local LRU of decoded records (keyed by record key + code
@@ -370,32 +372,6 @@ def _shard_index(shard, rebuild=False):
     return payload
 
 
-def _index_note_store(path, pre_mtime_ns):
-    """Incrementally fold one freshly published record into its
-    shard's index.  *pre_mtime_ns* is the shard directory's mtime
-    before the write began: if the existing index does not match it,
-    the index had already missed other writers, so the shard is
-    rescanned instead of blessed.
-
-    Two writers racing on one shard can still lose an increment (the
-    index is read-modify-write without a lock); the loss is bounded to
-    stats/prune accuracy -- lookups never consult the index -- and
-    heals at the next mtime mismatch or ``fsck``."""
-    subdir = os.path.dirname(path)
-    shard = os.path.basename(subdir)
-    idx = _read_index(shard)
-    if idx is None or idx.get("mtime_ns") != pre_mtime_ns:
-        _shard_index(shard, rebuild=True)
-        return
-    try:
-        st = os.stat(path)
-    except OSError:
-        return
-    records = idx["records"]
-    records[os.path.basename(path)] = [st.st_size, st.st_mtime]
-    _write_index(shard, records, _dir_mtime_ns(subdir))
-
-
 def shard_stats():
     """Per-shard record counts and byte sizes (index-served)."""
     out = {}
@@ -487,9 +463,15 @@ def store(key, obj):
     directory = os.path.dirname(path)
     try:
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        os.makedirs(directory, exist_ok=True)
-        pre_mtime_ns = _dir_mtime_ns(directory)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except FileNotFoundError:
+            # the shard's first record: make its directory, and the
+            # index directory beside it (a cache holding records
+            # always has one, even before its first stats call)
+            os.makedirs(directory, exist_ok=True)
+            os.makedirs(_index_dir(), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
                 f.write(MAGIC)
@@ -506,7 +488,6 @@ def store(key, obj):
         stats["errors"] += 1
         return False
     stats["writes"] += 1
-    _index_note_store(path, pre_mtime_ns)
     return True
 
 

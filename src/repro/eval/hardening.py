@@ -415,8 +415,8 @@ class WorkerPool:
 
     def _fork(self):
         # resolve the default rung before forking, so every worker
-        # inherits its lazy imports (numpy, for vector) instead of
-        # paying them anew
+        # inherits its lazy imports (numpy, when vector is requested
+        # by name) instead of paying them anew
         resolve_backend(runner.default_backend())
         ctx = _mp_context()
         parent_conn = child_conn = None

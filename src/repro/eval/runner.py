@@ -9,6 +9,7 @@ or the next one -- skips simulation entirely."""
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
@@ -370,12 +371,17 @@ def clear_cache(keep_disk=False, keep_memos=False):
     on-disk result cache unless *keep_disk* is true; *keep_memos*
     preserves the turbo schedule memos and vector engines (used by
     benches to time a warm re-run without the result cache
-    short-circuiting it)."""
-    from ..sim import turbo, vector
+    short-circuiting it).
+
+    A rung's stores are cleared only if its module is loaded: one that
+    was never imported holds nothing, and importing it here would pull
+    numpy into every process that clears its cache."""
     _RESULTS.clear()
     _compiled.cache_clear()
     if not keep_memos:
-        turbo.clear()
-        vector.clear()
+        for name in ("repro.sim.turbo", "repro.sim.vector"):
+            rung = sys.modules.get(name)
+            if rung is not None:
+                rung.clear()
     if not keep_disk:
         diskcache.clear()

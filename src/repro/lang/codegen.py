@@ -78,7 +78,10 @@ class FuncCodegen:
         self.call_positions: List[int] = []
         self.loop_regions: List[Tuple[int, int]] = []
         self.xloop_regions: List[Tuple[int, int]] = []
-        self.xloop_cir_vregs: List[frozenset] = []
+        #: per emitted xloop: (For stmt, body label, {CIR vreg: name})
+        self.xloops: List[Tuple] = []
+        #: filled by run(): (For stmt, body label, {phys reg: CIR name})
+        self.xloop_cirs: List[Tuple] = []
         self.loop_stack: List[Tuple[Optional[str], str]] = []
         self.sr_map: Dict[int, _SRGroup] = {}
         self.float_reg: Dict[int, Tuple] = {}
@@ -126,7 +129,7 @@ class FuncCodegen:
         self._epilogue_label = self.label("epilogue")
         self.return_positions = []
         self.gen_stmts(func.body)
-        if self.opts.schedule_cirs and any(self.xloop_cir_vregs):
+        if self.opts.schedule_cirs and any(c for _s, _l, c in self.xloops):
             self._apply_cir_scheduling()
         result = allocate(
             self.instrs, call_positions=self.call_positions,
@@ -135,6 +138,10 @@ class FuncCodegen:
             spill_base=self.array_bytes,
             num_params=len(func.params),
             return_positions=self.return_positions)
+        self.xloop_cirs = [
+            (stmt, label, {result.mapping[v[1]] if v[0] == "v" else v[1]:
+                           name for v, name in cirs.items()})
+            for stmt, label, cirs in self.xloops]
         return self._render(result)
 
     def _param_symbol(self, name):
@@ -361,10 +368,10 @@ class FuncCodegen:
             self.emit(kind.mnemonic, rs1=ireg, rs2=breg, label=Lbody,
                       comment="cirs=%s" % (",".join(stmt.cir_names) or "-"))
             self.xloop_regions.append((body_start, len(self.instrs) - 1))
-            self.xloop_cir_vregs.append(frozenset(
-                self.sym_reg[sym]
-                for sym in getattr(stmt, "cir_symbols", ())
-                if sym in self.sym_reg))
+            cirs = {self.sym_reg[sym]: sym.name
+                    for sym in getattr(stmt, "cir_symbols", ())
+                    if sym in self.sym_reg}
+            self.xloops.append((stmt, Lbody, cirs))
         else:
             self.emit("blt", rs1=ireg, rs2=breg, label=Lbody)
         self.emit_label(Lend)
@@ -376,7 +383,8 @@ class FuncCodegen:
         that carries CIRs, then refresh positional metadata."""
         from .passes.schedule import schedule_xloop_bodies
         self.instrs = schedule_xloop_bodies(
-            self.instrs, self.xloop_regions, self.xloop_cir_vregs)
+            self.instrs, self.xloop_regions,
+            [cirs for _s, _l, cirs in self.xloops])
         self.call_positions = [
             i for i, ins in enumerate(self.instrs)
             if ins.mn == "jal" and ins.rd == RA]

@@ -535,6 +535,13 @@ def _bmc(poly_a, poly_b, acc_a, acc_b, array, ranges, lbs, bound_poly,
                   if not _per_iteration(a) and a not in aux)
     if len(syms) > 3:
         return None
+    # symbols that cancel out of the difference (both sides index
+    # a[w - 1], say) cannot decide a collision: pin each to its
+    # smallest admissible value so the witness subscript is concrete
+    pinned = {a: max(lbs.get(a, 0), 0)
+              for a in poly_a.atoms() | poly_b.atoms()
+              if a not in atoms and not _per_iteration(a)
+              and a not in aux}
     # candidate symbol environments, smallest trip count first
     import itertools
     starts = {s: max(lbs.get(s, 0), 0) for s in syms}
@@ -542,6 +549,7 @@ def _bmc(poly_a, poly_b, acc_a, acc_b, array, ranges, lbs, bound_poly,
     for combo in itertools.product(*(range(starts[s], starts[s] + 4)
                                      for s in syms)):
         env = dict(zip(syms, combo))
+        env.update(pinned)
         trip = bound_poly.evaluate(env) if bound_poly.atoms() <= set(env) \
             else None
         if trip is None or not 2 <= trip <= 12:
@@ -580,7 +588,7 @@ def _bmc(poly_a, poly_b, acc_a, acc_b, array, ranges, lbs, bound_poly,
                     array=array, i=i, j=j,
                     subscript=poly_a.evaluate(full), trip=trip,
                     bound_name=bound_atom,
-                    symbols={s: env[s] for s in syms
+                    symbols={s: env[s] for s in sorted(env)
                              if s != bound_atom},
                     a_line=acc_a.line, b_line=acc_b.line)
     return None
@@ -864,7 +872,7 @@ def prove_all(names=None, progress=None):
 # annotate="auto" (compiler mode)
 # ---------------------------------------------------------------------------
 
-def auto_annotate_unit(unit):
+def auto_annotate_unit(unit, skip_lines=()):
     """Annotate unannotated canonical loops with proved patterns.
 
     Outermost-first: a loop whose memory pairs are all strictly proved
@@ -872,14 +880,16 @@ def auto_annotate_unit(unit):
     ``unordered``; otherwise ``ordered`` (the dependence pass then
     derives ``or``/``om``/``orm``/relaxed-``uc``).  ``atomic`` is never
     auto-selected — commutativity is a programmer assertion.  Loops the
-    analysis rejects are rolled back and their bodies recursed into.
+    analysis rejects, and loops at *skip_lines* (rejected after code
+    generation), are rolled back and their bodies recursed into.
     Returns ``[(loop, annotation, proof)]`` decisions."""
     decisions = []
 
     def visit(stmts):
         for stmt in stmts:
             if isinstance(stmt, For) and stmt.annotation is None:
-                if not _try_auto(stmt, decisions):
+                if (stmt.line in skip_lines
+                        or not _try_auto(stmt, decisions)):
                     visit(stmt.body)
             elif isinstance(stmt, If):
                 visit(stmt.then)

@@ -116,6 +116,8 @@ class SweepServer:
         self._threads = None
         self._stop_event = None
         self._active_connections = 0
+        #: the stream writer of every open client connection
+        self._writers = set()
         self._last_activity = 0.0
         self._draining = False
         #: "host:port" or the unix socket path, set once listening
@@ -174,10 +176,15 @@ class SweepServer:
                 try:
                     await self._stop_event.wait()
                 finally:
-                    # before leaving the block waits for every client
-                    # connection to end: a point still in flight fails
-                    # now instead of holding its client's connection
+                    # leaving the block waits for every client
+                    # connection to end (Python >= 3.12.1), so hang up
+                    # on them all, as a stopped server's clients see
+                    # on older Pythons: idle ones would never end, and
+                    # a submit waiting on a workerless queue neither.
+                    # A point still in flight fails now.
                     self.workers.close()
+                    for writer in list(self._writers):
+                        writer.close()
         finally:
             for task in (watchdog, reclaimer):
                 if task is not None:
@@ -233,6 +240,7 @@ class SweepServer:
         self._touch()
         write_lock = asyncio.Lock()
         workers_here = set()    # worker ids registered over this socket
+        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -272,6 +280,7 @@ class SweepServer:
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass                # client went away; in-flight sims live on
         finally:
+            self._writers.discard(writer)
             self._active_connections -= 1
             if self.queue is not None:
                 # a dropped worker connection requeues everything it

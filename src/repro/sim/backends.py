@@ -11,8 +11,9 @@ much per-cycle interpretation they elide:
     description; verification and fault injection always run here.
 ``fused``
     Superblock fusion (:mod:`repro.sim.fusion`): exec-compiled GPP
-    basic blocks and the compiled fused-lane LPSU engine.  Same
-    schedule, less dispatch.
+    basic blocks and the compiled fused-lane LPSU engine, one per loop
+    body, whatever the LPSU design point (including two contexts per
+    lane).  Same schedule, less dispatch.
 ``turbo``
     Everything in ``fused`` plus steady-state recurrence extraction
     (:mod:`repro.sim.turbo`): recorded iteration-schedule segments are
@@ -22,20 +23,22 @@ much per-cycle interpretation they elide:
 ``vector``
     Everything in ``turbo`` plus whole-block iteration batching
     (:mod:`repro.sim.vector`): branchy/aperiodic ``xloop.uc`` bodies
-    -- exactly the loops whose schedule memo goes dead -- are executed
-    functionally as numpy array programs over blocks of iterations
-    (active-mask wavefront, gather/scatter subscripts), then the exact
-    cycle/energy schedule is reconstructed by an event-compressed
-    replay of the per-instruction meta table.  Needs the optional
-    ``repro[vector]`` extra (numpy).
+    are executed functionally as numpy array programs over blocks of
+    iterations, then the exact cycle/energy schedule is reconstructed
+    by an event-compressed replay of the per-instruction meta table.
+    Needs the optional ``repro[vector]`` extra (numpy).
 
-``auto`` resolves to the highest applicable tier: ``vector`` when
-numpy is importable, else ``turbo``.  Explicitly requesting ``vector``
-without numpy installed is an error.  ``--backend`` (mirrored into
-``$REPRO_BACKEND`` for worker processes) and the ``backend=`` argument
-are the only selectors.  ``repro verify --ladder`` enforces the
-bit-identity contract pairwise across all tiers, which is what lets a
-result's cache key omit the tier that computed it.
+``auto`` (and None) resolves to ``fused`` on every host, with or
+without numpy: over the Table II point set turbo's schedule memo hits
+on 3 of 25 kernels and vector batches 1, and neither beats ``fused``
+end to end (PERFORMANCE.md), so the default path never imports either
+rung or numpy.  ``turbo`` and ``vector`` stay selectable by name;
+requesting ``vector`` without numpy installed is an error.
+``--backend`` (mirrored into ``$REPRO_BACKEND`` for worker processes)
+and the ``backend=`` argument are the only selectors.  ``repro verify
+--ladder`` enforces the bit-identity contract pairwise across all
+tiers, which is what lets a result's cache key omit the tier that
+computed it.
 """
 
 from __future__ import annotations
@@ -81,16 +84,15 @@ def _have_numpy():
 def resolve_backend(name=None):
     """Resolve a backend selection to a :class:`Backend`.
 
-    *name* may be any of :data:`BACKEND_CHOICES`; None means ``auto``,
-    the highest tier whose prerequisites hold: ``vector`` when numpy is
-    importable, else ``turbo``.
+    *name* may be any of :data:`BACKEND_CHOICES`; None and ``auto``
+    mean ``fused``.
     """
     if name is None or name == "auto":
-        name = "vector" if _have_numpy() else "turbo"
+        name = "fused"
     elif name == "vector" and not _have_numpy():
         raise ValueError(
             "backend 'vector' requires numpy (install the repro[vector] "
-            "extra); 'auto' falls back to turbo without it")
+            "extra)")
     b = BACKENDS.get(name)
     if b is None:
         raise ValueError("unknown backend %r (choose from %s)"

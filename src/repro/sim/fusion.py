@@ -514,11 +514,12 @@ _LPSU_CHAIN_CAP = 50000
 #: back-branch, emitted once.
 _LPSU_PREFIX_CAP = 16
 
-#: compiled `make` factories keyed by loop/config *content*, so
-#: recompiling the same kernel (cold sweeps, repeated cold runs)
-#: reuses the generated engine instead of re-emitting + re-compiling
-#: it.  Safe because generated code depends only on the key below and
-#: binds all live state per-LPSU inside make().
+#: compiled `make` factories keyed by loop-body *content*, so
+#: recompiling the same kernel (cold sweeps, repeated cold runs) and
+#: every LPSU design point reuse the generated engine instead of
+#: re-emitting + re-compiling it.  Safe because generated code depends
+#: only on the key below and binds all live state and every
+#: configuration value per-LPSU inside make().
 _LPSU_MAKE_CACHE = {}
 
 
@@ -527,19 +528,25 @@ class _LPSUGen:
 
     ``step(ctx, cycle)`` is a drop-in replacement for
     :meth:`repro.uarch.lpsu.LPSU._step` on non-recording cycles: every
-    per-instruction fact the interpreted path resolves per cycle
-    (operand registers, issue class, latency, CIR/LSQ/bound flags, LSQ
-    capacities, memory-port count, cache hit latency, byte-level
-    memory access) is folded into generated code — one function per
-    instruction-buffer slot, with the in-lane superblock chain
-    unrolled across the slot's static successors, including a compiled
-    ``while`` loop over straight-line inner-loop bodies.  Iteration
-    turnover, CIB waits, LSQ drains, commit and squash stay on the
-    interpreted helpers: the generated code calls straight back into
-    the LPSU for them, which is what keeps fast and slow bit-identical.
+    static per-instruction fact the interpreted path resolves per
+    cycle (operand registers, issue class, CIR/LSQ/bound flags,
+    byte-level memory access) is folded into generated code — one
+    function per instruction-buffer slot, with the in-lane superblock
+    chain unrolled across the slot's static successors, including a
+    compiled ``while`` loop over straight-line inner-loop bodies.
+    Nothing of the design point is: ``make(L)`` binds the LSQ
+    capacities, memory ports, LLFU count and latencies, branch
+    penalty, inter-lane forwarding, AMO latency and cache hit latency
+    from the LPSU it serves, and whether chains may run at all (not
+    with two contexts per lane, where the other context could claim
+    the issue slot mid-chain), so one engine serves every
+    configuration of a loop body.  Iteration turnover, CIB waits, LSQ
+    drains, commit and squash stay on the interpreted helpers: the
+    generated code calls straight back into the LPSU for them, which
+    is what keeps fast and slow bit-identical.
     """
 
-    def __init__(self, descriptor, lpsu_cfg, gpp_cfg):
+    def __init__(self, descriptor):
         d = descriptor
         self.body = d.body
         self.n = len(d.body)
@@ -550,15 +557,11 @@ class _LPSUGen:
         self.squash = d.kind.data.needs_memory_disambiguation
         self.needs_lsq = self.squash or d.kind.control.value == "de"
         self.dyn_bound = d.kind.control.value == "db"
-        self.cfg = lpsu_cfg
-        self.lat = gpp_cfg.latencies
-        self.hit = gpp_cfg.cache.hit_latency
-        self.pen = lpsu_cfg.branch_penalty
-        self.ilf = lpsu_cfg.inter_lane_forwarding
-        # per-slot statics (mirrors LPSU._build_meta / _fusable)
+        # per-slot statics (mirrors LPSU._build_meta / _fusable); an
+        # LLFU slot's latency and occupancy are make() locals
+        # ``_l<i>``/``_o<i>`` read from the LPSU's own meta table
         self.kind = []
         self.latency = []
-        self.occupy = []
         self.nz_srcs = []
         self.dst = []
         self.has_cir = []
@@ -572,13 +575,11 @@ class _LPSUGen:
             srcs = ins.src_regs()
             dst = ins.dst_reg()
             if op.is_mem and not op.is_fence:
-                kind, latency, occupy = 1, 0, 0
+                kind, latency = 1, "0"
             elif op.is_llfu:
-                kind = 2
-                latency = self.lat.for_fu(op.fu)
-                occupy = latency if op.fu in (FU.DIV, FU.FDIV) else 1
+                kind, latency = 2, "_l%d" % len(self.kind)
             else:
-                kind, latency, occupy = 0, 1, 0
+                kind, latency = 0, "1"
             csrcs = []
             if self.ordered:
                 for s in srcs:
@@ -593,7 +594,6 @@ class _LPSUGen:
                     nz.append(s)
             self.kind.append(kind)
             self.latency.append(latency)
-            self.occupy.append(occupy)
             self.nz_srcs.append(nz)
             self.dst.append(dst)
             self.has_cir.append(bool(csrcs))
@@ -729,8 +729,8 @@ class _LPSUGen:
         out.append(ind + "_n += 1")
         out.append(ind + "c += 1")
         out.append(ind + "if %s:" % self._cond_expr(term))
-        out.append(ind + " _br += %d" % self.pen)
-        out.append(ind + " c += %d" % self.pen)
+        out.append(ind + " _br += pen")
+        out.append(ind + " c += pen")
         out.append(ind + " _i = %d" % self._target(term))
         out.append(ind + "else:")
         out.append(ind + " _i = %d" % (term + 1))
@@ -752,8 +752,8 @@ class _LPSUGen:
         out.append(ind + "counts[%d] += 1" % term)
         out.append(ind + "_n += 1")
         out.append(ind + "c += 1")
-        out.append(ind + "_br += %d" % self.pen)
-        out.append(ind + "c += %d" % self.pen)
+        out.append(ind + "_br += pen")
+        out.append(ind + "c += pen")
         if ins.op.fmt == Fmt.JALR:
             out.append(ind + "_i = (_j - %d) >> 2" % self.base)
         else:
@@ -791,8 +791,8 @@ class _LPSUGen:
         out.append(i1 + "_n += 1")
         out.append(i1 + "c += 1")
         out.append(i1 + "if %s:" % self._cond_expr(term))
-        out.append(i1 + " _br += %d" % self.pen)
-        out.append(i1 + " c += %d" % self.pen)
+        out.append(i1 + " _br += pen")
+        out.append(i1 + " c += pen")
         out.append(i1 + " continue")
         out.append(i1 + "return (c, %d, _n, _br)" % (term + 1))
 
@@ -851,8 +851,8 @@ class _LPSUGen:
             out.append(i1 + "if not (%s):" % self._cond_expr(term))
             out.append(i1 + " _i = %d" % (term + 1))
             out.append(i1 + " break")
-            out.append(i1 + "_br += %d" % self.pen)
-            out.append(i1 + "c += %d" % self.pen)
+            out.append(i1 + "_br += pen")
+            out.append(i1 + "c += pen")
             out.append(i1 + "c, _i, _n, _b = _w%d(ctx, c, _n)" % term)
             out.append(i1 + "_br += _b")
             out.append(i1 + "break")
@@ -874,30 +874,22 @@ class _LPSUGen:
         self._emit_cirs(out, ind, i)
         self._raw_stall(out, ind, i)
         if self.kind[i] == 2:
-            occ = self.occupy[i]
-            if self.cfg.llfus == 1:
-                out.append(ind + "if lf[0] > cycle:")
-                self._emit_stall_one(out, ind + " ", "llfu")
-                out.append(ind + "lf[0] = cycle + %d" % occ)
-            else:
-                out.append(ind + "_u = 0")
-                out.append(ind + "while _u < %d:" % self.cfg.llfus)
-                out.append(ind + " if lf[_u] <= cycle:")
-                out.append(ind + "  break")
-                out.append(ind + " _u += 1")
-                out.append(ind + "else:")
-                self._emit_stall_one(out, ind + " ", "llfu")
-                out.append(ind + "lf[_u] = cycle + %d" % occ)
+            # inline ``_llfu_acquire``: the first free unit, in order
+            out.append(ind + "for _u in lfu:")
+            out.append(ind + " if lf[_u] <= cycle:")
+            out.append(ind + "  break")
+            out.append(ind + "else:")
+            self._emit_stall_one(out, ind + " ", "llfu")
+            out.append(ind + "lf[_u] = cycle + _o%d" % i)
 
         if fmt in (Fmt.BRANCH, Fmt.XLOOP):
             out.append(ind + "counts[%d] += 1" % i)
             out.append(ind + "ctx.attempt_instrs += 1")
             out.append(ind + "st.busy += 1")
             out.append(ind + "if %s:" % self._cond_expr(i))
-            out.append(ind + " st.stall_branch += %d" % self.pen)
+            out.append(ind + " st.stall_branch += pen")
             out.append(ind + " ctx.pc_index = %d" % self._target(i))
-            out.append(ind + " ctx.ready_at = cycle + %d"
-                       % (1 + self.pen))
+            out.append(ind + " ctx.ready_at = cycle + pen1")
             out.append(ind + "else:")
             out.append(ind + " ctx.pc_index = %d" % (i + 1))
             out.append(ind + " ctx.ready_at = cycle + 1")
@@ -916,14 +908,13 @@ class _LPSUGen:
             out.append(ind + "counts[%d] += 1" % i)
             out.append(ind + "ctx.attempt_instrs += 1")
             out.append(ind + "st.busy += 1")
-            out.append(ind + "st.stall_branch += %d" % self.pen)
+            out.append(ind + "st.stall_branch += pen")
             if fmt == Fmt.JALR:
                 out.append(ind + "ctx.pc_index = (_j - %d) >> 2"
                            % self.base)
             else:
                 out.append(ind + "ctx.pc_index = %d" % self._target(i))
-            out.append(ind + "ctx.ready_at = cycle + %d"
-                       % (1 + self.pen))
+            out.append(ind + "ctx.ready_at = cycle + pen1")
             out.append(ind + "return True")
             return
 
@@ -932,13 +923,13 @@ class _LPSUGen:
         out.append(ind + "counts[%d] += 1" % i)
         dst = self.dst[i]
         if dst is not None:
-            out.append(ind + "ready[%d] = cycle + %d"
+            out.append(ind + "ready[%d] = cycle + %s"
                        % (dst, self.latency[i]))
         if self.pub[i]:
             out.append(ind + "ctx.cir_written.add(%d)" % dst)
             if ins.last_cir_write:
                 self._emit_publish(out, ind, dst,
-                                   "cycle + %d" % self.latency[i])
+                                   "cycle + %s" % self.latency[i])
         if self.bound_dst[i]:
             out.append(ind + "_b = s32(R[%d])" % dst)
             out.append(ind + "if _b > L.bound:")
@@ -958,10 +949,10 @@ class _LPSUGen:
         out.append(ind + "_i = %d" % (i + 1))
         if self.needs_lsq:
             # only the unsquashable oldest iteration may batch ahead
-            out.append(ind + "if ctx.k == L._commit_next:")
-            self._emit_chain(out, ind + " ", plan)
+            out.append(ind + "if fuse and ctx.k == L._commit_next:")
         else:
-            self._emit_chain(out, ind, plan)
+            out.append(ind + "if fuse:")
+        self._emit_chain(out, ind + " ", plan)
         out.append(ind + "ctx.attempt_instrs += _n")
         out.append(ind + "st.busy += _n")
         out.append(ind + "st.stall_branch += _br")
@@ -1026,7 +1017,7 @@ class _LPSUGen:
         out.append(ind + "return True")
 
     def _emit_memport(self, out, ind):
-        out.append(ind + "if L._mem_grants >= %d:" % self.cfg.mem_ports)
+        out.append(ind + "if L._mem_grants >= mports:")
         self._emit_stall_one(out, ind + " ", "memport")
         out.append(ind + "L._mem_grants += 1")
 
@@ -1061,22 +1052,20 @@ class _LPSUGen:
             size, _signed = _LOAD_SIZE[m]
             if nl and self.squash:
                 out.append(ind + "if _sp and len(ctx.load_words)"
-                                 " >= %d:" % self.cfg.lsq_loads)
+                                 " >= lsql:")
                 self._emit_stall_one(out, ind + " ", "lsq")
             if nl:
                 out.append(ind + "_f = None")
-                if self.ilf:
-                    out.append(ind + "_fs = -1")
+                out.append(ind + "_fs = -1")
                 out.append(ind + "if _sp:")
                 out.append(ind + " _f = fwd(ctx, _a, %d)" % size)
                 out.append(ind + " if _f == 'overlap':")
                 self._emit_stall_one(out, ind + "  ", "lsq")
-                if self.ilf:
-                    out.append(ind + " if _f is None:")
-                    out.append(ind + "  _f, _fs = fwd_across("
-                                     "ctx, _a, %d)" % size)
-                    out.append(ind + "  if _f == 'overlap':")
-                    self._emit_stall_one(out, ind + "   ", "lsq")
+                out.append(ind + " if _f is None and ilf:")
+                out.append(ind + "  _f, _fs = fwd_across("
+                                 "ctx, _a, %d)" % size)
+                out.append(ind + "  if _f == 'overlap':")
+                self._emit_stall_one(out, ind + "   ", "lsq")
                 out.append(ind + "if _f is None:")
                 i1 = ind + " "
             else:
@@ -1084,7 +1073,7 @@ class _LPSUGen:
             self._emit_memport(out, i1)
             out.append(i1 + "_x = cacc(_a, False)")
             out.append(i1 + "ev.dc_access += 1")
-            out.append(i1 + "if _x > %d:" % self.hit)
+            out.append(i1 + "if _x > hit:")
             out.append(i1 + " ev.dc_miss += 1")
             self._emit_load_value(out, i1, m)
             if nl:
@@ -1095,7 +1084,7 @@ class _LPSUGen:
                 out.append(ind + "else:")
                 out.append(ind + " _x = 1")
                 out.append(ind + " _v = _f")
-                if self.ilf and self.squash:
+                if self.squash:
                     out.append(ind + " if _fs >= 0:")
                     out.append(ind + "  _w = _a & -4")
                     out.append(ind + "  _p = ctx.load_words.get(_w)")
@@ -1112,12 +1101,12 @@ class _LPSUGen:
             size = _STORE_SIZE[m]
             if nl:
                 out.append(ind + "if _sp and len(ctx.store_buf)"
-                                 " >= %d:" % self.cfg.lsq_stores)
+                                 " >= lsqs:")
                 self._emit_stall_one(out, ind + " ", "lsq")
             self._emit_memport(out, ind)
             out.append(ind + "_x = cacc(_a, True)")
             out.append(ind + "ev.dc_access += 1")
-            out.append(ind + "if _x > %d:" % self.hit)
+            out.append(ind + "if _x > hit:")
             out.append(ind + " ev.dc_miss += 1")
             out.append(ind + "_v = R[%d]" % ins.rs2)
             if nl:
@@ -1125,33 +1114,32 @@ class _LPSUGen:
                 out.append(ind + " ctx.store_buf.append("
                                  "SE(_a, %d, _v))" % size)
                 out.append(ind + " ev.lsq_write += 1")
-                if self.ilf:
-                    out.append(ind + " inval(ctx, _a, cycle)")
+                out.append(ind + " if ilf:")
+                out.append(ind + "  inval(ctx, _a, cycle)")
                 out.append(ind + "else:")
                 i1 = ind + " "
             else:
                 i1 = ind
             self._emit_store_value(out, i1, m)
-            if self.ilf:
-                out.append(i1 + "inval(ctx, _a, cycle)")
+            out.append(i1 + "if ilf:")
+            out.append(i1 + " inval(ctx, _a, cycle)")
             if self.squash:
                 out.append(i1 + "bcast(_a, ctx, cycle)")
         else:  # AMO, non-speculative by construction here
             self._emit_memport(out, ind)
             out.append(ind + "_x = cacc(_a, False)")
             out.append(ind + "ev.dc_access += 1")
-            out.append(ind + "if _x > %d:" % self.hit)
+            out.append(ind + "if _x > hit:")
             out.append(ind + " ev.dc_miss += 1")
             if ins.rd:
                 out.append(ind + "R[%d] = mamo(%r, _a, R[%d])"
                            % (ins.rd, m, ins.rs2))
-                out.append(ind + "ready[%d] = cycle + %d"
-                           % (ins.rd, self.lat.amo))
-                result_time = "cycle + %d" % self.lat.amo
+                out.append(ind + "ready[%d] = cycle + amo_lat" % ins.rd)
+                result_time = "cycle + amo_lat"
             else:
                 out.append(ind + "mamo(%r, _a, R[%d])" % (m, ins.rs2))
-            if self.ilf:
-                out.append(ind + "inval(ctx, _a, cycle)")
+            out.append(ind + "if ilf:")
+            out.append(ind + " inval(ctx, _a, cycle)")
             if self.squash:
                 out.append(ind + "bcast(_a, ctx, cycle)")
             if self.dyn_bound and ins.rd == self.bound_reg:
@@ -1200,8 +1188,27 @@ class _LPSUGen:
                    "fwd_across = L._forward_across",
                    "inval = L._invalidate_stale_forwards",
                    "bcast = L._broadcast",
-                   "lf = L._llfu_free"):
+                   "lf = L._llfu_free",
+                   "lfu = range(len(lf))",
+                   # the design point: configuration, GPP latencies
+                   # and L1 hit latency, as the interpreted path reads
+                   # them (LPSU.run builds L._meta before make runs)
+                   "cfg = L.cfg",
+                   "pen = cfg.branch_penalty",
+                   "pen1 = pen + 1",
+                   "mports = cfg.mem_ports",
+                   "lsql = cfg.lsq_loads",
+                   "lsqs = cfg.lsq_stores",
+                   "ilf = cfg.inter_lane_forwarding",
+                   "hit = L.cache.config.hit_latency",
+                   "amo_lat = L.lat.amo",
+                   "fuse = L._fuse",
+                   "meta = L._meta"):
             out.append(" " + ln)
+        for i in range(self.n):
+            if self.kind[i] == 2:
+                out.append(" _l%d, _o%d = meta[%d][4], meta[%d][5]"
+                           % (i, i, i, i))
         for term, ti in sorted(self.loop_terms.items()):
             self._emit_loop_fn(out, term, ti)
         for i in range(self.n):
@@ -1251,33 +1258,34 @@ class _LPSUGen:
         return ns["make"]
 
 
-def _lpsu_content_key(descriptor, lpsu_cfg, gpp_cfg):
-    """Everything the generated engine source depends on.  Two loops
-    with equal keys produce byte-identical source, and the generated
-    code binds all live state inside ``make(L)``, so compiled engines
-    are shared across programs/processes-lifetime by content."""
+def _lpsu_content_key(descriptor):
+    """Everything the generated engine source depends on: the loop
+    body and its pattern, never the design point.  Two loops with
+    equal keys produce byte-identical source, and the generated code
+    binds all live state and configuration inside ``make(L)``, so
+    compiled engines are shared across programs, design points and
+    the process lifetime by content."""
     d = descriptor
     body = tuple((ins.op.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm,
                   ins.pc, ins.last_cir_write) for ins in d.body)
     return (body, d.body_start_pc, frozenset(d.cirs), d.bound_reg,
             d.kind.data.ordered_through_registers,
             d.kind.data.needs_memory_disambiguation,
-            d.kind.control.value, repr(lpsu_cfg),
-            repr(gpp_cfg.latencies), gpp_cfg.cache.hit_latency)
+            d.kind.control.value)
 
 
-def lpsu_engine(program, descriptor, lpsu_cfg, gpp_cfg):
+def lpsu_engine(program, descriptor):
     """Compiled fused-lane step engine for one xloop, or None.
 
     Returns a ``make(lpsu) -> step`` factory cached on *program* (the
     body, CIR set, and last-CIR-write bits of a static xloop never
     change between invocations; only MIV increments do, and those live
-    in interpreted iteration setup).  None when the body contains an
-    instruction the generator cannot inline — the LPSU then runs fully
-    interpreted, exactly as before.
+    in interpreted iteration setup).  One factory serves every LPSU
+    configuration, one or two contexts per lane.  None when the body
+    contains an instruction the generator cannot inline — the LPSU
+    then runs fully interpreted, exactly as before.
     """
-    key = ("lpsu", descriptor.xloop_pc, repr(lpsu_cfg),
-           repr(gpp_cfg.latencies), gpp_cfg.cache.hit_latency)
+    key = ("lpsu", descriptor.xloop_pc)
     cache = getattr(program, "_fused", None)
     if cache is None:
         cache = program._fused = {}
@@ -1286,11 +1294,10 @@ def lpsu_engine(program, descriptor, lpsu_cfg, gpp_cfg):
     make = None
     if descriptor.body and all(emittable(ins)
                                for ins in descriptor.body):
-        ck = _lpsu_content_key(descriptor, lpsu_cfg, gpp_cfg)
+        ck = _lpsu_content_key(descriptor)
         make = _LPSU_MAKE_CACHE.get(ck)
         if make is None:
-            make = _LPSU_MAKE_CACHE[ck] = \
-                _LPSUGen(descriptor, lpsu_cfg, gpp_cfg).build()
+            make = _LPSU_MAKE_CACHE[ck] = _LPSUGen(descriptor).build()
     cache[key] = make
     return make
 

@@ -889,12 +889,14 @@ _MAX_MEMOS = 64
 
 def memo_content_key(descriptor, lpsu_cfg, gpp_cfg):
     """Everything the compiled segments' source depends on.  Extends
-    the fusion engine's content key with the MIV table and index
-    register (iteration-setup constants are baked into compiled begin
-    actions) and the full cache geometry (LRU maintenance is inlined)."""
+    the fusion engine's loop-body key with the design point (folded
+    into the segments), the MIV table and index register
+    (iteration-setup constants are baked into compiled begin actions)
+    and the full cache geometry (LRU maintenance is inlined)."""
     d = descriptor
     mivt = tuple(sorted((m.reg, m.increment) for m in d.mivt.values()))
-    return (_lpsu_content_key(d, lpsu_cfg, gpp_cfg), mivt, d.idx_reg,
+    return (_lpsu_content_key(d), repr(lpsu_cfg),
+            repr(gpp_cfg.latencies), mivt, d.idx_reg,
             repr(gpp_cfg.cache))
 
 

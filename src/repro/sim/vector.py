@@ -1049,7 +1049,8 @@ def vector_content_key(descriptor, lpsu_cfg, gpp_cfg):
     """Everything the compiled engine's static tables depend on (MIV
     increments resolve per invocation, so they stay out of the key)."""
     from .fusion import _lpsu_content_key
-    return (_lpsu_content_key(descriptor, lpsu_cfg, gpp_cfg),
+    return (_lpsu_content_key(descriptor), repr(lpsu_cfg),
+            repr(gpp_cfg.latencies), gpp_cfg.cache.hit_latency,
             descriptor.idx_reg,
             tuple(sorted(m.reg for m in descriptor.mivt.values())))
 

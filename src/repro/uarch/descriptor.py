@@ -68,6 +68,22 @@ class LoopDescriptor:
         return self.body_start_pc <= pc < self.xloop_pc and pc % 4 == 0
 
 
+def first_accesses(body):
+    """The LMU's two bit vectors over *body* in linear (static) order:
+    ``(read_first, written)``, the registers read before any write and
+    the registers written at all."""
+    read_first = set()
+    written = set()
+    for instr in body:
+        for s in instr.src_regs():
+            if s and s not in written:
+                read_first.add(s)
+        d = instr.dst_reg()
+        if d is not None:
+            written.add(d)
+    return read_first, written
+
+
 def scan_loop(program, xloop_instr, live_in_regs):
     """Build a :class:`LoopDescriptor` (the LMU scan-phase analysis).
 
@@ -124,15 +140,7 @@ def scan_loop(program, xloop_instr, live_in_regs):
             mivt[instr.rd] = MIVEntry(instr.rd, inc & 0xFFFFFFFF)
 
     # Two-bit-vector CIR detection: first-read-then-written registers.
-    read_first = set()
-    written = set()
-    for instr in body:
-        for s in instr.src_regs():
-            if s and s not in written:
-                read_first.add(s)
-        d = instr.dst_reg()
-        if d is not None:
-            written.add(d)
+    read_first, written = first_accesses(body)
     cirs = (read_first & written) - {idx_reg} - set(mivt)
 
     # Last-CIR-write bits (largest PC updating each CIR).

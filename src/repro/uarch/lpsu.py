@@ -395,11 +395,12 @@ class LPSU:
         contexts = self.contexts
         step = self._step
         # compiled fused-lane engine: a generated drop-in for _step
-        # with this loop's statics folded in.  Recording cycles (the
-        # memo needs to see individual actions) and every non-fast /
-        # observed configuration keep the interpreted stepper.
+        # with this loop's statics folded in and this design point
+        # bound at make time.  Recording cycles (the memo needs to see
+        # individual actions) and every non-fast / observed
+        # configuration keep the interpreted stepper.
         engine_step = None
-        if (self._engine is not None and self._fuse
+        if (self._engine is not None and self.fast
                 and self.events is not None):
             engine_step = self._engine(self)
         finished = self._finished
@@ -442,17 +443,17 @@ class LPSU:
                 self._order = sorted(contexts, key=_ctx_order)
                 self._order_dirty = False
             order = self._order
+            s = (engine_step
+                 if engine_step is not None and self._rec is None
+                 else step)
             if multithreaded:
                 issued_lanes = set()
                 for ctx in order:
                     if ctx.lane_id in issued_lanes:
                         continue
-                    if step(ctx, cycle):
+                    if s(ctx, cycle):
                         issued_lanes.add(ctx.lane_id)
             else:
-                s = (engine_step
-                     if engine_step is not None and self._rec is None
-                     else step)
                 for ctx in order:
                     if ctx.active and ctx.ready_at > cycle:
                         continue

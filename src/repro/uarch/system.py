@@ -347,8 +347,7 @@ class SystemSimulator:
             hook = self.injector.bind(desc, core.regs, self.mem, monitor)
         engine = None
         if self._use_engine:
-            engine = lpsu_engine(self.program, desc, self.config.lpsu,
-                                 self.config.gpp)
+            engine = lpsu_engine(self.program, desc)
         memo = None
         if self._turbo:
             # turbo: compiled segment replay beats even the engine on

@@ -30,8 +30,8 @@ from typing import List, Optional, Tuple
 from ..kernels import ALL_KERNELS, get_kernel
 from ..lang import compile_source
 from ..sim import Memory
-from ..uarch import (IO, OOO2, OOO4, SystemConfig, SystemSimulator,
-                     simulate)
+from ..uarch import (IO, OOO2, OOO4, LPSUConfig, SystemConfig,
+                     SystemSimulator, simulate)
 from .genloops import LPSU_SWEEP, random_cases
 
 #: GPP design point of the verified traditional-vs-specialized runs:
@@ -42,6 +42,11 @@ _GPP = IO
 #: GPPs the ladder harness runs every point on: each Table II GPP,
 #: since each drives the fused GPP blocks through its own timing model
 _LADDER_GPPS = (IO, OOO2, OOO4)
+
+#: LPSU design points the ladder runs specialized on: the
+#: differential sweep plus two contexts per lane (Fig 9 ``+t``), whose
+#: issue-slot arbitration the fused-lane engine must also reproduce
+LADDER_SWEEP = LPSU_SWEEP + (LPSUConfig(threads_per_lane=2),)
 
 
 @dataclass
@@ -236,7 +241,7 @@ def _diff_detail(a, b, blabel):
     return "snapshots differ"
 
 
-def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
+def check_ladder(name, program, entry, make_args, sweep=LADDER_SWEEP,
                  adaptive=True):
     """Demand the full backend ladder (interp -> fused -> turbo ->
     vector) is *bit-identical* for one loop: every snapshot field —
@@ -246,8 +251,8 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
     every specialized/adaptive LPSU design point, on every Table II
     GPP.  The failure detail names the GPP and the diverging tier.
     The vector rung joins the ladder only when its optional numpy
-    dependency is importable (without it, ``auto`` cannot resolve to
-    vector, so three rungs cover every reachable configuration).  LPSU
+    dependency is importable (without it, vector cannot be selected,
+    so three rungs cover every reachable configuration).  LPSU
     points add the ``fused-noengine`` tier, pinning the interpreted
     stepper + schedule-memo layer to the same contract.
     Never raises."""
@@ -291,7 +296,7 @@ def check_ladder(name, program, entry, make_args, sweep=LPSU_SWEEP,
 
 
 def run_ladder(kernels=None, gen=0, seed=0, scale="tiny",
-               sweep=LPSU_SWEEP, progress=None):
+               sweep=LADDER_SWEEP, progress=None):
     """Backend-ladder differential sweep over kernels (all registered
     when *kernels* is None) plus *gen* generated loops; returns a list
     of :class:`ConformanceResult`."""

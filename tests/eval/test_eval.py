@@ -2,8 +2,13 @@
 qualitative result shapes the paper reports (on tiny workloads with a
 representative kernel subset, so the suite stays fast)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.eval import (BASELINE_OF, CONFIGS, baseline_run, build_row,
                         build_table4, build_table5, config,
                         energy_efficiency, fig6_data, fig9_data, fig10_data,
@@ -67,6 +72,27 @@ class TestRunner:
     def test_energy_efficiency_positive(self):
         assert energy_efficiency("rgb2cmyk-uc", "io+x", "specialized",
                                  scale=SCALE) > 0
+
+    def test_default_path_imports_no_rung_above_fused(self):
+        # a fresh process on the default backend: neither the turbo
+        # and vector rungs nor numpy get imported, by the simulation
+        # or by clearing the caches after it
+        script = (
+            "import sys\n"
+            "from repro.eval import runner\n"
+            "r = runner.run('vvadd-uc', 'io+x', mode='specialized',\n"
+            "               scale='tiny')\n"
+            "assert r.specialized_invocations\n"
+            "runner.clear_cache(keep_disk=True)\n"
+            "print(sorted(m for m in ('numpy', 'repro.sim.turbo',\n"
+            "                         'repro.sim.vector')\n"
+            "             if m in sys.modules))\n")
+        env = dict(os.environ, REPRO_NO_CACHE="1", PYTHONPATH=
+                   os.path.dirname(os.path.dirname(repro.__file__)))
+        env.pop("REPRO_BACKEND", None)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestTable2:

@@ -426,8 +426,9 @@ class TestOneWarmKernel:
     B = SweepPoint("dither-or", "io+x", mode="specialized", scale=SCALE)
 
     def _simulate(self, pt):
+        # on the turbo rung, so there are turbo stores to drop too
         runner.run(pt.kernel, pt.config, use_disk_cache=False,
-                   **pt.run_kwargs())
+                   backend="turbo", **pt.run_kwargs())
 
     def test_a_new_kernel_drops_the_last_ones_state(self):
         # arriving from another kernel: start from nothing warm

@@ -255,3 +255,53 @@ void f(int* a, int n) {
     #pragma xloops unordered
     for (int i = n; i > 0; i++) { a[i] = 0; }
 }""")
+
+
+# two CIRs, one written on the then-path at a lower pc than its first
+# read on the else-path: the LMU's linear scan would not see ``b``
+TWO_CIR_SRC = """
+int k(int* v, int* out, int n) {
+    int a = -1;
+    int b = -1;
+    #pragma xloops ordered
+    for (int j = 0; j < n; j++) {
+        if (a < 0 || v[j] < v[a]) { b = a; a = j; }
+        else { if (b < 0 || v[j] < v[b]) { b = j; } }
+    }
+    out[0] = a;
+    out[1] = b;
+    return a;
+}"""
+
+
+class TestCIRsAgreeWithTheScan:
+    """Every CIR the compiler declares is one the LPSU's scan finds:
+    read before written in the linear order of the emitted body."""
+
+    V, OUT = 0x100000, 0x180000
+    VALUES = (5, 3, 9, 1, 7, 2)
+
+    def _run(self, program, mode):
+        from repro.sim import Memory
+        from repro.uarch import IO, LPSUConfig, SystemConfig, simulate
+        mem = Memory()
+        mem.write_words(self.V, list(self.VALUES))
+        simulate(program, SystemConfig("t", IO, LPSUConfig()), entry="k",
+                 args=[self.V, self.OUT, len(self.VALUES)], mem=mem,
+                 mode=mode, verify=mode == "specialized")
+        return [mem.load(self.OUT + 4 * i, 4, True) for i in range(2)]
+
+    def test_cir_written_before_read_is_a_compile_error(self):
+        with pytest.raises(CompileError) as exc:
+            compile_source(TWO_CIR_SRC)
+        msg = str(exc.value)
+        assert "line 6" in msg and "'b'" in msg
+        assert "written before it is read" in msg
+
+    def test_auto_annotation_leaves_the_loop_unannotated(self):
+        src = TWO_CIR_SRC.replace("#pragma xloops ordered", "")
+        cp = compile_source(src, annotate="auto")
+        assert cp.loop_kinds() == ()
+        # the index of the smallest value and of the second smallest
+        assert self._run(cp.program, "traditional") == [3, 5]
+        assert self._run(cp.program, "specialized") == [3, 5]

@@ -286,6 +286,29 @@ class TestAutoAnnotate:
         spec = run("specialized", SystemConfig("s", IO, LPSUConfig()))
         assert spec.pages_equal(ref)
 
+    @pytest.mark.parametrize("name", ("dither-or", "dither-or-opt"))
+    def test_pragma_free_kernel_passes_its_check(self, name):
+        # the outer row loop writes nxt[w-1] every iteration: the
+        # bounded model check's witness must bind w, which cancels
+        # out of the address difference
+        import re
+        from repro.kernels import get_kernel
+        from repro.sim import Memory
+        from repro.uarch import IO, SystemConfig, simulate
+        from repro.uarch.params import LPSUConfig
+        spec = get_kernel(name)
+        src = re.sub(r"#pragma xloops \w+", "", spec.source)
+        cp = compile_source(src, annotate="auto")
+        assert cp.loop_kinds()
+        for mode in ("traditional", "specialized", "adaptive"):
+            workload = spec.workload("tiny", 0)
+            mem = Memory()
+            args = workload.apply(mem)
+            simulate(cp.program, SystemConfig("s", IO, LPSUConfig()),
+                     entry=spec.entry, args=args, mem=mem, mode=mode,
+                     verify=mode != "traditional")
+            workload.check(mem)
+
 
 class TestFuzzProperty:
     """The prover never disagrees with brute-force dependence

@@ -138,11 +138,12 @@ class TestBackendSelection:
         assert sim.backend == "interp"
         assert not sim.fast
 
-    def test_auto_is_the_highest_available_rung(self):
-        from repro.sim.vector import HAS_NUMPY
-        top = "vector" if HAS_NUMPY else "turbo"
-        assert resolve_backend("auto").name == top
-        assert resolve_backend(None).name == top
+    def test_auto_is_fused(self):
+        # turbo stays selectable by name only: the default is fused,
+        # whichever rungs this host could run
+        assert resolve_backend("auto").name == "fused"
+        assert resolve_backend(None).name == "fused"
+        assert resolve_backend("turbo").name == "turbo"
 
 
 @pytest.fixture

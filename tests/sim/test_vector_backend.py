@@ -174,9 +174,9 @@ class TestDivergenceAndFallback:
 
 
 class TestBackendSelection:
-    def test_numpy_absent_demotes_auto_to_turbo(self, monkeypatch):
+    def test_numpy_absent_keeps_auto_fused(self, monkeypatch):
         monkeypatch.setattr(backends_mod, "_have_numpy", lambda: False)
-        assert resolve_backend("auto").name == "turbo"
+        assert resolve_backend("auto").name == "fused"
         # an explicit request must fail loudly, not degrade silently
         with pytest.raises(ValueError):
             resolve_backend("vector")

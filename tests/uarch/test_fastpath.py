@@ -16,9 +16,11 @@ from repro.sim import Memory, fusion
 from repro.sim.functional import FunctionalCore, run_program
 from repro.sim.fusion import block_runs, fused_blocks
 from repro.uarch import IO, OOO2, OOO4, LPSUConfig, SystemConfig, simulate
+from repro.uarch.lpsu import LPSU
 from repro.uarch.schedmemo import ScheduleMemo
 from repro.uarch.system import SystemSimulator
 from repro.verify import check_ladder
+from repro.verify.conformance import LADDER_SWEEP
 
 #: one kernel per dependence pattern, kept cheap via tiny workloads
 _KERNELS = ("sgemm-uc", "adpcm-or", "dynprog-om", "btree-ua",
@@ -215,6 +217,67 @@ class TestSystemFastSlow:
                        if k[0] == "lpsu"]
             assert engines and all(e is not None for e in engines), \
                 "no compiled engine for %s" % name
+
+    def test_one_engine_per_loop_body(self, monkeypatch):
+        # the engine binds the design point at make time, so every
+        # LPSU configuration -- two contexts per lane included -- and
+        # every program object of the same kernel share one factory
+        compiled = []
+
+        def counting_compile(src, filename, *args, **kwargs):
+            compiled.append(filename)
+            return compile(src, filename, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "_LPSU_MAKE_CACHE", {})
+        monkeypatch.setattr(fusion, "compile", counting_compile,
+                            raising=False)
+        spec = get_kernel("sgemm-uc")
+        makes = set()
+        for lpsu in LADDER_SWEEP:
+            program = compile_source(spec.source).program
+            mem = Memory()
+            args = spec.workload("tiny", 0).apply(mem)
+            simulate(program, SystemConfig("t", IO, lpsu),
+                     entry=spec.entry, args=args, mem=mem,
+                     mode="specialized", backend="fused")
+            makes |= {v for k, v in program._fused.items()
+                      if k[0] == "lpsu"}
+        assert len(makes) == 1 and None not in makes
+        assert compiled.count("<fused:lpsu>") == 1
+
+    def test_two_contexts_per_lane_run_on_the_engine(self, monkeypatch):
+        # Fig 9 +t: the fused engine steps both contexts of a lane,
+        # bit-identical to the interpreted reference, and the
+        # interpreted stepper is never called
+        spec, program = _program("sgemm-uc")
+        config = SystemConfig("t", IO, LPSUConfig(threads_per_lane=2))
+
+        def run(backend):
+            mem = Memory()
+            args = spec.workload("tiny", 0).apply(mem)
+            r = simulate(program, config, entry=spec.entry, args=args,
+                         mem=mem, mode="specialized", backend=backend)
+            return r, mem
+
+        ref_r, ref_mem = run("interp")
+        contexts = []
+        real_run = LPSU.run
+
+        def spy_run(self, *args, **kwargs):
+            contexts.append(len(self.contexts) // self.cfg.lanes)
+            return real_run(self, *args, **kwargs)
+
+        def no_step(self, ctx, cycle):
+            raise AssertionError("interpreted _step on the fused rung")
+
+        monkeypatch.setattr(LPSU, "run", spy_run)
+        monkeypatch.setattr(LPSU, "_step", no_step)
+        r, mem = run("fused")
+        assert contexts and set(contexts) == {2}
+        assert r.cycles == ref_r.cycles
+        assert repr(r.lpsu_stats) == repr(ref_r.lpsu_stats)
+        assert dict(vars(r.events)) == dict(vars(ref_r.events))
+        assert mem.pages_equal(ref_mem)
 
     def test_adaptive_decisions_identical(self):
         spec, program = _program("war-om")
