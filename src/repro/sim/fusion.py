@@ -499,20 +499,12 @@ def fused_blocks(program, flavor="func", break_pcs=()):
 # LPSU fused-lane engine (`lpsu` flavour)
 # ---------------------------------------------------------------------------
 
-#: chained-op budget per generated issue-slot call.  Stopping a chain
-#: at any point is schedule-identical (the per-cycle loop takes over
-#: at the same virtual cycle), so this only bounds the latency of one
-#: step call, like the interpreted batch loop's 65536 cap.
-_LPSU_CHAIN_CAP = 50000
-
-#: straight-line ops emitted per chain entry before handing back to
-#: the dispatcher.  Every slot is a potential chain entry (a RAW break
-#: can stop a chain anywhere), so uncapped emission is quadratic in
-#: body size; capping only costs one dispatcher round-trip per CAP
-#: chained ops and keeps codegen linear-ish.  Steady-state inner loops
-#: are unaffected: they run in one shared compiled while per
-#: back-branch, emitted once.
-_LPSU_PREFIX_CAP = 16
+#: run-ahead budget of one step call: run functions entered, and
+#: passes of one compiled ``while``, before the context hands back to
+#: the cycle loop.  Stopping a run-ahead at a leader is
+#: schedule-identical (the next step resumes there at the same virtual
+#: cycle), so this only bounds the host latency of one step call.
+_LPSU_RUN_CAP = 4096
 
 #: compiled `make` factories keyed by loop-body *content*, so
 #: recompiling the same kernel (cold sweeps, repeated cold runs) and
@@ -530,26 +522,44 @@ class _LPSUGen:
     :meth:`repro.uarch.lpsu.LPSU._step` on non-recording cycles: every
     static per-instruction fact the interpreted path resolves per
     cycle (operand registers, issue class, CIR/LSQ/bound flags,
-    byte-level memory access) is folded into generated code — one
-    function per instruction-buffer slot, with the in-lane superblock
-    chain unrolled across the slot's static successors, including a
-    compiled ``while`` loop over straight-line inner-loop bodies.
-    Nothing of the design point is: ``make(L)`` binds the LSQ
-    capacities, memory ports, LLFU count and latencies, branch
-    penalty, inter-lane forwarding, AMO latency and cache hit latency
-    from the LPSU it serves, and whether chains may run at all (not
-    with two contexts per lane, where the other context could claim
-    the issue slot mid-chain), so one engine serves every
-    configuration of a loop body.  Iteration turnover, CIB waits, LSQ
-    drains, commit and squash stay on the interpreted helpers: the
-    generated code calls straight back into the LPSU for them, which
-    is what keeps fast and slow bit-identical.
+    byte-level memory access) is folded into generated code, one slot
+    function ``_s<i>`` per instruction-buffer slot.
+
+    **Run-ahead.**  A *lane-private* op -- single-cycle compute, a
+    branch or a direct jump that reads no CIR and writes no CIR or
+    bound register -- touches only its context's registers and
+    scoreboard, so no other lane can see it or change what it does.
+    After any op, a context that may run ahead therefore keeps
+    executing lane-private ops at their virtual cycles, charging the
+    RAW waits between them to ``stall_raw`` and taken branches to
+    ``stall_branch``, until its next memory, LLFU, CIR, bound or
+    iteration-end op; it takes that op's RAW wait too when the op reads
+    no CIR (a CIB wait would come first).  Only a context that cannot
+    be squashed or discarded mid-run may run ahead: one context per
+    lane (another context could claim the issue slot) and, where the
+    pattern can squash or discard, the oldest iteration.  The
+    lane-private code is emitted once, as one run function ``_r<j>``
+    per basic-block leader, chained by ``ahead``; a block whose
+    back-branch targets its own leader is a compiled ``while``.  Within
+    one run pass a register is checked for a pending write only until
+    the pass writes it or waits for it, and only its last write there
+    reaches the scoreboard.
+
+    Nothing of the design point is generated: ``make(L)`` binds the LSQ
+    capacities, memory ports, LLFU count and latencies, branch penalty,
+    inter-lane forwarding, AMO latency and cache hit latency from the
+    LPSU it serves, and whether it may run ahead and which stalls park
+    (:meth:`repro.uarch.lpsu.LPSU.run`), so one engine serves every
+    configuration of a loop body.  Iteration turnover, LSQ drains,
+    commit, squash and parking stay on the interpreted helpers: the
+    generated code calls straight back into the LPSU for them, which is
+    what keeps the engine and ``interp`` bit-identical.
     """
 
     def __init__(self, descriptor):
         d = descriptor
         self.body = d.body
-        self.n = len(d.body)
+        self.n = n = len(d.body)
         self.base = d.body_start_pc
         self.cirs = d.cirs
         self.bound_reg = d.bound_reg
@@ -557,6 +567,9 @@ class _LPSUGen:
         self.squash = d.kind.data.needs_memory_disambiguation
         self.needs_lsq = self.squash or d.kind.control.value == "de"
         self.dyn_bound = d.kind.control.value == "db"
+        # who may run ahead (``fuse``: one context per lane)
+        self.ahead_ok = ("fuse and ctx.k == L._commit_next"
+                         if self.needs_lsq else "fuse")
         # per-slot statics (mirrors LPSU._build_meta / _fusable); an
         # LLFU slot's latency and occupancy are make() locals
         # ``_l<i>``/``_o<i>`` read from the LPSU's own meta table
@@ -564,20 +577,19 @@ class _LPSUGen:
         self.latency = []
         self.nz_srcs = []
         self.dst = []
-        self.has_cir = []
+        self.cir_srcs = []
         self.pub = []
         self.bound_dst = []
         self.branchy = []
-        self.fusable = []
-        self.cir_srcs = []
-        for ins in d.body:
+        self.private = []
+        for i, ins in enumerate(d.body):
             op = ins.op
             srcs = ins.src_regs()
             dst = ins.dst_reg()
             if op.is_mem and not op.is_fence:
                 kind, latency = 1, "0"
             elif op.is_llfu:
-                kind, latency = 2, "_l%d" % len(self.kind)
+                kind, latency = 2, "_l%d" % i
             else:
                 kind, latency = 0, "1"
             csrcs = []
@@ -592,32 +604,34 @@ class _LPSUGen:
             for s in srcs:
                 if s and s not in nz:
                     nz.append(s)
+            branchy = op.is_branch or op.is_jump or op.is_xloop
+            private = (kind == 0 and not csrcs and not pub
+                       and not bound_dst)
+            if private and branchy:
+                # a jump through a register has no static successor
+                private = op.fmt != Fmt.JALR and self._target(i) >= 0
             self.kind.append(kind)
             self.latency.append(latency)
             self.nz_srcs.append(nz)
             self.dst.append(dst)
-            self.has_cir.append(bool(csrcs))
             self.cir_srcs.append(csrcs)
             self.pub.append(pub)
             self.bound_dst.append(bound_dst)
-            self.branchy.append(op.is_branch or op.is_jump
-                                or op.is_xloop)
-            self.fusable.append(kind == 0 and not csrcs and not pub
-                                and not bound_dst)
-        # compiled-while inner loops: a fusable back-branch whose whole
-        # taken-path body is straight-line fusable compute gets one
-        # shared loop function, emitted once and called from chains
-        self.loop_terms = {}
-        for term in range(self.n):
-            if not (self.fusable[term] and self.branchy[term]):
-                continue
-            if self.body[term].op.fmt not in (Fmt.BRANCH, Fmt.XLOOP):
-                continue
-            ti = self._target(term)
-            if (0 <= ti <= term
-                    and all(self.fusable[x] and not self.branchy[x]
-                            for x in range(ti, term))):
-                self.loop_terms[term] = ti
+            self.branchy.append(branchy)
+            self.private.append(private)
+        # basic-block leaders where a run starts: the body's first
+        # slot, both successors of a control op, and the slot after
+        # every other op a run stops at
+        leaders = {0}
+        for i, ins in enumerate(d.body):
+            if self.branchy[i]:
+                leaders.add(i + 1)
+                if ins.op.fmt != Fmt.JALR:
+                    leaders.add(self._target(i))
+            elif not self.private[i]:
+                leaders.add(i + 1)
+        self.leaders = frozenset(j for j in leaders
+                                 if 0 <= j < n and self.private[j])
 
     # -- small emission helpers -------------------------------------------
 
@@ -626,16 +640,21 @@ class _LPSUGen:
         ins = self.body[i]
         return (ins.pc + ins.imm - self.base) >> 2
 
-    def _raw_stall(self, out, ind, i):
-        """First-op RAW hazard check: stall + give up the issue slot."""
-        srcs = self.nz_srcs[i]
-        if not srcs:
-            return
+    @staticmethod
+    def _latest_ready(out, ind, srcs):
+        """``_w``: the cycle the last of *srcs* becomes ready."""
         out.append(ind + "_w = ready[%d]" % srcs[0])
         for s in srcs[1:]:
             out.append(ind + "_t = ready[%d]" % s)
             out.append(ind + "if _t > _w:")
             out.append(ind + " _w = _t")
+
+    def _raw_stall(self, out, ind, i):
+        """First-op RAW hazard check: stall + give up the issue slot."""
+        srcs = self.nz_srcs[i]
+        if not srcs:
+            return
+        self._latest_ready(out, ind, srcs)
         # inline ``_stall``: _w > cycle already implies the
         # max(until, cycle + 1) clamp is a no-op, and recording/trace
         # are inactive under engine gating
@@ -644,12 +663,20 @@ class _LPSUGen:
         out.append(ind + " st.stall_raw += _w - cycle")
         out.append(ind + " return False")
 
-    def _raw_break(self, out, ind, i):
-        """Chained-op RAW check: end the chain at slot *i*."""
-        for s in self.nz_srcs[i]:
-            out.append(ind + "if ready[%d] > c:" % s)
-            out.append(ind + " _i = %d" % i)
-            out.append(ind + " break")
+    def _raw_wait(self, out, ind, srcs, off):
+        """Run-ahead RAW wait on *srcs* for an op issuing at virtual
+        cycle ``c + off``: move ``c`` past it, charging ``stall_raw``."""
+        if not srcs:
+            return
+        self._latest_ready(out, ind, srcs)
+        if off:
+            out.append(ind + "if _w > c + %d:" % off)
+            out.append(ind + " st.stall_raw += _w - c - %d" % off)
+            out.append(ind + " c = _w - %d" % off)
+        else:
+            out.append(ind + "if _w > c:")
+            out.append(ind + " st.stall_raw += _w - c")
+            out.append(ind + " c = _w")
 
     def _sem(self, out, ind, i):
         tmp = []
@@ -664,11 +691,16 @@ class _LPSUGen:
         for s in self.cir_srcs[i]:
             out.append(ind + "if %d not in ctx.received_cirs:" % s)
             out.append(ind + " _ch = cib.get((%d, ctx.k))" % s)
-            out.append(ind + " if _ch is None or _ch[0] > cycle:")
-            out.append(ind + "  _r = cycle + 1 if _ch is None"
-                             " else _ch[0]")
-            out.append(ind + "  ctx.ready_at = _r")
-            out.append(ind + "  st.stall_cib += _r - cycle")
+            out.append(ind + " if _ch is None:")
+            out.append(ind + "  if park:")
+            out.append(ind + "   park_cib(ctx, cycle, %d)" % s)
+            out.append(ind + "   return False")
+            out.append(ind + "  ctx.ready_at = cycle + 1")
+            out.append(ind + "  st.stall_cib += 1")
+            out.append(ind + "  return False")
+            out.append(ind + " if _ch[0] > cycle:")
+            out.append(ind + "  ctx.ready_at = _ch[0]")
+            out.append(ind + "  st.stall_cib += _ch[0] - cycle")
             out.append(ind + "  return False")
             out.append(ind + " R[%d] = _ch[1]" % s)
             out.append(ind + " ctx.received_cirs[%d] = _ch[1]" % s)
@@ -678,190 +710,162 @@ class _LPSUGen:
 
     def _emit_publish(self, out, ind, dst, time_expr):
         """Inline ``LPSU._publish_cir`` (monitor is None by engine
-        gating)."""
-        out.append(ind + "cib[(%d, ctx.k + 1)] = (%s, R[%d])"
-                   % (dst, time_expr, dst))
+        gating), waking a context parked on the channel."""
+        out.append(ind + "_p = %s" % time_expr)
+        out.append(ind + "cib[(%d, ctx.k + 1)] = (_p, R[%d])" % (dst, dst))
         out.append(ind + "ev.cib_write += 1")
-
-    def _chain_op(self, out, ind, i):
-        """One chained single-cycle compute op at virtual cycle ``c``."""
-        self._raw_break(out, ind, i)
-        self._sem(out, ind, i)
-        out.append(ind + "counts[%d] += 1" % i)
-        out.append(ind + "_n += 1")
-        if self.dst[i] is not None:
-            out.append(ind + "ready[%d] = c + 1" % self.dst[i])
-        out.append(ind + "c += 1")
+        out.append(ind + "if cibw:")
+        out.append(ind + " wake_cib(%d, ctx.k + 1, _p)" % dst)
 
     def _cond_expr(self, i):
+        """Slot *i*'s branch condition.  Register values are canonical
+        unsigned, so a signed compare flips their sign bits instead of
+        calling ``s32``."""
         ins = self.body[i]
-        A = "R[%d]" % ins.rs1
-        B = "R[%d]" % ins.rs2
-        if ins.op.fmt == Fmt.XLOOP:
-            return "s32(%s) < s32(%s)" % (A, B)
-        return _BR_EXPR[ins.op.mnemonic].format(A=A, B=B)
+        m = "blt" if ins.op.fmt == Fmt.XLOOP else ins.op.mnemonic
+        if m in ("blt", "bge"):
+            a, b = ("2147483648" if r == 0 else "(R[%d] ^ 2147483648)" % r
+                    for r in (ins.rs1, ins.rs2))
+            return "%s %s %s" % (a, "<" if m == "blt" else ">=", b)
+        return _BR_EXPR[m].format(A="R[%d]" % ins.rs1,
+                                  B="R[%d]" % ins.rs2)
 
-    # -- chain planning / emission ----------------------------------------
+    # -- run-ahead: one run function per basic-block leader ----------------
 
-    def _chain_plan(self, j):
-        """Chainable successors of a compute op: ``(run, term)`` where
-        *run* is the straight-line fusable prefix starting at slot *j*
-        and *term* is a trailing fusable control op (or None when the
-        chain just runs out).  Returns None when no chain is possible."""
-        n = self.n
-        if not (0 <= j < n) or not self.fusable[j]:
-            return None
-        run = []
+    def _block(self, j):
+        """Slots of leader *j*'s run: lane-private ops up to a control
+        op (included), a stop op or the next leader (excluded)."""
+        ops = [j]
         k = j
-        while 0 <= k < n and self.fusable[k] and not self.branchy[k]:
-            run.append(k)
+        while not self.branchy[k]:
             k += 1
-        term = k if (0 <= k < n and self.fusable[k]
-                     and self.branchy[k]) else None
-        if not run and term is None:
-            return None
-        return run, term, k
+            if k >= self.n or not self.private[k] or k in self.leaders:
+                break
+            ops.append(k)
+        return ops
 
-    def _emit_term_branch(self, out, ind, term):
-        """A conditional that ends a (non-loop) chain segment."""
-        self._raw_break(out, ind, term)
-        out.append(ind + "counts[%d] += 1" % term)
-        out.append(ind + "_n += 1")
-        out.append(ind + "c += 1")
-        out.append(ind + "if %s:" % self._cond_expr(term))
-        out.append(ind + " _br += pen")
-        out.append(ind + " c += pen")
-        out.append(ind + " _i = %d" % self._target(term))
-        out.append(ind + "else:")
-        out.append(ind + " _i = %d" % (term + 1))
-        out.append(ind + "break")
+    def _emit_ops(self, out, ind, ops):
+        """One pass over *ops* at virtual cycles ``c``, ``c + 1``, ...
+        A register this pass wrote or already waited for is ready from
+        then on, so only the others are checked.  Returns the offset
+        of the cycle after the last op and the registers known ready
+        there."""
+        last = {}
+        for pos, s in enumerate(ops):
+            if self.dst[s] is not None:
+                last[self.dst[s]] = pos
+        known = set()
+        for off, s in enumerate(ops):
+            ins = self.body[s]
+            srcs = [r for r in self.nz_srcs[s] if r not in known]
+            self._raw_wait(out, ind, srcs, off)
+            known.update(srcs)
+            if not self.branchy[s]:
+                self._sem(out, ind, s)
+            else:
+                if ins.op.is_xbreak:
+                    out.append(ind + "ctx.exit_flag = True")
+                if ins.rd and ins.op.fmt == Fmt.JAL:
+                    out.append(ind + "R[%d] = %d"
+                               % (ins.rd, to_u32(ins.pc + 4)))
+            dst = self.dst[s]
+            if dst is not None:
+                known.add(dst)
+                if last[dst] == off:
+                    out.append(ind + "ready[%d] = c + %d" % (dst, off + 1))
+        return len(ops), known
 
-    def _emit_term_jump(self, out, ind, term):
-        """An unconditional control op ends the chain."""
-        ins = self.body[term]
-        self._raw_break(out, ind, term)
-        if ins.op.is_xbreak:
-            out.append(ind + "ctx.exit_flag = True")
-        if ins.op.fmt == Fmt.JALR:
-            out.append(ind + "_j = (R[%d] + %d) & 4294967294"
-                       % (ins.rs1, ins.imm))
-        if ins.rd:
-            out.append(ind + "R[%d] = %d" % (ins.rd,
-                                             to_u32(ins.pc + 4)))
-            out.append(ind + "ready[%d] = c + 1" % ins.rd)
-        out.append(ind + "counts[%d] += 1" % term)
-        out.append(ind + "_n += 1")
-        out.append(ind + "c += 1")
-        out.append(ind + "_br += pen")
-        out.append(ind + "c += pen")
-        if ins.op.fmt == Fmt.JALR:
-            out.append(ind + "_i = (_j - %d) >> 2" % self.base)
+    def _emit_charge(self, out, ind, ops, passes, taken):
+        """Charge *passes* passes over *ops* (expressions), *taken* of
+        them ending in a taken back-branch."""
+        for s in ops:
+            out.append(ind + "counts[%d] += %s" % (s, passes))
+        if passes == "1":
+            n = "%d" % len(ops)
         else:
-            out.append(ind + "_i = %d" % self._target(term))
-        out.append(ind + "break")
+            out.append(ind + "_n = %d * %s" % (len(ops), passes))
+            n = "_n"
+        out.append(ind + "st.busy += %s" % n)
+        out.append(ind + "ctx.attempt_instrs += %s" % n)
+        if taken:
+            out.append(ind + "st.stall_branch += pen * (%s)" % taken)
 
-    def _emit_loop_fn(self, out, term, ti):
-        """One shared compiled ``while`` per inner back-branch,
-        emitted once and called from every chain that reaches the loop
-        head.  Returns ``(c, next_i, _n, branch_stall)``; any RAW
-        break hands the stalling slot back to the dispatcher."""
-        out.append(" def _w%d(ctx, c, _n):" % term)
+    def _emit_exit(self, out, ind, s, known):
+        """Leave a run for slot *s*: chain on to its run when it is a
+        leader, else stop there (``~s``), first taking its RAW wait
+        when it reads no CIR."""
+        if 0 <= s < self.n and self.private[s]:
+            out.append(ind + "return c, %d" % s)
+            return
+        if 0 <= s < self.n and not self.cir_srcs[s]:
+            self._raw_wait(out, ind, [r for r in self.nz_srcs[s]
+                                      if r not in known], 0)
+        out.append(ind + "return c, %d" % ~s)
+
+    def _emit_run(self, out, j):
+        ops = self._block(j)
+        t = ops[-1]
+        fmt = self.body[t].op.fmt
+        cond = self.branchy[t] and fmt in (Fmt.BRANCH, Fmt.XLOOP)
+        out.append(" def _r%d(ctx, c):" % j)
         ind = "  "
         out.append(ind + "R = ctx.regs")
         out.append(ind + "ready = ctx.ready")
-        out.append(ind + "_br = 0")
-        out.append(ind + "while 1:")
-        i1 = ind + " "
-        out.append(i1 + "if _n > %d:" % _LPSU_CHAIN_CAP)
-        out.append(i1 + " return (c, %d, _n, _br)" % ti)
-        for s in range(ti, term):
-            for src in self.nz_srcs[s]:
-                out.append(i1 + "if ready[%d] > c:" % src)
-                out.append(i1 + " return (c, %d, _n, _br)" % s)
-            self._sem(out, i1, s)
-            out.append(i1 + "counts[%d] += 1" % s)
-            out.append(i1 + "_n += 1")
-            if self.dst[s] is not None:
-                out.append(i1 + "ready[%d] = c + 1" % self.dst[s])
-            out.append(i1 + "c += 1")
-        for src in self.nz_srcs[term]:
-            out.append(i1 + "if ready[%d] > c:" % src)
-            out.append(i1 + " return (c, %d, _n, _br)" % term)
-        out.append(i1 + "counts[%d] += 1" % term)
-        out.append(i1 + "_n += 1")
-        out.append(i1 + "c += 1")
-        out.append(i1 + "if %s:" % self._cond_expr(term))
-        out.append(i1 + " _br += pen")
-        out.append(i1 + " c += pen")
-        out.append(i1 + " continue")
-        out.append(i1 + "return (c, %d, _n, _br)" % (term + 1))
-
-    def _emit_chain(self, out, ind, plan):
-        """Superblock chain over *plan*.  All exits assign ``_i`` (the
-        next pc index) and leave ``c`` at the context's next ready
-        cycle — exactly the interpreted batch loop's contract.
-        Straight-line emission is capped at ``_LPSU_PREFIX_CAP`` ops;
-        a truncated chain simply re-enters through the next slot's own
-        chain, which is schedule-identical."""
-        run, term, k = plan
-        out.append(ind + "while 1:")
-        i1 = ind + " "
-        cap = _LPSU_PREFIX_CAP
-        loop_ti = self.loop_terms.get(term) if term is not None else None
-        j = run[0] if run else term
-        if loop_ti is not None and loop_ti > j:
-            # entering above the loop head: straight-line down to it
-            prefix = run[:loop_ti - j]
-            if len(prefix) > cap:
-                prefix, term = prefix[:cap], None
-                k = prefix[-1] + 1
-                loop_ti = None
-            else:
-                for s in prefix:
-                    self._chain_op(out, i1, s)
-                out.append(i1 + "c, _i, _n, _b = _w%d(ctx, c, _n)"
-                           % term)
-                out.append(i1 + "_br += _b")
-                out.append(i1 + "break")
-                return
-            for s in prefix:
-                self._chain_op(out, i1, s)
-            out.append(i1 + "_i = %d" % k)
-            out.append(i1 + "break")
-            return
-        if len(run) > cap:
-            for s in run[:cap]:
-                self._chain_op(out, i1, s)
-            out.append(i1 + "_i = %d" % (run[cap - 1] + 1))
-            out.append(i1 + "break")
-            return
-        for s in run:
-            self._chain_op(out, i1, s)
-        if term is None:
-            out.append(i1 + "_i = %d" % k)
-            out.append(i1 + "break")
-            return
-        if loop_ti is not None:
-            # entering mid-loop (or at the back-branch): finish this
-            # pass once, then fall into the shared steady loop
-            self._raw_break(out, i1, term)
-            out.append(i1 + "counts[%d] += 1" % term)
-            out.append(i1 + "_n += 1")
-            out.append(i1 + "c += 1")
-            out.append(i1 + "if not (%s):" % self._cond_expr(term))
-            out.append(i1 + " _i = %d" % (term + 1))
+        if cond and self._target(t) == j:
+            # an inner loop: a compiled while over the whole block
+            out.append(ind + "_k = 0")
+            out.append(ind + "while 1:")
+            i1 = ind + " "
+            off, known = self._emit_ops(out, i1, ops)
+            out.append(i1 + "_k += 1")
+            out.append(i1 + "if not (%s):" % self._cond_expr(t))
             out.append(i1 + " break")
-            out.append(i1 + "_br += pen")
-            out.append(i1 + "c += pen")
-            out.append(i1 + "c, _i, _n, _b = _w%d(ctx, c, _n)" % term)
-            out.append(i1 + "_br += _b")
-            out.append(i1 + "break")
+            out.append(i1 + "c += %d + pen" % off)
+            out.append(i1 + "if _k >= %d:" % _LPSU_RUN_CAP)
+            self._emit_charge(out, i1 + " ", ops, "_k", "_k")
+            out.append(i1 + " return c, %d" % j)
+            out.append(ind + "c += %d" % off)
+            self._emit_charge(out, ind, ops, "_k", "_k - 1")
+            self._emit_exit(out, ind, t + 1, known)
             return
-        ins = self.body[term]
-        if ins.op.fmt not in (Fmt.BRANCH, Fmt.XLOOP):
-            self._emit_term_jump(out, i1, term)
-            return
-        self._emit_term_branch(out, i1, term)
+        off, known = self._emit_ops(out, ind, ops)
+        self._emit_charge(out, ind, ops, "1", None)
+        if cond:
+            out.append(ind + "if %s:" % self._cond_expr(t))
+            out.append(ind + " st.stall_branch += pen")
+            out.append(ind + " c += %d + pen" % off)
+            self._emit_exit(out, ind + " ", self._target(t), known)
+            out.append(ind + "c += %d" % off)
+            self._emit_exit(out, ind, t + 1, known)
+        elif self.branchy[t]:
+            out.append(ind + "st.stall_branch += pen")
+            out.append(ind + "c += %d + pen" % off)
+            self._emit_exit(out, ind, self._target(t), known)
+        else:
+            out.append(ind + "c += %d" % off)
+            self._emit_exit(out, ind, t + 1, known)
+
+    def _emit_tail(self, out, ind, s, when, ahead=True):
+        """Hand the context slot *s* at cycle *when* after the op it
+        issued at ``cycle``, running ahead from there if it may."""
+        if ahead and 0 <= s < self.n:
+            if s in self.leaders:
+                out.append(ind + "if %s:" % self.ahead_ok)
+                out.append(ind + " c, ctx.pc_index = ahead(ctx, %s, %d)"
+                           % (when, s))
+                out.append(ind + " ctx.ready_at = c")
+                out.append(ind + " return True")
+            elif (not self.private[s] and not self.cir_srcs[s]
+                    and self.nz_srcs[s]):
+                out.append(ind + "if %s:" % self.ahead_ok)
+                out.append(ind + " c = %s" % when)
+                self._raw_wait(out, ind + " ", self.nz_srcs[s], 0)
+                out.append(ind + " ctx.pc_index = %d" % s)
+                out.append(ind + " ctx.ready_at = c")
+                out.append(ind + " return True")
+        out.append(ind + "ctx.pc_index = %d" % s)
+        out.append(ind + "ctx.ready_at = %s" % when)
+        out.append(ind + "return True")
 
     # -- per-slot issue functions -----------------------------------------
 
@@ -871,6 +875,15 @@ class _LPSUGen:
         op = ins.op
         fmt = op.fmt
         ind = "  "
+        ahead = True
+        if i in self.leaders:
+            # a run starts here: one that may run ahead takes it whole
+            out.append(ind + "if %s:" % self.ahead_ok)
+            out.append(ind + " c, ctx.pc_index = ahead(ctx, cycle, %d)"
+                       % i)
+            out.append(ind + " ctx.ready_at = c")
+            out.append(ind + " return True")
+            ahead = False
         self._emit_cirs(out, ind, i)
         self._raw_stall(out, ind, i)
         if self.kind[i] == 2:
@@ -879,7 +892,9 @@ class _LPSUGen:
             out.append(ind + " if lf[_u] <= cycle:")
             out.append(ind + "  break")
             out.append(ind + "else:")
-            self._emit_stall_one(out, ind + " ", "llfu")
+            # every unit busy: LPSU._stall_one re-polls or sleeps
+            out.append(ind + " stall_one(ctx, cycle, 'llfu')")
+            out.append(ind + " return True")
             out.append(ind + "lf[_u] = cycle + _o%d" % i)
 
         if fmt in (Fmt.BRANCH, Fmt.XLOOP):
@@ -888,12 +903,9 @@ class _LPSUGen:
             out.append(ind + "st.busy += 1")
             out.append(ind + "if %s:" % self._cond_expr(i))
             out.append(ind + " st.stall_branch += pen")
-            out.append(ind + " ctx.pc_index = %d" % self._target(i))
-            out.append(ind + " ctx.ready_at = cycle + pen1")
-            out.append(ind + "else:")
-            out.append(ind + " ctx.pc_index = %d" % (i + 1))
-            out.append(ind + " ctx.ready_at = cycle + 1")
-            out.append(ind + "return True")
+            self._emit_tail(out, ind + " ", self._target(i),
+                            "cycle + pen1", ahead)
+            self._emit_tail(out, ind, i + 1, "cycle + 1", ahead)
             return
         if fmt == Fmt.JAL or fmt == Fmt.JALR:
             if op.is_xbreak:
@@ -912,10 +924,11 @@ class _LPSUGen:
             if fmt == Fmt.JALR:
                 out.append(ind + "ctx.pc_index = (_j - %d) >> 2"
                            % self.base)
+                out.append(ind + "ctx.ready_at = cycle + pen1")
+                out.append(ind + "return True")
             else:
-                out.append(ind + "ctx.pc_index = %d" % self._target(i))
-            out.append(ind + "ctx.ready_at = cycle + pen1")
-            out.append(ind + "return True")
+                self._emit_tail(out, ind, self._target(i),
+                                "cycle + pen1", ahead)
             return
 
         # plain compute: semantics + scoreboard + CIR/bound bookkeeping
@@ -934,31 +947,9 @@ class _LPSUGen:
             out.append(ind + "_b = s32(R[%d])" % dst)
             out.append(ind + "if _b > L.bound:")
             out.append(ind + " L.bound = _b")
-
-        plan = self._chain_plan(i + 1) if self.kind[i] == 0 else None
-        if plan is None:
-            out.append(ind + "ctx.attempt_instrs += 1")
-            out.append(ind + "st.busy += 1")
-            out.append(ind + "ctx.pc_index = %d" % (i + 1))
-            out.append(ind + "ctx.ready_at = cycle + 1")
-            out.append(ind + "return True")
-            return
-        out.append(ind + "c = cycle + 1")
-        out.append(ind + "_n = 1")
-        out.append(ind + "_br = 0")
-        out.append(ind + "_i = %d" % (i + 1))
-        if self.needs_lsq:
-            # only the unsquashable oldest iteration may batch ahead
-            out.append(ind + "if fuse and ctx.k == L._commit_next:")
-        else:
-            out.append(ind + "if fuse:")
-        self._emit_chain(out, ind + " ", plan)
-        out.append(ind + "ctx.attempt_instrs += _n")
-        out.append(ind + "st.busy += _n")
-        out.append(ind + "st.stall_branch += _br")
-        out.append(ind + "ctx.pc_index = _i")
-        out.append(ind + "ctx.ready_at = c")
-        out.append(ind + "return True")
+        out.append(ind + "ctx.attempt_instrs += 1")
+        out.append(ind + "st.busy += 1")
+        self._emit_tail(out, ind, i + 1, "cycle + 1", ahead)
 
     def _emit_load_value(self, out, ind, mnemonic):
         """Inline ``Memory.load`` with a cached page lookup."""
@@ -1008,17 +999,19 @@ class _LPSUGen:
         else:
             out.append(ind + "mstore(_a, %d, _v)" % size)
 
-    def _emit_stall_one(self, out, ind, counter):
-        # inline ``_stall_one`` for the arbitration stalls: under
-        # engine gating trace/monitor/recording are all inactive, so
-        # only the retry wake-up and the stat counter remain
-        out.append(ind + "ctx.ready_at = cycle + 1")
-        out.append(ind + "st.stall_%s += 1" % counter)
+    def _emit_lsq_stall(self, out, ind):
+        # LSQ waits may park (LPSU._stall_one decides)
+        out.append(ind + "stall_one(ctx, cycle, 'lsq')")
         out.append(ind + "return True")
 
     def _emit_memport(self, out, ind):
+        # inline ``_stall_one`` for the memory-port stall: under
+        # engine gating trace/monitor/recording are all inactive, so
+        # only the retry wake-up and the stat counter remain
         out.append(ind + "if L._mem_grants >= mports:")
-        self._emit_stall_one(out, ind + " ", "memport")
+        out.append(ind + " ctx.ready_at = cycle + 1")
+        out.append(ind + " st.stall_memport += 1")
+        out.append(ind + " return True")
         out.append(ind + "L._mem_grants += 1")
 
     def _emit_mem(self, out, i):
@@ -1053,19 +1046,19 @@ class _LPSUGen:
             if nl and self.squash:
                 out.append(ind + "if _sp and len(ctx.load_words)"
                                  " >= lsql:")
-                self._emit_stall_one(out, ind + " ", "lsq")
+                self._emit_lsq_stall(out, ind + " ")
             if nl:
                 out.append(ind + "_f = None")
                 out.append(ind + "_fs = -1")
                 out.append(ind + "if _sp:")
                 out.append(ind + " _f = fwd(ctx, _a, %d)" % size)
                 out.append(ind + " if _f == 'overlap':")
-                self._emit_stall_one(out, ind + "  ", "lsq")
+                self._emit_lsq_stall(out, ind + "  ")
                 out.append(ind + " if _f is None and ilf:")
                 out.append(ind + "  _f, _fs = fwd_across("
                                  "ctx, _a, %d)" % size)
                 out.append(ind + "  if _f == 'overlap':")
-                self._emit_stall_one(out, ind + "   ", "lsq")
+                self._emit_lsq_stall(out, ind + "   ")
                 out.append(ind + "if _f is None:")
                 i1 = ind + " "
             else:
@@ -1102,7 +1095,7 @@ class _LPSUGen:
             if nl:
                 out.append(ind + "if _sp and len(ctx.store_buf)"
                                  " >= lsqs:")
-                self._emit_stall_one(out, ind + " ", "lsq")
+                self._emit_lsq_stall(out, ind + " ")
             self._emit_memport(out, ind)
             out.append(ind + "_x = cacc(_a, True)")
             out.append(ind + "ev.dc_access += 1")
@@ -1153,14 +1146,12 @@ class _LPSUGen:
                 self._emit_publish(out, ind, self.dst[i], result_time)
         out.append(ind + "counts[%d] += 1" % i)
         out.append(ind + "ctx.attempt_instrs += 1")
-        out.append(ind + "ctx.pc_index = %d" % (i + 1))
-        out.append(ind + "ctx.ready_at = cycle + 1")
         out.append(ind + "st.busy += 1")
         if self.dyn_bound and op.is_load and ins.rd == self.bound_reg:
             out.append(ind + "_b = s32(R[%d])" % ins.rd)
             out.append(ind + "if _b > L.bound:")
             out.append(ind + " L.bound = _b")
-        out.append(ind + "return True")
+        self._emit_tail(out, ind, i + 1, "cycle + 1")
 
     # -- assembly ----------------------------------------------------------
 
@@ -1178,6 +1169,9 @@ class _LPSUGen:
                    "counts = L._exec_counts",
                    "ev = L.events",
                    "cib = L._cib",
+                   "cibw = L._cib_waiters",
+                   "wake_cib = L._wake_cib",
+                   "park_cib = L._park_cib",
                    "stall_one = L._stall_one",
                    "end_iter = L._end_iteration",
                    "begin_iter = L._begin_iteration",
@@ -1192,7 +1186,8 @@ class _LPSUGen:
                    "lfu = range(len(lf))",
                    # the design point: configuration, GPP latencies
                    # and L1 hit latency, as the interpreted path reads
-                   # them (LPSU.run builds L._meta before make runs)
+                   # them (LPSU.run builds L._meta before make runs),
+                   # and the run's run-ahead and parking switches
                    "cfg = L.cfg",
                    "pen = cfg.branch_penalty",
                    "pen1 = pen + 1",
@@ -1203,14 +1198,26 @@ class _LPSUGen:
                    "hit = L.cache.config.hit_latency",
                    "amo_lat = L.lat.amo",
                    "fuse = L._fuse",
+                   "park = L._park",
                    "meta = L._meta"):
             out.append(" " + ln)
         for i in range(self.n):
             if self.kind[i] == 2:
                 out.append(" _l%d, _o%d = meta[%d][4], meta[%d][5]"
                            % (i, i, i, i))
-        for term, ti in sorted(self.loop_terms.items()):
-            self._emit_loop_fn(out, term, ti)
+        if self.leaders:
+            for j in sorted(self.leaders):
+                self._emit_run(out, j)
+            out.append(" RUNS = [%s]" % ", ".join(
+                "_r%d" % i if i in self.leaders else "None"
+                for i in range(self.n)))
+            out.append(" caps = range(%d)" % _LPSU_RUN_CAP)
+            out.append(" def ahead(ctx, c, i):")
+            out.append("  for _ in caps:")
+            out.append("   c, i = RUNS[i](ctx, c)")
+            out.append("   if i < 0:")
+            out.append("    return c, ~i")
+            out.append("  return c, i")
         for i in range(self.n):
             out.append(" def _s%d(ctx, cycle):" % i)
             out.append("  R = ctx.regs")

@@ -26,6 +26,21 @@ Functional execution is *real*: lanes run the same semantics as the
 golden model against the shared memory, so specialized execution
 produces (and tests verify) architecturally correct results, including
 squash-and-replay.
+
+The reference (``fast=False``, the ``interp`` backend) visits every
+context every cycle and re-polls every stall.  The fast path keeps that
+schedule bit for bit with less host work: the cycle loop jumps over
+cycles in which no context can act and stops visiting idle contexts
+once the iteration space is exhausted; a stalled context *parks* until
+the event that ends its stall -- the publish of the CIB channel it
+waits on, the commit token reaching its iteration (commit order, a full
+LSQ or an overlap with its own buffered stores), the earliest LLFU
+freeing -- and the polls it skips are charged to the stall's counter
+when it wakes, is squashed or is discarded; and the compiled engine
+(:mod:`repro.sim.fusion`) lets a context that cannot be squashed run
+ahead through its lane-private ops.  Parking stays off beside a
+schedule memo or a vector engine, which replay recorded per-cycle
+actions.
 """
 
 from __future__ import annotations
@@ -133,6 +148,8 @@ class _Context:
         self.k = -1
         self.pc_index = 0
         self.ready_at = 0
+        # the LPSUStats counter a parked wait is charged to, or None
+        # when the context is not parked (see LPSU._sleep)
         self.stall_kind = None
         self.iter_start = 0
         self.attempt_instrs = 0
@@ -147,7 +164,7 @@ class _Context:
         self.committing = False
         self.active = False
         self.exit_flag = False
-        self.sleep_from = 0   # cycle a commit-parked context went idle
+        self.sleep_from = 0   # first poll a parked context skipped
 
     @property
     def lsq_store_count(self):
@@ -251,7 +268,13 @@ class LPSU:
         # (another thread on the lane could claim the slot mid-run)
         self._fuse = self.fast and len(self.contexts) == self.cfg.lanes
         self._fusable = None       # built by run() alongside _meta
-        self._commit_waiters = {}  # k -> context parked on commit order
+        # parked contexts, by the event that ends their wait: the
+        # commit token reaching iteration k (commit and LSQ waits), and
+        # the publish of CIB channel (cir, k)
+        self._commit_waiters = {}
+        self._cib_waiters = {}
+        # which stalls park instead of re-polling; set by run()
+        self._park = self._park_lsq = self._park_llfu = False
         self._rec = None           # active schedule recording (or None)
         self._rec_sig = None
         self._rec_cycle0 = 0
@@ -391,6 +414,20 @@ class LPSU:
             if batched is not None:
                 cycle = batched
                 memo = None
+        # parking: a stalled context sleeps until the event that ends
+        # its stall instead of re-polling every cycle, its skipped
+        # polls charged when it wakes (or is squashed or discarded).
+        # Not on the interp reference, and not beside a schedule memo
+        # or a vector engine, which replay recorded per-cycle actions.
+        park = self.fast and memo is None and vec is None
+        self._park = park
+        # an LSQ wait ends at the commit token unless another lane's
+        # store buffer can forward into it
+        self._park_lsq = park and not cfg.inter_lane_forwarding
+        # an LLFU wait ends when the earliest unit frees, unless another
+        # context of the lane wants the issue slot or a squash cuts the
+        # wait short
+        self._park_llfu = park and self._fuse and not self.needs_lsq
         guard = 0
         contexts = self.contexts
         step = self._step
@@ -403,15 +440,17 @@ class LPSU:
         if (self._engine is not None and self.fast
                 and self.events is not None):
             engine_step = self._engine(self)
-        finished = self._finished
         # with one context per lane every lane_id is unique, so the
         # issue-slot dedupe can never fire; skip its bookkeeping
         multithreaded = len(contexts) > cfg.lanes
         fast = self.fast
         n_ctx = len(contexts)
         anchor_k = self._next_k   # next iteration count that starts an epoch
+        # the iteration space is exhausted for good (a dynamic bound can
+        # still grow): idle contexts are no longer visited
+        exhausted = False
         while True:
-            if finished():
+            if not self._active_count and not self._more_iterations():
                 break
             if memo is not None:
                 rec = self._rec
@@ -433,19 +472,28 @@ class LPSU:
                         cycle += 1
                         guard += 1
                         continue
-                    if finished():
+                    if (not self._active_count
+                            and not self._more_iterations()):
                         break
             self._mem_grants = 0
             # issue order depends only on (active, k), which change
             # solely at iteration begin/retire/discard — re-sort only
             # after one of those happened
             if self._order_dirty:
-                self._order = sorted(contexts, key=_ctx_order)
+                order = sorted(contexts, key=_ctx_order)
+                if exhausted:
+                    order = [ctx for ctx in order if ctx.active]
+                self._order = order
                 self._order_dirty = False
             order = self._order
             s = (engine_step
                  if engine_step is not None and self._rec is None
                  else step)
+            # the earliest wake-up among active contexts after this
+            # cycle.  A context's step only ever wakes, squashes or
+            # discards younger iterations, which issue after it, so a
+            # context's wake-up is final once its turn has passed.
+            nxt = _FAR
             if multithreaded:
                 issued_lanes = set()
                 for ctx in order:
@@ -453,27 +501,41 @@ class LPSU:
                         continue
                     if s(ctx, cycle):
                         issued_lanes.add(ctx.lane_id)
+                for ctx in contexts:
+                    if ctx.active and ctx.ready_at < nxt:
+                        nxt = ctx.ready_at
             else:
                 for ctx in order:
-                    if ctx.active and ctx.ready_at > cycle:
-                        continue
+                    if ctx.active:
+                        at = ctx.ready_at
+                        if at > cycle:
+                            if at < nxt:
+                                nxt = at
+                            continue
                     s(ctx, cycle)
+                    if ctx.active and ctx.ready_at < nxt:
+                        nxt = ctx.ready_at
             cycle += 1
             guard += 1
-            if (fast and (self._active_count == n_ctx
-                          or not self._more_iterations())):
+            if not fast:
+                jump = False
+            elif exhausted or self._active_count == n_ctx:
+                jump = True
+            elif self._more_iterations():
+                jump = False   # an idle context begins one next cycle
+            else:
+                jump = True
+                if not self.dynamic_bound:
+                    exhausted = True
+                    self._order_dirty = True
+            if jump and cycle < nxt < _FAR:
                 # event-driven scheduling: no context can change state
                 # before the earliest wake-up, so jump straight to it
                 # (the skipped cycles touch no stat -- idle time
                 # derives from totals below).  Every context that was
                 # denied this cycle still has ready_at <= cycle, which
                 # keeps the jump a no-op whenever anything could issue.
-                nxt = _FAR
-                for ctx in contexts:
-                    if ctx.active and ctx.ready_at < nxt:
-                        nxt = ctx.ready_at
-                if cycle < nxt < _FAR:
-                    cycle = nxt
+                cycle = nxt
             if max_cycles is not None and cycle > max_cycles:
                 raise LivelockError(
                     "LPSU exceeded %d cycles (livelock?)" % max_cycles)
@@ -521,11 +583,6 @@ class LPSU:
     # per-cycle machinery
     # ------------------------------------------------------------------
 
-    def _finished(self):
-        if self._active_count:
-            return False
-        return not self._more_iterations()
-
     def _more_iterations(self):
         if self._exited_at is not None:
             return False
@@ -538,10 +595,8 @@ class LPSU:
         for other in self.contexts:
             if not other.active or other.k <= k:
                 continue
-            if self._commit_waiters:
-                w = self._commit_waiters.pop(other.k, None)
-                if w is not None:
-                    self.stats.stall_commit += cycle - w.sleep_from
+            if other.stall_kind is not None:
+                self._unpark(other, cycle)
             if self.monitor is not None:
                 self.monitor.on_discard(other.lane_id, other.k, cycle)
             self.stats.squashes += 1
@@ -729,6 +784,9 @@ class LPSU:
         for s in instr.src_regs():
             if s in d.cirs and s not in ctx.received_cirs:
                 chan = self._cib.get((s, ctx.k))
+                if chan is None and self._park:
+                    self._park_cib(ctx, cycle, s)
+                    return False
                 if chan is None or chan[0] > cycle:
                     self._stall(ctx, cycle,
                                 chan[0] if chan else cycle + 1, "cib")
@@ -752,6 +810,8 @@ class LPSU:
             self.monitor.on_cib_publish(ctx.lane_id, ctx.k, cir,
                                         ctx.regs[cir], avail_cycle,
                                         avail_cycle)
+        if self._cib_waiters:
+            self._wake_cib(cir, ctx.k + 1, avail_cycle)
 
     def _step_mem(self, ctx, instr, cycle):
         op = instr.op
@@ -963,6 +1023,9 @@ class LPSU:
                 # never touched this iteration: forward the incoming
                 # value (which must itself have arrived)
                 chan = self._cib.get((cir, ctx.k))
+                if chan is None and self._park:
+                    self._park_cib(ctx, cycle, cir)
+                    return False
                 if chan is None or chan[0] > cycle:
                     self._stall(ctx, cycle,
                                 chan[0] if chan else cycle + 1, "cib")
@@ -973,6 +1036,8 @@ class LPSU:
                 if self.monitor is not None:
                     self.monitor.on_cib_publish(ctx.lane_id, ctx.k, cir,
                                                 chan[1], cycle, cycle)
+                if self._cib_waiters:
+                    self._wake_cib(cir, ctx.k + 1, cycle)
         if self.needs_lsq:
             ctx.committing = True
             return self._advance_commit(ctx, cycle)
@@ -1026,10 +1091,8 @@ class LPSU:
             if self._commit_waiters:
                 w = self._commit_waiters.pop(self._commit_next, None)
                 if w is not None:
-                    # account the commit stalls the parked context
-                    # would have re-attempted every intervening cycle
-                    self.stats.stall_commit += cycle - w.sleep_from
-                    w.ready_at = cycle
+                    # the younger waiter is visited later this cycle
+                    self._wake(w, cycle)
         if ctx.exit_flag:
             # data-dependent exit: this (now architectural) iteration
             # terminates the loop; discard younger speculative work and
@@ -1068,10 +1131,8 @@ class LPSU:
                 self.events.lsq_search += 1
 
     def _squash(self, ctx, cycle):
-        if self._commit_waiters:
-            w = self._commit_waiters.pop(ctx.k, None)
-            if w is not None:
-                self.stats.stall_commit += cycle - w.sleep_from
+        if ctx.stall_kind is not None:
+            self._unpark(ctx, cycle)
         if self.monitor is not None:
             self.monitor.on_squash(ctx.lane_id, ctx.k, cycle,
                                    len(ctx.store_buf))
@@ -1167,22 +1228,77 @@ class LPSU:
             if self._rec is not None:
                 self._rec.append(("p", cycle, ctx.lane_id))
         elif kind == "llfu":
-            self.stats.stall_llfu += 1
+            if self._park_llfu:
+                # every unit stays busy until the earliest one frees,
+                # so each poll before then would stall too
+                free = min(self._llfu_free)
+                self.stats.stall_llfu += free - cycle
+                ctx.ready_at = free
+            else:
+                self.stats.stall_llfu += 1
             if self._rec is not None:
                 self._rec.append(("l", cycle, ctx.lane_id))
         elif kind == "lsq":
+            # a full LSQ or a partial overlap with the context's own
+            # buffered stores clears only once it commits
             self.stats.stall_lsq += 1
+            if self._park_lsq:
+                self._sleep(ctx, cycle, "stall_lsq", self._commit_waiters,
+                            ctx.k)
         elif kind == "commit":
             self.stats.stall_commit += 1
             if self.fast:
-                # park until the commit token reaches this iteration;
-                # the retire-time wake-up reproduces the slow path's
-                # once-per-cycle re-attempt accounting exactly
-                ctx.sleep_from = cycle + 1
-                ctx.ready_at = _FAR
-                self._commit_waiters[ctx.k] = ctx
+                self._sleep(ctx, cycle, "stall_commit",
+                            self._commit_waiters, ctx.k)
         if self.trace is not None:
             self.trace.mark(ctx, cycle, self._TRACE_CODES[kind])
+
+    # -- parking -------------------------------------------------------------
+
+    def _sleep(self, ctx, cycle, counter, table, key):
+        """Park *ctx* after the failed poll at *cycle* (already charged
+        to *counter*) until the event *key* of *table* wakes it.  The
+        polls it skips are charged to *counter* at :meth:`_wake`, which
+        reproduces the reference's once-per-cycle re-polling exactly."""
+        ctx.stall_kind = counter
+        ctx.sleep_from = cycle + 1
+        ctx.ready_at = _FAR
+        table[key] = ctx
+
+    def _wake(self, ctx, at):
+        """End *ctx*'s parked wait at cycle *at* (already out of its
+        table), charging the polls it skipped."""
+        st = self.stats
+        kind = ctx.stall_kind
+        setattr(st, kind, getattr(st, kind) + at - ctx.sleep_from)
+        ctx.stall_kind = None
+        ctx.ready_at = at
+
+    def _unpark(self, ctx, cycle):
+        """A parked *ctx* is squashed or discarded at *cycle*."""
+        if ctx.stall_kind == "stall_cib":
+            for cir in self.d.cirs:
+                if self._cib_waiters.get((cir, ctx.k)) is ctx:
+                    del self._cib_waiters[(cir, ctx.k)]
+        else:
+            del self._commit_waiters[ctx.k]
+        self._wake(ctx, cycle)
+
+    def _park_cib(self, ctx, cycle, cir):
+        """CIB channel ``(cir, ctx.k)`` is not published yet: sleep
+        until it is.  Its publisher, iteration ``k - 1``, issues before
+        this context in every cycle, so it has not published at *cycle*
+        and it wakes this context within the cycle it publishes."""
+        self.stats.stall_cib += 1
+        self._sleep(ctx, cycle, "stall_cib", self._cib_waiters,
+                    (cir, ctx.k))
+
+    def _wake_cib(self, cir, k, avail):
+        """Channel ``(cir, k)`` was published with value available at
+        *avail*, never before the publishing cycle."""
+        w = self._cib_waiters.pop((cir, k), None)
+        if w is not None:
+            self._wake(w, avail)
 
     def _llfu_acquire(self, cycle, occupy):
         for i, free in enumerate(self._llfu_free):

@@ -51,6 +51,25 @@ OR_UPDATES = (
     "acc = acc + a[i]; acc = acc & 65535;",
 )
 
+#: ordered-body updates carrying two or three CIRs (``acc``, ``aux``,
+#: ``lo``).  Each reads every CIR it writes before writing it in linear
+#: program order, as the LMU's scan requires (else the compiler raises
+#: ``CIROrderError``), so the loop drives one CIB channel per CIR.
+OR_MULTI_UPDATES = (
+    # two independent accumulators
+    "acc = acc + a[i]; aux = aux ^ (a[i] * 5);",
+    # a conditional CIR write (a running maximum) feeding another CIR
+    "if (a[i] > aux) { aux = a[i]; } acc = acc + aux;",
+    # each CIR written on one side of a branch only: the other passes
+    # through at the end of the iteration
+    "if ((a[i] & 1) == 0) { acc = acc + a[i]; } "
+    "else { aux = aux - a[i]; }",
+    # one CIR copied from another: a lagged pair
+    "int t = aux; aux = acc; acc = acc + a[i] - t;",
+    # three CIRs, each copied from or fed by the next
+    "lo = lo + aux; aux = acc; acc = (acc * 3) + a[i];",
+)
+
 
 class RandomChooser:
     """Chooser over a ``random.Random`` (seed-reproducible draws)."""
@@ -133,6 +152,23 @@ int k(int* a, int* b, int n, int init) {
         b[i] = acc;
     }
     return acc;
+}""" % update
+
+
+def or_multi_source(update):
+    """An ordered loop over :data:`OR_MULTI_UPDATES`: every CIR reaches
+    memory and the return value."""
+    return """
+int k(int* a, int* b, int n, int init) {
+    int acc = init;
+    int aux = init + 3;
+    int lo = 0;
+    #pragma xloops ordered
+    for (int i = 0; i < n; i++) {
+        %s
+        b[i] = acc + aux - lo;
+    }
+    return (acc ^ aux) + lo;
 }""" % update
 
 
@@ -223,6 +259,16 @@ def gen_or_case(ch, tag=""):
         out_regions=[(B, N)], compare_return=True)
 
 
+def gen_or_multi_case(ch, tag=""):
+    init = ch.integers(-10, 10)
+    return GenCase(
+        name="or%s" % tag,
+        source=or_multi_source(ch.sampled_from(OR_MULTI_UPDATES)),
+        entry="k", args=[A, B, N, init & 0xFFFFFFFF],
+        init_words=[(A, _data(ch, -50, 50))],
+        out_regions=[(B, N)], compare_return=True)
+
+
 def gen_om_case(ch, tag=""):
     stride = ch.integers(1, 5)
     scale = ch.integers(1, 3)
@@ -250,7 +296,12 @@ def gen_ua_case(ch, tag=""):
         out_regions=[(B, 16)])
 
 
-_CASE_GENS = (gen_uc_case, gen_or_case, gen_om_case, gen_de_case,
+#: draw order: every round of five draws each pattern family once, and
+#: the ordered family alternates between the multi-CIR updates (first,
+#: so ``--gen 5`` always draws one) and the single-CIR ones
+_CASE_GENS = (gen_uc_case, gen_or_multi_case, gen_om_case, gen_de_case,
+              gen_ua_case,
+              gen_uc_case, gen_or_case, gen_om_case, gen_de_case,
               gen_ua_case)
 
 

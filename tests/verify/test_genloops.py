@@ -6,8 +6,17 @@ import pytest
 
 from repro.lang import compile_source
 from repro.sim import Memory
-from repro.verify.genloops import (GenCase, RandomChooser, gen_expr,
-                                   gen_uc_body, random_cases)
+from repro.uarch.descriptor import scan_loop
+from repro.verify import check_case
+from repro.verify.genloops import (OR_MULTI_UPDATES, A, B, GenCase, N,
+                                   RandomChooser, gen_expr, gen_uc_body,
+                                   or_multi_source, random_cases)
+
+
+def _scanned_cirs(source):
+    program = compile_source(source).program
+    xloop = next(ins for ins in program.instrs if ins.op.is_xloop)
+    return scan_loop(program, xloop, [0] * 32).cirs
 
 
 class TestRandomChooser:
@@ -44,6 +53,33 @@ class TestGeneratorCore:
         b = random_cases(seed=5, count=6)
         assert [c.source for c in a] == [c.source for c in b]
         assert [c.init_words for c in a] == [c.init_words for c in b]
+
+
+class TestMultiCIRTemplates:
+    @pytest.mark.parametrize("update", OR_MULTI_UPDATES)
+    def test_compiles_with_every_cir_scanned(self, update):
+        # compile_source raises CIROrderError on a CIR the LMU's scan
+        # cannot see, and asserts the declared and scanned sets agree
+        source = or_multi_source(update)
+        assert compile_source(source).loop_kinds() == ("xloop.or",)
+        assert len(_scanned_cirs(source)) >= 2
+
+    @pytest.mark.parametrize("update", OR_MULTI_UPDATES)
+    def test_conforms(self, update):
+        data = [(-1) ** j * (3 * j % 17) for j in range(N)]
+        case = GenCase(name="or-multi", source=or_multi_source(update),
+                       entry="k", args=[A, B, N, 5],
+                       init_words=[(A, data)], out_regions=[(B, N)],
+                       compare_return=True)
+        res = check_case(case)
+        assert res.ok, res.detail
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_five_cases_draw_a_multi_cir_loop(self, seed):
+        # `verify --gen 5`, the blocking ladder step, covers them
+        assert any(len(_scanned_cirs(c.source)) >= 2
+                   for c in random_cases(seed=seed, count=5)
+                   if c.name.startswith("or"))
 
 
 class TestGenCase:
