@@ -57,8 +57,8 @@ Three sections, emitted as a stable-schema JSON report
 
 ``distributed``
     The same two-kernel sweep pushed through the distributed worker
-    pool: a ``--distributed`` server whose cache misses are leased to
-    external workers instead of simulated in-process, measured cold
+    pool: a server with no simulation slots (``--jobs 0``), so every
+    cache miss is leased to external workers, measured cold
     with one worker and again with four (fresh cache each), plus a
     warm resubmission against the running 4-worker deployment.  Two
     contracts: adding workers must actually buy wall time
@@ -360,7 +360,7 @@ def _distributed_section():
 
     def one_pool(n_workers, warm_too=False):
         clear_cache(keep_disk=False)        # fully cold: empty store
-        with ServerThread(distributed=True, lease_ttl=10.0) as server:
+        with ServerThread(jobs=0, lease_ttl=10.0) as server:
             workers = [WorkerThread(server.address, jobs=1,
                                     name="bench-%d" % i).start()
                        for i in range(n_workers)]

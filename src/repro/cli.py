@@ -11,10 +11,10 @@ table     regenerate one of the paper's tables/figures
 sweep     run an artifact's simulation points in parallel, cached
           (or route them through a sweep server with --server)
 serve     run the sweep-as-a-service result server: many clients,
-          shared cache, global in-flight dedup, hardened workers
-          (--distributed adds the durable work queue + lease table)
-worker    pull leased point batches from a --distributed server,
-          simulate them through the hardened engine, stream results
+          shared cache, one deduplicating work queue drained by its
+          own simulation slots and by any number of workers
+worker    pull leased point batches from a sweep server, simulate
+          them through the hardened engine, stream results back
 verify    traditional-vs-specialized differential conformance under
           the runtime invariant monitor
 prove     symbolic dependence prover: certify every kernel's xloop
@@ -209,8 +209,9 @@ def build_parser():
                    help="listen on TCP (default 127.0.0.1:%d when "
                         "--socket is not given)" % 7340)
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="max concurrent simulations (default: CPU "
-                        "count); cache-served points are unbounded")
+                   help="local simulation slots (default: CPU count; "
+                        "0: none, misses wait for 'repro worker' "
+                        "processes); cache hits are unbounded")
     p.add_argument("--timeout", type=float, default=0.0, metavar="SEC",
                    help="per-point wall-clock bound for simulations "
                         "(default: unbounded)")
@@ -225,26 +226,22 @@ def build_parser():
                         "(default: run forever)")
     p.add_argument("--stop", metavar="ADDR",
                    help="ask the server at ADDR to shut down "
-                        "gracefully (a distributed server drains its "
-                        "queue and sends workers a drain frame "
-                        "first), then exit")
+                        "gracefully (it drains its work queue and "
+                        "sends workers a drain frame first), then "
+                        "exit")
     p.add_argument("--status", metavar="ADDR",
                    help="one-shot ping of the server at ADDR: print "
                         "live counters (served/simulated/inflight/"
                         "forked and live simulation workers/queued/"
-                        "distributed workers/leases) and exit")
+                        "remote workers/leases) and exit")
     p.add_argument("--json", action="store_true",
                    help="with --status: print the raw stats payload "
                         "as JSON")
-    p.add_argument("--distributed", action="store_true",
-                   help="serve cache misses from a durable work "
-                        "queue pulled by 'repro worker' processes "
-                        "instead of simulating locally")
     p.add_argument("--journal", metavar="FILE",
-                   help="append-only fsync'd queue journal; a "
+                   help="append-only fsync'd work-queue journal; a "
                         "restarted server replays it and resumes the "
                         "campaign without re-simulating completed "
-                        "points (implies --distributed)")
+                        "points")
     p.add_argument("--lease-ttl", type=float, default=30.0,
                    metavar="SEC",
                    help="seconds a worker lease survives without a "
@@ -268,9 +265,9 @@ def build_parser():
 
     p = sub.add_parser("worker",
                        help="distributed sweep worker: pull leased "
-                            "batches from a --distributed server, "
-                            "simulate through the hardened engine, "
-                            "stream results back")
+                            "batches from a sweep server, simulate "
+                            "through the hardened engine, stream "
+                            "results back")
     p.add_argument("--connect", required=True, metavar="ADDR",
                    help="server address (unix socket path, unix:PATH, "
                         "or host:port)")
@@ -664,8 +661,8 @@ def cmd_serve(args):
         return _serve_status(args.status, as_json=args.json)
     if args.stop:
         try:
-            # a draining distributed server replies only once its
-            # queue is empty; wait at least the drain window
+            # a draining server replies only once its queue is
+            # empty; wait at least the drain window
             with ServeClient(args.stop,
                              timeout=args.drain_timeout + 15.0) \
                     as client:
@@ -704,8 +701,6 @@ def cmd_serve(args):
     server = SweepServer(jobs=args.jobs, timeout=args.timeout,
                          retries=args.retries,
                          idle_exit=args.idle_exit,
-                         distributed=args.distributed
-                         or bool(args.journal),
                          journal=args.journal,
                          lease_ttl=args.lease_ttl,
                          requeue_budget=args.requeue_budget,
@@ -722,14 +717,14 @@ def cmd_serve(args):
           % (c["points"], c["connections"], c["served_cache"],
              c["served_inflight"], c["simulated"], c["failed"],
              server.workers.spawned))
-    if server.queue is not None:
-        q = server.queue.counters
-        print("queue: %d enqueued, %d completed, %d requeued, "
-              "%d duplicate(s) discarded, %d expired lease(s), "
-              "%d worker loss(es), %d budget-exhausted"
-              % (q["enqueued"], q["completed"], q["requeued"],
-                 q["duplicates"], q["expired_leases"],
-                 q["worker_losses"], q["exhausted"]))
+    q = server.queue.counters
+    print("queue: %d enqueued, %d completed, %d requeued, "
+          "%d duplicate(s) discarded, %d expired lease(s), "
+          "%d worker loss(es), %d budget-exhausted, "
+          "%d journal error(s)"
+          % (q["enqueued"], q["completed"], q["requeued"],
+             q["duplicates"], q["expired_leases"],
+             q["worker_losses"], q["exhausted"], q["journal_errors"]))
     return 0
 
 
@@ -751,10 +746,9 @@ def _serve_status(address, as_json=False):
     c = stats.get("counters", {})
     q = stats.get("queue") or {}
     qc = q.get("counters", {})
-    print("server %s (protocol %s, jobs %s%s)"
+    print("server %s (protocol %s, jobs %s)"
           % (stats.get("version", "?"), stats.get("protocol", "?"),
-             stats.get("jobs", "?"),
-             ", distributed" if stats.get("distributed") else ""))
+             stats.get("jobs", "?")))
     print("  points: %d total -- %d cache-served, %d in-flight "
           "joins, %d simulated, %d failed"
           % (c.get("points", 0), c.get("served_cache", 0),
@@ -765,12 +759,13 @@ def _serve_status(address, as_json=False):
              c.get("submissions", 0)))
     print("  local workers: %d alive, %d forked so far"
           % (c.get("workers", 0), c.get("spawned", 0)))
-    if stats.get("distributed"):
-        print("  queue: %d queued, %d leased, %d worker(s); "
-              "%d completed, %d requeued, %d duplicate(s)"
-              % (q.get("queued", 0), q.get("leased", 0),
-                 q.get("workers", 0), qc.get("completed", 0),
-                 qc.get("requeued", 0), qc.get("duplicates", 0)))
+    print("  queue: %d queued, %d leased, %d worker(s); "
+          "%d completed, %d requeued, %d duplicate(s), "
+          "%d journal error(s)"
+          % (q.get("queued", 0), q.get("leased", 0),
+             q.get("workers", 0), qc.get("completed", 0),
+             qc.get("requeued", 0), qc.get("duplicates", 0),
+             qc.get("journal_errors", 0)))
     return 0
 
 

@@ -72,13 +72,14 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import stat
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from ..resilience.journal import Journal, pack_record, qkey_of, \
+    unpack_record
 from ..resilience.watchdog import DeadlineExceeded, deadline
 from ..sim import fusion
 from ..sim.backends import resolve_backend
@@ -120,6 +121,17 @@ class PointFailure:
     attempts: int
     kind: str        # classification of the *last* failure
     error: str
+
+    def line(self, qkey):
+        """This failure as a journal ``fail`` line."""
+        return dict(op="fail", qkey=qkey, **asdict(self))
+
+    @classmethod
+    def from_line(cls, rec):
+        """Inverse of :meth:`line`, tolerant of missing fields."""
+        return cls(str(rec.get("label", rec["qkey"])),
+                   int(rec.get("attempts", 0)),
+                   str(rec.get("kind", "error")), str(rec.get("error", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -170,77 +182,37 @@ def _apply_chaos(label, attempt):
 
 
 class SweepCheckpoint:
-    """Append-only on-disk record of a sweep in progress.
-
-    Maps point memo-keys to finished results (and quarantined points
-    to their failure records) so an interrupted sweep resumes where it
-    stopped.  Each completion appends one pickled
-    ``(kind, key, value)`` frame to a file opened once, so recording a
-    point costs the same however many came before it.  Loading reads
-    frames until EOF and drops only a torn or corrupt tail (a crash
-    mid-append), which the next append cuts off.  A checkpoint written
-    by older versions -- one pickled ``{"completed", "failed"}``
-    snapshot -- still loads, and an unreadable file is treated as
-    absent, never as an error.
-    """
+    """A resumable sweep's finished points in a
+    :class:`~repro.resilience.journal.Journal`, keyed on each point's
+    wire image (so named configurations only): a ``complete`` line
+    carries the result and wall time, a ``fail`` line the failure.
+    An unreadable line or file (a torn tail, the pickle frames of
+    older versions) is ignored, and a failed append dropped."""
 
     def __init__(self, path):
-        self.path = str(path)
-        self.completed = {}   # memo_key -> (result, wall)
-        self.failed = {}      # memo_key -> PointFailure
-        self._fh = None
-        self._good = self._load()   # bytes of readable frames
+        self.journal = Journal(path)
+        self.completed = {}   # qkey -> (result, wall)
+        self.failed = {}      # qkey -> PointFailure
+        for rec in self.journal.records():
+            try:
+                if rec.get("op") == "complete":
+                    self.completed[rec["qkey"]] = (
+                        unpack_record(rec["record"]), float(rec["wall"]))
+                elif rec.get("op") == "fail":
+                    self.failed[rec["qkey"]] = PointFailure.from_line(rec)
+            except Exception:  # noqa: BLE001 - a damaged record, whose
+                continue       # unpickling can raise almost anything
 
-    def _load(self):
-        """Apply every readable frame; returns the length of the file
-        prefix they span."""
-        tables = {"completed": self.completed, "failed": self.failed}
-        good = 0
-        try:
-            with open(self.path, "rb") as fh:
-                while True:
-                    frame = pickle.load(fh)
-                    if isinstance(frame, dict):   # older snapshot
-                        self.completed.update(frame.get("completed", {}))
-                        self.failed.update(frame.get("failed", {}))
-                    else:
-                        kind, key, value = frame
-                        tables[kind][key] = value
-                    good = fh.tell()
-        except Exception:  # noqa: BLE001 - no file, EOF, or a bad tail,
-            pass           # whose unpickling can raise almost anything
-        return good
+    def record_result(self, point, result, wall):
+        self.journal.append({"op": "complete",
+                             "qkey": qkey_of(point.to_wire()),
+                             "record": pack_record(result), "wall": wall})
 
-    def _append(self, frame):
-        """Append one frame, opening the file (and cutting off any
-        unreadable tail) on first use; checkpointing must never fail
-        the sweep."""
-        blob = pickle.dumps(frame, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            if self._fh is None:
-                self._fh = open(self.path, "ab")
-                self._fh.truncate(self._good)
-            self._fh.write(blob)
-            self._fh.flush()
-            self._good += len(blob)
-        except OSError:
-            self.close()   # reopened, and re-cut, by the next append
-
-    def record_result(self, key, result, wall):
-        self.completed[key] = (result, wall)
-        self._append(("completed", key, (result, wall)))
-
-    def record_failure(self, key, failure):
-        self.failed[key] = failure
-        self._append(("failed", key, failure))
+    def record_failure(self, point, failure):
+        self.journal.append(failure.line(qkey_of(point.to_wire())))
 
     def close(self):
-        fh, self._fh = self._fh, None
-        if fh is not None:
-            try:
-                fh.close()
-            except OSError:
-                pass
+        self.journal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +510,13 @@ def execute_points(points, jobs, policy, summary):
         else None
     pending = []
     for pt in points:
-        key = pt.memo_key()
-        if ckpt is not None and key in ckpt.completed:
+        # to_wire() refuses an ad-hoc configuration before any point runs
+        key = qkey_of(pt.to_wire()) if ckpt is not None else None
+        if key is not None and key in ckpt.completed:
             result, wall = ckpt.completed[key]
-            runner.seed_result(key, result)
+            runner.seed_result(pt.memo_key(), result)
             summary.outcomes.append(PointOutcome(pt, wall, False))
-        elif ckpt is not None and key in ckpt.failed:
+        elif key is not None and key in ckpt.failed:
             summary.failures.append(ckpt.failed[key])
         else:
             pending.append(pt)
@@ -599,14 +572,14 @@ def _run_serial(points, policy, summary, ckpt):
                 failure = PointFailure(label, attempt + 1, kind, error)
                 summary.failures.append(failure)
                 if ckpt is not None:
-                    ckpt.record_failure(key, failure)
+                    ckpt.record_failure(pt, failure)
                 break
             else:
                 runner.seed_result(key, result)
                 summary.outcomes.append(PointOutcome(
                     pt, wall, runner.simulations > before))
                 if ckpt is not None:
-                    ckpt.record_result(key, result, wall)
+                    ckpt.record_result(pt, result, wall)
                 break
 
 
@@ -626,7 +599,7 @@ def _run_parallel(points, jobs, policy, summary, ckpt, pool):
         failure = PointFailure(point.label(), attempts, kind, error)
         summary.failures.append(failure)
         if ckpt is not None:
-            ckpt.record_failure(point.memo_key(), failure)
+            ckpt.record_failure(point, failure)
 
     def fail(point, attempt, kind, error):
         if pool.closed:
@@ -647,7 +620,7 @@ def _run_parallel(points, jobs, policy, summary, ckpt, pool):
         summary.outcomes.append(PointOutcome(point, wall, simulated))
         summary.incidents.extend(incidents)
         if ckpt is not None:
-            ckpt.record_result(point.memo_key(), result, wall)
+            ckpt.record_result(point, result, wall)
 
     def retire(worker, grace=2.0):
         workers.remove(worker)

@@ -68,6 +68,37 @@ class SweepPoint:
         return "%s/%s/%s/%s/%s" % (self.kernel, cfg, self.mode,
                                    self.binary, self.scale)
 
+    def to_wire(self):
+        """The point as JSON: its identity across processes (served,
+        queued, checkpointed).  ``ValueError`` for an ad-hoc
+        SystemConfig, which has no content-stable name."""
+        if not isinstance(self.config, str):
+            raise ValueError(
+                "only named configurations can be submitted to a sweep "
+                "server or checkpointed (got %r)" % (self.config,))
+        return {"kernel": self.kernel, "config": self.config,
+                "mode": self.mode, "binary": self.binary,
+                "xi": bool(self.xi_enabled), "scale": self.scale,
+                "seed": int(self.seed),
+                "schedule_cirs": bool(self.schedule_cirs)}
+
+    @classmethod
+    def from_wire(cls, data):
+        """Inverse of :meth:`to_wire`; ``ValueError`` on a malformed
+        point."""
+        try:
+            return cls(
+                kernel=str(data["kernel"]), config=str(data["config"]),
+                mode=str(data.get("mode", "traditional")),
+                binary=str(data.get("binary", "xloops")),
+                xi_enabled=bool(data.get("xi", True)),
+                scale=str(data.get("scale", "small")),
+                seed=int(data.get("seed", 0)),
+                schedule_cirs=bool(data.get("schedule_cirs", False)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError("malformed wire point %r: %s"
+                             % (data, exc)) from None
+
 
 @dataclass
 class PointOutcome:

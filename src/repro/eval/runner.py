@@ -322,9 +322,9 @@ def store_result(kernel_name, config_name, result, mode="traditional",
     """Install *result* for this point in both the in-process memo and
     the disk cache -- the write-side twin of :func:`cached_result`.
 
-    The distributed sweep server calls this when a remote worker ships
-    a finished record back: the worker's own process already stored it
-    if it shares the cache directory, but the server must not *depend*
+    The sweep server calls this when a remote worker ships a finished
+    record back: the worker's own process already stored it if it
+    shares the cache directory, but the server must not *depend*
     on that (a worker may run cache-disabled or on another filesystem),
     so completion makes the result durable server-side before it is
     credited."""

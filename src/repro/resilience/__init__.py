@@ -12,7 +12,9 @@ Two halves, mirroring how real architecture groups qualify a design:
 * :mod:`repro.resilience.watchdog` -- wall-clock deadlines for the
   hardened evaluation runtime (:mod:`repro.eval.hardening`), and
   :mod:`repro.resilience.backoff` -- the bounded exponential retry
-  schedule the distributed serve tier reconnects with.
+  schedule the distributed serve tier reconnects with, and
+  :mod:`repro.resilience.journal` -- the journal that persists the
+  server's work queue and a resumable sweep alike.
 """
 
 from .backoff import Backoff, BackoffExhausted

@@ -3,8 +3,8 @@
 ``repro sweep --server ADDR`` swaps the in-process
 :class:`~repro.eval.parallel.SweepExecutor` for a
 :class:`ServeClient`: the point list goes over the wire, the server
-resolves every point (cache, in-flight join, hardened simulation, or
--- on a ``--distributed`` server -- a leased worker), and the
+resolves every point (cache, in-flight join, or its work queue: one
+of its own simulation slots or a leased ``repro worker``), and the
 streamed results land in the same :class:`SweepSummary` shape the
 executor produces -- downstream table/figure assembly cannot tell
 the difference, because each returned record is also seeded into the
@@ -98,8 +98,8 @@ class ServeClient:
         return self._roundtrip({"op": "stats"})
 
     def shutdown(self):
-        """Ask the server to exit (a distributed server drains its
-        queue first); tolerates it dying before replying."""
+        """Ask the server to exit (it drains its work queue first);
+        tolerates it dying before replying."""
         try:
             return self._roundtrip({"op": "shutdown"})
         except (protocol.ProtocolError, OSError):

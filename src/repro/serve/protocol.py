@@ -8,18 +8,19 @@ wire bit-identical -- rides inside it as base64-encoded pickle, the
 same serialization the parallel sweep executor ships results over
 worker pipes with.
 
-Trust model: pickles only ever cross between parties that chose each
-other.  A *client* unpickles records only from the server it connected
-to (the same trust as importing the package); a *server* unpickles
-records only from ``complete`` ops -- i.e. from workers the operator
-launched against it.  A submitting client cannot make the server
-unpickle anything: submissions are pure JSON.
+Trust model: any process that can connect may register as a worker,
+so the server decodes a ``complete`` record only from a worker
+registered over that connection, for a point it leased it, and
+:func:`~repro.resilience.journal.unpack_record` resolves only the
+result-record classes: no peer can make the server (or a client) run
+code.  A worker is still trusted for the numbers it reports, so
+listen on a unix socket or a loopback or private address only.
 
 Client -> server operations::
 
     {"op": "ping"}
     {"op": "stats"}
-    {"op": "shutdown"}              # distributed: drains first
+    {"op": "shutdown"}              # drains the work queue first
     {"op": "submit", "points": [<wire point>, ...]}
 
 Server -> client, per submission, streamed as points complete::
@@ -32,8 +33,9 @@ Server -> client, per submission, streamed as points complete::
     {"type": "done", "points": N, "simulated": N, "failed": N,
      "jobs": N}
 
-Worker -> server operations (protocol 2, ``--distributed`` servers;
-every op is answered by exactly one reply frame, so one socket can be
+Worker -> server operations (protocol 2; every server accepts them,
+and ``repro serve --jobs 0`` leaves its whole queue to them.  Every
+op is answered by exactly one reply frame, so one socket can be
 shared by a worker's main loop and its heartbeat thread under a
 lock)::
 
@@ -49,7 +51,8 @@ lock)::
         -> {"ok": bool}          # false: lease expired, keep going
     {"op": "complete", "worker_id": W, "qkey": ..., "wall": secs,
      "simulated": bool, "retries": N, "record": <base64 pickle>}
-        -> {"ok": true, "credited": bool}   # false: late duplicate
+        -> {"ok": true, "credited": bool}   # false: a late duplicate
+                                            # or not W's point
     {"op": "fail", "worker_id": W, "qkey": ..., "kind": ...,
      "error": ..., "attempts": N}
         -> {"ok": true, "credited": bool}
@@ -59,18 +62,20 @@ A *wire point* is the JSON image of a
 (an ad-hoc :class:`SystemConfig` has no name to send).
 
 Any op may instead be answered ``{"error": ...}`` -- an explicit
-server verdict (unknown op, unknown worker, not distributed), raised
-client-side as :class:`RemoteError` and never blindly retried.
+server verdict (unknown op, a worker not registered over this
+connection), raised client-side as :class:`RemoteError` and never
+blindly retried.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
 import json
 import os
-import pickle
 import struct
+
+# a record crosses the wire in the journal's encoding
+from ..resilience.journal import pack_record, unpack_record
 
 #: frame size bound; a sweep submission of 10^5 points is ~10 MB, a
 #: single KernelRun record a few hundred KB
@@ -176,51 +181,26 @@ def recv_frame(sock):
 
 
 # ---------------------------------------------------------------------------
-# payload packing
+# wire points
 # ---------------------------------------------------------------------------
 
 
-def pack_record(obj):
-    """A result record as a JSON-safe string (base64 pickle)."""
-    return base64.b64encode(
-        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
-
-
-def unpack_record(text):
-    """Inverse of :func:`pack_record` (client side only)."""
-    return pickle.loads(base64.b64decode(text.encode("ascii")))
-
-
 def point_to_wire(pt):
-    """A :class:`SweepPoint` as a JSON object.  Only named platform
-    configurations cross the wire: an ad-hoc SystemConfig lives in one
-    process's memory and has no content-stable name to send."""
-    if not isinstance(pt.config, str):
-        raise ProtocolError(
-            "only named configurations can be submitted to a sweep "
-            "server (got %r)" % (pt.config,))
-    return {"kernel": pt.kernel, "config": pt.config, "mode": pt.mode,
-            "binary": pt.binary, "xi": bool(pt.xi_enabled),
-            "scale": pt.scale, "seed": int(pt.seed),
-            "schedule_cirs": bool(pt.schedule_cirs)}
+    """:meth:`~repro.eval.parallel.SweepPoint.to_wire`, raising
+    :class:`ProtocolError` for an ad-hoc configuration."""
+    try:
+        return pt.to_wire()
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def point_from_wire(data):
-    """Inverse of :func:`point_to_wire`; raises ProtocolError on a
-    malformed point."""
+    """Inverse of :func:`point_to_wire`; ProtocolError if malformed."""
     from ..eval.parallel import SweepPoint
     try:
-        return SweepPoint(
-            kernel=str(data["kernel"]), config=str(data["config"]),
-            mode=str(data.get("mode", "traditional")),
-            binary=str(data.get("binary", "xloops")),
-            xi_enabled=bool(data.get("xi", True)),
-            scale=str(data.get("scale", "small")),
-            seed=int(data.get("seed", 0)),
-            schedule_cirs=bool(data.get("schedule_cirs", False)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError("malformed wire point %r: %s" % (data, exc))
+        return SweepPoint.from_wire(data)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def parse_address(text):

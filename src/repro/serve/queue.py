@@ -1,11 +1,11 @@
-"""Durable shared work queue + lease table of the distributed tier.
+"""The sweep server's work queue + lease table: every miss goes here.
 
-When a ``--distributed`` server misses the cache it does not simulate
-locally: the point is enqueued here, and ``repro worker`` processes
-pull *leased batches* over the wire, run them through the hardened
-engine, and stream completions back.  This module is the robustness
-core of that tier -- pure bookkeeping, no sockets, single-threaded
-(every call happens on the server's asyncio loop thread):
+The server's own slots :meth:`~WorkQueue.take` pending points, and
+``repro worker`` processes pull *leased batches* over the wire, run
+them through the hardened engine, and stream completions back.  This
+module is the robustness core -- pure bookkeeping, no sockets,
+single-threaded (every call happens on the server's asyncio loop
+thread):
 
 * **Leases carry deadlines.**  A worker that leases a batch must
   heartbeat before the deadline or the lease expires and every
@@ -17,30 +17,30 @@ core of that tier -- pure bookkeeping, no sockets, single-threaded
   deterministic and bit-identical, so any writer's answer is THE
   answer); but once one writer has completed a point, every later
   completion is discarded and counted in ``duplicates``.  A point is
-  therefore *never double-credited*.
+  therefore *never double-credited*.  The server reads a worker's
+  completion only for a point :meth:`~WorkQueue.leased_to` it.
 * **A bounded requeue budget** turns a repeat worker-killer into a
   structured :class:`~repro.eval.hardening.PointFailure` instead of
-  an infinite requeue loop.  Worker-*reported* failures (the hardened
-  engine already retried and quarantined the point worker-side) are
-  quarantined directly, exactly as a local sweep would.
-* **An append-only, fsync'd journal** (one JSON object per line)
-  records enqueue/complete/fail transitions.  On restart the queue
-  replays it and re-enqueues exactly the points that were pending --
-  completed work is never re-simulated, because the sharded disk
-  cache remains the durable *result* store and a resubmitted
-  completed point is cache-served.  A torn final line (crash mid
-  write) is ignored, never an error.
+  an infinite requeue loop.  Reported failures (the hardened engine
+  already retried and quarantined the point, in a slot or a worker)
+  are quarantined directly, exactly as a local sweep would.
+* **An append-only, fsync'd journal**
+  (:class:`~repro.resilience.journal.Journal`) records
+  enqueue/complete/fail transitions.  On restart the queue replays it
+  and re-enqueues exactly the points that were pending -- completed
+  work is never re-simulated, because the sharded disk cache remains
+  the durable *result* store and a resubmitted completed point is
+  cache-served.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from ..eval.hardening import PointFailure
+from ..resilience.journal import Journal, qkey_of
 
 #: default seconds a lease stays valid without a heartbeat
 DEFAULT_LEASE_TTL = 30.0
@@ -49,14 +49,8 @@ DEFAULT_LEASE_TTL = 30.0
 #: severed connection) before it is quarantined as a structured failure
 DEFAULT_REQUEUE_BUDGET = 5
 
-
-def qkey_of(wire):
-    """Canonical queue identity of a wire point: its sorted compact
-    JSON image.  Stable across processes and restarts (unlike the
-    in-process memo key, which is a Python tuple), faithful to it
-    one-to-one (every wire field feeds the memo key), and JSON-safe
-    for the journal."""
-    return json.dumps(wire, sort_keys=True, separators=(",", ":"))
+#: ``QueueEntry.lease_id`` of a point one of the server's own slots took
+TAKEN = -1
 
 
 def label_of(wire):
@@ -74,7 +68,7 @@ class QueueEntry:
     qkey: str
     wire: dict
     attempts: int = 0       # requeues consumed (NOT worker-side retries)
-    lease_id: int = 0       # 0 = pending, else the holding lease
+    lease_id: int = 0       # 0 = pending, TAKEN, else the holding lease
     last_error: str = ""    # why the last requeue happened
     #: asyncio.Future the server attaches for client waiters; the
     #: queue never touches it (journal-replayed entries have none)
@@ -82,6 +76,8 @@ class QueueEntry:
     #: PointFailure set when the entry quarantines (budget exhaustion
     #: or a worker-reported failure) -- the server resolves waiters
     failure: object = None
+    #: ids of the workers ever leased this point
+    holders: set = field(default_factory=set)
 
 
 @dataclass
@@ -106,72 +102,6 @@ class WorkerInfo:
     leases: set = field(default_factory=set)
 
 
-class QueueJournal:
-    """Append-only crash-safe record of queue transitions.
-
-    Each line is one JSON object: ``{"op": "enqueue", "qkey": ...,
-    "wire": {...}}``, ``{"op": "complete", "qkey": ...}``, or
-    ``{"op": "fail", "qkey": ..., "kind": ..., "error": ...,
-    "attempts": N}``.  Every append is flushed and fsync'd before the
-    corresponding state transition is acknowledged, so a crash leaves
-    at worst one torn final line -- which replay ignores.
-    """
-
-    def __init__(self, path):
-        self.path = str(path)
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        self._fh = open(self.path, "ab")
-
-    def append(self, rec):
-        self._fh.write(json.dumps(
-            rec, separators=(",", ":")).encode("utf-8") + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self):
-        try:
-            self._fh.close()
-        except OSError:
-            pass
-
-    @staticmethod
-    def replay(path):
-        """``(pending, completed, failed)`` reconstructed from the
-        journal at *path*: *pending* an ordered ``{qkey: wire}`` of
-        enqueued-but-unresolved points, *completed* a set of qkeys,
-        *failed* a ``{qkey: failure-record}``.  Garbage and torn lines
-        are skipped -- a journal is advice about what not to redo,
-        never a thing that can refuse to load."""
-        enqueued = {}
-        completed = set()
-        failed = {}
-        try:
-            with open(path, "rb") as fh:
-                lines = fh.read().splitlines()
-        except OSError:
-            return {}, set(), {}
-        for line in lines:
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue        # torn final line from a crash mid-append
-            if not isinstance(rec, dict):
-                continue
-            op, qkey = rec.get("op"), rec.get("qkey")
-            if not qkey:
-                continue
-            if op == "enqueue" and isinstance(rec.get("wire"), dict):
-                enqueued[qkey] = rec["wire"]
-            elif op == "complete":
-                completed.add(qkey)
-            elif op == "fail":
-                failed[qkey] = rec
-        pending = {k: w for k, w in enqueued.items()
-                   if k not in completed and k not in failed}
-        return pending, completed, failed
-
-
 class WorkQueue:
     """The server-side queue + lease table (see module docstring)."""
 
@@ -183,8 +113,8 @@ class WorkQueue:
         self._clock = clock
         self._next_worker = 0
         self._next_lease = 0
-        self.pending = deque()       # qkeys awaiting a lease
-        self.entries = {}            # qkey -> QueueEntry (pending|leased)
+        self.pending = deque()       # qkeys awaiting a slot or lease
+        self.entries = {}            # qkey -> QueueEntry (unresolved)
         self.completed = set()       # qkeys resolved ok (incl. replayed)
         self.failed = {}             # qkey -> PointFailure
         self.leases = {}             # lease_id -> Lease
@@ -192,11 +122,13 @@ class WorkQueue:
         self.counters = {
             "enqueued": 0, "completed": 0, "duplicates": 0,
             "requeued": 0, "expired_leases": 0, "worker_losses": 0,
-            "exhausted": 0, "replayed": 0, "worker_failures": 0}
+            "exhausted": 0, "replayed": 0, "worker_failures": 0,
+            "journal_errors": 0}
         self.journal = None
         if journal_path:
-            pending, done, failed = QueueJournal.replay(journal_path)
-            self.journal = QueueJournal(journal_path)
+            self.journal = Journal(journal_path)
+            pending, done, failed = self.journal.replay()
+            self.journal.open()     # an unwritable path fails here
             self.completed |= done
             for qkey, wire in pending.items():
                 self.entries[qkey] = QueueEntry(qkey=qkey, wire=wire)
@@ -206,11 +138,7 @@ class WorkQueue:
             # quarantine record, and a fresh submission after a restart
             # is a fresh enqueue (below) with a fresh budget
             for qkey, rec in failed.items():
-                self.failed[qkey] = PointFailure(
-                    label=rec.get("label", qkey),
-                    attempts=int(rec.get("attempts", 0)),
-                    kind=rec.get("kind", "error"),
-                    error=rec.get("error", ""))
+                self.failed[qkey] = PointFailure.from_line(rec)
 
     # -- client side (enqueue / join) -----------------------------------
 
@@ -231,17 +159,35 @@ class WorkQueue:
         self.entries[qkey] = entry
         self.pending.append(qkey)
         self.counters["enqueued"] += 1
-        if self.journal is not None:
-            self.journal.append({"op": "enqueue", "qkey": qkey,
-                                 "wire": entry.wire})
+        self._log({"op": "enqueue", "qkey": qkey, "wire": entry.wire})
         return entry, True
 
     @property
     def queued(self):
-        """Points awaiting a lease right now."""
+        """Points awaiting a slot or a lease right now."""
         return sum(1 for k in self.pending
                    if k in self.entries
                    and self.entries[k].lease_id == 0)
+
+    def _next_pending(self):
+        """Pop the oldest entry still pending, skipping qkeys resolved
+        or claimed again since they were queued; None when none is."""
+        while self.pending:
+            entry = self.entries.get(self.pending.popleft())
+            if entry is not None and not entry.lease_id:
+                return entry
+        return None
+
+    # -- server side (its own slots) ------------------------------------
+
+    def take(self):
+        """Claim the oldest pending entry (or None) for one of the
+        server's own slots: no lease, no deadline -- the slot's
+        watchdog bounds it -- and credited like a worker's."""
+        entry = self._next_pending()
+        if entry is not None:
+            entry.lease_id = TAKEN
+        return entry
 
     # -- worker side (register / lease / heartbeat / complete) ----------
 
@@ -263,11 +209,10 @@ class WorkQueue:
         if worker is None:
             return None
         batch = []
-        while self.pending and len(batch) < max(1, int(max_points)):
-            qkey = self.pending.popleft()
-            entry = self.entries.get(qkey)
-            if entry is None or entry.lease_id:
-                continue        # resolved or re-leased while queued
+        while len(batch) < max(1, int(max_points)):
+            entry = self._next_pending()
+            if entry is None:
+                break
             batch.append(entry)
         if not batch:
             return None
@@ -277,6 +222,7 @@ class WorkQueue:
                       deadline=self._clock() + self.lease_ttl)
         for entry in batch:
             entry.lease_id = lease.lease_id
+            entry.holders.add(worker_id)
         self.leases[lease.lease_id] = lease
         worker.leases.add(lease.lease_id)
         return lease
@@ -291,6 +237,12 @@ class WorkQueue:
         lease.deadline = self._clock() + self.lease_ttl
         return True
 
+    def leased_to(self, qkey, worker_id):
+        """*qkey* is unresolved and was leased to *worker_id* (its
+        lease may have expired since)."""
+        entry = self.entries.get(qkey)
+        return entry is not None and worker_id in entry.holders
+
     def complete(self, qkey):
         """First-writer-wins completion; ``(entry, credited)``.
 
@@ -304,13 +256,12 @@ class WorkQueue:
         self._unlink_lease(entry)
         self.completed.add(qkey)
         self.counters["completed"] += 1
-        if self.journal is not None:
-            self.journal.append({"op": "complete", "qkey": qkey})
+        self._log({"op": "complete", "qkey": qkey})
         return entry, True
 
     def fail(self, qkey, kind, error, attempts=0):
-        """Quarantine a point on a worker-reported failure (the
-        hardened engine worker-side already exhausted its per-point
+        """Quarantine a point on a reported failure (the hardened
+        engine, in a slot or a worker, already exhausted its per-point
         retries); ``(entry, failure)`` or ``(None, None)`` for a
         duplicate report."""
         entry = self.entries.pop(qkey, None)
@@ -402,20 +353,22 @@ class WorkQueue:
     def _record_failure(self, entry, failure):
         self.failed[entry.qkey] = failure
         entry.failure = failure     # for the server to resolve waiters
-        if self.journal is not None:
-            self.journal.append({
-                "op": "fail", "qkey": entry.qkey,
-                "label": failure.label, "kind": failure.kind,
-                "error": failure.error, "attempts": failure.attempts})
+        self._log(failure.line(entry.qkey))
+
+    def _log(self, rec):
+        """Journal *rec*, if journaling; a line that failed counts."""
+        if self.journal is not None and not self.journal.append(rec):
+            self.counters["journal_errors"] += 1
 
     # -- introspection ---------------------------------------------------
 
     @property
     def idle(self):
-        """Nothing pending, leased, or registered -- the condition an
-        ``--idle-exit`` server needs before it may exit (satellite
-        fix: an idle-exit server must never vanish beneath a worker
-        mid-lease or strand journal-replayed work)."""
+        """Nothing pending, taken, leased, or registered -- the
+        condition an ``--idle-exit`` server needs before it may exit:
+        it must never vanish beneath a point in flight or a worker, or
+        strand journal-replayed work.  Only remote workers register;
+        the server's own slots are not workers."""
         return not self.entries and not self.leases and not self.workers
 
     def stats_payload(self):

@@ -9,47 +9,37 @@ streams results back as they complete:
    the sharded disk store (:func:`repro.eval.runner.cached_result`);
    nothing is simulated.  This is the production path: the cache *is*
    the product, and a warm sweep is served entirely from here.
-2. **inflight** -- some other client (or an earlier point of the same
-   submission) is already simulating this exact point; the request
-   joins that computation's future instead of forking a duplicate.
-   One simulation fans out to every waiter.
-3. **sim** -- a true miss.  The point is scheduled on a bounded
-   thread pool; each slot runs :func:`repro.eval.hardening.execute_one`
-   on the server's :class:`~repro.eval.hardening.WorkerPool`, so the
-   point runs in a persistent forked worker, one point in flight per
-   worker, under the parallel sweep's wall-clock watchdog,
-   retry-with-backoff, and quarantine ladder.  The pool forks lazily
-   (no worker before the first miss), keeps at most one worker per
-   slot plus a fresh one per failed attempt, and keeps each worker
-   warm on the kernel of its last point.
-   A quarantined point becomes a structured failure frame for every
-   waiter; it never stalls other points or other clients.
+2. **inflight** -- the point is already in the work queue for another
+   waiter (another client, or an earlier point of the same
+   submission); the request joins that entry's future.  One
+   simulation fans out to every waiter.
+3. **sim** -- a true miss, enqueued on the server's one
+   :class:`~repro.serve.queue.WorkQueue`.  Its ``--jobs`` slots,
+   tasks on the event loop, take pending points (no lease, no TTL)
+   and run each with :func:`repro.eval.hardening.execute_one` on the
+   server's :class:`~repro.eval.hardening.WorkerPool` (persistent
+   forked workers, the ``--timeout`` watchdog, retry, quarantine).
+   ``repro worker`` processes lease points from the same queue over
+   the frame protocol, and a slot credits its point through the same
+   code as their ``complete``/``fail`` ops, first writer wins;
+   ``--jobs 0`` leaves every miss to them.  A quarantined point
+   becomes a structured failure frame for every waiter, and never
+   stalls other points or other clients.
 
-With ``--distributed`` the third tier changes: misses are *enqueued*
-on a durable :class:`~repro.serve.queue.WorkQueue` instead of
-simulated locally, and ``repro worker`` processes pull leased batches
-over the same frame protocol (ops ``register``/``lease``/
-``heartbeat``/``complete``/``fail``), simulate through the identical
-hardened engine, and stream records back.  The queue's lease
-bookkeeping makes the tier fault-tolerant -- missed heartbeats and
-dropped worker connections requeue points, completion is idempotent
-with first-writer-wins, an optional fsync'd journal survives server
-restarts -- while client-facing behaviour is unchanged: a waiter's
-future resolves when *some* worker completes the point, and the
-result lands in the same memo + disk cache tiers.
-
+``--journal`` makes the queue durable (:mod:`repro.resilience.journal`):
+a restarted server replays it and finishes the pending points.
 Results cross the wire as pickled records (see
 :mod:`repro.serve.protocol`), so a server-routed sweep is bit-identical
 to a direct ``runner.run`` -- the conformance tests assert it.
 
-Concurrency model: the asyncio loop owns all bookkeeping (in-flight
-table, counters, frame writes); simulations run on a thread pool whose
-threads merely block on the hardened engine's worker pipes, so the GIL
-is never contended by simulation work -- the simulating processes are
-forked children.  The server holds one worker pool for its lifetime:
-a ``shutdown`` op, :meth:`SweepServer.serve`'s exit and
-:meth:`ServerThread.stop` all return only after every worker has been
-joined, and a point still in flight then fails.
+Concurrency model: the asyncio loop owns all bookkeeping (the queue,
+counters, frame writes); a slot's simulation runs on a thread pool
+whose threads merely block on the hardened engine's worker pipes, so
+the GIL is never contended by simulation work.  The server holds one
+worker pool for its lifetime: a ``shutdown`` op,
+:meth:`SweepServer.serve`'s exit and :meth:`ServerThread.stop` all
+return only after every worker has been joined; a point still in
+flight then stays unresolved.
 """
 
 from __future__ import annotations
@@ -57,7 +47,6 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .. import __version__
@@ -74,25 +63,22 @@ DEFAULT_DRAIN_TIMEOUT = 30.0
 class SweepServer:
     """One result-serving process; see the module docstring.
 
-    Parameters mirror the sweep executor's hardening knobs: *jobs*
-    bounds concurrent simulations, *timeout*/*retries*/*backoff* are
-    per-point, *idle_exit* stops the server after that many seconds
-    with no client activity, nothing in flight, and -- the distributed
-    extension of "idle" -- no connected workers, no unexpired leases
-    and an empty queue (0 = run forever).
-
-    *distributed* switches the miss tier from local simulation to the
-    durable work queue (*journal* optionally persists it across
-    restarts; *lease_ttl*/*requeue_budget* are its robustness knobs;
-    *drain_timeout* bounds the graceful ``shutdown`` wait).
+    *jobs* is the number of simulation slots (None: the CPU count; 0:
+    none), *timeout*/*retries*/*backoff* the per-point hardening
+    knobs, *idle_exit* stops the server after that many seconds with
+    no client activity and an idle queue (0 = run forever).  *journal*
+    persists the queue across restarts, *lease_ttl*/*requeue_budget*
+    are its workers' robustness knobs, *drain_timeout* bounds the
+    graceful ``shutdown`` wait.
     """
 
     def __init__(self, jobs=None, timeout=0.0, retries=3, backoff=0.25,
-                 idle_exit=0.0, distributed=False, journal=None,
+                 idle_exit=0.0, journal=None,
                  lease_ttl=DEFAULT_LEASE_TTL,
                  requeue_budget=DEFAULT_REQUEUE_BUDGET,
                  drain_timeout=DEFAULT_DRAIN_TIMEOUT):
-        self.jobs = max(1, int(jobs) if jobs else (os.cpu_count() or 2))
+        self.jobs = (os.cpu_count() or 2) if jobs is None \
+            else max(0, int(jobs))
         self.policy = HardeningPolicy(
             timeout=float(timeout or 0.0), retries=max(1, int(retries)),
             backoff=max(0.0, float(backoff)))
@@ -102,17 +88,16 @@ class SweepServer:
             "connections": 0, "submissions": 0, "points": 0,
             "served_cache": 0, "served_inflight": 0, "simulated": 0,
             "failed": 0, "retried": 0}
-        #: the distributed work queue, or None in local mode
+        #: every miss, whoever simulates it
         self.queue = WorkQueue(journal_path=journal,
                                lease_ttl=lease_ttl,
-                               requeue_budget=requeue_budget) \
-            if distributed else None
-        #: the forked workers local misses simulate on, joined when
+                               requeue_budget=requeue_budget)
+        #: the forked workers the slots simulate on, joined when
         #: serve() ends
         self.workers = WorkerPool()
-        #: memo-key -> asyncio.Task computing that point right now
-        self._inflight = {}
-        self._sem = None
+        self._slots = []
+        #: set when a point becomes pending; idle slots wait on it
+        self._work = None
         self._threads = None
         self._stop_event = None
         self._active_connections = 0
@@ -141,10 +126,11 @@ class SweepServer:
         listening; *announce* a callable handed one human line.
         """
         loop = asyncio.get_running_loop()
-        self._sem = asyncio.Semaphore(self.jobs)
         self._stop_event = asyncio.Event()
+        self._work = asyncio.Event()
         self._threads = ThreadPoolExecutor(
-            max_workers=self.jobs, thread_name_prefix="repro-serve")
+            max_workers=max(1, self.jobs),
+            thread_name_prefix="repro-serve")
         self._last_activity = loop.time()
         if path:
             if os.path.exists(path):
@@ -159,18 +145,17 @@ class SweepServer:
             sock = server.sockets[0].getsockname()
             self.bound = "%s:%d" % (sock[0], sock[1])
         if announce:
-            announce("serving on %s (jobs=%d, cache=%s%s)"
+            announce("serving on %s (jobs=%d, cache=%s)"
                      % (self.bound, self.jobs,
                         diskcache.cache_dir()
-                        if diskcache.enabled() else "disabled",
-                        ", distributed" if self.queue is not None
-                        else ""))
+                        if diskcache.enabled() else "disabled"))
         if ready is not None:
             ready.set()
-        watchdog = (asyncio.ensure_future(self._idle_watchdog())
-                    if self.idle_exit else None)
-        reclaimer = (asyncio.ensure_future(self._reclaim_loop())
-                     if self.queue is not None else None)
+        self._slots = [asyncio.ensure_future(self._slot())
+                       for _ in range(self.jobs)]
+        tasks = [asyncio.ensure_future(self._reclaim_loop())]
+        if self.idle_exit:
+            tasks.append(asyncio.ensure_future(self._idle_watchdog()))
         try:
             async with server:
                 try:
@@ -181,16 +166,13 @@ class SweepServer:
                     # on them all, as a stopped server's clients see
                     # on older Pythons: idle ones would never end, and
                     # a submit waiting on a workerless queue neither.
-                    # A point still in flight fails now.
-                    self.workers.close()
+                    self._close_workers()
                     for writer in list(self._writers):
                         writer.close()
         finally:
-            for task in (watchdog, reclaimer):
-                if task is not None:
-                    task.cancel()
-            if self.queue is not None:
-                self.queue.close()
+            for task in tasks:
+                task.cancel()
+            self.queue.close()
             self._threads.shutdown(wait=False)
             if path and os.path.exists(path):
                 try:
@@ -198,17 +180,25 @@ class SweepServer:
                 except OSError:
                     pass
 
+    def _close_workers(self):
+        """Stop the slots, then join every worker.  Slots go first, so
+        the failure of a point whose worker is killed is not credited
+        or journaled: the point stays pending."""
+        for slot in self._slots:
+            slot.cancel()
+        self.workers.close()
+
     async def _idle_watchdog(self):
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(min(self.idle_exit, 5.0))
             idle = loop.time() - self._last_activity
-            # "idle" must include the distributed tier: an idle-exit
-            # server may not vanish beneath a connected worker, an
-            # unexpired lease, or journal-replayed pending work
-            if (idle >= self.idle_exit and not self._inflight
+            # an idle-exit server may not vanish beneath a point in
+            # flight, a connected worker, an unexpired lease, or
+            # journal-replayed pending work
+            if (idle >= self.idle_exit
                     and self._active_connections == 0
-                    and (self.queue is None or self.queue.idle)):
+                    and self.queue.idle):
                 self._stop_event.set()
                 return
 
@@ -219,7 +209,13 @@ class SweepServer:
         interval = min(max(self.queue.lease_ttl / 4.0, 0.02), 2.0)
         while True:
             await asyncio.sleep(interval)
-            self._fail_entries(self.queue.reclaim_expired())
+            self._requeued(self.queue.reclaim_expired())
+
+    def _requeued(self, exhausted):
+        """Broken leases requeued their points: wake the slots, and
+        fail the *exhausted* entries' waiters."""
+        self._work.set()
+        self._fail_entries(exhausted)
 
     def _fail_entries(self, entries):
         """Resolve the waiters of freshly-quarantined queue entries."""
@@ -254,8 +250,7 @@ class SweepServer:
                 if op == "ping":
                     await protocol.write_frame(writer, {
                         "ok": True, "version": __version__,
-                        "protocol": protocol.PROTOCOL_VERSION,
-                        "distributed": self.queue is not None})
+                        "protocol": protocol.PROTOCOL_VERSION})
                 elif op == "stats":
                     await protocol.write_frame(writer,
                                                self.stats_payload())
@@ -263,7 +258,7 @@ class SweepServer:
                     drained = await self._drain()
                     # reply only once no worker is left, so
                     # ``repro serve --stop`` returns after them
-                    self.workers.close()
+                    self._close_workers()
                     await protocol.write_frame(writer, {
                         "ok": True, "drained": drained})
                     self._stop_event.set()
@@ -278,15 +273,14 @@ class SweepServer:
                     await protocol.write_frame(writer, {
                         "error": "unknown op %r" % (op,)})
         except (ConnectionResetError, BrokenPipeError, OSError):
-            pass                # client went away; in-flight sims live on
+            pass                # client went away; queued work lives on
         finally:
             self._writers.discard(writer)
             self._active_connections -= 1
-            if self.queue is not None:
-                # a dropped worker connection requeues everything it
-                # held -- immediately, not after the lease TTL
-                for wid in workers_here:
-                    self._fail_entries(self.queue.release_worker(wid))
+            # a dropped worker connection requeues everything it
+            # held -- immediately, not after the lease TTL
+            for wid in workers_here:
+                self._requeued(self.queue.release_worker(wid))
             self._touch()
             try:
                 writer.close()
@@ -295,15 +289,63 @@ class SweepServer:
                     BrokenPipeError, OSError):
                 pass        # server tearing down under us is fine
 
-    # -- worker ops (the distributed tier) ---------------------------------
+    # -- the work queue's consumers -----------------------------------------
+
+    async def _slot(self):
+        """One local simulation slot: take a pending point, run it on
+        the worker pool under the hardened ladder, credit it."""
+        loop = asyncio.get_running_loop()
+        while True:
+            entry = self.queue.take()
+            if entry is None:
+                self._work.clear()
+                await self._work.wait()
+                continue
+            try:
+                pt = protocol.point_from_wire(entry.wire)
+            except protocol.ProtocolError as exc:
+                self._fail(entry.qkey, "protocol", str(exc), 1)
+                continue
+            outcome = await loop.run_in_executor(
+                self._threads, execute_one, pt, self.policy,
+                self.workers)
+            failure = outcome.failure
+            if failure is None:
+                self._complete(entry.qkey, outcome.result, outcome.wall,
+                               outcome.simulated, outcome.retries)
+            else:
+                self.counters["retried"] += outcome.retries
+                self._fail(entry.qkey, failure.kind, failure.error,
+                           failure.attempts)
+
+    def _complete(self, qkey, record, wall, simulated, retries):
+        """Credit one finished point, whoever ran it -- first writer
+        wins; True when credited.  One that did not simulate was
+        served by a cache a sibling process filled meanwhile."""
+        entry, credited = self.queue.complete(qkey)
+        if not credited:
+            # a late duplicate (a lease expired and the point re-ran
+            # elsewhere): discarded, counted, never double-credited
+            return False
+        self.counters["retried"] += retries
+        self.counters["simulated" if simulated else "served_cache"] += 1
+        if entry.future is not None and not entry.future.done():
+            entry.future.set_result((record, None, wall, simulated))
+        return True
+
+    def _fail(self, qkey, kind, error, attempts):
+        """Quarantine one point the hardened ladder (in a slot or a
+        worker) gave up on; True when credited."""
+        entry, _failure = self.queue.fail(qkey, kind, error, attempts)
+        if entry is None:
+            return False
+        self._fail_entries([entry])
+        return True
 
     def _worker_op(self, op, msg, workers_here):
         """Handle one register/lease/heartbeat/complete/fail op; the
         reply frame.  Synchronous on the loop thread -- the queue is
         pure bookkeeping."""
-        if self.queue is None:
-            return {"error": "server is not running in --distributed "
-                             "mode; no work queue to %s" % op}
         if op == "register":
             wid = self.queue.register_worker(
                 name=msg.get("name", ""), pid=msg.get("pid", 0),
@@ -335,70 +377,51 @@ class SweepServer:
                          "attempt": self.queue.entries[k].attempts}
                         for k in lease.qkeys
                         if k in self.queue.entries]}
+        # complete/fail: refused unread unless from a worker
+        # registered over this connection, for a point leased to it
+        wid = int(msg.get("worker_id", 0))
+        if wid not in workers_here:
+            return {"error": "unknown worker %d (re-register)" % wid}
+        qkey = msg.get("qkey", "")
+        if not self.queue.leased_to(qkey, wid):
+            self.queue.counters["duplicates"] += 1
+            return {"ok": True, "credited": False}
         if op == "complete":
-            return self._worker_complete(msg)
-        # op == "fail": the worker's hardened ladder already retried;
-        # quarantine, exactly as a local sweep would
-        entry, failure = self.queue.fail(
-            msg.get("qkey", ""), msg.get("kind", "error"),
-            msg.get("error", ""), msg.get("attempts", 0))
-        if entry is None:
-            return {"ok": True, "credited": False}
-        self.counters["failed"] += 1
-        if entry.future is not None and not entry.future.done():
-            entry.future.set_result((None, failure, 0.0, False))
-        return {"ok": True, "credited": True}
+            return self._worker_complete(qkey, msg)
+        # op == "fail": quarantine, exactly as a local sweep would
+        return {"ok": True, "credited": self._fail(
+            qkey, msg.get("kind", "error"), msg.get("error", ""),
+            msg.get("attempts", 0))}
 
-    def _worker_complete(self, msg):
-        """First-writer-wins completion of one leased point."""
+    def _worker_complete(self, qkey, msg):
+        """A worker's completion of a point it was leased: store its
+        record, then credit it."""
         try:
-            # trust model: the server unpickles records only from
-            # worker completions -- workers are processes the operator
-            # launched against this server, the same trust as the
-            # client places in the server (protocol.py documents it)
             record = protocol.unpack_record(msg.get("record", ""))
-        except Exception as exc:  # noqa: BLE001 - a bad record must not kill the server
-            return {"error": "undecodable record: %s: %s"
-                             % (type(exc).__name__, exc)}
-        entry, credited = self.queue.complete(msg.get("qkey", ""))
-        if not credited:
-            # a late duplicate (lease expired, the point re-ran
-            # elsewhere): discarded, counted, never double-credited
-            return {"ok": True, "credited": False}
-        wall = float(msg.get("wall", 0.0))
-        simulated = bool(msg.get("simulated", False))
-        self.counters["retried"] += int(msg.get("retries", 0))
-        try:
-            pt = protocol.point_from_wire(entry.wire)
+            pt = protocol.point_from_wire(self.queue.entries[qkey].wire)
             # make the record durable server-side (memo + disk cache)
             # before crediting it -- the worker may not share a cache
             runner.store_result(pt.kernel, pt.config, record,
                                 **pt.run_kwargs())
-        except Exception as exc:  # noqa: BLE001
-            return {"error": "unstorable completion: %s: %s"
+        except Exception as exc:  # noqa: BLE001 - a bad record must not kill the server
+            return {"error": "unusable completion: %s: %s"
                              % (type(exc).__name__, exc)}
-        if simulated:
-            self.counters["simulated"] += 1
-        else:
-            self.counters["served_cache"] += 1
-        if entry.future is not None and not entry.future.done():
-            entry.future.set_result((record, None, wall, simulated))
-        return {"ok": True, "credited": True}
+        return {"ok": True, "credited": self._complete(
+            qkey, record, float(msg.get("wall", 0.0)),
+            bool(msg.get("simulated", False)),
+            int(msg.get("retries", 0)))}
 
     async def _drain(self):
-        """Graceful wind-down: wait (bounded) for the queue and local
-        in-flight work to empty while workers pull the remainder; then
-        give polling workers a moment to receive their ``drain`` frame
-        and disconnect.  True when everything completed."""
-        if self.queue is None:
-            return True
+        """Graceful wind-down: wait (bounded) for the queue to empty
+        while the slots and workers finish the remainder; then give
+        polling workers a moment to receive their ``drain`` frame and
+        disconnect.  True when everything completed."""
         self._draining = True
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
-        while ((self.queue.entries or self._inflight)
-               and loop.time() < deadline):
+        while self.queue.entries and loop.time() < deadline:
             await asyncio.sleep(0.05)
-        drained = not self.queue.entries and not self._inflight
+        drained = not self.queue.entries
         grace = loop.time() + min(5.0, self.drain_timeout)
         while self.queue.workers and loop.time() < grace:
             await asyncio.sleep(0.05)
@@ -458,37 +481,18 @@ class SweepServer:
 
     async def _resolve(self, pt):
         """``(source, record, failure, wall, simulated)`` for one
-        point: cache probe, then join an in-flight computation, then
-        schedule a hardened simulation."""
+        point: cache probe, else enqueue it (joining the entry already
+        queued or in flight) and await its completion.  shield() keeps
+        the entry's future alive if *we* are cancelled (our client
+        hung up) -- the other waiters still want it."""
         cached = runner.cached_result(pt.kernel, pt.config,
                                       **pt.run_kwargs())
         if cached is not None:
             self.counters["served_cache"] += 1
             return ("cache", cached, None, 0.0, False)
-        if self.queue is not None:
-            return await self._resolve_queued(pt)
-        key = pt.memo_key()
-        task = self._inflight.get(key)
-        if task is not None:
-            # global dedup: join the computation another waiter
-            # started; shield() keeps it alive if *we* are cancelled
-            # (our client hung up) -- the other waiters still want it
-            record, failure, wall, _simulated = \
-                await asyncio.shield(task)
-            self.counters["served_inflight"] += 1
-            return ("inflight", record, failure, wall, False)
-        task = asyncio.ensure_future(self._compute(key, pt))
-        self._inflight[key] = task
-        record, failure, wall, simulated = await asyncio.shield(task)
-        return ("sim" if simulated else "cache", record, failure,
-                wall, simulated)
-
-    async def _resolve_queued(self, pt):
-        """Distributed miss tier: enqueue the point (joining any
-        identical one already queued or leased) and await a worker's
-        completion.  shield() for the same reason as the local tier:
-        our client hanging up must not abandon other waiters."""
-        entry, _created = self.queue.enqueue(protocol.point_to_wire(pt))
+        entry, created = self.queue.enqueue(protocol.point_to_wire(pt))
+        if created:
+            self._work.set()
         first_waiter = entry.future is None
         if first_waiter:
             entry.future = asyncio.get_running_loop().create_future()
@@ -500,70 +504,34 @@ class SweepServer:
         return ("sim" if simulated else "cache", record, failure,
                 wall, simulated)
 
-    async def _compute(self, key, pt):
-        """Run one miss on the bounded hardened pool; exactly one of
-        these exists per in-flight memo key."""
-        loop = asyncio.get_running_loop()
-        try:
-            async with self._sem:
-                outcome = await loop.run_in_executor(
-                    self._threads, execute_one, pt, self.policy,
-                    self.workers)
-        finally:
-            self._inflight.pop(key, None)
-        self.counters["retried"] += outcome.retries
-        if outcome.failure is not None:
-            self.counters["failed"] += 1
-        elif outcome.simulated:
-            self.counters["simulated"] += 1
-        else:
-            # a sibling process (another server, a CLI sweep) filled
-            # the shared disk cache while we queued
-            self.counters["served_cache"] += 1
-        return (outcome.result, outcome.failure, outcome.wall,
-                outcome.simulated)
-
     # -- introspection -----------------------------------------------------
 
     def stats_payload(self):
-        payload = {"ok": True, "version": __version__,
-                   "protocol": protocol.PROTOCOL_VERSION,
-                   "jobs": self.jobs, "inflight": len(self._inflight),
-                   "distributed": self.queue is not None,
-                   "counters": dict(self.counters,
-                                    spawned=self.workers.spawned,
-                                    workers=self.workers.live),
-                   "cache": {"process": dict(diskcache.stats),
-                             "hot": diskcache.hot_stats(),
-                             "disk": diskcache.disk_stats()}}
-        if self.queue is not None:
-            payload["queue"] = self.queue.stats_payload()
-            payload["inflight"] = len(self.queue.entries)
-        return payload
+        return {"ok": True, "version": __version__,
+                "protocol": protocol.PROTOCOL_VERSION,
+                "jobs": self.jobs, "inflight": len(self.queue.entries),
+                "counters": dict(self.counters,
+                                 spawned=self.workers.spawned,
+                                 workers=self.workers.live),
+                "cache": {"process": dict(diskcache.stats),
+                          "hot": diskcache.hot_stats(),
+                          "disk": diskcache.disk_stats()},
+                "queue": self.queue.stats_payload()}
 
 
 class ServerThread:
     """A :class:`SweepServer` on a background thread -- the harness
     tests, the speed bench, and interactive experiments drive a real
     client against a real socket without a second process.
+    *server_kwargs* go to :class:`SweepServer`.
 
     Prefers a unix socket under *socket_dir* (a fresh temp dir by
     default); hosts without ``AF_UNIX`` fall back to TCP on a free
     port.  Use as a context manager, or ``start()``/``stop()``.
     """
 
-    def __init__(self, jobs=2, timeout=0.0, retries=3, backoff=0.25,
-                 idle_exit=0.0, socket_dir=None, distributed=False,
-                 journal=None, lease_ttl=DEFAULT_LEASE_TTL,
-                 requeue_budget=DEFAULT_REQUEUE_BUDGET,
-                 drain_timeout=DEFAULT_DRAIN_TIMEOUT):
-        self.server = SweepServer(jobs=jobs, timeout=timeout,
-                                  retries=retries, backoff=backoff,
-                                  idle_exit=idle_exit,
-                                  distributed=distributed,
-                                  journal=journal, lease_ttl=lease_ttl,
-                                  requeue_budget=requeue_budget,
-                                  drain_timeout=drain_timeout)
+    def __init__(self, jobs=2, socket_dir=None, **server_kwargs):
+        self.server = SweepServer(jobs=jobs, **server_kwargs)
         self._socket_dir = socket_dir
         self._owns_dir = None
         self._thread = None
@@ -597,12 +565,7 @@ class ServerThread:
         self._thread.start()
         if not self._ready.wait(timeout=30):
             raise RuntimeError("sweep server failed to start")
-        # serve() sets bound before ready; give it one more instant if
-        # the scheduler interleaved oddly
-        deadline = time.time() + 5
-        while self.server.bound is None and time.time() < deadline:
-            time.sleep(0.01)
-        return self
+        return self     # serve() sets bound before ready
 
     def stop(self):
         """Stop the server and join its thread, which ends only after

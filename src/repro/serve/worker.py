@@ -1,9 +1,10 @@
 """The distributed sweep worker: pull leased batches, simulate, ship.
 
 ``repro worker --connect ADDR`` runs one :class:`SweepWorker` against
-a ``repro serve --distributed`` server.  The loop is deliberately
-simple -- everything hard lives server-side in the queue's lease
-bookkeeping:
+a ``repro serve``; it drains the server's work queue beside the
+server's own slots (``--jobs 0`` leaves the queue to workers alone).
+The loop is deliberately simple -- everything hard lives server-side
+in the queue's lease bookkeeping:
 
 1. connect and ``register`` (the server assigns a worker id and the
    lease TTL),

@@ -22,6 +22,7 @@ import pytest
 
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
+from repro.resilience.journal import Journal, qkey_of
 from repro.sim import fusion, turbo
 
 SCALE = "tiny"
@@ -533,8 +534,8 @@ class TestCheckpoint:
         assert summary.ok and summary.points == 1
 
     def test_torn_tail_is_dropped_and_cut(self, tmp_path):
-        """A crash mid-append leaves a torn last frame: resuming keeps
-        every whole frame, re-runs only the torn point, and appends
+        """A crash mid-append leaves a torn last line: resuming keeps
+        every whole line, re-runs only the torn point, and appends
         after the cut so the next load sees every point."""
         ckpt = tmp_path / "sweep.ckpt"
         sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
@@ -548,24 +549,18 @@ class TestCheckpoint:
         assert resumed.misses == 1
         reloaded = hardening.SweepCheckpoint(ckpt)
         assert set(reloaded.completed) == {
-            pt.memo_key() for pt in POINTS[:2]}
+            qkey_of(pt.to_wire()) for pt in POINTS[:2]}
+        _, completed, _ = Journal(ckpt).replay()
+        assert completed == set(reloaded.completed)
 
-    def test_snapshot_checkpoint_still_resumes(self, tmp_path):
-        """A checkpoint written whole, as one pickled snapshot, by
-        older versions resumes, and new frames append after it."""
-        first = sweep(POINTS[:1], jobs=1)
-        key = POINTS[0].memo_key()
-        ckpt = tmp_path / "sweep.ckpt"
-        ckpt.write_bytes(pickle.dumps({
-            "completed": {key: (runner._RESULTS[key],
-                                first.outcomes[0].wall_time)},
-            "failed": {}}))
-
-        runner.clear_cache()
-        resumed = sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
-        assert resumed.ok and resumed.points == 2
-        assert resumed.misses == 1
-        assert len(hardening.SweepCheckpoint(ckpt).completed) == 2
+    def test_ad_hoc_config_is_refused_before_anything_runs(self,
+                                                          tmp_path):
+        from repro.eval.configs import config
+        ad_hoc = SweepPoint("sgemm-uc", config("io"), scale=SCALE)
+        with pytest.raises(ValueError, match="only named configurations"):
+            sweep([POINTS[0], ad_hoc], jobs=1,
+                  checkpoint=str(tmp_path / "sweep.ckpt"))
+        assert runner._RESULTS.get(POINTS[0].memo_key()) is None
 
 
 class TestRunnerDegradation:

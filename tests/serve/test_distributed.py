@@ -1,6 +1,8 @@
 """The distributed worker pool end to end: real server, real workers
 (background threads over a real unix socket), the real hardened
-engine forking real simulation children.
+engine forking real simulation children.  Each server runs with
+``jobs=0`` -- no simulation slots of its own -- so every miss is
+served by the workers.
 
 The headline acceptance test runs an 8-worker sweep under a chaos plan
 that kills workers, wedges them mid-lease (heartbeats stop), and cuts
@@ -88,8 +90,7 @@ def _stop_workers(workers, timeout=5):
 
 class TestDistributedServing:
     def test_two_workers_cold_then_warm(self, tmp_path):
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock")) as st:
             workers = _workers(st.address, 2, poll=0.05)
             try:
                 with ServeClient(st.address) as client:
@@ -101,9 +102,7 @@ class TestDistributedServing:
                     warm = client.submit(POINTS)
                     assert warm.ok and warm.misses == 0
                     assert warm.hits == len(POINTS)
-                    stats = client.stats()
-                    assert stats["distributed"]
-                    qc = stats["queue"]["counters"]
+                    qc = client.stats()["queue"]["counters"]
                     assert qc["enqueued"] == len(POINTS)
                     assert qc["completed"] == len(POINTS)
                     assert qc["duplicates"] == 0
@@ -112,8 +111,7 @@ class TestDistributedServing:
 
     def test_results_bit_identical_to_direct_run(self, tmp_path):
         reference = _reference_snapshots(POINTS)
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock")) as st:
             workers = _workers(st.address, 2, poll=0.05)
             try:
                 with ServeClient(st.address) as client:
@@ -131,8 +129,7 @@ class TestDistributedServing:
         """A worker with two simulation slots drains points of three
         kernels over several leases on at most two forked processes,
         and joins every one of them when it stops."""
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock")) as st:
             [worker] = _workers(st.address, 1, jobs=2, batch=2,
                                 poll=0.05)
             try:
@@ -150,10 +147,9 @@ class TestDistributedServing:
         assert not multiprocessing.active_children()
 
     def test_no_workers_then_late_worker(self, tmp_path):
-        """A submission against a workerless distributed server just
-        waits; the first worker to arrive drains it."""
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True) as st:
+        """A submission against a server with neither slots nor
+        workers just waits; the first worker to arrive drains it."""
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock")) as st:
             out = {}
 
             def submit():
@@ -177,9 +173,8 @@ class TestDistributedServing:
         back as a structured failure, not a requeue loop."""
         monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
             {"dynprog-om": {"crash": [0, 1]}}))
-        with ServerThread(jobs=2, retries=2, backoff=0.01,
-                          socket_dir=str(tmp_path / "sock"),
-                          distributed=True) as st:
+        with ServerThread(jobs=0, retries=2, backoff=0.01,
+                          socket_dir=str(tmp_path / "sock")) as st:
             workers = _workers(st.address, 2, poll=0.05, retries=2,
                                backoff=0.01)
             try:
@@ -209,8 +204,8 @@ class TestChaosAcceptance:
             "dither-or": {"hang_worker": [0]},
             "dynprog-om": {"kill_worker": [0], "sever": [1]},
         }))
-        with ServerThread(jobs=4, socket_dir=str(tmp_path / "sock"),
-                          distributed=True, lease_ttl=0.6,
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock"),
+                          lease_ttl=0.6,
                           journal=str(tmp_path / "queue.journal")) \
                 as st:
             workers = _workers(st.address, 8, poll=0.05)
@@ -254,8 +249,8 @@ class TestChaosAcceptance:
         computing."""
         monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
             {"sgemm-uc/io/": {"hang_worker": [0]}}))
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True, lease_ttl=0.4) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock"),
+                          lease_ttl=0.4) as st:
             workers = _workers(st.address, 2, poll=0.05)
             try:
                 with ServeClient(st.address) as client:
@@ -278,8 +273,7 @@ class TestJournalResume:
         journal = str(tmp_path / "queue.journal")
         sock1 = str(tmp_path / "sock1")
         # campaign part 1: complete half the points, then "crash"
-        with ServerThread(jobs=2, socket_dir=sock1, distributed=True,
-                          journal=journal) as st:
+        with ServerThread(jobs=0, socket_dir=sock1, journal=journal) as st:
             workers = _workers(st.address, 2, poll=0.05)
             try:
                 with ServeClient(st.address) as client:
@@ -291,8 +285,8 @@ class TestJournalResume:
         # the journal and disk cache are all that survives
 
         runner.clear_cache(keep_disk=True)   # new process, cold memo
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock2"),
-                          distributed=True, journal=journal) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock2"),
+                          journal=journal) as st:
             workers = _workers(st.address, 2, poll=0.05)
             try:
                 with ServeClient(st.address) as client:
@@ -318,8 +312,8 @@ class TestJournalResume:
             q.enqueue(protocol.point_to_wire(pt))
         q.close()    # crashed before anything completed
 
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True, journal=journal) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock"),
+                          journal=journal) as st:
             assert st.server.queue.counters["replayed"] == 2
             workers = _workers(st.address, 2, poll=0.05)
             try:
@@ -347,8 +341,7 @@ class TestClientReconnect:
         between submissions: the dead socket is detected, reconnected
         with backoff, and the batch resubmitted."""
         sockdir = str(tmp_path / "sock")
-        st1 = ServerThread(jobs=2, socket_dir=sockdir,
-                           distributed=True).start()
+        st1 = ServerThread(jobs=0, socket_dir=sockdir).start()
         workers = _workers(st1.address, 1, poll=0.05)
         client = ServeClient(st1.address)
         try:
@@ -359,8 +352,7 @@ class TestClientReconnect:
             st1.stop()
         # a new server on the SAME socket path; the client's socket
         # is a stale fd to the old one
-        st2 = ServerThread(jobs=2, socket_dir=sockdir,
-                           distributed=True).start()
+        st2 = ServerThread(jobs=0, socket_dir=sockdir).start()
         workers = _workers(st2.address, 1, poll=0.05)
         try:
             assert st2.address == st1.address
@@ -379,8 +371,7 @@ class TestClientReconnect:
         reconnects mid-submit and resubmits the unacknowledged
         remainder."""
         sockdir = str(tmp_path / "sock")
-        st1 = ServerThread(jobs=2, socket_dir=sockdir,
-                           distributed=True).start()
+        st1 = ServerThread(jobs=0, socket_dir=sockdir).start()
         out, errors = {}, []
 
         def submit():
@@ -395,8 +386,7 @@ class TestClientReconnect:
         t.start()
         time.sleep(0.4)          # the submit is queued and waiting
         st1.stop()               # server dies mid-submit
-        st2 = ServerThread(jobs=2, socket_dir=sockdir,
-                           distributed=True).start()
+        st2 = ServerThread(jobs=0, socket_dir=sockdir).start()
         workers = _workers(st2.address, 2, poll=0.05)
         try:
             t.join(timeout=60)
@@ -420,9 +410,8 @@ class TestIdleExit:
         q.enqueue(protocol.point_to_wire(POINTS[0]))
         q.close()
 
-        st = ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True, journal=journal,
-                          idle_exit=0.4).start()
+        st = ServerThread(jobs=0, socket_dir=str(tmp_path / "sock"),
+                          journal=journal, idle_exit=0.4).start()
         try:
             # pending replayed work, no clients: the old (buggy)
             # condition would exit here
@@ -451,8 +440,8 @@ class TestIdleExit:
 class TestGracefulDrain:
     def test_stop_drains_leases_and_workers_exit_clean(self,
                                                        tmp_path):
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                          distributed=True, drain_timeout=30.0) as st:
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock"),
+                          drain_timeout=30.0) as st:
             workers = _workers(st.address, 2, poll=0.05)
             try:
                 out = {}

@@ -5,12 +5,15 @@ crash-safe journal replay.  No sockets here -- the queue is pure state
 the server drives from its event loop; the end-to-end behaviour is
 tests/serve/test_distributed.py."""
 
+import errno
 import json
 
 import pytest
 
-from repro.serve.queue import (DEFAULT_LEASE_TTL, QueueJournal,
-                               WorkQueue, label_of, qkey_of)
+from repro.resilience import journal as journal_mod
+from repro.resilience.journal import Journal
+from repro.serve.queue import (DEFAULT_LEASE_TTL, WorkQueue, label_of,
+                               qkey_of)
 
 WIRE_A = {"kernel": "sgemm-uc", "config": "io", "mode": "traditional",
           "binary": "xloops", "xi": True, "scale": "tiny", "seed": 0,
@@ -188,6 +191,25 @@ class TestLeaseExpiry:
         assert queue.lease(wid) is None
         assert queue.counters["completed"] == 1
 
+    def test_leased_to_names_every_worker_ever_leased(self, queue,
+                                                      clock):
+        """The server reads a worker's completion only for a point it
+        was leased -- by a live lease, or one that expired under it."""
+        queue.enqueue(WIRE_A)
+        qkey = qkey_of(WIRE_A)
+        slow, other = _worker(queue), _worker(queue)
+        assert not queue.leased_to(qkey, slow)    # pending, never leased
+        queue.lease(slow)
+        assert queue.leased_to(qkey, slow)
+        assert not queue.leased_to(qkey, other)
+        clock.advance(10.5)
+        queue.reclaim_expired()
+        assert queue.leased_to(qkey, slow)        # expired, still its
+        queue.lease(other)
+        assert queue.leased_to(qkey, other)
+        queue.complete(qkey)
+        assert not queue.leased_to(qkey, slow)    # resolved
+
 
 class TestIdle:
     def test_idle_accounts_for_workers_and_leases(self, queue, clock):
@@ -237,10 +259,55 @@ class TestJournal:
         q1.close()
         with open(path, "ab") as fh:        # crash mid-append
             fh.write(b'{"op": "complete", "qk')
-        pending, completed, failed = QueueJournal.replay(path)
+        pending, completed, failed = Journal(path).replay()
         assert set(pending) == {qkey_of(WIRE_B)}
         assert completed == {qkey_of(WIRE_A)}
         assert failed == {}
+
+    def test_completion_after_torn_tail_survives_restart(self,
+                                                         tmp_path):
+        """A restarted server's first transition is appended after the
+        torn line is cut off, not glued onto it: completed after one
+        restart, the point stays completed after the next."""
+        path = str(tmp_path / "queue.journal")
+        q1 = WorkQueue(journal_path=path)
+        q1.enqueue(WIRE_A)
+        q1.close()
+        with open(path, "ab") as fh:        # crash mid-append
+            fh.write(b'{"op": "enqueue", "qk')
+        q2 = WorkQueue(journal_path=path)
+        assert qkey_of(WIRE_A) in q2.entries
+        q2.complete(qkey_of(WIRE_A))
+        q2.close()
+        q3 = WorkQueue(journal_path=path)
+        assert qkey_of(WIRE_A) in q3.completed
+        assert not q3.entries and q3.queued == 0
+        q3.close()
+
+    def test_unwritable_journal_fails_at_construction(self, tmp_path):
+        """A journal that cannot be opened stops the server at startup
+        instead of running a whole campaign without durability."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        with pytest.raises(OSError):
+            WorkQueue(journal_path=str(blocker / "queue.journal"))
+
+    def test_failed_append_is_counted_not_raised(self, tmp_path,
+                                                 monkeypatch):
+        """A journal that fails later (a full disk) costs durability,
+        never the work: every transition still happens, and each lost
+        line counts."""
+        q = WorkQueue(journal_path=str(tmp_path / "queue.journal"))
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(journal_mod.os, "fsync", full_disk)
+        entry, created = q.enqueue(WIRE_A)
+        assert created and q.take() is entry
+        assert q.complete(entry.qkey) == (entry, True)
+        assert q.counters["journal_errors"] == 2
+        q.close()
 
     def test_replay_tolerates_garbage_lines(self, tmp_path):
         path = tmp_path / "queue.journal"
@@ -250,12 +317,12 @@ class TestJournal:
                           "wire": WIRE_A}).encode() + b"\n"
             + b'["not", "an", "object"]\n'
             + b'{"op": "mystery", "qkey": "x"}\n')
-        pending, completed, failed = QueueJournal.replay(str(path))
+        pending, completed, failed = Journal(str(path)).replay()
         assert set(pending) == {qkey_of(WIRE_A)}
 
     def test_missing_journal_is_empty_not_an_error(self, tmp_path):
-        pending, completed, failed = QueueJournal.replay(
-            str(tmp_path / "nope.journal"))
+        pending, completed, failed = Journal(
+            str(tmp_path / "nope.journal")).replay()
         assert (pending, completed, failed) == ({}, set(), {})
 
     def test_resubmit_after_failure_gets_fresh_budget(self, tmp_path):

@@ -28,7 +28,7 @@ import pytest
 import repro
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint
-from repro.serve import ServeClient, ServerThread
+from repro.serve import ServeClient, ServerThread, WorkerThread
 from repro.serve import protocol
 from repro.serve.client import connect
 from tests.eval.test_hardening import _exited
@@ -177,6 +177,28 @@ class TestServing:
             # the good point still came back
             assert len(summary.outcomes) == 1
 
+    def test_slots_drain_the_queue_but_are_not_workers(self, tmp_path):
+        """Every local miss goes through the work queue, yet the slots
+        never register as workers: a shutdown with no worker
+        connected skips the grace a drain gives workers."""
+        st = ServerThread(jobs=2, socket_dir=str(tmp_path)).start()
+        try:
+            with ServeClient(st.address) as client:
+                assert client.submit(POINTS).ok
+                stats = client.stats()
+            queue = stats["queue"]
+            assert queue["counters"]["enqueued"] == len(POINTS)
+            assert queue["counters"]["completed"] == len(POINTS)
+            assert stats["counters"]["simulated"] == len(POINTS)
+            assert queue["workers"] == 0 and queue["queued"] == 0
+            assert stats["inflight"] == 0
+            t0 = time.monotonic()
+            with ServeClient(st.address) as client:
+                assert client.shutdown()["drained"]
+            assert time.monotonic() - t0 < 2.0    # grace would be 5 s
+        finally:
+            st.stop()
+
 
 class TestConcurrentDedup:
     def test_exactly_one_simulation_per_unique_point(self, server):
@@ -300,6 +322,124 @@ class TestProtocolEdges:
         finally:
             stop.set()
             thread.join(timeout=10)
+
+
+#: set when a record's unpickling called _trip: it never may
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append(True)
+
+
+class _Hostile:
+    """Unpickles by calling :func:`_trip` -- a stand-in for a pickle
+    that runs a command."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+class TestWorkerOpTrust:
+    """Every server accepts workers, so a ``complete`` can come from
+    any process that reaches the socket.  Its record is decoded only
+    when it comes from a worker registered over that connection, for a
+    point that worker was leased -- and even then only result-record
+    classes unpickle, so no peer can make the server run code."""
+
+    def _spy(self, monkeypatch):
+        calls = []
+        real = protocol.unpack_record
+
+        def spy(text):
+            calls.append(text)
+            return real(text)
+
+        monkeypatch.setattr(protocol, "unpack_record", spy)
+        return calls
+
+    def test_complete_refused_unread_unless_leased(self, server,
+                                                   monkeypatch):
+        calls = self._spy(monkeypatch)
+        hostile = protocol.pack_record(_Hostile())
+        other = connect(server.address)
+        sock = connect(server.address)
+        try:
+            def complete(wid):
+                protocol.send_frame(sock, {
+                    "op": "complete", "worker_id": wid, "qkey": "k",
+                    "wall": 0.0, "simulated": True, "retries": 0,
+                    "record": hostile})
+                return protocol.recv_frame(sock)
+
+            # never registered
+            assert "error" in complete(1)
+            # registered, but over another connection
+            protocol.send_frame(other, {"op": "register",
+                                        "name": "elsewhere"})
+            elsewhere = protocol.recv_frame(other)["worker_id"]
+            assert "error" in complete(elsewhere)
+            # registered here, but never leased that point
+            protocol.send_frame(sock, {"op": "register", "name": "w"})
+            wid = protocol.recv_frame(sock)["worker_id"]
+            assert complete(wid) == {"ok": True, "credited": False}
+            protocol.send_frame(sock, {"op": "fail", "worker_id": wid,
+                                       "qkey": "k", "kind": "crash"})
+            assert protocol.recv_frame(sock) == {"ok": True,
+                                                 "credited": False}
+        finally:
+            sock.close()
+            other.close()
+        assert calls == [] and _TRIPPED == []
+        with ServeClient(server.address) as client:
+            stats = client.stats()
+        assert stats["counters"]["simulated"] == 0
+        assert stats["queue"]["counters"]["duplicates"] == 2
+
+    def test_hostile_record_from_a_leased_worker_runs_nothing(
+            self, tmp_path, monkeypatch):
+        calls = self._spy(monkeypatch)
+        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock")) \
+                as st:
+            out = {}
+
+            def submit():
+                with ServeClient(st.address) as client:
+                    out["summary"] = client.submit(POINTS[:1])
+
+            t = threading.Thread(target=submit)
+            t.start()
+            sock = connect(st.address)
+            try:
+                protocol.send_frame(sock, {"op": "register",
+                                           "name": "hostile"})
+                wid = protocol.recv_frame(sock)["worker_id"]
+                deadline = time.monotonic() + 30
+                while True:
+                    protocol.send_frame(sock, {"op": "lease",
+                                               "worker_id": wid})
+                    lease = protocol.recv_frame(sock)
+                    if lease["type"] == "lease" \
+                            or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.02)
+                (item,) = lease["points"]
+                protocol.send_frame(sock, {
+                    "op": "complete", "worker_id": wid,
+                    "qkey": item["qkey"], "wall": 0.0,
+                    "simulated": True, "retries": 0,
+                    "record": protocol.pack_record(_Hostile())})
+                reply = protocol.recv_frame(sock)
+                assert "UnpicklingError" in reply["error"]
+            finally:
+                sock.close()    # the point is requeued
+            assert len(calls) == 1 and _TRIPPED == []
+            worker = WorkerThread(st.address, poll=0.05).start()
+            try:
+                t.join(timeout=60)
+            finally:
+                worker.stop(timeout=5)
+        assert out["summary"].ok and out["summary"].misses == 1
 
 
 class TestChaosThroughServer:

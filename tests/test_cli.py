@@ -303,10 +303,10 @@ def test_worker_requires_connect():
 
 def test_serve_distributed_flags():
     args = build_parser().parse_args(
-        ["serve", "--socket", "/tmp/s.sock", "--distributed",
+        ["serve", "--socket", "/tmp/s.sock", "--jobs", "0",
          "--journal", "/tmp/q.journal", "--lease-ttl", "5",
          "--requeue-budget", "3", "--drain-timeout", "10"])
-    assert args.distributed and args.journal == "/tmp/q.journal"
+    assert args.jobs == 0 and args.journal == "/tmp/q.journal"
     assert args.lease_ttl == 5.0 and args.requeue_budget == 3
     assert args.drain_timeout == 10.0
     status = build_parser().parse_args(
