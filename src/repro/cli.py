@@ -57,11 +57,9 @@ def _kernel_name(name):
 def _add_backend_arg(p):
     p.add_argument("--backend", choices=BACKEND_CHOICES, default=None,
                    help="simulation backend ladder rung: interp "
-                        "(reference), fused, turbo, vector (needs "
-                        "numpy), or auto (the default: fused on "
-                        "every host).  Results are bit-identical "
-                        "across rungs, so a cached result serves any "
-                        "rung")
+                        "(reference), fused, or auto (the default: "
+                        "fused).  Results are bit-identical across "
+                        "rungs, so a cached result serves any rung")
 
 
 def _apply_backend_arg(args):
@@ -315,12 +313,11 @@ def build_parser():
                    help="also check N randomly generated annotated "
                         "loops (default 0)")
     p.add_argument("--ladder", action="store_true",
-                   help="instead check the full backend ladder "
-                        "(interp/fused/turbo, plus vector when numpy "
-                        "is available, plus fused without the compiled "
-                        "LPSU engine on LPSU points, which include two "
-                        "contexts per lane) pairwise bit-identical per "
-                        "point: cycles, events, stats, and final "
+                   help="instead check the backend ladder "
+                        "(interp/fused, plus fused without the "
+                        "compiled LPSU engine on LPSU points, which "
+                        "include two contexts per lane) bit-identical "
+                        "per point: cycles, events, stats, and final "
                         "memory; failures name the diverging tier")
 
     p = sub.add_parser("prove",
@@ -922,9 +919,6 @@ def cmd_profile(args):
           % (args.name, args.config, args.mode, args.scale,
              backend.name))
     print("cycles:  %d" % result.cycles)
-    if result.backend_stats:
-        print("backend: %s" % "  ".join(
-            "%s=%d" % kv for kv in sorted(result.backend_stats.items())))
     print()
     stats = pstats.Stats(prof, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)

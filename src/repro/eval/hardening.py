@@ -82,7 +82,6 @@ from ..resilience.journal import Journal, pack_record, qkey_of, \
     unpack_record
 from ..resilience.watchdog import DeadlineExceeded, deadline
 from ..sim import fusion
-from ..sim.backends import resolve_backend
 from . import runner
 
 #: env var holding the JSON chaos plan (worker-side fault injection)
@@ -254,10 +253,10 @@ def _release_inherited_sockets(keep):
 def _keep_warm(kernel, warm):
     """The one-warm-kernel rule: before a point of another *kernel*
     than the *warm* one, drop what that kernel left behind -- its
-    compiled binaries, the result memo, the generated GPP block and
-    LPSU code, and the turbo and vector stores -- so a long-lived
-    worker holds one kernel's state, not that of every kernel it has
-    met.  Returns the kernel now warm."""
+    compiled binaries, the result memo, and the generated GPP block
+    and LPSU code -- so a long-lived worker holds one kernel's state,
+    not that of every kernel it has met.  Returns the kernel now
+    warm."""
     if warm is not None and kernel != warm:
         runner.clear_cache(keep_disk=True)
         fusion.clear()
@@ -386,10 +385,10 @@ class WorkerPool:
             return worker
 
     def _fork(self):
-        # resolve the default rung before forking, so every worker
-        # inherits its lazy imports (numpy, when vector is requested
-        # by name) instead of paying them anew
-        resolve_backend(runner.default_backend())
+        # resolve the default rung before forking: a bad
+        # $REPRO_BACKEND fails here, once, and every worker inherits
+        # the choice
+        runner.default_backend()
         ctx = _mp_context()
         parent_conn = child_conn = None
         try:

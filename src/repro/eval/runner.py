@@ -9,8 +9,7 @@ or the next one -- skips simulation entirely."""
 from __future__ import annotations
 
 import os
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
@@ -52,9 +51,6 @@ class KernelRun:
     adaptive_decisions: Dict[int, str]
     cache_miss_rate: float
     static_xloops: Tuple[str, ...]
-    #: backend-machinery counters (turbo memo hits/deaths, vector
-    #: engine engagement); see SystemSimulator._backend_stats
-    backend_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_instrs(self):
@@ -160,8 +156,7 @@ def memo_key(kernel_name, config_name, mode="traditional",
 
     Neither key names the backend rung.  Every rung computes the same
     record, which the blocking ``repro verify --ladder`` gate enforces,
-    so one record serves every ``--backend`` request; the record's
-    ``backend_stats`` describe the rung that computed it."""
+    so one record serves every ``--backend`` request."""
     return (kernel_name, config_name, mode, binary, xi_enabled, scale,
             seed, schedule_cirs)
 
@@ -192,7 +187,7 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
 
     *backend* selects the rung of the simulation ladder
     (:mod:`repro.sim.backends`) that computes a missing result:
-    ``interp``/``fused``/``turbo``/``vector``/``auto``; ``None`` defers
+    ``interp``/``fused``/``auto``; ``None`` defers
     to :func:`default_backend`.  The rungs are bit-identical, so a
     cached result is served whichever rung is requested
     (:func:`memo_key`).
@@ -278,8 +273,7 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
         adaptive_decisions=result.adaptive_decisions,
         cache_miss_rate=(result.cache_misses / result.cache_accesses
                          if result.cache_accesses else 0.0),
-        static_xloops=compiled.loop_kinds(),
-        backend_stats=result.backend_stats)
+        static_xloops=compiled.loop_kinds())
     if not verify:
         _RESULTS[key] = out
     if use_disk:
@@ -365,23 +359,10 @@ def energy_efficiency(kernel_name, config_name, mode, scale="small",
     return base.energy_nj / this.energy_nj
 
 
-def clear_cache(keep_disk=False, keep_memos=False):
-    """Forget all memoized results, compiled binaries, and the turbo/
-    vector backends' process-wide engine state.  Also wipes the
-    on-disk result cache unless *keep_disk* is true; *keep_memos*
-    preserves the turbo schedule memos and vector engines (used by
-    benches to time a warm re-run without the result cache
-    short-circuiting it).
-
-    A rung's stores are cleared only if its module is loaded: one that
-    was never imported holds nothing, and importing it here would pull
-    numpy into every process that clears its cache."""
+def clear_cache(keep_disk=False):
+    """Forget all memoized results and compiled binaries.  Also wipes
+    the on-disk result cache unless *keep_disk* is true."""
     _RESULTS.clear()
     _compiled.cache_clear()
-    if not keep_memos:
-        for name in ("repro.sim.turbo", "repro.sim.vector"):
-            rung = sys.modules.get(name)
-            if rung is not None:
-                rung.clear()
     if not keep_disk:
         diskcache.clear()

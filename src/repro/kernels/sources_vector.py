@@ -1,14 +1,12 @@
-"""Long branchy/aperiodic kernels (vector-backend headliners).
+"""Long branchy/aperiodic kernels.
 
 The :mod:`sources_turbo` kernels are deliberately branch-free so their
-iteration schedules repeat and the turbo tier's segment replay engages.
-These are the opposite shape: long ``xloop.uc`` loops whose bodies
-take data-dependent branches on effectively random inputs, so no two
-consecutive iterations share a schedule and the turbo memo goes dead
-immediately.  That is exactly the gap the vector tier's whole-block
-batching fills, so these kernels anchor the ``branchy`` section of the
-per-backend speed benchmark (``benchmarks/bench_speed.py``) alongside
-the Table II irregulars (hsort-ua, bfs-uc, ssearch-de).
+iteration schedules repeat.  These are the opposite shape: long
+``xloop.uc`` loops whose bodies take data-dependent branches on
+effectively random inputs, so no two consecutive iterations share a
+schedule.  They are ordinary registered kernels: the prover certifies
+their pragmas and the backend-ladder conformance sweep covers them,
+alongside the Table II irregulars (hsort-ua, bfs-uc, ssearch-de).
 
 Both bodies are integer-only and register-private between their load
 and store, so the dependence prover certifies the ``unordered`` pragma

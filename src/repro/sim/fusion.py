@@ -548,7 +548,7 @@ class _LPSUGen:
     Nothing of the design point is generated: ``make(L)`` binds the LSQ
     capacities, memory ports, LLFU count and latencies, branch penalty,
     inter-lane forwarding, AMO latency and cache hit latency from the
-    LPSU it serves, and whether it may run ahead and which stalls park
+    LPSU it serves, and whether it may run ahead
     (:meth:`repro.uarch.lpsu.LPSU.run`), so one engine serves every
     configuration of a loop body.  Iteration turnover, LSQ drains,
     commit, squash and parking stay on the interpreted helpers: the
@@ -692,11 +692,7 @@ class _LPSUGen:
             out.append(ind + "if %d not in ctx.received_cirs:" % s)
             out.append(ind + " _ch = cib.get((%d, ctx.k))" % s)
             out.append(ind + " if _ch is None:")
-            out.append(ind + "  if park:")
-            out.append(ind + "   park_cib(ctx, cycle, %d)" % s)
-            out.append(ind + "   return False")
-            out.append(ind + "  ctx.ready_at = cycle + 1")
-            out.append(ind + "  st.stall_cib += 1")
+            out.append(ind + "  park_cib(ctx, cycle, %d)" % s)
             out.append(ind + "  return False")
             out.append(ind + " if _ch[0] > cycle:")
             out.append(ind + "  ctx.ready_at = _ch[0]")
@@ -1187,7 +1183,7 @@ class _LPSUGen:
                    # the design point: configuration, GPP latencies
                    # and L1 hit latency, as the interpreted path reads
                    # them (LPSU.run builds L._meta before make runs),
-                   # and the run's run-ahead and parking switches
+                   # and the run's run-ahead switch
                    "cfg = L.cfg",
                    "pen = cfg.branch_penalty",
                    "pen1 = pen + 1",
@@ -1198,7 +1194,6 @@ class _LPSUGen:
                    "hit = L.cache.config.hit_latency",
                    "amo_lat = L.lat.amo",
                    "fuse = L._fuse",
-                   "park = L._park",
                    "meta = L._meta"):
             out.append(" " + ln)
         for i in range(self.n):

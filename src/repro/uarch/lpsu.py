@@ -38,9 +38,7 @@ LSQ or an overlap with its own buffered stores), the earliest LLFU
 freeing -- and the polls it skips are charged to the stall's counter
 when it wakes, is squashed or is discarded; and the compiled engine
 (:mod:`repro.sim.fusion`) lets a context that cannot be squashed run
-ahead through its lane-private ops.  Parking stays off beside a
-schedule memo or a vector engine, which replay recorded per-cycle
-actions.
+ahead through its lane-private ops.
 """
 
 from __future__ import annotations
@@ -53,7 +51,9 @@ from ..sim.functional import LivelockError, decode_instr, execute
 from ..sim.memory import MASK32, to_s32
 from .descriptor import LoopDescriptor
 from .params import LPSUConfig
-from .schedmemo import FAR_FUTURE as _FAR
+
+#: "asleep" sentinel for ready_at -- far beyond any reachable cycle
+_FAR = 1 << 60
 
 _LOAD_SIZE = {"lw": 4, "lh": 2, "lhu": 2, "lb": 1, "lbu": 1}
 _STORE_SIZE = {"sw": 4, "sh": 2, "sb": 1}
@@ -192,8 +192,7 @@ class LPSU:
 
     def __init__(self, descriptor, live_in_regs, mem, cache, config=None,
                  events=None, trace=None, decoded_body=None,
-                 monitor=None, fast=True, memo=None, engine=None,
-                 vector=None):
+                 monitor=None, fast=True, engine=None):
         self.d = descriptor
         self.cfg = config or LPSUConfig()
         self.mem = mem
@@ -207,13 +206,9 @@ class LPSU:
         # fast path: same schedule, less per-cycle bookkeeping.  Any
         # observer that must see every individual step disables it.
         self.fast = bool(fast) and trace is None and monitor is None
-        self._memo = memo    # optional ScheduleMemo (repro.uarch.schedmemo)
         # optional compiled fused-lane step factory
         # (repro.sim.fusion.lpsu_engine); bound by run()
         self._engine = engine
-        # optional whole-block batching engine
-        # (repro.sim.vector.vector_engine); consulted by run()
-        self._vector = vector
         self.lat = None  # set by run() from the GPP latency table
 
         self.live_in = list(live_in_regs)
@@ -274,11 +269,7 @@ class LPSU:
         self._commit_waiters = {}
         self._cib_waiters = {}
         # which stalls park instead of re-polling; set by run()
-        self._park = self._park_lsq = self._park_llfu = False
-        self._rec = None           # active schedule recording (or None)
-        self._rec_sig = None
-        self._rec_cycle0 = 0
-        self._rec_k0 = 0
+        self._park_lsq = self._park_llfu = False
 
     # ------------------------------------------------------------------
     # public API
@@ -365,27 +356,6 @@ class LPSU:
                          and not m[11] for m in self._meta]
         d, cfg, ev = self.d, self.cfg, self.events
 
-        # schedule memoization: only for loops whose scheduling is
-        # insensitive to cross-lane state (see repro.uarch.schedmemo)
-        memo = self._memo
-        if memo is not None and (
-                max_iters is not None or not self._fuse
-                or self.needs_lsq or self.ordered_regs
-                or self.dynamic_bound or d.cirs
-                or cfg.inter_lane_forwarding or memo.dead):
-            memo = None
-        if memo is not None:
-            ok = memo.body_ok
-            if ok is None:
-                ok = True
-                for ins in d.body:
-                    if ins.op.is_amo or ins.op.fmt == Fmt.JALR:
-                        ok = False
-                        break
-                memo.body_ok = ok
-            if not ok:
-                memo = None
-
         # -- scan phase --------------------------------------------------
         self.stats.scan_cycles = cfg.scan_overhead + d.body_len
         if ev is not None:
@@ -400,81 +370,37 @@ class LPSU:
 
         # -- specialized execution phase -----------------------------------
         cycle = 0
-        # whole-block batching (vector tier): engage only where turbo
-        # has nothing to offer -- divergent bodies (whose schedule memo
-        # dies) or loops running without a usable memo.  On success the
-        # engine consumed every iteration (bit-identical stats/events/
-        # memory), so the per-cycle loop below exits immediately with
-        # the reconstructed cycle count.
-        vec = self._vector
-        if (vec is not None and self.fast and self._fuse
-                and ev is not None and max_cycles is None
-                and (vec.divergent or memo is None or memo.dead)):
-            batched = vec.execute(self)
-            if batched is not None:
-                cycle = batched
-                memo = None
-        # parking: a stalled context sleeps until the event that ends
-        # its stall instead of re-polling every cycle, its skipped
-        # polls charged when it wakes (or is squashed or discarded).
-        # Not on the interp reference, and not beside a schedule memo
-        # or a vector engine, which replay recorded per-cycle actions.
-        park = self.fast and memo is None and vec is None
-        self._park = park
-        # an LSQ wait ends at the commit token unless another lane's
-        # store buffer can forward into it
-        self._park_lsq = park and not cfg.inter_lane_forwarding
+        fast = self.fast
+        # parking: on the fast path a stalled context sleeps until the
+        # event that ends its stall instead of re-polling every cycle,
+        # its skipped polls charged when it wakes (or is squashed or
+        # discarded).  CIB and commit-order waits always park; an LSQ
+        # wait ends at the commit token unless another lane's store
+        # buffer can forward into it
+        self._park_lsq = fast and not cfg.inter_lane_forwarding
         # an LLFU wait ends when the earliest unit frees, unless another
         # context of the lane wants the issue slot or a squash cuts the
         # wait short
-        self._park_llfu = park and self._fuse and not self.needs_lsq
+        self._park_llfu = self._fuse and not self.needs_lsq
         guard = 0
         contexts = self.contexts
-        step = self._step
         # compiled fused-lane engine: a generated drop-in for _step
         # with this loop's statics folded in and this design point
-        # bound at make time.  Recording cycles (the memo needs to see
-        # individual actions) and every non-fast / observed
-        # configuration keep the interpreted stepper.
-        engine_step = None
-        if (self._engine is not None and self.fast
-                and self.events is not None):
-            engine_step = self._engine(self)
+        # bound at make time.  Every non-fast / observed configuration
+        # keeps the interpreted stepper.
+        s = self._step
+        if self._engine is not None and fast and ev is not None:
+            s = self._engine(self)
         # with one context per lane every lane_id is unique, so the
         # issue-slot dedupe can never fire; skip its bookkeeping
         multithreaded = len(contexts) > cfg.lanes
-        fast = self.fast
         n_ctx = len(contexts)
-        anchor_k = self._next_k   # next iteration count that starts an epoch
         # the iteration space is exhausted for good (a dynamic bound can
         # still grow): idle contexts are no longer visited
         exhausted = False
         while True:
             if not self._active_count and not self._more_iterations():
                 break
-            if memo is not None:
-                rec = self._rec
-                if rec is not None and len(rec) > memo.max_entries:
-                    # one epoch is too long to ever replay profitably;
-                    # stop paying the recording tax for this loop
-                    self._rec = None
-                    memo.dead = True
-                    memo = None
-                elif self._next_k >= anchor_k:
-                    cycle, mid = self._memo_anchor(memo, cycle)
-                    if memo.dead:
-                        memo = None
-                    else:
-                        anchor_k = (self._next_k // n_ctx + 1) * n_ctx
-                    if mid:
-                        # a replay diverged; its abort path already
-                        # completed the returned cycle with _step
-                        cycle += 1
-                        guard += 1
-                        continue
-                    if (not self._active_count
-                            and not self._more_iterations()):
-                        break
             self._mem_grants = 0
             # issue order depends only on (active, k), which change
             # solely at iteration begin/retire/discard — re-sort only
@@ -486,9 +412,6 @@ class LPSU:
                 self._order = order
                 self._order_dirty = False
             order = self._order
-            s = (engine_step
-                 if engine_step is not None and self._rec is None
-                 else step)
             # the earliest wake-up among active contexts after this
             # cycle.  A context's step only ever wakes, squashes or
             # discards younger iterations, which issue after it, so a
@@ -541,7 +464,6 @@ class LPSU:
                     "LPSU exceeded %d cycles (livelock?)" % max_cycles)
             if guard > 200_000_000:  # pragma: no cover
                 raise LivelockError("LPSU livelock (step guard)")
-        self._rec = None   # drop any recording cut short by loop end
         self.stats.exec_cycles = cycle
         self.stats.finish_cycles = cfg.finish_overhead
         if ev is not None:
@@ -721,10 +643,6 @@ class LPSU:
                 body_n = self._body_n
                 base = self._body_base
                 pen = self.cfg.branch_penalty
-                rec = self._rec
-                if rec is not None:
-                    slots = [pc_index]
-                    takens = [taken if branchy else None]
                 n = 1
                 while True:
                     next_pc, _addr, taken = mt[0](regs, mem)
@@ -734,9 +652,6 @@ class LPSU:
                     d2 = mt[2]
                     if d2 is not None:
                         ready[d2] = c + 1
-                    if rec is not None:
-                        slots.append(i)
-                        takens.append(taken if mt[7] else None)
                     c += 1
                     if mt[7] and taken:
                         br_stall += pen
@@ -756,21 +671,10 @@ class LPSU:
                 ctx.attempt_instrs += n - 1
                 self.stats.busy += n - 1
                 self.stats.stall_branch += br_stall
-                if rec is not None:
-                    rec.append(("A", cycle, ctx.lane_id, tuple(slots),
-                                tuple(takens), i, c - cycle, br_stall))
                 ctx.pc_index = i
                 ctx.ready_at = c
                 return True
         self.stats.stall_branch += br_stall
-        rec = self._rec
-        if rec is not None:
-            if kind == 2:
-                rec.append(("F", cycle, ctx.lane_id, pc_index))
-            elif kind == 0:
-                rec.append(("A", cycle, ctx.lane_id, (pc_index,),
-                            (taken if branchy else None,), i,
-                            c - cycle, br_stall))
         ctx.pc_index = i
         ctx.ready_at = c
         return True
@@ -784,7 +688,7 @@ class LPSU:
         for s in instr.src_regs():
             if s in d.cirs and s not in ctx.received_cirs:
                 chan = self._cib.get((s, ctx.k))
-                if chan is None and self._park:
+                if chan is None and self.fast:
                     self._park_cib(ctx, cycle, s)
                     return False
                 if chan is None or chan[0] > cycle:
@@ -952,9 +856,6 @@ class LPSU:
         self.stats.busy += 1
         if self.trace is not None:
             self.trace.mark(ctx, cycle, "M")
-        if self._rec is not None:
-            self._rec.append(("M", cycle, ctx.lane_id, ctx.pc_index - 1,
-                              access > self.cache.config.hit_latency))
 
         # a plain load of the bound register also grows a dynamic bound
         if (self.dynamic_bound and op.is_load
@@ -1023,7 +924,7 @@ class LPSU:
                 # never touched this iteration: forward the incoming
                 # value (which must itself have arrived)
                 chan = self._cib.get((cir, ctx.k))
-                if chan is None and self._park:
+                if chan is None and self.fast:
                     self._park_cib(ctx, cycle, cir)
                     return False
                 if chan is None or chan[0] > cycle:
@@ -1084,8 +985,6 @@ class LPSU:
             self.monitor.on_retire(ctx.lane_id, ctx.k, cycle, ctx.regs)
         self.stats.iterations += 1
         self.stats.instrs += ctx.attempt_instrs
-        if self._rec is not None:
-            self._rec.append(("R", cycle, ctx.lane_id))
         if self.needs_lsq:
             self._commit_next += 1
             if self._commit_waiters:
@@ -1188,8 +1087,6 @@ class LPSU:
             self.trace.mark(ctx, max(0, cycle - 1), "|")
         if self.events is not None:
             self.events.idq_op += 1
-        if self._rec is not None:
-            self._rec.append(("B", cycle, ctx.lane_id))
 
     def _init_iter_regs(self, ctx):
         d = self.d
@@ -1210,8 +1107,6 @@ class LPSU:
         span = ctx.ready_at - cycle
         if kind == "raw":
             self.stats.stall_raw += span
-            if self._rec is not None:
-                self._rec.append(("r", cycle, ctx.lane_id))
         elif kind == "cib":
             self.stats.stall_cib += span
         if self.trace is not None:
@@ -1225,8 +1120,6 @@ class LPSU:
         ctx.ready_at = cycle + 1
         if kind == "memport":
             self.stats.stall_memport += 1
-            if self._rec is not None:
-                self._rec.append(("p", cycle, ctx.lane_id))
         elif kind == "llfu":
             if self._park_llfu:
                 # every unit stays busy until the earliest one frees,
@@ -1236,8 +1129,6 @@ class LPSU:
                 ctx.ready_at = free
             else:
                 self.stats.stall_llfu += 1
-            if self._rec is not None:
-                self._rec.append(("l", cycle, ctx.lane_id))
         elif kind == "lsq":
             # a full LSQ or a partial overlap with the context's own
             # buffered stores clears only once it commits
@@ -1306,235 +1197,3 @@ class LPSU:
                 self._llfu_free[i] = cycle + occupy
                 return i
         return None
-
-    # ------------------------------------------------------------------
-    # schedule memoization (see repro.uarch.schedmemo)
-    # ------------------------------------------------------------------
-
-    def _memo_anchor(self, memo, cycle):
-        """Epoch boundary: close any active recording, replay every
-        stored segment whose signature matches, then open a new
-        recording if the loop is still worth learning.  Returns
-        ``(cycle, mid_cycle)``; *mid_cycle* means a replay diverged and
-        the abort path already completed the returned cycle."""
-        if self._rec is not None:
-            sig = memo.finalize(self, cycle)
-        else:
-            sig = memo.signature(self, cycle)
-        remaining = self.bound - self.start_idx - self._next_k
-        while True:
-            seg = memo.table.get(sig)
-            if seg is None or seg.n_begins > remaining:
-                break
-            took = 1
-            hit = memo.compiled(self, sig, seg)
-            if hit is not None:
-                # compiled batch replay (turbo backend): the memo may
-                # substitute a composite segment covering a whole
-                # phase cycle; one that re-keys its own start replays
-                # every remaining whole period in a single call
-                fn, seg = hit
-                if seg.end_sig == sig and seg.n_begins:
-                    took = remaining // seg.n_begins
-                done, cycle = fn(cycle, took)
-            else:
-                done, cycle = self._replay_segment(seg, cycle)
-            if not done:
-                memo.aborts += 1
-                if (memo.aborts >= memo.dead_aborts
-                        and memo.hits < memo.aborts >> 2):
-                    # replays keep diverging: live outcomes for this
-                    # loop are too unstable for memoization to pay
-                    memo.dead = True
-                return cycle, True
-            memo.hits += took
-            remaining -= seg.n_begins * took
-            sig = seg.end_sig
-            if not remaining:
-                break
-        if remaining > 0 and not memo.dead:
-            self._rec = []
-            self._rec_sig = sig
-            self._rec_cycle0 = cycle
-            self._rec_k0 = self._next_k
-        return cycle, False
-
-    def _replay_segment(self, seg, cycle0):
-        """Apply one recorded segment with live outcomes; validation
-        aborts to the slow path on any divergence (see the correctness
-        model in :mod:`repro.uarch.schedmemo`).  Every recorded action
-        is also pre-checked against the live context, so even a
-        signature collision degrades to slow execution rather than a
-        wrong schedule.  Returns ``(completed, cycle)``."""
-        contexts = self.contexts
-        meta = self._meta
-        stats = self.stats
-        counts = self._exec_counts
-        mem = self.mem
-        cache = self.cache
-        hit_lat = cache.config.hit_latency
-        ev = self.events
-        cfg = self.cfg
-        pen = cfg.branch_penalty
-        base = self._body_base
-        body_n = self._body_n
-        abort = self._replay_abort
-        for dc, ops in seg.cycles:
-            c = cycle0 + dc
-            self._mem_grants = 0
-            retired = None
-            for e in ops:
-                tag = e[0]
-                ctx = contexts[e[2]]
-                if tag == "A":
-                    slots = e[3]
-                    if (not ctx.active or ctx.ready_at > c
-                            or ctx.pc_index != slots[0]):
-                        return False, abort(c, retired)
-                    takens = e[4]
-                    regs = ctx.regs
-                    ready = ctx.ready
-                    cc = c
-                    diverged = False
-                    for j, si in enumerate(slots):
-                        mt = meta[si]
-                        next_pc, _a, taken = mt[0](regs, mem)
-                        counts[si] += 1
-                        if mt[6]:
-                            ctx.exit_flag = True
-                        d2 = mt[2]
-                        if d2 is not None:
-                            ready[d2] = cc + 1
-                        cc += 1
-                        tk = takens[j]
-                        if tk is not None and taken is not tk:
-                            diverged = True
-                            break
-                        if tk:
-                            cc += pen
-                    if not diverged:
-                        n = len(slots)
-                        ctx.attempt_instrs += n
-                        stats.busy += n
-                        ctx.pc_index = e[5]
-                        ctx.ready_at = c + e[6]
-                        stats.stall_branch += e[7]
-                        continue
-                    # the diverging op itself ran exactly as the slow
-                    # path would have -- finish its bookkeeping, then
-                    # hand the rest of this cycle to the slow stepper
-                    n = j + 1
-                    ctx.attempt_instrs += n
-                    stats.busy += n
-                    br = 0
-                    for x in range(j):
-                        if takens[x]:
-                            br += pen
-                    if taken:
-                        br += pen
-                        cc += pen
-                    ctx.pc_index = (next_pc - base) >> 2
-                    ctx.ready_at = cc
-                    stats.stall_branch += br
-                    return False, abort(c, retired)
-                elif tag == "M":
-                    si = e[3]
-                    if (not ctx.active or ctx.ready_at > c
-                            or ctx.pc_index != si
-                            or self._mem_grants >= cfg.mem_ports):
-                        return False, abort(c, retired)
-                    mt = meta[si]
-                    instr = mt[12]
-                    self._mem_grants += 1
-                    _np, addr, _t = mt[0](ctx.regs, mem)
-                    access = cache.access(addr,
-                                          is_store=instr.op.is_store)
-                    if ev is not None:
-                        ev.dc_access += 1
-                        if access > hit_lat:
-                            ev.dc_miss += 1
-                    if instr.rd and instr.op.is_load:
-                        ctx.ready[instr.rd] = c + access
-                    counts[si] += 1
-                    ctx.attempt_instrs += 1
-                    ctx.pc_index = si + 1
-                    ctx.ready_at = c + 1
-                    stats.busy += 1
-                    if (access > hit_lat) is not e[4]:
-                        return False, abort(c, retired)
-                elif tag == "B":
-                    if ctx.active or not self._more_iterations():
-                        return False, abort(c, retired)
-                    self._begin_iteration(ctx, c)
-                elif tag == "R":
-                    if (not ctx.active or ctx.ready_at > c
-                            or ctx.pc_index < body_n):
-                        return False, abort(c, retired)
-                    self._retire_iteration(ctx, c)
-                    if retired is None:
-                        retired = {e[2]}
-                    else:
-                        retired.add(e[2])
-                elif tag == "r":
-                    if not ctx.active or ctx.ready_at > c:
-                        return False, abort(c, retired)
-                    mt = meta[ctx.pc_index]
-                    ready = ctx.ready
-                    avail = c
-                    for s in mt[1]:
-                        t = ready[s]
-                        if t > avail:
-                            avail = t
-                    if avail <= c:
-                        return False, abort(c, retired)
-                    self._stall(ctx, c, avail, "raw")
-                elif tag == "F":
-                    si = e[3]
-                    if (not ctx.active or ctx.ready_at > c
-                            or ctx.pc_index != si):
-                        return False, abort(c, retired)
-                    mt = meta[si]
-                    if self._llfu_acquire(c, mt[5]) is None:
-                        return False, abort(c, retired)
-                    _np, _a, _t = mt[0](ctx.regs, mem)
-                    counts[si] += 1
-                    d2 = mt[2]
-                    if d2 is not None:
-                        ctx.ready[d2] = c + mt[4]
-                    ctx.attempt_instrs += 1
-                    ctx.pc_index = si + 1
-                    ctx.ready_at = c + 1
-                    stats.busy += 1
-                elif tag == "p":
-                    if (not ctx.active or ctx.ready_at > c
-                            or self._mem_grants < cfg.mem_ports):
-                        return False, abort(c, retired)
-                    self._stall_one(ctx, c, "memport")
-                else:  # "l"
-                    if not ctx.active or ctx.ready_at > c:
-                        return False, abort(c, retired)
-                    free = False
-                    for f in self._llfu_free:
-                        if f <= c:
-                            free = True
-                            break
-                    if free:
-                        return False, abort(c, retired)
-                    self._stall_one(ctx, c, "llfu")
-        return True, cycle0 + seg.n_cycles
-
-    def _replay_abort(self, cycle, retired):
-        """A replayed action diverged mid-cycle.  Everything applied so
-        far this cycle matches the slow path exactly, so finish the
-        cycle with the ordinary stepper: contexts that already acted
-        no-op on ``ready_at``; contexts that retired this cycle are
-        skipped (a fresh visit would begin their next iteration one
-        cycle early)."""
-        step = self._step
-        for ctx in sorted(self.contexts, key=_ctx_order):
-            if (retired is not None and ctx.lane_id in retired
-                    and not ctx.active):
-                continue
-            step(ctx, cycle)
-        self._order_dirty = True
-        return cycle

@@ -37,7 +37,6 @@ from .inorder import InOrderTiming
 from .lpsu import LPSU, LPSUStats
 from .ooo import OOOTiming
 from .params import SystemConfig
-from .schedmemo import ScheduleMemo
 
 MODES = ("traditional", "specialized", "adaptive")
 
@@ -59,9 +58,6 @@ class RunResult:
     return_value: int = 0
     cache_misses: int = 0
     cache_accesses: int = 0
-    #: backend-machinery counters (turbo memo hits/deaths, vector
-    #: engine engagement); diagnostic only -- never affects results
-    backend_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def total_instrs(self):
@@ -88,18 +84,15 @@ class SystemSimulator:
         # point.  Injection needs per-step observation, so it forces
         # the slow path like verify does.
         self.injector = injector
-        # backend ladder (repro.sim.backends): interp / fused / turbo /
-        # vector.  verify and injection need exact per-step
-        # observation, so they force the interp tier regardless of the
-        # requested backend.
+        # backend ladder (repro.sim.backends): interp / fused.  verify
+        # and injection need exact per-step observation, so they force
+        # the interp tier regardless of the requested backend.
         resolved = resolve_backend(
             "interp" if verify or injector is not None else backend)
         self.backend = resolved.name
-        # bit-identical fast path: fused GPP superblocks + LPSU
-        # iteration-schedule memoization
+        # bit-identical fast path: fused GPP superblocks, the compiled
+        # LPSU engine, and the LPSU's cycle jumps and parking
         self.fast = resolved.fast
-        self._turbo = resolved.turbo
-        self._vector = resolved.vector
         self.mem = mem if mem is not None else Memory()
         self.events = EnergyEvents()
         self.cache = L1Cache(config.gpp.cache)
@@ -117,15 +110,10 @@ class SystemSimulator:
         # per-xloop-pc cycle stamp of the previous taken encounter
         # (measures traditional per-iteration cost for profiling)
         self._last_seen_cycle = {}
-        # per-xloop-pc iteration-schedule memo tables, shared across
-        # specialized invocations of the same static loop
-        self._memos = {}
-        self._memo_keys = {}   # turbo: content key guarding each memo
-        self._vec_engines = {}  # vector: engines this run dispatched to
         # compiled fused-lane LPSU engine (repro.sim.fusion, `lpsu`
         # flavour).  The ladder harness's `fused-noengine` tier clears
-        # it to pin the path production takes whenever lpsu_engine()
-        # returns None.
+        # it to pin the interpreted stepper on the fast path, the path
+        # production takes whenever lpsu_engine() returns None.
         self._use_engine = self.fast
 
     # ------------------------------------------------------------------
@@ -176,32 +164,7 @@ class SystemSimulator:
             adaptive_decisions=dict(self.apt.decisions),
             return_value=core.return_value,
             cache_misses=self.cache.misses,
-            cache_accesses=self.cache.accesses,
-            backend_stats=self._backend_stats())
-
-    def _backend_stats(self):
-        """Counters from the backend machinery this run dispatched to.
-
-        Memos and vector engines are content-keyed and shared
-        process-wide, so on a warm process the counts include earlier
-        runs that touched the same static loops -- they describe the
-        machinery, not just this invocation.
-        """
-        bs = {}
-        if self._memos:
-            memos = list(self._memos.values())
-            bs["memo_hits"] = sum(m.hits for m in memos)
-            bs["memo_misses"] = sum(m.misses for m in memos)
-            bs["divergences"] = sum(m.aborts for m in memos)
-            bs["memo_dead"] = sum(1 for m in memos if m.dead)
-        if self._vec_engines:
-            engines = list(self._vec_engines.values())
-            bs["vector_invocations"] = sum(v.invocations for v in engines)
-            bs["vector_iterations"] = sum(
-                v.batched_iterations for v in engines)
-            bs["vector_refusals"] = sum(v.refusals for v in engines)
-            bs["vector_dead"] = sum(1 for v in engines if v.dead)
-        return bs
+            cache_accesses=self.cache.accesses)
 
     def _run_fused(self, mode, max_steps):
         """Fast GPP driver: dispatch fused superblocks, falling back to
@@ -348,45 +311,10 @@ class SystemSimulator:
         engine = None
         if self._use_engine:
             engine = lpsu_engine(self.program, desc)
-        memo = None
-        if self._turbo:
-            # turbo: compiled segment replay beats even the engine on
-            # steady-state loops, so the memo rides alongside it.  The
-            # memo is content-keyed and shared process-wide: MIV
-            # increments resolve per invocation, so the key is checked
-            # each time rather than trusting the xloop pc alone.
-            from ..sim import turbo as _turbo_mod
-            key = _turbo_mod.memo_content_key(
-                desc, self.config.lpsu, self.config.gpp)
-            memo = self._memos.get(desc.xloop_pc)
-            if memo is None or self._memo_keys.get(desc.xloop_pc) != key:
-                memo = _turbo_mod.turbo_memo(
-                    desc, self.config.lpsu, self.config.gpp)
-                self._memos[desc.xloop_pc] = memo
-                self._memo_keys[desc.xloop_pc] = key
-        elif self.fast and engine is None:
-            # fused tier: schedule memoization pays only on the
-            # interpreted stepper; with a compiled engine available,
-            # plain engine-stepped execution is faster than
-            # record + replay
-            memo = self._memos.get(desc.xloop_pc)
-            if memo is None:
-                memo = self._memos[desc.xloop_pc] = ScheduleMemo()
-        vec = None
-        if self._vector:
-            # vector: whole-block numpy batching for branchy uc loops
-            # (content-cached; None when the body is ineligible, in
-            # which case this invocation runs exactly as on turbo)
-            from ..sim import vector as _vector_mod
-            vec = _vector_mod.vector_engine(desc, self.config.lpsu,
-                                            self.config.gpp)
-            if vec is not None:
-                self._vec_engines[desc.xloop_pc] = vec
         lpsu = LPSU(desc, core.regs, self.mem, self.cache,
                     self.config.lpsu, self.events,
                     decoded_body=decoded[lo:lo + desc.body_len],
-                    monitor=hook, fast=self.fast, memo=memo,
-                    engine=engine, vector=vec)
+                    monitor=hook, fast=self.fast, engine=engine)
         if self.injector is not None:
             self.injector.attach(lpsu)
         budget = None
@@ -443,9 +371,9 @@ def simulate(program, config, entry="main", args=(), mode="traditional",
     without perturbing cycles, energy, or statistics.
 
     ``backend`` selects a rung of the simulation ladder
-    (:mod:`repro.sim.backends`): ``interp``/``fused``/``turbo``/
-    ``vector``/``auto``, where None means ``auto`` (results are
-    bit-identical across tiers; ``repro verify --ladder`` enforces it).
+    (:mod:`repro.sim.backends`): ``interp``/``fused``/``auto``, where
+    None means ``auto`` (results are bit-identical across tiers;
+    ``repro verify --ladder`` enforces it).
 
     ``max_cycles`` bounds the specialized-phase cycle budget (raising
     :class:`~repro.sim.LivelockError` when exhausted); ``injector``

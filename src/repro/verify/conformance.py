@@ -206,9 +206,10 @@ def check_counterexample(source, entry, params, proof, sweep=LPSU_SWEEP):
 # ----------------------------------------------------------------------
 
 #: the ladder's harness-only tier: ``fused`` with the compiled
-#: fused-lane LPSU engine switched off, i.e. the interpreted stepper +
-#: schedule memo that production runs whenever ``lpsu_engine`` returns
-#: None.  Not a backend anyone can select.
+#: fused-lane LPSU engine switched off, i.e. the interpreted stepper on
+#: the fast path (cycle jumps, parking, in-slot fusion) that production
+#: runs whenever ``lpsu_engine`` returns None.  Not a backend anyone
+#: can select.
 _NOENGINE = "fused-noengine"
 
 
@@ -243,24 +244,17 @@ def _diff_detail(a, b, blabel):
 
 def check_ladder(name, program, entry, make_args, sweep=LADDER_SWEEP,
                  adaptive=True):
-    """Demand the full backend ladder (interp -> fused -> turbo ->
-    vector) is *bit-identical* for one loop: every snapshot field —
-    cycles, instr counts, energy-event counts, LPSU stats, adaptive
-    decisions, return value, cache totals — and the final memory image
-    must agree pairwise across all tiers, for traditional execution and
-    every specialized/adaptive LPSU design point, on every Table II
-    GPP.  The failure detail names the GPP and the diverging tier.
-    The vector rung joins the ladder only when its optional numpy
-    dependency is importable (without it, vector cannot be selected,
-    so three rungs cover every reachable configuration).  LPSU
-    points add the ``fused-noengine`` tier, pinning the interpreted
-    stepper + schedule-memo layer to the same contract.
-    Never raises."""
+    """Demand the backend ladder (interp -> fused) is *bit-identical*
+    for one loop: every snapshot field — cycles, instr counts,
+    energy-event counts, LPSU stats, adaptive decisions, return value,
+    cache totals — and the final memory image must agree across the
+    tiers, for traditional execution and every specialized/adaptive
+    LPSU design point, on every Table II GPP.  The failure detail
+    names the GPP and the diverging tier.  LPSU points add the
+    ``fused-noengine`` tier, pinning the interpreted stepper on the
+    fast path to the same contract.  Never raises."""
     res = ConformanceResult(name=name)
-    tiers = ("interp", "fused", "turbo")
-    from ..sim.vector import HAS_NUMPY
-    if HAS_NUMPY:
-        tiers += ("vector",)
+    tiers = ("interp", "fused")
     try:
         points = [("traditional", None)]
         points += _specialized_points(sweep, adaptive)

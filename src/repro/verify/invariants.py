@@ -27,8 +27,9 @@ Checked invariants (paper Sections II-D, IV-B/C):
   ``live_in + increment * k``, and the index register advances by one.
 * **Golden-oracle equivalence**: per-iteration committed store/AMO
   streams (LSQ patterns), per-iteration CIR values, the architectural
-  hand-back (index, bound, CIRs, MIVs, exit registers), and the final
-  memory image all match a serial execution of the same loop.
+  hand-back (index, bound, CIRs, MIVs, exit registers, and every
+  register an iteration reads before writing), and the final memory
+  image all match a serial execution of the same loop.
 * **Iteration-boundary hand-back**: specialized execution — including
   an adaptive-profiling early stop — returns to the GPP only at an
   iteration boundary: the retired-iteration count, hand-back registers
@@ -434,23 +435,42 @@ class InvariantMonitor:
                 raise InvariantViolation(
                     "boundary", "hand-back CIR x%d=%r, serial 0x%x"
                     % (cir, got, oracle.reg(cir)), cycle=cyc)
-        for miv in d.mivt.values():
-            got = result.miv_values.get(miv.reg)
-            if not result.exited and miv.reg not in oracle.ever_read_first:
-                continue  # never boundary-observable (recomputed at entry)
-            if result.exited:
-                # an xloop.break leaves the serial body mid-iteration;
-                # the hand-back convention still advances MIVs to the
-                # next iteration boundary (they are excluded from the
-                # exiting lane's register copy-back)
+        if result.exited:
+            # an xloop.break leaves the serial body mid-iteration; the
+            # hand-back convention still advances MIVs to the next
+            # iteration boundary (they are excluded from the exiting
+            # lane's register copy-back)
+            for miv in d.mivt.values():
+                got = result.miv_values.get(miv.reg)
                 want = (self.live_in[miv.reg]
                         + miv.increment * oracle.iterations) & MASK32
-            else:
-                want = oracle.reg(miv.reg)
-            if got is None or got & MASK32 != want:
-                raise InvariantViolation(
-                    "boundary", "hand-back MIV x%d=%r, expected 0x%x"
-                    % (miv.reg, got, want), cycle=cyc)
+                if got is None or got & MASK32 != want:
+                    raise InvariantViolation(
+                        "boundary", "hand-back MIV x%d=%r, expected 0x%x"
+                        % (miv.reg, got, want), cycle=cyc)
+        else:
+            # the register file the GPP resumes with, built as
+            # SystemSimulator._run_specialized builds it, must hold the
+            # serial value of every register an iteration reads before
+            # writing (a register recomputed at body entry is dead
+            # there): one carried across iterations but not handed
+            # back, such as a CIR the scan missed, keeps its live-in
+            # value
+            regs = list(self.live_in)
+            regs[d.idx_reg] = result.final_idx
+            regs[d.bound_reg] = result.final_bound
+            for reg, value in result.cir_values.items():
+                regs[reg] = value
+            for reg, value in result.miv_values.items():
+                regs[reg] = value
+            for r in sorted(oracle.ever_read_first):
+                if r == d.bound_reg and self.racy and self.dynamic_bound:
+                    continue   # interleaving-dependent (see above)
+                if regs[r] & MASK32 != oracle.reg(r):
+                    raise InvariantViolation(
+                        "boundary", "hand-back x%d=0x%x, serial 0x%x"
+                        % (r, regs[r] & MASK32, oracle.reg(r)),
+                        cycle=cyc)
         if not self.racy and not self.mem.pages_equal(oracle.mem):
             addr = self.mem.first_difference(oracle.mem)
             raise InvariantViolation(

@@ -23,9 +23,9 @@ def baseline():
 
 
 def test_toplevel_schema(baseline):
-    assert baseline["schema"] == 6
-    for section in ("patterns", "long_kernels", "table2", "backends",
-                    "branchy", "service", "distributed"):
+    assert baseline["schema"] == 7
+    for section in ("patterns", "long_kernels", "table2", "service",
+                    "distributed"):
         assert section in baseline
 
 
@@ -45,42 +45,6 @@ def test_long_kernel_points(baseline):
         assert _POINT_KEYS <= set(entry)
     # the fast-path acceptance bar: >=3x cold on >=2 long kernels
     assert sum(1 for e in longs.values() if e["speedup"] >= 3.0) >= 2
-
-
-def test_backend_ladder_points(baseline):
-    backends = baseline["backends"]
-    assert len(backends) >= 3
-    keys = {"interp_seconds", "fused_seconds", "turbo_cold_seconds",
-            "turbo_warm_seconds", "turbo_over_interp",
-            "turbo_over_fused"}
-    for entry in backends.values():
-        assert keys <= set(entry)
-        # the fused floor: turbo never loses to the tier below it
-        assert entry["turbo_over_fused"] >= 1.0
-    # the turbo acceptance bar: >=10x cold over interp on >=3 of the
-    # long steady-state streaming kernels
-    assert sum(1 for e in backends.values()
-               if e["turbo_over_interp"] >= 10.0) >= 3
-
-
-def test_branchy_vector_points(baseline):
-    branchy = baseline["branchy"]
-    assert len(branchy) >= 3
-    keys = {"interp_seconds", "fused_seconds", "turbo_seconds",
-            "vector_seconds", "vector_engaged", "vector_over_fused",
-            "vector_over_turbo"}
-    engaged = []
-    for entry in branchy.values():
-        assert keys <= set(entry)
-        if entry["vector_engaged"]:
-            # the fused floor: an engaged batcher never loses to the
-            # tier it was built to beat
-            assert entry["vector_over_fused"] >= 1.0
-            engaged.append(entry)
-    # the vector acceptance bar: >=2x cold over fused on >=2 branchy
-    # kernels where turbo's schedule memo is dead
-    assert sum(1 for e in engaged
-               if e["vector_over_fused"] >= 2.0) >= 2
 
 
 def test_table2_warm_is_cache_served(baseline):
@@ -150,14 +114,6 @@ def test_check_mode_flags_regressions():
                                   "cold_fast_seconds": 99.0}},
              "long_kernels": {}, "table2": {"cold_seconds": 10.0}}
     assert bench_speed._check(extra, base) == []
-    # the turbo fused-floor gate needs no baseline entry at all
-    floor = {"patterns": {}, "long_kernels": {},
-             "backends": {"vvadd-uc": {"scale": "large",
-                                       "turbo_cold_seconds": 1.0,
-                                       "turbo_over_fused": 0.8}},
-             "table2": {"cold_seconds": 10.0}}
-    problems = bench_speed._check(floor, base)
-    assert len(problems) == 1 and "fused floor" in problems[0]
     # the service gates: served-fraction floor and zero-simulation
     # contract hold with no baseline entry; the rate gate needs one
     svc_ok = {"patterns": {}, "long_kernels": {},

@@ -74,9 +74,10 @@ class TestRunner:
                                  scale=SCALE) > 0
 
     def test_default_path_imports_no_rung_above_fused(self):
-        # a fresh process on the default backend: neither the turbo
-        # and vector rungs nor numpy get imported, by the simulation
-        # or by clearing the caches after it
+        # a fresh process on the default backend: neither numpy nor
+        # the placeholders left where the turbo and vector rungs were
+        # get imported, by the simulation or by clearing the caches
+        # after it
         script = (
             "import sys\n"
             "from repro.eval import runner\n"

@@ -23,7 +23,7 @@ import pytest
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
 from repro.resilience.journal import Journal, qkey_of
-from repro.sim import fusion, turbo
+from repro.sim import fusion
 
 SCALE = "tiny"
 
@@ -427,9 +427,8 @@ class TestOneWarmKernel:
     B = SweepPoint("dither-or", "io+x", mode="specialized", scale=SCALE)
 
     def _simulate(self, pt):
-        # on the turbo rung, so there are turbo stores to drop too
         runner.run(pt.kernel, pt.config, use_disk_cache=False,
-                   backend="turbo", **pt.run_kwargs())
+                   **pt.run_kwargs())
 
     def test_a_new_kernel_drops_the_last_ones_state(self):
         # arriving from another kernel: start from nothing warm
@@ -442,12 +441,12 @@ class TestOneWarmKernel:
         a_blocks = {k for k in fusion._BLOCK_TABLE_CACHE
                     if k[2] == content}
         a_engines = set(fusion._LPSU_MAKE_CACHE)
-        assert a_blocks and a_engines and turbo._TURBO_MEMOS
+        assert a_blocks and a_engines
 
         warm = hardening._keep_warm(self.B.kernel, warm)
         assert warm == self.B.kernel
         assert runner._compiled.cache_info().currsize == 0
-        assert not runner._RESULTS and not turbo._TURBO_MEMOS
+        assert not runner._RESULTS
         self._simulate(self.B)
         assert runner._compiled.cache_info().currsize == 1   # B's own
         assert not a_blocks & set(fusion._BLOCK_TABLE_CACHE)

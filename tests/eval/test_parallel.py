@@ -6,8 +6,8 @@ sweep over the same points must be served from the disk cache instead
 of re-simulating.
 """
 
-import dataclasses
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -21,18 +21,6 @@ SCALE = "tiny"
 
 def _points():
     return table2_points(KERNELS, SCALE, 0)
-
-
-def _snapshot(result):
-    """Every KernelRun field as plain data (recurses into the events
-    and LPSU-stats dataclasses), for exact comparison.  The
-    ``backend_stats`` diagnostics are dropped: the counters are
-    process-wide, so a serial sequence and a fresh worker legitimately
-    disagree about them while every architectural field stays
-    bit-identical."""
-    data = dataclasses.asdict(result)
-    data.pop("backend_stats", None)
-    return data
 
 
 @pytest.fixture(autouse=True)
@@ -103,7 +91,7 @@ class TestDeterminism:
         reference = {}
         for pt in _points():
             r = runner.run(pt.kernel, pt.config, **pt.run_kwargs())
-            reference[pt.memo_key()] = _snapshot(r)
+            reference[pt.memo_key()] = asdict(r)
         assert reference
 
         # same points, 4 worker processes, fresh memo + fresh disk
@@ -115,7 +103,7 @@ class TestDeterminism:
 
         for pt in _points():
             r = runner.run(pt.kernel, pt.config, **pt.run_kwargs())
-            assert _snapshot(r) == reference[pt.memo_key()], pt.label()
+            assert asdict(r) == reference[pt.memo_key()], pt.label()
 
     def test_second_sweep_served_from_cache(self, tmp_path):
         diskcache.configure(cache_dir=str(tmp_path))
@@ -216,8 +204,8 @@ class TestVerifiedRunsBypassCache:
         assert runner.simulations == n0 + 3
 
         # every path reports the same bit-identical record
-        assert _snapshot(r1) == _snapshot(r2) == _snapshot(r3) \
-            == _snapshot(r4)
+        assert asdict(r1) == asdict(r2) == asdict(r3) \
+            == asdict(r4)
 
     def test_verified_run_skips_disk_cache_reads(self, tmp_path):
         diskcache.configure(cache_dir=str(tmp_path))

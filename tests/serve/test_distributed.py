@@ -15,12 +15,12 @@ mid-campaign and proves the journal resumes it without re-simulating
 completed points.
 """
 
-import dataclasses
 import json
 import multiprocessing
 import os
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -61,12 +61,6 @@ def _fresh_state(tmp_path, monkeypatch):
     runner.clear_cache(keep_disk=True)
 
 
-def _snapshot(result):
-    data = dataclasses.asdict(result)
-    data.pop("backend_stats", None)
-    return data
-
-
 def _reference_snapshots(points):
     """Direct runner.run results, computed memo-only so they leave no
     disk-cache trace for the server to serve from."""
@@ -74,7 +68,7 @@ def _reference_snapshots(points):
     for pt in points:
         r = runner.run(pt.kernel, pt.config, use_disk_cache=False,
                        **pt.run_kwargs())
-        reference[pt.memo_key()] = _snapshot(r)
+        reference[pt.memo_key()] = asdict(r)
     runner.clear_cache()
     return reference
 
@@ -120,7 +114,7 @@ class TestDistributedServing:
                 for pt in POINTS:
                     r = runner.run(pt.kernel, pt.config,
                                    **pt.run_kwargs())
-                    assert _snapshot(r) == reference[pt.memo_key()], \
+                    assert asdict(r) == reference[pt.memo_key()], \
                         pt.label()
             finally:
                 _stop_workers(workers)
@@ -235,7 +229,7 @@ class TestChaosAcceptance:
                 for pt in POINTS:
                     r = runner.run(pt.kernel, pt.config,
                                    **pt.run_kwargs())
-                    assert _snapshot(r) == reference[pt.memo_key()], \
+                    assert asdict(r) == reference[pt.memo_key()], \
                         pt.label()
             finally:
                 _stop_workers(workers)

@@ -57,15 +57,11 @@ def _fresh_cache(path):
 
 
 def _outcome(summary, path):
-    """What a path produced: its records as plain data (minus the
-    process-wide ``backend_stats``), its simulations and its disk
-    records."""
+    """What a path produced: its records as plain data, its
+    simulations and its disk records."""
     assert summary.ok, (path, summary.render())
-    records = {}
-    for pt in UNIQUE:
-        data = dataclasses.asdict(runner._RESULTS[pt.memo_key()])
-        data.pop("backend_stats", None)
-        records[pt.label()] = data
+    records = {pt.label(): dataclasses.asdict(runner._RESULTS[pt.memo_key()])
+               for pt in UNIQUE}
     return {"records": records, "simulated": summary.misses,
             "disk_records": diskcache.disk_stats()["records"]}
 

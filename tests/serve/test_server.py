@@ -11,7 +11,6 @@ kernels and submissions, give up the sockets they inherit, and are all
 joined when the server stops or dies.
 """
 
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -22,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -70,14 +70,6 @@ def server(tmp_path):
     with ServerThread(jobs=2, retries=2, backoff=0.01,
                       socket_dir=str(tmp_path)) as st:
         yield st
-
-
-def _snapshot(result):
-    """KernelRun as plain data, minus the process-wide backend_stats
-    diagnostics (identical policy to the parallel-executor tests)."""
-    data = dataclasses.asdict(result)
-    data.pop("backend_stats", None)
-    return data
 
 
 def _log_attempts(monkeypatch, path):
@@ -146,7 +138,7 @@ class TestServing:
         for pt in POINTS:
             r = runner.run(pt.kernel, pt.config, use_disk_cache=False,
                            **pt.run_kwargs())
-            reference[pt.memo_key()] = _snapshot(r)
+            reference[pt.memo_key()] = asdict(r)
         runner.clear_cache()    # fresh memo + disk: the server recomputes
 
         with ServeClient(server.address) as client:
@@ -155,7 +147,7 @@ class TestServing:
         # submit() seeded the memo with the server's records
         for pt in POINTS:
             r = runner.run(pt.kernel, pt.config, **pt.run_kwargs())
-            assert _snapshot(r) == reference[pt.memo_key()], pt.label()
+            assert asdict(r) == reference[pt.memo_key()], pt.label()
 
     def test_ping_and_stats(self, server):
         with ServeClient(server.address) as client:

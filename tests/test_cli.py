@@ -166,7 +166,7 @@ def test_kernel_backend_flag(capsys, monkeypatch):
     monkeypatch.setenv(diskcache.ENV_NO_CACHE, "1")
     outs = []
     try:
-        for backend in ("turbo", "interp"):
+        for backend in ("fused", "interp"):
             runner.clear_cache(keep_disk=True)
             before = runner.simulations
             assert main(["kernel", "vvadd-uc", "--scale", "tiny",
@@ -219,12 +219,19 @@ def test_profile_prints_hotspots(capsys):
 
 
 def test_profile_backend_flag(capsys):
-    rc = main(["profile", "vvadd-uc", "--scale", "tiny",
-               "--backend", "turbo", "--top", "3"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "backend=turbo" in out
-    assert "cycles:" in out
+    from repro.eval import runner
+    try:
+        rc = main(["profile", "vvadd-uc", "--scale", "tiny",
+                   "--backend", "interp", "--top", "3"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "backend=interp" in out
+        assert "cycles:" in out
+    finally:
+        # --backend sets the process default: later tests run on auto
+        import os
+        runner.set_default_backend("auto")
+        os.environ.pop("REPRO_BACKEND", None)
 
 
 def test_prove_named_kernels(capsys):

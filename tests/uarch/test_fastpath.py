@@ -1,7 +1,7 @@
-"""Fast-path equivalence tests: superblock fusion and iteration-
-schedule memoization must be bit-identical to the step-at-a-time
-simulators -- cycles, instruction counts, energy events, LPSU stats,
-adaptive decisions, and the final memory image.
+"""Fast-path equivalence tests: superblock fusion, the compiled LPSU
+engine and the event-driven cycle loop must be bit-identical to the
+step-at-a-time simulators -- cycles, instruction counts, energy events,
+LPSU stats, adaptive decisions, and the final memory image.
 
 ``repro verify --ladder`` runs the same differential harness over
 every registered kernel and generated loops; these tests keep a
@@ -17,7 +17,6 @@ from repro.sim.functional import FunctionalCore, run_program
 from repro.sim.fusion import block_runs, fused_blocks
 from repro.uarch import IO, OOO2, OOO4, LPSUConfig, SystemConfig, simulate
 from repro.uarch.lpsu import LPSU
-from repro.uarch.schedmemo import ScheduleMemo
 from repro.uarch.system import SystemSimulator
 from repro.verify import check_ladder
 from repro.verify.conformance import LADDER_SWEEP
@@ -159,10 +158,10 @@ class TestSystemFastSlow:
 
     @pytest.mark.parametrize("name", _KERNELS)
     def test_noengine_fast_path_stays_bit_identical(self, name):
-        # the interpreted-stepper fast path (schedule memo + batch
-        # loop) of the default rung must honour the same contract
-        # with the compiled fused-lane engine switched off, as for a
-        # body lpsu_engine() cannot compile
+        # the interpreted stepper on the fast path (cycle jumps,
+        # parking, in-slot fusion) must honour the same contract with
+        # the compiled fused-lane engine switched off, as for a body
+        # lpsu_engine() cannot compile
         spec, program = _program(name)
         results = []
         for use_engine in (False, True):
@@ -295,64 +294,3 @@ class TestSystemFastSlow:
             == dict(slow_r.adaptive_decisions)
         assert fast_r.cycles == slow_r.cycles
         assert repr(fast_r.lpsu_stats) == repr(slow_r.lpsu_stats)
-
-
-# ---------------------------------------------------------------------------
-# schedule memoization
-# ---------------------------------------------------------------------------
-
-class TestScheduleMemo:
-    def _run(self, name, backend):
-        spec, program = _program(name)
-        mem = Memory()
-        args = spec.workload("tiny", 0).apply(mem)
-        sim = SystemSimulator(program, SystemConfig("t", IO,
-                                                    LPSUConfig()),
-                              mem=mem, backend=backend)
-        # the fused rung memoizes schedules only when the fused-lane
-        # engine is unavailable; switch it off so the memo layer is
-        # actually exercised (a no-op on interp)
-        sim._use_engine = False
-        r = sim.run(entry=spec.entry, args=args, mode="specialized")
-        return sim, r, mem
-
-    def test_memo_replays_and_stays_bit_identical(self):
-        # Floyd-Warshall re-invokes the same static xloop with a
-        # recurring schedule: the memo must actually get hits, and the
-        # run must still match the slow path exactly.
-        sim, fast_r, fast_mem = self._run("war-uc", "fused")
-        _, slow_r, slow_mem = self._run("war-uc", "interp")
-        assert fast_r.cycles == slow_r.cycles
-        assert repr(fast_r.lpsu_stats) == repr(slow_r.lpsu_stats)
-        assert fast_mem.pages_equal(slow_mem)
-        assert sum(m.hits for m in sim._memos.values()) > 0
-
-    def test_slow_path_builds_no_memos(self):
-        sim, _r, _m = self._run("war-uc", "interp")
-        assert not sim._memos
-
-    def test_never_hitting_memo_goes_dead(self):
-        # a loop whose anchor signatures never repeat must stop paying
-        # the recording tax after _DEAD_MISSES stored segments
-        from repro.uarch.schedmemo import _DEAD_MISSES
-
-        class _StubLPSU:
-            contexts = ()
-            _llfu_free = ()
-
-            def __init__(self, i):
-                self._rec = [("F", 0, 0, 0)]
-                self._rec_sig = ("sig", i)   # unique per segment
-                self._rec_cycle0 = 0
-                self._rec_k0 = 0
-                self._next_k = 2
-                self.bound = 10
-                self.start_idx = 0
-
-        memo = ScheduleMemo()
-        for i in range(_DEAD_MISSES):
-            assert not memo.dead
-            memo.finalize(_StubLPSU(i), cycle=5)
-        assert memo.dead
-        assert memo.hits == 0
-        assert memo.misses == _DEAD_MISSES

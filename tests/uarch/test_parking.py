@@ -211,8 +211,8 @@ class TestCIBWaiters:
         assert paths["cib woken by engine"]
 
     def test_woken_by_an_interpreted_step_publish(self, monkeypatch):
-        # no compiled engine: the interpreted stepper publishes (the
-        # schedule memo never takes a loop with CIRs, so parking is on)
+        # no compiled engine: the interpreted stepper publishes, with
+        # parking on as on every fast-path run
         paths = _paths(monkeypatch, _MUL_OR, [A, B, N, 1], [(A, _DATA)],
                        engine=False)
         assert paths["cib woken by interp-publish"]

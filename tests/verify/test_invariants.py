@@ -18,7 +18,7 @@ from repro.kernels import get_kernel
 from repro.lang import compile_source
 from repro.sim import Memory
 from repro.sim.memory import MASK32
-from repro.uarch import IO, SystemConfig, simulate
+from repro.uarch import IO, SystemConfig, simulate, system
 from repro.uarch.lpsu import LPSU
 from repro.uarch.params import LPSUConfig
 from repro.verify import InvariantViolation
@@ -45,6 +45,22 @@ _MUL_OR_SRC = or_source("acc = (acc * 3) + a[i];")
 #: stride-1 memory recurrence: younger lanes speculatively load a[i-1]
 #: before the older store commits, so broadcasts/squashes must happen
 _OM_SRC = om_source(2)
+
+#: an ordered loop with two CIRs, ``b`` written first; the loop body
+#: stores nothing, so ``b`` reaches memory only through the hand-back
+_TWO_CIR_SRC = """
+int k(int* v, int* out, int n) {
+    int a = 1;
+    int b = 0;
+    #pragma xloops ordered
+    for (int j = 0; j < n; j++) {
+        b = b + a;
+        a = a + v[j];
+    }
+    out[0] = a;
+    out[1] = b;
+    return a;
+}"""
 
 
 class TestInjectedBugs:
@@ -140,6 +156,33 @@ class TestInjectedBugs:
                  init_words=[(A, list(range(N + 8)))])
         assert exc.value.check in ("lsq-commit-order", "lsq-stream",
                                    "boundary")
+
+    def test_dropped_cir_hand_back_is_caught(self, monkeypatch):
+        """A CIR the scan misses runs lane-private, and the GPP
+        resumes with its live-in value.  No store or handed-back
+        register shows it; the hand-back register file does."""
+        real_scan = system.scan_loop
+        dropped = []
+
+        def scan_dropping_b(program, instr, regs):
+            desc = real_scan(program, instr, regs)
+            assert len(desc.cirs) == 2
+            b = min(desc.cirs, key=desc.last_cir_write_pc.__getitem__)
+            dropped.append(b)
+            return dataclasses.replace(desc, cirs=desc.cirs - {b})
+
+        data = [(A, list(range(1, N + 1)))]
+        _, serial = _run(_TWO_CIR_SRC, "k", [A, B, N], data,
+                         verify=False, mode="traditional")
+        monkeypatch.setattr(system, "scan_loop", scan_dropping_b)
+        _, wrong = _run(_TWO_CIR_SRC, "k", [A, B, N], data, verify=False)
+        (a, b), (wrong_a, wrong_b) = (serial.read_words(B, 2),
+                                      wrong.read_words(B, 2))
+        assert wrong_a == a and wrong_b != b
+        with pytest.raises(InvariantViolation) as exc:
+            _run(_TWO_CIR_SRC, "k", [A, B, N], data)
+        assert exc.value.check == "boundary"
+        assert "hand-back x%d=" % dropped[-1] in str(exc.value)
 
 
 class TestTransparency:
