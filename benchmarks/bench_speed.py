@@ -177,7 +177,7 @@ def _service_section(jobs=2):
             cold = time.perf_counter() - t0
             assert cold_summary.ok, cold_summary.render()
             # drop the in-process memo: the warm pass must be served
-            # by the hot tier / disk store, not this process's dict.
+            # by the disk store, not this process's dict.
             # Best-of-3: a few milliseconds of serving is pure
             # scheduler-noise territory otherwise.
             warm = warm_summary = None

@@ -367,14 +367,13 @@ def build_parser():
                         "delete everything; prune: drop the oldest "
                         "records down to --max-size; fsck: verify "
                         "every record's checksum, quarantine damage, "
-                        "sweep stale temp files, rebuild the shard "
-                        "indexes")
+                        "sweep stale temp files")
     p.add_argument("--max-size", metavar="SIZE",
                    help="prune target, e.g. 256M, 2G, or bytes "
                         "(required for 'prune')")
     p.add_argument("--json", action="store_true",
                    help="stats only: emit the full report as JSON "
-                        "(per-shard distribution + hot-tier counters)")
+                        "(with the per-shard distribution)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="cache location (default ~/.cache/repro or "
                         "$REPRO_CACHE_DIR)")
@@ -960,14 +959,7 @@ def cmd_cache(args):
         print("cache dir: %s" % st["dir"])
         print("records:   %d" % st["records"])
         print("size:      %s" % _fmt_size(st["bytes"]))
-        print("shards:    %d populated (index rebuilds this "
-              "process: %d)" % (st["shards"], st["index_rebuilds"]))
-        hot = st["hot"]
-        print("hot tier:  %d record(s), %s of %s  "
-              "(%d hit(s), %d eviction(s))"
-              % (hot["entries"], _fmt_size(hot["bytes"]),
-                 _fmt_size(hot["limit_bytes"]), hot["hits"],
-                 hot["evictions"]))
+        print("shards:    %d populated" % st["shards"])
         return 0
     if args.action == "clear":
         removed = diskcache.clear()
@@ -977,8 +969,7 @@ def cmd_cache(args):
         report = diskcache.fsck()
         print("cache dir: %s" % report["dir"])
         print("checked:   %d record(s)" % report["checked"])
-        print("ok:        %d (%d legacy un-checksummed)"
-              % (report["ok"], report["legacy"]))
+        print("ok:        %d" % report["ok"])
         print("corrupt:   %d (quarantined)" % report["corrupt"])
         for path in report["quarantined"]:
             print("  -> %s" % path)

@@ -21,36 +21,21 @@ workers racing on the same point both write the same bytes.
 
 Records are integrity-checked: the on-disk format is a ``RPR1`` magic,
 the SHA-256 of the pickled payload, then the payload itself.  A record
-that fails its checksum or does not unpickle (truncation, bit rot, a
-crashed writer that somehow bypassed the atomic rename) is *never*
-served: it counts as a miss and is moved to ``<cache-dir>/quarantine/``
-for post-mortem instead of being silently trusted or deleted.  Bare
-pickle records from older versions are still readable.  ``repro cache
+that lacks the magic, fails its checksum or does not unpickle
+(truncation, bit rot, a crashed writer that somehow bypassed the
+atomic rename) is *never* served: it counts as a miss and is moved to
+``<cache-dir>/quarantine/`` for post-mortem instead of being silently
+trusted or deleted.  A payload unpickles only into the result-record
+classes (:func:`repro.resilience.journal.loads_record`), so a record
+planted in a shared cache directory runs no code.  ``repro cache
 fsck`` (:func:`fsck`) audits the whole cache offline.
 
-The store is *sharded*: records bucket into 256 two-hex-digit shard
-directories, and each shard carries a persistent index (under
-``<cache-dir>/index/<shard>.json``) recording every record's size and
-mtime plus the shard directory's mtime at the moment the index was
-written.  ``disk_stats``/``prune`` read the 256 small index files
-instead of stat()ing every record, so they stay fast at millions of
-records.  The index is *advisory and self-healing*: record lookups
-never consult it, a store writes only its record, and a shard whose
-directory mtime disagrees with its index is rescanned on the spot at
-the next ``disk_stats``/``prune`` (stores, deletes and foreign writers
-invalidate automatically, because rename/unlink bump the directory
-mtime), and ``repro cache fsck`` rebuilds every index from scratch.
-Caches written by older versions simply have no index and are indexed
-lazily.
-
-On top of the disk tier sits a bounded in-memory *hot tier*: a
-process-local LRU of decoded records (keyed by record key + code
-fingerprint) so a repeated in-process hit skips the file read, the
-checksum, and the unpickle entirely.  ``REPRO_CACHE_HOT_MB`` bounds it
-(default 64 MiB, ``0`` disables); :func:`disk_stats` reports its
-hits/evictions.  Records are content-addressed and immutable, so a hot
-entry can never go stale -- at worst it outlives a pruned file, which
-still serves the same bits.
+Records bucket into 256 two-hex-digit shard directories, and the
+store keeps nothing beside them but ``quarantine/``: :func:`disk_stats`,
+:func:`prune`, :func:`fsck` and :func:`clear` walk the shard
+directories, and a lookup reads only its own record.  The in-process
+memo in front of this store is :mod:`repro.eval.runner`'s, which keeps
+every record it reads from here.
 
 Environment knobs (read at call time, so they work for forked pool
 workers too):
@@ -60,23 +45,19 @@ workers too):
 ``REPRO_NO_CACHE``
     any of ``1/true/yes`` disables the disk cache entirely (used by CI
     to stay hermetic).
-``REPRO_CACHE_HOT_MB``
-    size bound of the in-memory decoded-record hot tier in MiB
-    (default 64; 0 disables the tier).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
+
+from ..resilience.journal import loads_record
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_NO_CACHE = "REPRO_NO_CACHE"
-ENV_HOT_MB = "REPRO_CACHE_HOT_MB"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -86,22 +67,10 @@ _force_disabled = False
 
 #: process-local counters, reported in sweep summaries
 stats = {"hits": 0, "misses": 0, "writes": 0, "errors": 0,
-         "corrupt": 0, "quarantined": 0,
-         "hot_hits": 0, "hot_evictions": 0, "index_rebuilds": 0}
+         "corrupt": 0, "quarantined": 0}
 
 #: record-format magic: MAGIC + sha256(payload) + payload
 MAGIC = b"RPR1"
-
-#: on-disk per-shard index format version
-INDEX_VERSION = 1
-
-#: subdirectory of the cache root holding the per-shard index files
-#: (outside the shard dirs, so writing an index never perturbs the
-#: shard mtime the staleness check is based on)
-INDEX_DIRNAME = "index"
-
-#: default hot-tier bound when ``REPRO_CACHE_HOT_MB`` is unset
-HOT_DEFAULT_MB = 64.0
 
 
 def configure(cache_dir=None, enabled=None):
@@ -184,217 +153,21 @@ def _record_path(key):
 
 
 class CorruptRecord(Exception):
-    """A cache record failed its checksum or did not deserialize."""
-
-
-# ---------------------------------------------------------------------------
-# in-memory hot tier (decoded-record LRU)
-# ---------------------------------------------------------------------------
-
-#: hot-tier LRU: (key, code fingerprint) -> (decoded object, byte cost)
-_hot: "OrderedDict[tuple, tuple]" = OrderedDict()
-_hot_bytes = 0
-
-
-def hot_limit_bytes():
-    """The hot tier's byte budget (``REPRO_CACHE_HOT_MB``)."""
-    raw = os.environ.get(ENV_HOT_MB)
-    if raw is None or not raw.strip():
-        mb = HOT_DEFAULT_MB
-    else:
-        try:
-            mb = float(raw)
-        except ValueError:
-            mb = HOT_DEFAULT_MB
-    return max(0, int(mb * (1 << 20)))
-
-
-def _hot_get(key):
-    entry = _hot.get((key, code_fingerprint()))
-    if entry is None:
-        return None
-    _hot.move_to_end((key, code_fingerprint()))
-    stats["hot_hits"] += 1
-    return entry[0]
-
-
-def _hot_put(key, obj, nbytes):
-    """Install a decoded record, evicting least-recently-used entries
-    down to the byte budget.  An over-budget single record is simply
-    not cached (it would evict everything for one entry)."""
-    global _hot_bytes
-    limit = hot_limit_bytes()
-    if limit <= 0 or nbytes > limit:
-        return
-    hk = (key, code_fingerprint())
-    old = _hot.pop(hk, None)
-    if old is not None:
-        _hot_bytes -= old[1]
-    _hot[hk] = (obj, nbytes)
-    _hot_bytes += nbytes
-    while _hot_bytes > limit and _hot:
-        _evicted, (_obj, cost) = _hot.popitem(last=False)
-        _hot_bytes -= cost
-        stats["hot_evictions"] += 1
-
-
-def hot_clear():
-    """Drop every hot-tier entry (keeps the counters)."""
-    global _hot_bytes
-    _hot.clear()
-    _hot_bytes = 0
-
-
-def hot_stats():
-    """Hot-tier occupancy and lifetime counters."""
-    return {"entries": len(_hot), "bytes": _hot_bytes,
-            "limit_bytes": hot_limit_bytes(),
-            "hits": stats["hot_hits"],
-            "evictions": stats["hot_evictions"]}
-
-
-# ---------------------------------------------------------------------------
-# per-shard persistent index
-# ---------------------------------------------------------------------------
-
-
-def _index_dir():
-    return os.path.join(cache_dir(), INDEX_DIRNAME)
-
-
-def _index_path(shard):
-    return os.path.join(_index_dir(), shard + ".json")
-
-
-def _shard_dir(shard):
-    return os.path.join(cache_dir(), shard)
-
-
-def _shard_names():
-    """The two-hex-digit shard directories that exist on disk."""
-    root = cache_dir()
-    try:
-        subs = sorted(os.listdir(root))
-    except OSError:
-        return
-    for sub in subs:
-        if len(sub) == 2 and os.path.isdir(os.path.join(root, sub)):
-            yield sub
-
-
-def _dir_mtime_ns(path):
-    try:
-        return os.stat(path).st_mtime_ns
-    except OSError:
-        return None
-
-
-def _scan_shard(shard):
-    """``name -> [size, mtime]`` for every record (and writer-droppings
-    ``.tmp``) in one shard directory -- the O(shard) slow path the
-    index exists to avoid."""
-    records = {}
-    subdir = _shard_dir(shard)
-    try:
-        names = os.listdir(subdir)
-    except OSError:
-        return records
-    for name in names:
-        if not (name.endswith(".pkl") or name.endswith(".tmp")):
-            continue
-        try:
-            st = os.stat(os.path.join(subdir, name))
-        except OSError:
-            continue
-        records[name] = [st.st_size, st.st_mtime]
-    return records
-
-
-def _read_index(shard):
-    try:
-        with open(_index_path(shard)) as f:
-            idx = json.load(f)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(idx, dict) or idx.get("v") != INDEX_VERSION \
-            or not isinstance(idx.get("records"), dict):
-        return None
-    return idx
-
-
-def _write_index(shard, records, mtime_ns):
-    payload = {"v": INDEX_VERSION, "mtime_ns": mtime_ns,
-               "count": len(records),
-               "bytes": sum(r[0] for r in records.values()),
-               "records": records}
-    directory = _index_dir()
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(payload, f)
-            os.replace(tmp, _index_path(shard))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        return None   # an unwritable index is merely a missing index
-    return payload
-
-
-def _shard_index(shard, rebuild=False):
-    """The current index payload for *shard*, rescanning (and
-    rewriting) it when missing or stale.  Staleness is the shard
-    directory's mtime_ns disagreeing with the one recorded at index
-    write time: any unlink, rename, or foreign write bumps it."""
-    mtime_ns = _dir_mtime_ns(_shard_dir(shard))
-    if mtime_ns is None:
-        return None
-    if not rebuild:
-        idx = _read_index(shard)
-        if idx is not None and idx.get("mtime_ns") == mtime_ns:
-            return idx
-    stats["index_rebuilds"] += 1
-    # mtime sampled *before* the scan: a writer landing mid-scan
-    # leaves the index stale (rescanned next time), never blessed
-    mtime_ns = _dir_mtime_ns(_shard_dir(shard))
-    records = _scan_shard(shard)
-    payload = _write_index(shard, records, mtime_ns)
-    if payload is None:
-        payload = {"v": INDEX_VERSION, "mtime_ns": mtime_ns,
-                   "count": len(records),
-                   "bytes": sum(r[0] for r in records.values()),
-                   "records": records}
-    return payload
-
-
-def shard_stats():
-    """Per-shard record counts and byte sizes (index-served)."""
-    out = {}
-    for shard in _shard_names():
-        idx = _shard_index(shard)
-        if idx is not None and idx["count"]:
-            out[shard] = {"records": idx["count"],
-                          "bytes": idx["bytes"]}
-    return out
+    """A cache record lacks the magic, failed its checksum or did not
+    deserialize into a result record."""
 
 
 def _decode(blob):
-    """Deserialize one on-disk record (checksummed or legacy bare
-    pickle); raises :class:`CorruptRecord` on any damage."""
-    if blob.startswith(MAGIC):
-        digest, payload = blob[4:36], blob[36:]
-        if len(digest) != 32 \
-                or hashlib.sha256(payload).digest() != digest:
-            raise CorruptRecord("checksum mismatch")
-    else:
-        payload = blob   # legacy record: bare pickle, best effort
+    """Deserialize one on-disk record; raises :class:`CorruptRecord`
+    on any damage, a missing magic or a global that is not a
+    result-record class."""
+    if not blob.startswith(MAGIC):
+        raise CorruptRecord("no %r magic" % MAGIC)
+    digest, payload = blob[4:36], blob[36:]
+    if len(digest) != 32 or hashlib.sha256(payload).digest() != digest:
+        raise CorruptRecord("checksum mismatch")
     try:
-        return pickle.loads(payload)
+        return loads_record(payload)
     except (pickle.UnpicklingError, EOFError, AttributeError,
             ImportError, IndexError, ValueError, TypeError,
             MemoryError) as exc:
@@ -424,17 +197,9 @@ def _quarantine(path):
 def load(key):
     """Return the cached object for *key*, or None.  A truncated,
     checksum-failing, or otherwise unreadable record counts as a miss
-    and is quarantined (the caller re-simulates and overwrites).
-
-    A warm in-process hit is served from the decoded-record hot tier
-    without re-reading or re-hashing the file; the first disk hit
-    installs the decoded object there."""
+    and is quarantined (the caller re-simulates and overwrites)."""
     if not enabled():
         return None
-    obj = _hot_get(key)
-    if obj is not None:
-        stats["hits"] += 1
-        return obj
     path = _record_path(key)
     try:
         with open(path, "rb") as f:
@@ -450,7 +215,6 @@ def load(key):
         _quarantine(path)
         return None
     stats["hits"] += 1
-    _hot_put(key, obj, len(blob))
     return obj
 
 
@@ -466,11 +230,8 @@ def store(key, obj):
         try:
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         except FileNotFoundError:
-            # the shard's first record: make its directory, and the
-            # index directory beside it (a cache holding records
-            # always has one, even before its first stats call)
+            # the shard's first record: make its directory
             os.makedirs(directory, exist_ok=True)
-            os.makedirs(_index_dir(), exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
@@ -492,15 +253,22 @@ def store(key, obj):
 
 
 def _iter_records():
-    """Yield ``(path, size, mtime)`` for every record on disk."""
+    """Yield ``(path, size, mtime)`` for every record, and every
+    writer's ``.tmp``, in the two-hex-digit shard directories."""
     root = cache_dir()
-    if not os.path.isdir(root):
+    try:
+        subs = sorted(os.listdir(root))
+    except OSError:
         return
-    for sub in sorted(os.listdir(root)):
-        subdir = os.path.join(root, sub)
-        if not (len(sub) == 2 and os.path.isdir(subdir)):
+    for sub in subs:
+        if len(sub) != 2:
             continue
-        for name in sorted(os.listdir(subdir)):
+        subdir = os.path.join(root, sub)
+        try:
+            names = sorted(os.listdir(subdir))
+        except OSError:     # not a directory, or removed meanwhile
+            continue
+        for name in names:
             if not (name.endswith(".pkl") or name.endswith(".tmp")):
                 continue
             path = os.path.join(subdir, name)
@@ -511,24 +279,24 @@ def _iter_records():
             yield path, st.st_size, st.st_mtime
 
 
+def shard_stats():
+    """Record count and bytes of every populated shard directory."""
+    out = {}
+    for path, size, _mtime in _iter_records():
+        shard = out.setdefault(os.path.basename(os.path.dirname(path)),
+                               {"records": 0, "bytes": 0})
+        shard["records"] += 1
+        shard["bytes"] += size
+    return out
+
+
 def disk_stats():
-    """Totals for the on-disk cache (index-served: the per-shard
-    indexes are read instead of stat()ing every record, with only
-    stale shards rescanned) plus the in-memory hot tier."""
-    records = 0
-    total = 0
-    shards = 0
-    for shard in _shard_names():
-        idx = _shard_index(shard)
-        if idx is None:
-            continue
-        if idx["count"]:
-            shards += 1
-        records += idx["count"]
-        total += idx["bytes"]
-    return {"dir": cache_dir(), "records": records, "bytes": total,
-            "shards": shards, "hot": hot_stats(),
-            "index_rebuilds": stats["index_rebuilds"]}
+    """Totals for the on-disk cache, from one walk of its shards."""
+    shards = shard_stats().values()
+    return {"dir": cache_dir(),
+            "records": sum(s["records"] for s in shards),
+            "bytes": sum(s["bytes"] for s in shards),
+            "shards": len(shards)}
 
 
 def fsck(remove_stale_tmp=True, tmp_age=300.0):
@@ -537,18 +305,13 @@ def fsck(remove_stale_tmp=True, tmp_age=300.0):
     *tmp_age* seconds (a crashed writer's leftovers; young ones may
     belong to a live writer and are kept).
 
-    Every shard index is rebuilt from the audited state at the end, so
-    an fsck also repairs stale or missing indexes (``indexed`` reports
-    how many shards were re-indexed).
-
-    Returns a report dict: ``checked``, ``ok``, ``legacy`` (readable
-    pre-checksum records), ``corrupt``, ``quarantined`` (destination
-    paths), ``stale_tmp`` (removed count), ``indexed``.
+    Returns a report dict: ``checked``, ``ok``, ``corrupt``,
+    ``quarantined`` (destination paths), ``stale_tmp`` (removed
+    count).
     """
     import time
-    report = {"dir": cache_dir(), "checked": 0, "ok": 0, "legacy": 0,
-              "corrupt": 0, "quarantined": [], "stale_tmp": 0,
-              "indexed": 0}
+    report = {"dir": cache_dir(), "checked": 0, "ok": 0,
+              "corrupt": 0, "quarantined": [], "stale_tmp": 0}
     now = time.time()
     for path, _size, mtime in list(_iter_records()):
         if path.endswith(".tmp"):
@@ -575,37 +338,18 @@ def fsck(remove_stale_tmp=True, tmp_age=300.0):
                 report["quarantined"].append(dest)
             continue
         report["ok"] += 1
-        if not blob.startswith(MAGIC):
-            report["legacy"] += 1
-    for shard in _shard_names():
-        _shard_index(shard, rebuild=True)
-        report["indexed"] += 1
     return report
 
 
 def prune(max_bytes):
     """Shrink the cache to at most *max_bytes* by deleting the
     least-recently-touched records first (loads don't update mtime, so
-    this approximates oldest-first).  Returns ``(removed, freed)``.
-
-    The candidate list comes from the per-shard indexes, not a full
-    directory walk; every shard a deletion touches gets its index
-    rebuilt afterwards (the unlinks have already invalidated it)."""
-    entries = []
-    for shard in _shard_names():
-        idx = _shard_index(shard)
-        if idx is None:
-            continue
-        base = _shard_dir(shard)
-        for name, (size, mtime) in idx["records"].items():
-            entries.append((os.path.join(base, name), size, mtime,
-                            shard))
-    entries.sort(key=lambda e: e[2], reverse=True)
+    this approximates oldest-first).  Returns ``(removed, freed)``."""
+    entries = sorted(_iter_records(), key=lambda e: e[2], reverse=True)
     kept = 0
     removed = 0
     freed = 0
-    touched = set()
-    for path, size, _mtime, shard in entries:
+    for path, size, _mtime in entries:
         if kept + size <= max_bytes:
             kept += size
             continue
@@ -615,16 +359,11 @@ def prune(max_bytes):
             continue
         removed += 1
         freed += size
-        touched.add(shard)
-    for shard in touched:
-        _shard_index(shard, rebuild=True)
     return removed, freed
 
 
 def clear():
-    """Delete every cache record under the active cache directory
-    (including the per-shard indexes) and drop the hot tier."""
-    hot_clear()
+    """Delete every cache record under the active cache directory."""
     root = cache_dir()
     if not os.path.isdir(root):
         return 0
@@ -642,18 +381,6 @@ def clear():
                     pass
         try:
             os.rmdir(subdir)
-        except OSError:
-            pass
-    idx_dir = _index_dir()
-    if os.path.isdir(idx_dir):
-        for name in os.listdir(idx_dir):
-            if name.endswith(".json") or name.endswith(".tmp"):
-                try:
-                    os.unlink(os.path.join(idx_dir, name))
-                except OSError:
-                    pass
-        try:
-            os.rmdir(idx_dir)
         except OSError:
             pass
     return removed

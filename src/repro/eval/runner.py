@@ -285,9 +285,8 @@ def cached_result(kernel_name, config_name, mode="traditional",
                   binary="xloops", xi_enabled=True, scale="small",
                   seed=0, schedule_cirs=False):
     """The memo- or disk-cached result for this point, or None --
-    never simulates.  A disk hit is installed in the in-process memo
-    (and, inside :mod:`repro.eval.diskcache`, the decoded-record hot
-    tier), so repeated probes are dictionary lookups.  This is the
+    never simulates.  A disk hit is installed in the in-process memo,
+    so repeated probes are dictionary lookups.  This is the
     sweep server's cache probe: it answers "can this point be served
     right now?" without ever paying for a simulation."""
     key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,

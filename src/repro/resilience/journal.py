@@ -13,7 +13,8 @@ replay.  A journal is advice about what not to redo (results live in
 the disk cache), so an append that fails is reported and dropped,
 never raised into the work it records.  Stdlib only, so the
 evaluation harness and the server share it without importing each
-other.
+other; the disk cache unpickles its records through
+:func:`loads_record` too.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def pack_record(obj):
 
 
 #: the classes a result record is built from -- the only globals
-#: :func:`unpack_record` resolves
+#: :func:`loads_record` resolves
 _RECORD_CLASSES = {("repro.eval.runner", "KernelRun"),
                    ("repro.energy.events", "EnergyEvents"),
                    ("repro.uarch.lpsu", "LPSUStats")}
@@ -53,10 +54,17 @@ class _RecordUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+def loads_record(data):
+    """Unpickle a result record from *data* (bytes).  Any global but a
+    record class raises :class:`pickle.UnpicklingError` before it is
+    called, so a record from a peer or a shared cache directory runs
+    no code."""
+    return _RecordUnpickler(io.BytesIO(data)).load()
+
+
 def unpack_record(text):
-    """Inverse of :func:`pack_record`.  Any global but a record class
-    raises before it is called, so a peer's record runs no code."""
-    return _RecordUnpickler(io.BytesIO(base64.b64decode(text))).load()
+    """Inverse of :func:`pack_record`, through :func:`loads_record`."""
+    return loads_record(base64.b64decode(text))
 
 
 class Journal:
@@ -88,18 +96,22 @@ class Journal:
 
     def replay(self):
         """``(pending, completed, failed)``: ordered ``{qkey: wire}``
-        of unresolved points, set of qkeys, ``{qkey: fail line}``."""
-        enqueued, completed, failed = {}, set(), {}
+        of unresolved points, set of qkeys, ``{qkey: fail line}``.  A
+        point's last transition decides, so one enqueued again after
+        it completed or failed is pending."""
+        pending, completed, failed = {}, set(), {}
         for rec in self.records():
             op, qkey = rec.get("op"), rec["qkey"]
             if op == "enqueue" and isinstance(rec.get("wire"), dict):
-                enqueued[qkey] = rec["wire"]
+                pending[qkey] = rec["wire"]
+                completed.discard(qkey)
+                failed.pop(qkey, None)
             elif op == "complete":
+                pending.pop(qkey, None)
                 completed.add(qkey)
             elif op == "fail":
+                pending.pop(qkey, None)
                 failed[qkey] = rec
-        pending = {k: w for k, w in enqueued.items()
-                   if k not in completed and k not in failed}
         return pending, completed, failed
 
     def open(self):

@@ -115,8 +115,6 @@ class WorkQueue:
         self._next_lease = 0
         self.pending = deque()       # qkeys awaiting a slot or lease
         self.entries = {}            # qkey -> QueueEntry (unresolved)
-        self.completed = set()       # qkeys resolved ok (incl. replayed)
-        self.failed = {}             # qkey -> PointFailure
         self.leases = {}             # lease_id -> Lease
         self.workers = {}            # worker_id -> WorkerInfo
         self.counters = {
@@ -127,18 +125,16 @@ class WorkQueue:
         self.journal = None
         if journal_path:
             self.journal = Journal(journal_path)
-            pending, done, failed = self.journal.replay()
+            pending = self.journal.replay()[0]
             self.journal.open()     # an unwritable path fails here
-            self.completed |= done
+            # only pending points come back.  A completed one is in the
+            # disk cache; a journaled failure stays failed: its clients
+            # saw the quarantine record, and a fresh submission after
+            # a restart is a fresh enqueue (below) with a fresh budget
             for qkey, wire in pending.items():
                 self.entries[qkey] = QueueEntry(qkey=qkey, wire=wire)
                 self.pending.append(qkey)
                 self.counters["replayed"] += 1
-            # journaled failures stay failed: their clients saw the
-            # quarantine record, and a fresh submission after a restart
-            # is a fresh enqueue (below) with a fresh budget
-            for qkey, rec in failed.items():
-                self.failed[qkey] = PointFailure.from_line(rec)
 
     # -- client side (enqueue / join) -----------------------------------
 
@@ -153,8 +149,6 @@ class WorkQueue:
         entry = self.entries.get(qkey)
         if entry is not None:
             return entry, False
-        self.completed.discard(qkey)
-        self.failed.pop(qkey, None)
         entry = QueueEntry(qkey=qkey, wire=dict(wire))
         self.entries[qkey] = entry
         self.pending.append(qkey)
@@ -254,7 +248,6 @@ class WorkQueue:
             self.counters["duplicates"] += 1
             return None, False
         self._unlink_lease(entry)
-        self.completed.add(qkey)
         self.counters["completed"] += 1
         self._log({"op": "complete", "qkey": qkey})
         return entry, True
@@ -351,7 +344,6 @@ class WorkQueue:
                 worker.leases.discard(lease.lease_id)
 
     def _record_failure(self, entry, failure):
-        self.failed[entry.qkey] = failure
         entry.failure = failure     # for the server to resolve waiters
         self._log(failure.line(entry.qkey))
 

@@ -5,10 +5,10 @@ connect (unix socket or TCP) and submit sweep point batches; the
 server answers each point from the cheapest tier that has it and
 streams results back as they complete:
 
-1. **cache** -- the in-process memo, the decoded-record hot tier, or
-   the sharded disk store (:func:`repro.eval.runner.cached_result`);
-   nothing is simulated.  This is the production path: the cache *is*
-   the product, and a warm sweep is served entirely from here.
+1. **cache** -- the in-process memo or the sharded disk store
+   (:func:`repro.eval.runner.cached_result`); nothing is simulated.
+   This is the production path: the cache *is* the product, and a
+   warm sweep is served entirely from here.
 2. **inflight** -- the point is already in the work queue for another
    waiter (another client, or an earlier point of the same
    submission); the request joins that entry's future.  One
@@ -514,7 +514,6 @@ class SweepServer:
                                  spawned=self.workers.spawned,
                                  workers=self.workers.live),
                 "cache": {"process": dict(diskcache.stats),
-                          "hot": diskcache.hot_stats(),
                           "disk": diskcache.disk_stats()},
                 "queue": self.queue.stats_payload()}
 

@@ -1,7 +1,8 @@
 """Disk-cache administration: code-fingerprint key salting, usage
-stats served by the per-shard index, size-bounded pruning, the
-in-memory hot tier, and the ``repro cache`` CLI."""
+stats from a walk of the shard directories, size-bounded pruning, and
+the ``repro cache`` CLI."""
 
+import collections
 import json
 import os
 import time
@@ -27,7 +28,6 @@ def _cache_enabled(monkeypatch):
         os.environ.pop(diskcache.ENV_CACHE_DIR, None)
     else:
         os.environ[diskcache.ENV_CACHE_DIR] = saved[2]
-    diskcache.hot_clear()
     diskcache.reset_stats()
 
 
@@ -88,14 +88,10 @@ class TestDiskStatsAndPrune:
 
     def test_prune_keeps_newest_within_budget(self, tmp_path):
         keys = _populate(tmp_path, n=4)
-        # make the first record clearly the oldest; aging the file
-        # from outside must also touch its shard directory, which is
-        # exactly the signal the per-shard index watches to notice
-        # out-of-band modifications and rescan
+        # make the first record clearly the oldest
         old = diskcache._record_path(keys[0])
         past = time.time() - 1000
         os.utime(old, (past, past))
-        os.utime(os.path.dirname(old))
         st = diskcache.disk_stats()
         budget = st["bytes"] - 1  # force exactly one eviction
         removed, freed = diskcache.prune(budget)
@@ -110,118 +106,44 @@ class TestDiskStatsAndPrune:
         assert removed == 3
         assert diskcache.disk_stats()["records"] == 0
 
-
-class TestShardIndex:
-    """The per-shard persistent index: stats without O(n) scans,
-    self-healing on out-of-band changes, legacy caches untouched."""
-
-    def test_stats_are_index_served(self, tmp_path):
-        keys = _populate(tmp_path, n=6)
-        st = diskcache.disk_stats()
-        assert st["records"] == 6
-        # every populated shard now has an index file, and the index
-        # directory itself is never mistaken for a record shard
-        shard = keys[0][:2]
-        assert os.path.exists(
-            os.path.join(str(tmp_path), diskcache.INDEX_DIRNAME,
-                         shard + ".json"))
-        # a second stats call over a quiescent cache rescans nothing
-        before = diskcache.stats["index_rebuilds"]
-        again = diskcache.disk_stats()
-        assert again["records"] == 6
-        assert diskcache.stats["index_rebuilds"] == before
-
     def test_external_delete_is_noticed(self, tmp_path):
         keys = _populate(tmp_path, n=4)
         assert diskcache.disk_stats()["records"] == 4
-        # removing a record out-of-band bumps its shard dir's mtime,
-        # which invalidates that shard's index on the next read
         os.unlink(diskcache._record_path(keys[0]))
         assert diskcache.disk_stats()["records"] == 3
 
-    def test_legacy_cache_without_indexes(self, tmp_path):
-        import shutil
-        _populate(tmp_path, n=5)
-        shutil.rmtree(os.path.join(str(tmp_path),
-                                   diskcache.INDEX_DIRNAME))
-        # a pre-index cache directory serves stats (lazily rebuilding
-        # its indexes) and records without any migration step
+    def test_index_dir_of_an_older_version_is_never_visited(self,
+                                                            tmp_path):
+        """Older versions kept ``<cache-dir>/index/<shard>.json``
+        beside the shards.  Stats, prune, fsck and clear walk only the
+        shard directories: stale index files are neither counted nor
+        touched."""
+        keys = _populate(tmp_path, n=3, size=500)
+        size = os.path.getsize(diskcache._record_path(keys[0]))
+        index = tmp_path / "index"
+        index.mkdir()
+        stale = {"v": 1, "mtime_ns": 1, "count": 99, "bytes": 10 ** 9,
+                 "records": {"%064x.pkl" % i: [10 ** 7, 0.0]
+                             for i in range(99)}}
+        for shard in {k[:2] for k in keys} | {"ff", "00"}:
+            (index / (shard + ".json")).write_text(json.dumps(stale))
+        (index / "ab.json.tmp").write_text("{torn")
+        before = {p.name: p.read_bytes() for p in index.iterdir()}
+
+        shards = collections.Counter(k[:2] for k in keys)
         st = diskcache.disk_stats()
-        assert st["records"] == 5
-        assert os.path.isdir(os.path.join(str(tmp_path),
-                                          diskcache.INDEX_DIRNAME))
-
-    def test_garbage_index_is_rebuilt(self, tmp_path):
-        keys = _populate(tmp_path, n=3)
-        idx = os.path.join(str(tmp_path), diskcache.INDEX_DIRNAME,
-                           keys[0][:2] + ".json")
-        with open(idx, "w") as f:
-            f.write("{not json")
-        assert diskcache.disk_stats()["records"] == 3
-
-    def test_fsck_rebuilds_indexes(self, tmp_path):
-        import shutil
-        _populate(tmp_path, n=4)
-        shutil.rmtree(os.path.join(str(tmp_path),
-                                   diskcache.INDEX_DIRNAME))
+        assert (st["records"], st["bytes"]) == (3, 3 * size)
+        assert st["shards"] == len(shards)
+        assert diskcache.shard_stats() == {
+            shard: {"records": n, "bytes": n * size}
+            for shard, n in shards.items()}
+        assert diskcache.prune(2 * size) == (1, size)
         report = diskcache.fsck()
-        assert report["checked"] == 4
-        assert report["indexed"] >= 1
-        assert diskcache.disk_stats()["records"] == 4
-
-
-class TestHotTier:
-    """The in-memory decoded-record LRU in front of the disk store."""
-
-    def _loadable(self, tmp_path, n=3, size=500):
-        keys = _populate(tmp_path, n=n, size=size)
-        diskcache.hot_clear()
-        diskcache.reset_stats()
-        return keys
-
-    def test_load_populates_and_hits(self, tmp_path):
-        keys = self._loadable(tmp_path)
-        assert diskcache.load(keys[0]) is not None   # disk, fills hot
-        hits = diskcache.stats["hot_hits"]
-        assert diskcache.load(keys[0]) is not None   # hot
-        assert diskcache.stats["hot_hits"] == hits + 1
-        assert diskcache.hot_stats()["entries"] == 1
-
-    def test_hot_serves_without_disk(self, tmp_path):
-        keys = self._loadable(tmp_path)
-        assert diskcache.load(keys[0]) is not None
-        # the record is gone from disk; the hot tier still serves it
-        # (records are content-addressed and immutable, so this can
-        # never serve stale data)
-        os.unlink(diskcache._record_path(keys[0]))
-        assert diskcache.load(keys[0]) is not None
-
-    def test_lru_eviction_under_budget(self, tmp_path, monkeypatch):
-        keys = self._loadable(tmp_path, n=6, size=400)
-        # ~1 KiB budget: two ~430-byte decoded records fit, six do not
-        monkeypatch.setenv(diskcache.ENV_HOT_MB, "0.001")
-        for key in keys:
-            assert diskcache.load(key) is not None
-        hot = diskcache.hot_stats()
-        assert hot["evictions"] > 0
-        assert hot["bytes"] <= hot["limit_bytes"]
-        assert 0 < hot["entries"] < len(keys)
-
-    def test_zero_budget_disables(self, tmp_path, monkeypatch):
-        keys = self._loadable(tmp_path)
-        monkeypatch.setenv(diskcache.ENV_HOT_MB, "0")
-        assert diskcache.load(keys[0]) is not None
-        assert diskcache.load(keys[0]) is not None
-        hot = diskcache.hot_stats()
-        assert hot["entries"] == 0 and hot["hits"] == 0
-
-    def test_clear_drops_hot_entries(self, tmp_path):
-        keys = self._loadable(tmp_path)
-        assert diskcache.load(keys[0]) is not None
-        assert diskcache.hot_stats()["entries"] == 1
-        diskcache.clear()
-        assert diskcache.hot_stats()["entries"] == 0
-        assert diskcache.load(keys[0]) is None
+        assert (report["checked"], report["ok"]) == (2, 2)
+        assert diskcache.clear() == 2
+        assert diskcache.disk_stats()["records"] == 0
+        assert {p.name: p.read_bytes() for p in index.iterdir()} \
+            == before
 
 
 class TestCacheCLI:
@@ -254,8 +176,7 @@ class TestCacheCLI:
         assert main(["cache", "stats", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["records"] == 3
-        assert {"entries", "bytes", "hits",
-                "evictions"} <= set(payload["hot"])
+        assert "hot" not in payload
         dist = payload["shard_distribution"]
         assert sum(e["records"] for e in dist.values()) == 3
         assert keys[0][:2] in dist

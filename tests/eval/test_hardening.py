@@ -9,6 +9,7 @@ the real machinery: real dead processes, real kills, real retries.
 
 import collections
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -603,6 +604,29 @@ class TestRunnerDegradation:
                        backend="auto")
 
 
+#: calls of :func:`_tripwire`; a planted record must never add one
+_TRIPPED = []
+
+
+def _tripwire():
+    _TRIPPED.append(True)
+    return "tripped"
+
+
+class _Planted:
+    def __reduce__(self):
+        return (_tripwire, ())
+
+
+def _plant(key, blob):
+    """Write *blob* as the disk record of *key*; its path."""
+    path = diskcache._record_path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as f:
+        f.write(blob)
+    return path
+
+
 class TestDiskCacheIntegrity:
     def test_truncated_record_quarantined_and_resimulated(self):
         point = dict(kernel_name="sgemm-uc", config_name="io",
@@ -637,14 +661,44 @@ class TestDiskCacheIntegrity:
         assert diskcache.load(key) is None
         assert diskcache.stats["corrupt"] >= 1
 
-    def test_legacy_bare_pickle_still_served(self):
-        import pickle
-        key = diskcache.cache_key("legacy-record")
-        path = diskcache._record_path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "wb") as f:
-            pickle.dump({"cycles": 7}, f)
-        assert diskcache.load(key) == {"cycles": 7}
+    def test_record_without_magic_is_corrupt(self):
+        """A bare pickle (the format before ``RPR1``) is a miss,
+        quarantined and counted corrupt, like any damaged record."""
+        key = diskcache.cache_key("bare-pickle")
+        path = _plant(key, pickle.dumps({"cycles": 7}))
+        diskcache.reset_stats()
+        assert diskcache.load(key) is None
+        assert not os.path.exists(path)
+        assert os.listdir(os.path.join(diskcache.cache_dir(),
+                                       "quarantine")) \
+            == [os.path.basename(path)]
+        assert diskcache.stats["corrupt"] == 1
+        assert diskcache.stats["misses"] == 1
+        _plant(key, pickle.dumps({"cycles": 7}))
+        report = diskcache.fsck()
+        assert (report["checked"], report["corrupt"]) == (1, 1)
+
+    def test_planted_record_runs_no_code(self, capsys):
+        """A checksummed record whose pickle names any global but a
+        result-record class never runs it: loading it is a miss that
+        quarantines it, and ``repro cache fsck`` counts it corrupt."""
+        from repro.cli import main
+        payload = pickle.dumps(_Planted())
+        assert pickle.loads(payload) == "tripped" and _TRIPPED
+        del _TRIPPED[:]
+        key = diskcache.cache_key("planted")
+        path = _plant(key, diskcache.MAGIC
+                      + hashlib.sha256(payload).digest() + payload)
+        assert diskcache.load(key) is None
+        assert not os.path.exists(path)
+        assert os.listdir(os.path.join(diskcache.cache_dir(),
+                                       "quarantine")) \
+            == [os.path.basename(path)]
+        _plant(diskcache.cache_key("planted", 2), diskcache.MAGIC
+               + hashlib.sha256(payload).digest() + payload)
+        assert main(["cache", "fsck"]) == 1
+        assert "corrupt:   1 " in capsys.readouterr().out
+        assert _TRIPPED == []
 
     def test_fsck_quarantines_and_sweeps(self, tmp_path):
         diskcache.configure(cache_dir=str(tmp_path))

@@ -41,8 +41,8 @@ CHAOS = {
 
 @contextlib.contextmanager
 def _fresh_cache(path):
-    """An empty memo and hot tier, an enabled disk cache at *path* and
-    no chaos; the process's settings are restored after."""
+    """An empty memo, an enabled disk cache at *path* and no chaos;
+    the process's settings are restored after."""
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv(hardening.CHAOS_ENV, raising=False)
         mp.delenv(diskcache.ENV_NO_CACHE, raising=False)

@@ -112,7 +112,8 @@ class TestCompletion:
         (qkey,) = lease.qkeys
         entry, failure = queue.fail(qkey, "crash", "boom", attempts=3)
         assert failure.kind == "crash" and failure.attempts == 3
-        assert qkey in queue.failed
+        assert failure.label == label_of(WIRE_A)
+        assert entry.failure is failure and qkey not in queue.entries
         assert queue.queued == 0            # no requeue for failures
         assert queue.counters["worker_failures"] == 1
 
@@ -161,7 +162,8 @@ class TestLeaseExpiry:
         assert failure.attempts == queue.requeue_budget + 1
         assert queue.counters["exhausted"] == 1
         assert queue.queued == 0
-        assert qkey_of(WIRE_A) in queue.failed
+        assert failure.label == label_of(WIRE_A)
+        assert qkey_of(WIRE_A) not in queue.entries
 
     def test_dropped_worker_requeues_immediately(self, queue):
         queue.enqueue(WIRE_A)
@@ -243,8 +245,9 @@ class TestJournal:
         assert q2.queued == 1
         assert q2.counters["replayed"] == 1
         assert qkey_of(WIRE_C) in q2.entries
-        assert qkey_of(WIRE_A) in q2.completed
-        assert q2.failed[qkey_of(WIRE_B)].kind == "crash"
+        _pending, completed, failed = Journal(path).replay()
+        assert qkey_of(WIRE_A) in completed
+        assert failed[qkey_of(WIRE_B)]["kind"] == "crash"
         # and it is leasable immediately, attempts reset
         lease = q2.lease(q2.register_worker())
         assert lease.qkeys == {qkey_of(WIRE_C)}
@@ -280,7 +283,7 @@ class TestJournal:
         q2.complete(qkey_of(WIRE_A))
         q2.close()
         q3 = WorkQueue(journal_path=path)
-        assert qkey_of(WIRE_A) in q3.completed
+        assert qkey_of(WIRE_A) in Journal(path).replay()[1]
         assert not q3.entries and q3.queued == 0
         q3.close()
 
@@ -335,7 +338,9 @@ class TestJournal:
         # a fresh submission of a quarantined point re-enqueues it
         entry, created = q1.enqueue(WIRE_A)
         assert created and entry.attempts == 0
-        assert qkey_of(WIRE_A) not in q1.failed
+        pending, _completed, failed = Journal(path).replay()
+        assert qkey_of(WIRE_A) in pending
+        assert qkey_of(WIRE_A) not in failed
         q1.close()
 
 

@@ -126,7 +126,7 @@ class TestServing:
             assert first.misses == len(POINTS)   # all simulated
 
             # drop the in-process memo: the warm pass must come from
-            # the hot tier / disk store, not this process's dict
+            # the disk store, not this process's dict
             runner.clear_cache(keep_disk=True)
             second = client.submit(POINTS)
             assert second.ok, second.render()
@@ -158,7 +158,7 @@ class TestServing:
             assert stats["counters"]["points"] == 1
             assert stats["counters"]["spawned"] == 1
             assert stats["counters"]["workers"] == 1
-            assert "hot" in stats["cache"]
+            assert set(stats["cache"]) == {"process", "disk"}
 
     def test_unknown_kernel_is_structured_failure(self, server):
         with ServeClient(server.address) as client:

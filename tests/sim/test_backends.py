@@ -50,7 +50,7 @@ def own_disk_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(diskcache, "_force_disabled", False)
     monkeypatch.setattr(diskcache, "_dir_override", str(tmp_path))
     monkeypatch.setenv(diskcache.ENV_CACHE_DIR, str(tmp_path))
-    runner.clear_cache()   # also drops the decoded-record hot tier
+    runner.clear_cache()   # and an empty memo
     yield
     runner.clear_cache(keep_disk=True)
 
