@@ -2,7 +2,7 @@
 (``--backend auto``) vs slow path (``--backend interp``), and
 cached-vs-cold artifact regeneration.
 
-Five sections, emitted as a stable-schema JSON report
+Four sections, emitted as a stable-schema JSON report
 (``BENCH_speed.json`` at the repository root):
 
 ``patterns``
@@ -35,23 +35,6 @@ Five sections, emitted as a stable-schema JSON report
     tracks the round-trip serving rate the protocol + cache stack
     sustains.
 
-``distributed``
-    The same two-kernel sweep pushed through the distributed worker
-    pool: a server with no simulation slots (``--jobs 0``), so every
-    cache miss is leased to external workers, measured cold
-    with one worker and again with four (fresh cache each), plus a
-    warm resubmission against the running 4-worker deployment.  Two
-    contracts: adding workers must actually buy wall time
-    (``scaling_4_over_1`` stays above a conservative floor -- lease
-    RPCs, pickling and forked children all tax the distributed path),
-    and the warm pass must behave exactly like the local tier --
-    entirely cache-served at the front door, zero points enqueued,
-    zero simulator invocations.  The scaling ratio is measured only
-    on hosts with at least one CPU per worker (``host_cpus`` is
-    recorded): simulations are CPU-bound, so with fewer CPUs the four
-    workers merely time-slice, and ``scaling_4_over_1`` is stored as
-    null with the reason in ``scaling_unmeasured``.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_speed.py            # write baseline
@@ -62,9 +45,7 @@ regressed more than 25% against the committed ``BENCH_speed.json``,
 if any specialized point's fast path falls below fast/slow parity,
 if the sweep server's warm pass falls below 95%
 cache-served, invokes the simulator at all, or loses more than 25%
-of its baseline serving rate, or if the distributed pool stops
-scaling (4 workers below the floor over 1 worker, multi-core hosts
-only) or lets a warm point reach the work queue or the simulator.
+of its baseline serving rate.
 
 ``--sections patterns service ...`` re-measures only the named
 sections and merges them into the existing report, so a
@@ -83,11 +64,10 @@ from repro.eval import runner
 from repro.eval.runner import clear_cache, run
 
 #: schema version of BENCH_speed.json; bump on layout changes
-SCHEMA = 7
+SCHEMA = 8
 
 #: every measurable report section, in emission order
-SECTIONS = ("patterns", "long_kernels", "table2", "service",
-            "distributed")
+SECTIONS = ("patterns", "long_kernels", "table2", "service")
 
 #: committed baseline location (repository root)
 REPORT_PATH = os.path.join(os.path.dirname(os.path.dirname(
@@ -135,13 +115,6 @@ SERVICE_SERVED_FLOOR = 0.95
 #: the usual 25% cold-time tolerance; halving the rate is the signal
 #: that the serving stack itself regressed.
 SERVICE_RATE_FLOOR = 0.5
-
-#: cold-scaling floor the 4-worker pool must clear over the 1-worker
-#: pool on the distributed sweep.  Deliberately far below the ideal
-#: 4x: the tiny-scale points are dominated by per-point overhead
-#: (lease RPC + pickle + forked child), and the floor exists to catch
-#: "adding workers no longer helps at all", not to benchmark Amdahl.
-DISTRIBUTED_SCALING_FLOOR = 1.3
 
 
 def _cold(kernel, config, mode, scale, backend, repeats=3):
@@ -202,88 +175,6 @@ def _service_section(jobs=2):
     }
 
 
-def _distributed_section():
-    """The two-kernel sweep through the distributed worker pool: cold
-    with 1 worker, cold again with 4 (fresh cache each), then a warm
-    resubmission against the running 4-worker deployment.  Workers are
-    :class:`WorkerThread` harnesses over a real unix socket -- the
-    same lease/heartbeat/complete protocol ``repro worker`` speaks,
-    minus only the second OS process."""
-    from repro.eval import parallel
-    from repro.serve import ServeClient, ServerThread, WorkerThread
-
-    points = parallel.table2_points(list(SERVICE_KERNELS), "tiny", 0)
-    section = {"kernels": list(SERVICE_KERNELS), "points": len(points),
-               "host_cpus": os.cpu_count() or 1}
-
-    def one_pool(n_workers, warm_too=False):
-        clear_cache(keep_disk=False)        # fully cold: empty store
-        with ServerThread(jobs=0, lease_ttl=10.0) as server:
-            workers = [WorkerThread(server.address, jobs=1,
-                                    name="bench-%d" % i).start()
-                       for i in range(n_workers)]
-            try:
-                with ServeClient(server.address) as client:
-                    t0 = time.perf_counter()
-                    summary = client.submit(points)
-                    cold = time.perf_counter() - t0
-                    assert summary.ok, summary.render()
-                    entry = {"workers": n_workers,
-                             "cold_seconds": round(cold, 4),
-                             "cold_simulated": summary.misses}
-                    if not warm_too:
-                        return entry
-                    # warm: served at the front door, nothing leased
-                    warm = warm_summary = None
-                    for _ in range(3):
-                        clear_cache(keep_disk=True)
-                        t0 = time.perf_counter()
-                        s = client.submit(points)
-                        dt = time.perf_counter() - t0
-                        assert s.ok, s.render()
-                        if warm is None or dt < warm:
-                            warm, warm_summary = dt, s
-                    n = warm_summary.points
-                    queued = client.stats()["queue"]["counters"]
-                    entry.update({
-                        "warm_seconds": round(warm, 4),
-                        "warm_points_per_sec":
-                            round(n / warm, 1) if warm else None,
-                        "warm_served_fraction":
-                            round(warm_summary.hits / n, 4) if n else 0.0,
-                        "warm_simulator_invocations": warm_summary.misses,
-                        "warm_enqueued":
-                            queued["enqueued"] - entry["cold_simulated"],
-                    })
-                    return entry
-            finally:
-                for w in workers:
-                    w.stop()
-
-    one = one_pool(1)
-    four = one_pool(4, warm_too=True)
-    section["workers_1"] = one
-    warm_keys = ("warm_seconds", "warm_points_per_sec",
-                 "warm_served_fraction", "warm_simulator_invocations",
-                 "warm_enqueued")
-    section["workers_4"] = {k: v for k, v in four.items()
-                            if k not in warm_keys}
-    for k in warm_keys:
-        section[k] = four[k]
-    cpus = section["host_cpus"]
-    if cpus < 4:
-        # four CPU-bound workers on fewer CPUs only time-slice: the
-        # ratio would measure the host, not the pool
-        section["scaling_4_over_1"] = None
-        section["scaling_unmeasured"] = (
-            "host has %d CPU(s), fewer than the 4 workers" % cpus)
-    else:
-        section["scaling_4_over_1"] = round(
-            one["cold_seconds"] / four["cold_seconds"], 2) \
-            if four["cold_seconds"] else None
-    return section
-
-
 def _warm(kernel, config, mode, scale):
     """Wall time of the same point served from the disk cache."""
     clear_cache(keep_disk=True)                     # force a real run...
@@ -301,8 +192,7 @@ def speed_report(scale="small", smoke=False, sections=None):
     want = (lambda name: True) if sections is None \
         else (lambda name: name in sections)
     report = {"schema": SCHEMA, "scale": scale, "patterns": {},
-              "long_kernels": {}, "table2": {}, "service": {},
-              "distributed": {}}
+              "long_kernels": {}, "table2": {}, "service": {}}
     pattern_points = {} if smoke or not want("patterns") \
         else PATTERN_POINTS
     long_points = {k: v for k, v in LONG_POINTS.items()
@@ -357,11 +247,6 @@ def speed_report(scale="small", smoke=False, sections=None):
             if want("service"):
                 clear_cache(keep_disk=False)
                 report["service"] = _service_section()
-
-            if not smoke and want("distributed"):
-                # excluded from --smoke: two cold sweeps + a worker
-                # pool is the expensive end of the serving sections
-                report["distributed"] = _distributed_section()
         finally:
             diskcache._dir_override = saved
             if saved_env is None:
@@ -433,41 +318,6 @@ def _check(report, baseline):
                 "%.0f (-%d%%)"
                 % (svc["warm_points_per_sec"], then,
                    round(100 * (1 - svc["warm_points_per_sec"] / then))))
-    dist = report.get("distributed") or {}
-    if dist:
-        # absolute contracts: workers must buy wall time (gated
-        # wherever the ratio was measured, i.e. the host has a CPU per
-        # worker), and the warm pass must never reach the queue, let
-        # alone the simulator
-        if dist.get("scaling_4_over_1") is not None \
-                and dist["scaling_4_over_1"] < DISTRIBUTED_SCALING_FLOOR:
-            problems.append(
-                "distributed: 4-worker pool only %.2fx over 1 worker "
-                "(floor %.2fx)" % (dist["scaling_4_over_1"],
-                                   DISTRIBUTED_SCALING_FLOOR))
-        if dist["warm_served_fraction"] < SERVICE_SERVED_FLOOR:
-            problems.append(
-                "distributed: warm pass only %.1f%% cache-served "
-                "(floor %.0f%%)" % (100 * dist["warm_served_fraction"],
-                                    100 * SERVICE_SERVED_FLOOR))
-        if dist["warm_simulator_invocations"]:
-            problems.append(
-                "distributed: warm pass invoked the simulator %d "
-                "time(s)" % dist["warm_simulator_invocations"])
-        if dist.get("warm_enqueued"):
-            problems.append(
-                "distributed: warm pass enqueued %d point(s) instead "
-                "of serving them from the cache"
-                % dist["warm_enqueued"])
-        b = baseline.get("distributed") or {}
-        then = b.get("warm_points_per_sec")
-        if then and b.get("points") == dist.get("points") \
-                and dist["warm_points_per_sec"] < then * SERVICE_RATE_FLOOR:
-            problems.append(
-                "distributed: warm serving rate %.0f points/s vs "
-                "baseline %.0f (-%d%%)"
-                % (dist["warm_points_per_sec"], then,
-                   round(100 * (1 - dist["warm_points_per_sec"] / then))))
     return problems
 
 
@@ -492,7 +342,7 @@ def main(argv=None):
     ap.add_argument("--smoke", action="store_true",
                     help="nightly CI mode: only the %s long-kernel "
                          "points and the service section, no "
-                         "patterns, table2 or distributed section"
+                         "patterns or table2 section"
                          % (SMOKE_KERNELS,))
     ap.add_argument("--sections", nargs="+", choices=SECTIONS,
                     metavar="SECTION",

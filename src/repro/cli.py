@@ -12,9 +12,7 @@ sweep     run an artifact's simulation points in parallel, cached
           (or route them through a sweep server with --server)
 serve     run the sweep-as-a-service result server: many clients,
           shared cache, one deduplicating work queue drained by its
-          own simulation slots and by any number of workers
-worker    pull leased point batches from a sweep server, simulate
-          them through the hardened engine, stream results back
+          own simulation slots
 verify    traditional-vs-specialized differential conformance under
           the runtime invariant monitor
 prove     symbolic dependence prover: certify every kernel's xloop
@@ -207,9 +205,8 @@ def build_parser():
                    help="listen on TCP (default 127.0.0.1:%d when "
                         "--socket is not given)" % 7340)
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="local simulation slots (default: CPU count; "
-                        "0: none, misses wait for 'repro worker' "
-                        "processes); cache hits are unbounded")
+                   help="simulation slots, at least 1 (default: CPU "
+                        "count); cache hits are unbounded")
     p.add_argument("--timeout", type=float, default=0.0, metavar="SEC",
                    help="per-point wall-clock bound for simulations "
                         "(default: unbounded)")
@@ -219,19 +216,17 @@ def build_parser():
     p.add_argument("--idle-exit", type=float, default=0.0,
                    metavar="SEC",
                    help="exit after SEC seconds with no clients, "
-                        "nothing in flight, no connected workers, no "
-                        "unexpired leases and an empty queue "
+                        "nothing in flight and an empty queue "
                         "(default: run forever)")
     p.add_argument("--stop", metavar="ADDR",
                    help="ask the server at ADDR to shut down "
-                        "gracefully (it drains its work queue and "
-                        "sends workers a drain frame first), then "
-                        "exit")
+                        "gracefully (it drains its work queue "
+                        "first), then exit")
     p.add_argument("--status", metavar="ADDR",
                    help="one-shot ping of the server at ADDR: print "
                         "live counters (served/simulated/inflight/"
-                        "forked and live simulation workers/queued/"
-                        "remote workers/leases) and exit")
+                        "forked and live simulation workers/queued) "
+                        "and exit")
     p.add_argument("--json", action="store_true",
                    help="with --status: print the raw stats payload "
                         "as JSON")
@@ -240,59 +235,16 @@ def build_parser():
                         "restarted server replays it and resumes the "
                         "campaign without re-simulating completed "
                         "points")
-    p.add_argument("--lease-ttl", type=float, default=30.0,
-                   metavar="SEC",
-                   help="seconds a worker lease survives without a "
-                        "heartbeat before its points are requeued "
-                        "(default 30)")
-    p.add_argument("--requeue-budget", type=int, default=5,
-                   metavar="N",
-                   help="times a point may be requeued after lease "
-                        "losses before it quarantines as a "
-                        "structured failure (default 5)")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    metavar="SEC",
                    help="max seconds a graceful --stop waits for "
-                        "leases and queue to empty (default 30)")
+                        "the queue to empty (default 30)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent result cache location "
                         "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without the persistent cache (memo "
                         "and in-flight dedup only)")
-
-    p = sub.add_parser("worker",
-                       help="distributed sweep worker: pull leased "
-                            "batches from a sweep server, simulate "
-                            "through the hardened engine, stream "
-                            "results back")
-    p.add_argument("--connect", required=True, metavar="ADDR",
-                   help="server address (unix socket path, unix:PATH, "
-                        "or host:port)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="concurrent hardened simulations inside this "
-                        "worker (default 1)")
-    p.add_argument("--name", default="", metavar="NAME",
-                   help="worker name reported to the server "
-                        "(default worker-<pid>)")
-    p.add_argument("--timeout", type=float, default=0.0, metavar="SEC",
-                   help="per-point wall-clock bound (default: "
-                        "unbounded)")
-    p.add_argument("--retries", type=int, default=3, metavar="N",
-                   help="max attempts per point before reporting it "
-                        "failed (default 3)")
-    p.add_argument("--poll", type=float, default=0.25, metavar="SEC",
-                   help="idle re-poll interval when the queue is "
-                        "empty (default 0.25)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="persistent result cache location -- point "
-                        "it at the server's cache so results are "
-                        "shared (default ~/.cache/repro or "
-                        "$REPRO_CACHE_DIR)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="simulate without the persistent cache (the "
-                        "server still stores shipped records)")
-    _add_backend_arg(p)
 
     p = sub.add_parser("verify",
                        help="differential conformance: traditional vs "
@@ -694,13 +646,15 @@ def cmd_serve(args):
             return 2
     else:
         host, port = "127.0.0.1", DEFAULT_PORT
-    server = SweepServer(jobs=args.jobs, timeout=args.timeout,
-                         retries=args.retries,
-                         idle_exit=args.idle_exit,
-                         journal=args.journal,
-                         lease_ttl=args.lease_ttl,
-                         requeue_budget=args.requeue_budget,
-                         drain_timeout=args.drain_timeout)
+    try:
+        server = SweepServer(jobs=args.jobs, timeout=args.timeout,
+                             retries=args.retries,
+                             idle_exit=args.idle_exit,
+                             journal=args.journal,
+                             drain_timeout=args.drain_timeout)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     try:
         asyncio.run(server.serve(path=path, host=host, port=port,
                                  announce=print))
@@ -714,13 +668,8 @@ def cmd_serve(args):
              c["served_inflight"], c["simulated"], c["failed"],
              server.workers.spawned))
     q = server.queue.counters
-    print("queue: %d enqueued, %d completed, %d requeued, "
-          "%d duplicate(s) discarded, %d expired lease(s), "
-          "%d worker loss(es), %d budget-exhausted, "
-          "%d journal error(s)"
-          % (q["enqueued"], q["completed"], q["requeued"],
-             q["duplicates"], q["expired_leases"],
-             q["worker_losses"], q["exhausted"], q["journal_errors"]))
+    print("queue: %d enqueued, %d completed, %d journal error(s)"
+          % (q["enqueued"], q["completed"], q["journal_errors"]))
     return 0
 
 
@@ -755,38 +704,9 @@ def _serve_status(address, as_json=False):
              c.get("submissions", 0)))
     print("  local workers: %d alive, %d forked so far"
           % (c.get("workers", 0), c.get("spawned", 0)))
-    print("  queue: %d queued, %d leased, %d worker(s); "
-          "%d completed, %d requeued, %d duplicate(s), "
-          "%d journal error(s)"
-          % (q.get("queued", 0), q.get("leased", 0),
-             q.get("workers", 0), qc.get("completed", 0),
-             qc.get("requeued", 0), qc.get("duplicates", 0),
+    print("  queue: %d queued; %d completed, %d journal error(s)"
+          % (q.get("queued", 0), qc.get("completed", 0),
              qc.get("journal_errors", 0)))
-    return 0
-
-
-def cmd_worker(args):
-    from .eval import diskcache
-    from .serve.protocol import ProtocolError
-    from .serve.worker import run_worker
-    _apply_backend_arg(args)
-    if args.cache_dir:
-        diskcache.configure(cache_dir=args.cache_dir)
-    if args.no_cache:
-        diskcache.configure(enabled=False)
-    try:
-        counters = run_worker(args.connect, jobs=args.jobs,
-                              name=args.name, timeout=args.timeout,
-                              retries=args.retries, poll=args.poll,
-                              announce=print)
-    except (OSError, ProtocolError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    print("worker done: %d lease(s), %d point(s), %d completed, "
-          "%d failed, %d reconnect(s), %d process(es) forked"
-          % (counters["leases"], counters["points"],
-             counters["completed"], counters["failed"],
-             counters["reconnects"], counters["spawned"]))
     return 0
 
 
@@ -1057,7 +977,7 @@ def cmd_isa(_args):
 _COMMANDS = {
     "compile": cmd_compile, "disasm": cmd_disasm, "run": cmd_run,
     "kernels": cmd_kernels, "kernel": cmd_kernel, "table": cmd_table,
-    "sweep": cmd_sweep, "serve": cmd_serve, "worker": cmd_worker,
+    "sweep": cmd_sweep, "serve": cmd_serve,
     "verify": cmd_verify,
     "prove": cmd_prove, "isa": cmd_isa,
     "cache": cmd_cache, "profile": cmd_profile, "inject": cmd_inject,

@@ -252,9 +252,10 @@ def store(key, obj):
     return True
 
 
-def _iter_records():
-    """Yield ``(path, size, mtime)`` for every record, and every
-    writer's ``.tmp``, in the two-hex-digit shard directories."""
+def _iter_records(suffix=".pkl"):
+    """Yield ``(path, size, mtime)`` for every record -- or, with
+    *suffix* ``".tmp"``, every writer's temp file -- in the
+    two-hex-digit shard directories."""
     root = cache_dir()
     try:
         subs = sorted(os.listdir(root))
@@ -269,7 +270,7 @@ def _iter_records():
         except OSError:     # not a directory, or removed meanwhile
             continue
         for name in names:
-            if not (name.endswith(".pkl") or name.endswith(".tmp")):
+            if not name.endswith(suffix):
                 continue
             path = os.path.join(subdir, name)
             try:
@@ -313,15 +314,15 @@ def fsck(remove_stale_tmp=True, tmp_age=300.0):
     report = {"dir": cache_dir(), "checked": 0, "ok": 0,
               "corrupt": 0, "quarantined": [], "stale_tmp": 0}
     now = time.time()
-    for path, _size, mtime in list(_iter_records()):
-        if path.endswith(".tmp"):
-            if remove_stale_tmp and now - mtime > tmp_age:
+    if remove_stale_tmp:
+        for path, _size, mtime in list(_iter_records(".tmp")):
+            if now - mtime > tmp_age:
                 try:
                     os.unlink(path)
                     report["stale_tmp"] += 1
                 except OSError:
                     pass
-            continue
+    for path, _size, _mtime in list(_iter_records()):
         report["checked"] += 1
         try:
             with open(path, "rb") as f:

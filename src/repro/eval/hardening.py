@@ -3,12 +3,12 @@
 Every point that needs a process of its own runs on a
 :class:`WorkerPool` of persistent forked workers, each fed one point
 at a time over a pipe.  A parallel sweep holds a pool until its queue
-drains; the sweep server and ``repro worker`` each hold one for their
-lifetime and run every miss through :func:`execute_one` on it.  A
-worker keeps what it has built warm from one point to the next -- the
-compiled kernel (``runner._compiled``), the generated GPP block and
-LPSU code of :mod:`repro.sim.fusion` and the cache's code fingerprint
--- so repeated points of a kernel pay for them once per worker, not
+drains; the sweep server holds one for its lifetime and runs every
+miss through :func:`execute_one` on it.  A worker keeps what it has
+built warm from one point to the next -- the compiled kernel
+(``runner._compiled``), the generated GPP block and LPSU code of
+:mod:`repro.sim.fusion` and the cache's code fingerprint -- so
+repeated points of a kernel pay for them once per worker, not
 once per point.  It keeps *one* kernel warm: before a point of another
 kernel it drops the previous kernel's state, which bounds a
 long-lived worker's memory.  Isolation stays per point:
@@ -56,16 +56,6 @@ the attempts to sabotage, e.g.::
 Chaos is consulted *only inside worker children* (never in the parent
 or the serial path), so it exercises exactly the crash/hang recovery
 machinery.
-
-The distributed serve tier (:mod:`repro.serve.worker`) reads the same
-plan for three additional modes keyed by the *server-assigned requeue
-attempt* rather than the in-process retry attempt: ``kill_worker``
-(the worker process dies before touching the point), ``hang_worker``
-(the worker wedges -- heartbeats stop, the lease expires) and
-``sever`` (the worker's socket is cut mid-frame).  All three strike
-*before* the point simulates, so the requeued attempt is the first
-and only simulation -- the accounting invariant the chaos acceptance
-test pins down.
 """
 
 from __future__ import annotations
@@ -151,8 +141,7 @@ def chaos_plan():
 
 def chaos_modes(label):
     """Every chaos mode whose pattern matches *label*, merged into one
-    ``{mode: [attempts]}`` map -- the shared lookup for the in-process
-    ladder here and the distributed worker's fault injection."""
+    ``{mode: [attempts]}`` map."""
     merged = {}
     for pattern, modes in chaos_plan().items():
         if pattern in label and isinstance(modes, dict):
@@ -338,8 +327,8 @@ class PoolClosed(RuntimeError):
 class WorkerPool:
     """The forked workers that points needing a process run on.
 
-    A sweep holds one for its parallel part; the sweep server and
-    ``repro worker`` hold one each for their lifetime.  A caller holds
+    A sweep holds one for its parallel part; the sweep server holds
+    one for its lifetime.  A caller holds
     a worker for one point at a time and bounds its own concurrency,
     so the pool forks lazily, and never more workers than its callers
     have held at once plus one per failed attempt.
@@ -468,13 +457,13 @@ def execute_one(point, policy, pool):
     that saw no failure, the ``interp`` final retry, and quarantine on
     exhaustion -- and return a :class:`OneOutcome`.
 
-    This is the executor of the sweep server and ``repro worker``:
-    each cache miss goes through exactly the isolation a parallel
-    sweep gives it, one point at a time (the caller bounds concurrency
-    itself).  The finished result is seeded into the runner memo, so
-    subsequent submissions of the same point are cache-served.  Never
-    raises: an engine-level surprise becomes a quarantine record like
-    any other failure."""
+    This is the executor of the sweep server's slots: each cache miss
+    goes through exactly the isolation a parallel sweep gives it, one
+    point at a time (the caller bounds concurrency itself).  The
+    finished result is seeded into the runner memo, so subsequent
+    submissions of the same point are cache-served.  Never raises: an
+    engine-level surprise becomes a quarantine record like any other
+    failure."""
     from .parallel import SweepSummary
     summary = SweepSummary(jobs=1)
     try:

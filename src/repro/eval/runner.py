@@ -309,25 +309,6 @@ def seed_result(key, result):
     _RESULTS[key] = result
 
 
-def store_result(kernel_name, config_name, result, mode="traditional",
-                 binary="xloops", xi_enabled=True, scale="small",
-                 seed=0, schedule_cirs=False):
-    """Install *result* for this point in both the in-process memo and
-    the disk cache -- the write-side twin of :func:`cached_result`.
-
-    The sweep server calls this when a remote worker ships a finished
-    record back: the worker's own process already stored it if it
-    shares the cache directory, but the server must not *depend*
-    on that (a worker may run cache-disabled or on another filesystem),
-    so completion makes the result durable server-side before it is
-    credited."""
-    key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,
-                   scale, seed, schedule_cirs)
-    _RESULTS[key] = result
-    if diskcache.enabled():
-        diskcache.store(_fingerprint(key), result)
-
-
 def baseline_run(kernel_name, config_name, scale="small", seed=0):
     """The paper's denominator: the serial/GP binary executed
     traditionally on the platform's baseline GPP."""

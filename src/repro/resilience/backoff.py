@@ -1,12 +1,12 @@
 """Bounded exponential backoff for reconnect/retry loops.
 
-The distributed serve tier retries in several places -- a client
-resubmitting after a server restart, a worker re-registering after a
-severed socket -- and every one of those loops wants the same shape:
-exponential delays from a small base, capped, with a bounded attempt
-budget so a dead peer becomes an error instead of an infinite stall,
-and a *reset on progress* so one long-lived connection does not
-slowly exhaust its budget across unrelated hiccups.
+The sweep service's client reconnects and resubmits after a server
+restart (:meth:`repro.serve.client.ServeClient.submit`), and that
+loop wants exponential delays from a small base, capped, with a
+bounded attempt budget so a dead server becomes an error instead of
+an infinite stall, and a *reset on progress* so one long-lived
+connection does not slowly exhaust its budget across unrelated
+hiccups.
 """
 
 from __future__ import annotations

@@ -3,13 +3,12 @@
 ``repro sweep --server ADDR`` swaps the in-process
 :class:`~repro.eval.parallel.SweepExecutor` for a
 :class:`ServeClient`: the point list goes over the wire, the server
-resolves every point (cache, in-flight join, or its work queue: one
-of its own simulation slots or a leased ``repro worker``), and the
-streamed results land in the same :class:`SweepSummary` shape the
-executor produces -- downstream table/figure assembly cannot tell
-the difference, because each returned record is also seeded into the
-in-process memo exactly as the parallel executor seeds its workers'
-results.
+resolves every point (cache, in-flight join, or its work queue, which
+its own simulation slots drain), and the streamed results land in the
+same :class:`SweepSummary` shape the executor produces -- downstream
+table/figure assembly cannot tell the difference, because each
+returned record is also seeded into the in-process memo exactly as
+the parallel executor seeds its workers' results.
 
 Robustness: :meth:`ServeClient.submit` survives a dying or restarting
 server.  It tracks which submitted points have not yet been answered,

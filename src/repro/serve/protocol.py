@@ -8,15 +8,16 @@ wire bit-identical -- rides inside it as base64-encoded pickle, the
 same serialization the parallel sweep executor ships results over
 worker pipes with.
 
-Trust model: any process that can connect may register as a worker,
-so the server decodes a ``complete`` record only from a worker
-registered over that connection, for a point it leased it, and
-:func:`~repro.resilience.journal.unpack_record` resolves only the
-result-record classes: no peer can make the server (or a client) run
-code.  A worker is still trusted for the numbers it reports, so
-listen on a unix socket or a loopback or private address only.
+Trust model: no op carries a record to the server, so the server
+decodes none -- every record it serves was simulated by its own slots
+or read from its own cache.  A client decodes the server's records
+only through :func:`~repro.resilience.journal.unpack_record`, which
+resolves only the result-record classes, so no server can make a
+client run code.  Any process that connects can submit points and
+stop the server, so listen on a unix socket or a loopback or private
+address only.
 
-Client -> server operations::
+Client -> server operations (protocol 3)::
 
     {"op": "ping"}
     {"op": "stats"}
@@ -33,38 +34,14 @@ Server -> client, per submission, streamed as points complete::
     {"type": "done", "points": N, "simulated": N, "failed": N,
      "jobs": N}
 
-Worker -> server operations (protocol 2; every server accepts them,
-and ``repro serve --jobs 0`` leaves its whole queue to them.  Every
-op is answered by exactly one reply frame, so one socket can be
-shared by a worker's main loop and its heartbeat thread under a
-lock)::
-
-    {"op": "register", "role": "worker", "name": ..., "pid": N,
-     "jobs": N}                  -> {"ok": true, "worker_id": W,
-                                     "lease_ttl": secs}
-    {"op": "lease", "worker_id": W, "max_points": N}
-        -> {"type": "lease", "lease_id": L, "points":
-            [{"qkey": ..., "wire": {...}, "attempt": N}, ...]}
-         | {"type": "empty"}     # nothing pending; poll again
-         | {"type": "drain"}     # server draining; exit clean
-    {"op": "heartbeat", "worker_id": W, "lease_id": L}
-        -> {"ok": bool}          # false: lease expired, keep going
-    {"op": "complete", "worker_id": W, "qkey": ..., "wall": secs,
-     "simulated": bool, "retries": N, "record": <base64 pickle>}
-        -> {"ok": true, "credited": bool}   # false: a late duplicate
-                                            # or not W's point
-    {"op": "fail", "worker_id": W, "qkey": ..., "kind": ...,
-     "error": ..., "attempts": N}
-        -> {"ok": true, "credited": bool}
-
 A *wire point* is the JSON image of a
 :class:`~repro.eval.parallel.SweepPoint` -- named configurations only
 (an ad-hoc :class:`SystemConfig` has no name to send).
 
 Any op may instead be answered ``{"error": ...}`` -- an explicit
-server verdict (unknown op, a worker not registered over this
-connection), raised client-side as :class:`RemoteError` and never
-blindly retried.
+server verdict (an unknown op, a submit without a points list),
+raised client-side as :class:`RemoteError` and never blindly
+retried.
 """
 
 from __future__ import annotations
@@ -84,9 +61,9 @@ MAX_FRAME = 256 << 20
 _HEADER = struct.Struct("!I")
 
 #: bumped on incompatible message-shape changes; ping reports it.
-#: 2 added the worker ops (register/lease/heartbeat/complete/fail)
-#: and the draining shutdown -- every protocol-1 op is unchanged.
-PROTOCOL_VERSION = 2
+#: 2 added the worker ops and the draining shutdown; 3 removed the
+#: worker ops again -- ping, stats, shutdown and submit are unchanged.
+PROTOCOL_VERSION = 3
 
 #: default TCP port of ``repro serve --listen``
 DEFAULT_PORT = 7340

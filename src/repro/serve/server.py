@@ -15,16 +15,12 @@ streams results back as they complete:
    simulation fans out to every waiter.
 3. **sim** -- a true miss, enqueued on the server's one
    :class:`~repro.serve.queue.WorkQueue`.  Its ``--jobs`` slots,
-   tasks on the event loop, take pending points (no lease, no TTL)
-   and run each with :func:`repro.eval.hardening.execute_one` on the
-   server's :class:`~repro.eval.hardening.WorkerPool` (persistent
-   forked workers, the ``--timeout`` watchdog, retry, quarantine).
-   ``repro worker`` processes lease points from the same queue over
-   the frame protocol, and a slot credits its point through the same
-   code as their ``complete``/``fail`` ops, first writer wins;
-   ``--jobs 0`` leaves every miss to them.  A quarantined point
-   becomes a structured failure frame for every waiter, and never
-   stalls other points or other clients.
+   tasks on the event loop, take pending points and run each with
+   :func:`repro.eval.hardening.execute_one` on the server's
+   :class:`~repro.eval.hardening.WorkerPool` (persistent forked
+   workers, the ``--timeout`` watchdog, retry, quarantine).  A
+   quarantined point becomes a structured failure frame for every
+   waiter, and never stalls other points or other clients.
 
 ``--journal`` makes the queue durable (:mod:`repro.resilience.journal`):
 a restarted server replays it and finishes the pending points.
@@ -53,32 +49,31 @@ from .. import __version__
 from ..eval import diskcache, runner
 from ..eval.hardening import HardeningPolicy, WorkerPool, execute_one
 from . import protocol
-from .queue import (DEFAULT_LEASE_TTL, DEFAULT_REQUEUE_BUDGET,
-                    WorkQueue)
+from .queue import WorkQueue
 
-#: seconds a graceful drain waits for leases + queue to empty
+#: seconds a graceful drain waits for the queue to empty
 DEFAULT_DRAIN_TIMEOUT = 30.0
 
 
 class SweepServer:
     """One result-serving process; see the module docstring.
 
-    *jobs* is the number of simulation slots (None: the CPU count; 0:
-    none), *timeout*/*retries*/*backoff* the per-point hardening
-    knobs, *idle_exit* stops the server after that many seconds with
-    no client activity and an idle queue (0 = run forever).  *journal*
-    persists the queue across restarts, *lease_ttl*/*requeue_budget*
-    are its workers' robustness knobs, *drain_timeout* bounds the
+    *jobs* is the number of simulation slots (None: the CPU count;
+    at least 1, since only a slot answers a miss),
+    *timeout*/*retries*/*backoff* the per-point hardening knobs,
+    *idle_exit* stops the server after that many seconds with no
+    client activity and an idle queue (0 = run forever).  *journal*
+    persists the queue across restarts, *drain_timeout* bounds the
     graceful ``shutdown`` wait.
     """
 
     def __init__(self, jobs=None, timeout=0.0, retries=3, backoff=0.25,
                  idle_exit=0.0, journal=None,
-                 lease_ttl=DEFAULT_LEASE_TTL,
-                 requeue_budget=DEFAULT_REQUEUE_BUDGET,
                  drain_timeout=DEFAULT_DRAIN_TIMEOUT):
-        self.jobs = (os.cpu_count() or 2) if jobs is None \
-            else max(0, int(jobs))
+        self.jobs = (os.cpu_count() or 2) if jobs is None else int(jobs)
+        if self.jobs < 1:
+            raise ValueError("a sweep server needs at least one "
+                             "simulation slot (jobs=%d)" % self.jobs)
         self.policy = HardeningPolicy(
             timeout=float(timeout or 0.0), retries=max(1, int(retries)),
             backoff=max(0.0, float(backoff)))
@@ -88,10 +83,8 @@ class SweepServer:
             "connections": 0, "submissions": 0, "points": 0,
             "served_cache": 0, "served_inflight": 0, "simulated": 0,
             "failed": 0, "retried": 0}
-        #: every miss, whoever simulates it
-        self.queue = WorkQueue(journal_path=journal,
-                               lease_ttl=lease_ttl,
-                               requeue_budget=requeue_budget)
+        #: every miss, deduplicated; the slots take from it
+        self.queue = WorkQueue(journal_path=journal)
         #: the forked workers the slots simulate on, joined when
         #: serve() ends
         self.workers = WorkerPool()
@@ -104,7 +97,6 @@ class SweepServer:
         #: the stream writer of every open client connection
         self._writers = set()
         self._last_activity = 0.0
-        self._draining = False
         #: "host:port" or the unix socket path, set once listening
         self.bound = None
 
@@ -129,8 +121,7 @@ class SweepServer:
         self._stop_event = asyncio.Event()
         self._work = asyncio.Event()
         self._threads = ThreadPoolExecutor(
-            max_workers=max(1, self.jobs),
-            thread_name_prefix="repro-serve")
+            max_workers=self.jobs, thread_name_prefix="repro-serve")
         self._last_activity = loop.time()
         if path:
             if os.path.exists(path):
@@ -153,7 +144,7 @@ class SweepServer:
             ready.set()
         self._slots = [asyncio.ensure_future(self._slot())
                        for _ in range(self.jobs)]
-        tasks = [asyncio.ensure_future(self._reclaim_loop())]
+        tasks = []
         if self.idle_exit:
             tasks.append(asyncio.ensure_future(self._idle_watchdog()))
         try:
@@ -165,7 +156,7 @@ class SweepServer:
                     # connection to end (Python >= 3.12.1), so hang up
                     # on them all, as a stopped server's clients see
                     # on older Pythons: idle ones would never end, and
-                    # a submit waiting on a workerless queue neither.
+                    # a submit whose point is still running neither.
                     self._close_workers()
                     for writer in list(self._writers):
                         writer.close()
@@ -194,36 +185,12 @@ class SweepServer:
             await asyncio.sleep(min(self.idle_exit, 5.0))
             idle = loop.time() - self._last_activity
             # an idle-exit server may not vanish beneath a point in
-            # flight, a connected worker, an unexpired lease, or
-            # journal-replayed pending work
+            # flight or journal-replayed pending work
             if (idle >= self.idle_exit
                     and self._active_connections == 0
                     and self.queue.idle):
                 self._stop_event.set()
                 return
-
-    async def _reclaim_loop(self):
-        """Requeue points whose lease missed its heartbeat deadline
-        (hung or partitioned workers), failing the ones that exhausted
-        their requeue budget."""
-        interval = min(max(self.queue.lease_ttl / 4.0, 0.02), 2.0)
-        while True:
-            await asyncio.sleep(interval)
-            self._requeued(self.queue.reclaim_expired())
-
-    def _requeued(self, exhausted):
-        """Broken leases requeued their points: wake the slots, and
-        fail the *exhausted* entries' waiters."""
-        self._work.set()
-        self._fail_entries(exhausted)
-
-    def _fail_entries(self, entries):
-        """Resolve the waiters of freshly-quarantined queue entries."""
-        for entry in entries:
-            self.counters["failed"] += 1
-            if entry.future is not None and not entry.future.done():
-                entry.future.set_result(
-                    (None, entry.failure, 0.0, False))
 
     def _touch(self):
         self._last_activity = asyncio.get_running_loop().time()
@@ -235,7 +202,6 @@ class SweepServer:
         self._active_connections += 1
         self._touch()
         write_lock = asyncio.Lock()
-        workers_here = set()    # worker ids registered over this socket
         self._writers.add(writer)
         try:
             while True:
@@ -265,10 +231,6 @@ class SweepServer:
                     break
                 elif op == "submit":
                     await self._handle_submit(msg, writer, write_lock)
-                elif op in ("register", "lease", "heartbeat",
-                            "complete", "fail"):
-                    await protocol.write_frame(
-                        writer, self._worker_op(op, msg, workers_here))
                 else:
                     await protocol.write_frame(writer, {
                         "error": "unknown op %r" % (op,)})
@@ -277,10 +239,6 @@ class SweepServer:
         finally:
             self._writers.discard(writer)
             self._active_connections -= 1
-            # a dropped worker connection requeues everything it
-            # held -- immediately, not after the lease TTL
-            for wid in workers_here:
-                self._requeued(self.queue.release_worker(wid))
             self._touch()
             try:
                 writer.close()
@@ -289,7 +247,7 @@ class SweepServer:
                     BrokenPipeError, OSError):
                 pass        # server tearing down under us is fine
 
-    # -- the work queue's consumers -----------------------------------------
+    # -- the work queue's consumer -------------------------------------------
 
     async def _slot(self):
         """One local simulation slot: take a pending point, run it on
@@ -319,113 +277,30 @@ class SweepServer:
                            failure.attempts)
 
     def _complete(self, qkey, record, wall, simulated, retries):
-        """Credit one finished point, whoever ran it -- first writer
-        wins; True when credited.  One that did not simulate was
+        """Credit one finished point.  One that did not simulate was
         served by a cache a sibling process filled meanwhile."""
-        entry, credited = self.queue.complete(qkey)
-        if not credited:
-            # a late duplicate (a lease expired and the point re-ran
-            # elsewhere): discarded, counted, never double-credited
-            return False
+        entry = self.queue.complete(qkey)
         self.counters["retried"] += retries
         self.counters["simulated" if simulated else "served_cache"] += 1
         if entry.future is not None and not entry.future.done():
             entry.future.set_result((record, None, wall, simulated))
-        return True
 
     def _fail(self, qkey, kind, error, attempts):
-        """Quarantine one point the hardened ladder (in a slot or a
-        worker) gave up on; True when credited."""
-        entry, _failure = self.queue.fail(qkey, kind, error, attempts)
-        if entry is None:
-            return False
-        self._fail_entries([entry])
-        return True
-
-    def _worker_op(self, op, msg, workers_here):
-        """Handle one register/lease/heartbeat/complete/fail op; the
-        reply frame.  Synchronous on the loop thread -- the queue is
-        pure bookkeeping."""
-        if op == "register":
-            wid = self.queue.register_worker(
-                name=msg.get("name", ""), pid=msg.get("pid", 0),
-                jobs=msg.get("jobs", 1))
-            workers_here.add(wid)
-            return {"ok": True, "worker_id": wid,
-                    "lease_ttl": self.queue.lease_ttl,
-                    "protocol": protocol.PROTOCOL_VERSION}
-        if op == "heartbeat":
-            return {"ok": self.queue.heartbeat(
-                int(msg.get("worker_id", 0)),
-                int(msg.get("lease_id", 0)))}
-        if op == "lease":
-            wid = int(msg.get("worker_id", 0))
-            if wid not in self.queue.workers:
-                # a restarted server does not know the old ids; the
-                # worker re-registers on this error and carries on
-                return {"error": "unknown worker %d (re-register)"
-                                 % wid}
-            lease = self.queue.lease(wid, msg.get("max_points", 1))
-            if lease is None:
-                if self._draining:
-                    return {"type": "drain"}
-                return {"type": "empty"}
-            return {"type": "lease", "lease_id": lease.lease_id,
-                    "points": [
-                        {"qkey": k,
-                         "wire": self.queue.entries[k].wire,
-                         "attempt": self.queue.entries[k].attempts}
-                        for k in lease.qkeys
-                        if k in self.queue.entries]}
-        # complete/fail: refused unread unless from a worker
-        # registered over this connection, for a point leased to it
-        wid = int(msg.get("worker_id", 0))
-        if wid not in workers_here:
-            return {"error": "unknown worker %d (re-register)" % wid}
-        qkey = msg.get("qkey", "")
-        if not self.queue.leased_to(qkey, wid):
-            self.queue.counters["duplicates"] += 1
-            return {"ok": True, "credited": False}
-        if op == "complete":
-            return self._worker_complete(qkey, msg)
-        # op == "fail": quarantine, exactly as a local sweep would
-        return {"ok": True, "credited": self._fail(
-            qkey, msg.get("kind", "error"), msg.get("error", ""),
-            msg.get("attempts", 0))}
-
-    def _worker_complete(self, qkey, msg):
-        """A worker's completion of a point it was leased: store its
-        record, then credit it."""
-        try:
-            record = protocol.unpack_record(msg.get("record", ""))
-            pt = protocol.point_from_wire(self.queue.entries[qkey].wire)
-            # make the record durable server-side (memo + disk cache)
-            # before crediting it -- the worker may not share a cache
-            runner.store_result(pt.kernel, pt.config, record,
-                                **pt.run_kwargs())
-        except Exception as exc:  # noqa: BLE001 - a bad record must not kill the server
-            return {"error": "unusable completion: %s: %s"
-                             % (type(exc).__name__, exc)}
-        return {"ok": True, "credited": self._complete(
-            qkey, record, float(msg.get("wall", 0.0)),
-            bool(msg.get("simulated", False)),
-            int(msg.get("retries", 0)))}
+        """Quarantine one point the hardened ladder gave up on."""
+        entry = self.queue.fail(qkey, kind, error, attempts)
+        self.counters["failed"] += 1
+        if entry.future is not None and not entry.future.done():
+            entry.future.set_result((None, entry.failure, 0.0, False))
 
     async def _drain(self):
         """Graceful wind-down: wait (bounded) for the queue to empty
-        while the slots and workers finish the remainder; then give
-        polling workers a moment to receive their ``drain`` frame and
-        disconnect.  True when everything completed."""
-        self._draining = True
+        while the slots finish the remainder.  True when everything
+        completed."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.drain_timeout
         while self.queue.entries and loop.time() < deadline:
             await asyncio.sleep(0.05)
-        drained = not self.queue.entries
-        grace = loop.time() + min(5.0, self.drain_timeout)
-        while self.queue.workers and loop.time() < grace:
-            await asyncio.sleep(0.05)
-        return drained
+        return not self.queue.entries
 
     async def _handle_submit(self, msg, writer, write_lock):
         self.counters["submissions"] += 1
@@ -513,8 +388,7 @@ class SweepServer:
                 "counters": dict(self.counters,
                                  spawned=self.workers.spawned,
                                  workers=self.workers.live),
-                "cache": {"process": dict(diskcache.stats),
-                          "disk": diskcache.disk_stats()},
+                "cache": {"process": dict(diskcache.stats)},
                 "queue": self.queue.stats_payload()}
 
 

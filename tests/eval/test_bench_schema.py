@@ -23,10 +23,10 @@ def baseline():
 
 
 def test_toplevel_schema(baseline):
-    assert baseline["schema"] == 7
-    for section in ("patterns", "long_kernels", "table2", "service",
-                    "distributed"):
+    assert baseline["schema"] == 8
+    for section in ("patterns", "long_kernels", "table2", "service"):
         assert section in baseline
+    assert "distributed" not in baseline
 
 
 def test_pattern_points(baseline):
@@ -65,31 +65,6 @@ def test_service_section(baseline):
     assert svc["warm_simulator_invocations"] == 0
     assert svc["cold_simulated"] > 0          # the cold pass did work
     assert svc["warm_points_per_sec"] > 0
-
-
-def test_distributed_section(baseline):
-    dist = baseline["distributed"]
-    keys = {"kernels", "points", "host_cpus", "workers_1", "workers_4",
-            "scaling_4_over_1", "warm_seconds", "warm_points_per_sec",
-            "warm_served_fraction", "warm_simulator_invocations",
-            "warm_enqueued"}
-    assert keys <= set(dist)
-    for pool in (dist["workers_1"], dist["workers_4"]):
-        assert pool["cold_seconds"] > 0
-        assert pool["cold_simulated"] > 0     # workers did the sims
-    # the distributed warm contract: served at the front door, never
-    # enqueued, never simulated
-    assert dist["warm_served_fraction"] >= 0.95
-    assert dist["warm_simulator_invocations"] == 0
-    assert dist["warm_enqueued"] == 0
-    # the scaling bar only binds where the host can run all four
-    # workers at once (simulations are CPU-bound); elsewhere the ratio
-    # is recorded as unmeasured, with the reason
-    if dist["host_cpus"] >= 4:
-        assert dist["scaling_4_over_1"] >= 1.3
-    else:
-        assert dist["scaling_4_over_1"] is None
-        assert dist["scaling_unmeasured"]
 
 
 def test_check_mode_flags_regressions():
@@ -132,25 +107,3 @@ def test_check_mode_flags_regressions():
     assert any("cache-served" in p for p in problems)
     assert any("invoked the simulator" in p for p in problems)
     assert any("serving rate" in p for p in problems)
-    # the distributed gates: warm contract always binds, the scaling
-    # floor wherever the ratio was measured
-    dist_ok = {"patterns": {}, "long_kernels": {},
-               "distributed": {"points": 28, "host_cpus": 1,
-                               "scaling_4_over_1": None,
-                               "scaling_unmeasured": "1 CPU",
-                               "warm_served_fraction": 1.0,
-                               "warm_simulator_invocations": 0,
-                               "warm_enqueued": 0,
-                               "warm_points_per_sec": 900.0}}
-    assert bench_speed._check(dist_ok, {}) == []
-    dist_bad = {"patterns": {}, "long_kernels": {},
-                "distributed": {"points": 28, "host_cpus": 8,
-                                "scaling_4_over_1": 0.9,
-                                "warm_served_fraction": 0.5,
-                                "warm_simulator_invocations": 2,
-                                "warm_enqueued": 3,
-                                "warm_points_per_sec": 900.0}}
-    problems = bench_speed._check(dist_bad, {})
-    assert len(problems) == 4
-    assert any("4-worker pool" in p for p in problems)
-    assert any("enqueued" in p for p in problems)

@@ -112,6 +112,29 @@ class TestDiskStatsAndPrune:
         os.unlink(diskcache._record_path(keys[0]))
         assert diskcache.disk_stats()["records"] == 3
 
+    def test_a_writers_temp_file_is_not_a_record(self, tmp_path):
+        """A live writer's ``.tmp`` beside a record is neither counted
+        nor pruned; only ``fsck`` removes one, once it is older than
+        ``tmp_age``."""
+        (key,) = _populate(tmp_path, n=1)
+        tmp = os.path.join(os.path.dirname(diskcache._record_path(key)),
+                           "writer.tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(b"half a record")
+        assert diskcache.disk_stats()["records"] == 1
+        assert diskcache.shard_stats() == {key[:2]: {
+            "records": 1,
+            "bytes": os.path.getsize(diskcache._record_path(key))}}
+        assert diskcache.prune(0)[0] == 1
+        assert os.path.exists(tmp)
+        report = diskcache.fsck(tmp_age=300.0)
+        assert (report["checked"], report["stale_tmp"]) == (0, 0)
+        assert os.path.exists(tmp)
+        past = time.time() - 301
+        os.utime(tmp, (past, past))
+        assert diskcache.fsck(tmp_age=300.0)["stale_tmp"] == 1
+        assert not os.path.exists(tmp)
+
     def test_index_dir_of_an_older_version_is_never_visited(self,
                                                             tmp_path):
         """Older versions kept ``<cache-dir>/index/<shard>.json``

@@ -330,7 +330,7 @@ class TestPersistentWorkers:
 
 class TestSharedPool:
     """:func:`hardening.execute_one` on a caller's long-lived pool, as
-    the sweep server and ``repro worker`` run it."""
+    the sweep server's slots run it."""
 
     POLICY = hardening.HardeningPolicy(retries=3, backoff=0.01)
 

@@ -1,19 +1,18 @@
-"""The distributed work queue's bookkeeping invariants, in isolation:
-leases with deadlines, heartbeat extension, expiry requeue, idempotent
-first-writer-wins completion, the bounded requeue budget, and the
-crash-safe journal replay.  No sockets here -- the queue is pure state
-the server drives from its event loop; the end-to-end behaviour is
-tests/serve/test_distributed.py."""
+"""The server's work queue bookkeeping, in isolation: one entry per
+point, take/complete/fail, and the crash-safe journal replay.  No
+sockets here -- the queue is pure state the server drives from its
+event loop; the end-to-end behaviour is tests/serve/test_server.py."""
 
 import errno
 import json
 
 import pytest
 
+from repro.eval.parallel import SweepPoint
 from repro.resilience import journal as journal_mod
 from repro.resilience.journal import Journal
-from repro.serve.queue import (DEFAULT_LEASE_TTL, WorkQueue, label_of,
-                               qkey_of)
+from repro.serve import protocol
+from repro.serve.queue import WorkQueue, label_of, qkey_of
 
 WIRE_A = {"kernel": "sgemm-uc", "config": "io", "mode": "traditional",
           "binary": "xloops", "xi": True, "scale": "tiny", "seed": 0,
@@ -23,31 +22,9 @@ WIRE_C = dict(WIRE_A, kernel="dither-or", config="io+x",
               mode="specialized")
 
 
-class FakeClock:
-    """Deterministic stand-in for time.monotonic."""
-
-    def __init__(self):
-        self.now = 1000.0
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, secs):
-        self.now += secs
-
-
 @pytest.fixture()
-def clock():
-    return FakeClock()
-
-
-@pytest.fixture()
-def queue(clock):
-    return WorkQueue(lease_ttl=10.0, requeue_budget=2, clock=clock)
-
-
-def _worker(queue):
-    return queue.register_worker(name="w", pid=123, jobs=1)
+def queue():
+    return WorkQueue()
 
 
 class TestIdentity:
@@ -62,7 +39,17 @@ class TestIdentity:
         assert label_of(WIRE_A) == "sgemm-uc/io/traditional/xloops/tiny"
 
 
-class TestEnqueueLease:
+def test_queue_identity_matches_wire_points():
+    """qkey round-trips through the journal stay joined to the same
+    SweepPoint (the completion path depends on it)."""
+    pt = SweepPoint("sgemm-uc", "io", scale="tiny")
+    wire = protocol.point_to_wire(pt)
+    rejson = json.loads(json.dumps(wire))
+    assert qkey_of(wire) == qkey_of(rejson)
+    assert protocol.point_from_wire(rejson).memo_key() == pt.memo_key()
+
+
+class TestEnqueueTake:
     def test_enqueue_dedups_pending(self, queue):
         _, created1 = queue.enqueue(WIRE_A)
         _, created2 = queue.enqueue(WIRE_A)
@@ -70,160 +57,49 @@ class TestEnqueueLease:
         assert queue.counters["enqueued"] == 1
         assert queue.queued == 1
 
-    def test_lease_batches_up_to_max(self, queue):
-        for wire in (WIRE_A, WIRE_B, WIRE_C):
-            queue.enqueue(wire)
-        wid = _worker(queue)
-        lease = queue.lease(wid, max_points=2)
-        assert len(lease.qkeys) == 2
+    def test_take_is_oldest_first_and_joins_taken_points(self, queue):
+        first, _ = queue.enqueue(WIRE_A)
+        second, _ = queue.enqueue(WIRE_B)
+        assert queue.take() is first
         assert queue.queued == 1
-        # leased entries carry their requeue attempt for chaos keying
-        for qkey in lease.qkeys:
-            assert queue.entries[qkey].attempts == 0
-            assert queue.entries[qkey].lease_id == lease.lease_id
+        # a point a slot is running is joined, not queued again
+        assert queue.enqueue(WIRE_A) == (first, False)
+        assert queue.queued == 1
+        assert queue.take() is second
+        assert queue.take() is None and queue.queued == 0
 
-    def test_lease_for_unknown_worker_is_refused(self, queue):
-        queue.enqueue(WIRE_A)
-        assert queue.lease(999) is None
-
-    def test_empty_queue_leases_nothing(self, queue):
-        assert queue.lease(_worker(queue)) is None
+    def test_empty_queue_takes_nothing(self, queue):
+        assert queue.take() is None
 
 
 class TestCompletion:
-    def test_first_writer_wins_and_duplicates_count(self, queue):
-        queue.enqueue(WIRE_A)
-        wid = _worker(queue)
-        lease = queue.lease(wid)
-        (qkey,) = lease.qkeys
-        entry, credited = queue.complete(qkey)
-        assert credited and entry is not None
-        # the lease dissolved with its last point
-        assert not queue.leases and not queue.workers[wid].leases
-        # a late duplicate is discarded, counted, never re-credited
-        entry2, credited2 = queue.complete(qkey)
-        assert not credited2 and entry2 is None
+    def test_complete_resolves_the_entry(self, queue):
+        entry, _ = queue.enqueue(WIRE_A)
+        queue.take()
+        assert queue.complete(entry.qkey) is entry
+        assert not queue.entries
         assert queue.counters["completed"] == 1
-        assert queue.counters["duplicates"] == 1
 
-    def test_worker_failure_quarantines_without_requeue(self, queue):
+    def test_failure_quarantines_without_requeue(self, queue):
         queue.enqueue(WIRE_A)
-        lease = queue.lease(_worker(queue))
-        (qkey,) = lease.qkeys
-        entry, failure = queue.fail(qkey, "crash", "boom", attempts=3)
+        entry = queue.take()
+        assert queue.fail(entry.qkey, "crash", "boom", attempts=3) \
+            is entry
+        failure = entry.failure
         assert failure.kind == "crash" and failure.attempts == 3
         assert failure.label == label_of(WIRE_A)
-        assert entry.failure is failure and qkey not in queue.entries
+        assert entry.qkey not in queue.entries
         assert queue.queued == 0            # no requeue for failures
-        assert queue.counters["worker_failures"] == 1
-
-
-class TestLeaseExpiry:
-    def test_heartbeat_extends_the_deadline(self, queue, clock):
-        queue.enqueue(WIRE_A)
-        wid = _worker(queue)
-        lease = queue.lease(wid)
-        clock.advance(8.0)
-        assert queue.heartbeat(wid, lease.lease_id)
-        clock.advance(8.0)                  # 16s total, but extended
-        assert queue.reclaim_expired() == []
-        assert queue.entries[next(iter(lease.qkeys))].lease_id \
-            == lease.lease_id
-
-    def test_missed_heartbeat_requeues(self, queue, clock):
-        queue.enqueue(WIRE_A)
-        wid = _worker(queue)
-        lease = queue.lease(wid)
-        clock.advance(10.5)
-        assert queue.reclaim_expired() == []   # budget not exhausted
-        assert queue.counters["expired_leases"] == 1
-        assert queue.counters["requeued"] == 1
-        assert queue.queued == 1
-        (qkey,) = lease.qkeys
-        assert queue.entries[qkey].attempts == 1
-        # the zombie's heartbeat is refused, but its eventual
-        # completion would still be honoured (or deduped)
-        assert not queue.heartbeat(wid, lease.lease_id)
-
-    def test_requeue_budget_turns_killers_into_failures(self, queue,
-                                                        clock):
-        queue.enqueue(WIRE_A)
-        wid = _worker(queue)
-        for _ in range(queue.requeue_budget):      # burn the budget
-            queue.lease(wid)
-            clock.advance(10.5)
-            assert queue.reclaim_expired() == []
-        queue.lease(wid)
-        clock.advance(10.5)
-        exhausted = queue.reclaim_expired()
-        assert len(exhausted) == 1
-        failure = exhausted[0].failure
-        assert failure.kind == "requeue-exhausted"
-        assert failure.attempts == queue.requeue_budget + 1
-        assert queue.counters["exhausted"] == 1
-        assert queue.queued == 0
-        assert failure.label == label_of(WIRE_A)
-        assert qkey_of(WIRE_A) not in queue.entries
-
-    def test_dropped_worker_requeues_immediately(self, queue):
-        queue.enqueue(WIRE_A)
-        queue.enqueue(WIRE_B)
-        wid = _worker(queue)
-        queue.lease(wid, max_points=2)
-        assert queue.release_worker(wid) == []
-        assert queue.counters["worker_losses"] == 1
-        assert queue.counters["requeued"] == 2
-        assert queue.queued == 2 and not queue.leases
-        assert wid not in queue.workers
-
-    def test_completion_races_expiry(self, queue, clock):
-        """A slow worker's result lands after its lease expired and
-        the point was requeued: the completion is still honoured
-        (results are deterministic -- any writer's answer is THE
-        answer) and the requeued copy becomes the duplicate."""
-        queue.enqueue(WIRE_A)
-        wid = _worker(queue)
-        lease = queue.lease(wid)
-        (qkey,) = lease.qkeys
-        clock.advance(10.5)
-        queue.reclaim_expired()             # requeued, pending again
-        entry, credited = queue.complete(qkey)   # slow writer arrives
-        assert credited
-        # the requeued pending copy is skipped at the next lease
-        assert queue.lease(wid) is None
-        assert queue.counters["completed"] == 1
-
-    def test_leased_to_names_every_worker_ever_leased(self, queue,
-                                                      clock):
-        """The server reads a worker's completion only for a point it
-        was leased -- by a live lease, or one that expired under it."""
-        queue.enqueue(WIRE_A)
-        qkey = qkey_of(WIRE_A)
-        slow, other = _worker(queue), _worker(queue)
-        assert not queue.leased_to(qkey, slow)    # pending, never leased
-        queue.lease(slow)
-        assert queue.leased_to(qkey, slow)
-        assert not queue.leased_to(qkey, other)
-        clock.advance(10.5)
-        queue.reclaim_expired()
-        assert queue.leased_to(qkey, slow)        # expired, still its
-        queue.lease(other)
-        assert queue.leased_to(qkey, other)
-        queue.complete(qkey)
-        assert not queue.leased_to(qkey, slow)    # resolved
 
 
 class TestIdle:
-    def test_idle_accounts_for_workers_and_leases(self, queue, clock):
+    def test_idle_until_every_entry_resolves(self, queue):
         assert queue.idle
-        wid = _worker(queue)
-        assert not queue.idle               # a connected worker
         queue.enqueue(WIRE_A)
-        queue.lease(wid)
-        assert not queue.idle               # an unexpired lease
-        queue.complete(qkey_of(WIRE_A))
-        assert not queue.idle               # still the worker
-        queue.release_worker(wid)
+        assert not queue.idle               # pending
+        entry = queue.take()
+        assert not queue.idle               # a slot is running it
+        queue.complete(entry.qkey)
         assert queue.idle
 
 
@@ -234,8 +110,8 @@ class TestJournal:
         q1.enqueue(WIRE_A)
         q1.enqueue(WIRE_B)
         q1.enqueue(WIRE_C)
-        wid = q1.register_worker()
-        q1.lease(wid, max_points=3)
+        for _ in range(3):
+            q1.take()
         q1.complete(qkey_of(WIRE_A))
         q1.fail(qkey_of(WIRE_B), "crash", "boom", attempts=2)
         q1.close()                          # server "crashes" here
@@ -248,9 +124,8 @@ class TestJournal:
         _pending, completed, failed = Journal(path).replay()
         assert qkey_of(WIRE_A) in completed
         assert failed[qkey_of(WIRE_B)]["kind"] == "crash"
-        # and it is leasable immediately, attempts reset
-        lease = q2.lease(q2.register_worker())
-        assert lease.qkeys == {qkey_of(WIRE_C)}
+        # and a slot can take it immediately
+        assert q2.take().qkey == qkey_of(WIRE_C)
         q2.close()
 
     def test_replay_tolerates_torn_final_line(self, tmp_path):
@@ -258,7 +133,7 @@ class TestJournal:
         q1 = WorkQueue(journal_path=path)
         q1.enqueue(WIRE_A)
         q1.enqueue(WIRE_B)
-        q1.complete(qkey_of(WIRE_A))
+        q1.complete(q1.take().qkey)
         q1.close()
         with open(path, "ab") as fh:        # crash mid-append
             fh.write(b'{"op": "complete", "qk')
@@ -280,7 +155,7 @@ class TestJournal:
             fh.write(b'{"op": "enqueue", "qk')
         q2 = WorkQueue(journal_path=path)
         assert qkey_of(WIRE_A) in q2.entries
-        q2.complete(qkey_of(WIRE_A))
+        q2.complete(q2.take().qkey)
         q2.close()
         q3 = WorkQueue(journal_path=path)
         assert qkey_of(WIRE_A) in Journal(path).replay()[1]
@@ -308,7 +183,7 @@ class TestJournal:
         monkeypatch.setattr(journal_mod.os, "fsync", full_disk)
         entry, created = q.enqueue(WIRE_A)
         assert created and q.take() is entry
-        assert q.complete(entry.qkey) == (entry, True)
+        assert q.complete(entry.qkey) is entry
         assert q.counters["journal_errors"] == 2
         q.close()
 
@@ -332,17 +207,12 @@ class TestJournal:
         path = str(tmp_path / "queue.journal")
         q1 = WorkQueue(journal_path=path)
         q1.enqueue(WIRE_A)
-        wid = q1.register_worker()
-        q1.lease(wid)
+        q1.take()
         q1.fail(qkey_of(WIRE_A), "crash", "boom", attempts=2)
         # a fresh submission of a quarantined point re-enqueues it
         entry, created = q1.enqueue(WIRE_A)
-        assert created and entry.attempts == 0
+        assert created and entry.failure is None
         pending, _completed, failed = Journal(path).replay()
         assert qkey_of(WIRE_A) in pending
         assert qkey_of(WIRE_A) not in failed
         q1.close()
-
-
-def test_default_ttl_is_sane():
-    assert 0 < DEFAULT_LEASE_TTL <= 300

@@ -1,7 +1,8 @@
 """The sweep server end to end: global in-flight dedup across
 concurrent clients, crash -> retry -> quarantine without stalling
-anyone, warm resubmissions served entirely from the cache, and
-bit-identity with a direct in-process run.
+anyone, warm resubmissions served entirely from the cache,
+bit-identity with a direct in-process run, and the work queue's
+durability: journal resume, client reconnect, idle-exit and drain.
 
 The server runs on a background thread (:class:`ServerThread`) over a
 real unix socket, its simulations in real forked workers -- the same
@@ -28,9 +29,11 @@ import pytest
 import repro
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint
-from repro.serve import ServeClient, ServerThread, WorkerThread
+from repro.resilience import journal
+from repro.serve import ServeClient, ServerThread, WorkQueue
 from repro.serve import protocol
 from repro.serve.client import connect
+from repro.serve.queue import qkey_of
 from tests.eval.test_hardening import _exited
 
 SCALE = "tiny"
@@ -158,7 +161,20 @@ class TestServing:
             assert stats["counters"]["points"] == 1
             assert stats["counters"]["spawned"] == 1
             assert stats["counters"]["workers"] == 1
-            assert set(stats["cache"]) == {"process", "disk"}
+            assert set(stats["cache"]) == {"process"}
+
+    def test_stats_never_walks_the_disk_cache(self, server,
+                                              monkeypatch):
+        """``stats`` answers on the event loop, where a walk of a large
+        disk cache would hold up every connection; ``repro cache
+        stats`` reports the disk totals instead."""
+        def walk():
+            raise AssertionError("stats walked the disk cache")
+
+        monkeypatch.setattr(diskcache, "disk_stats", walk)
+        with ServeClient(server.address) as client:
+            stats = client.stats()
+        assert stats["ok"] and "disk" not in stats["cache"]
 
     def test_unknown_kernel_is_structured_failure(self, server):
         with ServeClient(server.address) as client:
@@ -170,9 +186,9 @@ class TestServing:
             assert len(summary.outcomes) == 1
 
     def test_slots_drain_the_queue_but_are_not_workers(self, tmp_path):
-        """Every local miss goes through the work queue, yet the slots
-        never register as workers: a shutdown with no worker
-        connected skips the grace a drain gives workers."""
+        """Every miss goes through the work queue, and the server's own
+        slots are its only consumers: they leave nothing queued or in
+        flight, so a shutdown drains at once."""
         st = ServerThread(jobs=2, socket_dir=str(tmp_path)).start()
         try:
             with ServeClient(st.address) as client:
@@ -182,12 +198,11 @@ class TestServing:
             assert queue["counters"]["enqueued"] == len(POINTS)
             assert queue["counters"]["completed"] == len(POINTS)
             assert stats["counters"]["simulated"] == len(POINTS)
-            assert queue["workers"] == 0 and queue["queued"] == 0
-            assert stats["inflight"] == 0
+            assert queue["queued"] == 0 and stats["inflight"] == 0
             t0 = time.monotonic()
             with ServeClient(st.address) as client:
                 assert client.shutdown()["drained"]
-            assert time.monotonic() - t0 < 2.0    # grace would be 5 s
+            assert time.monotonic() - t0 < 2.0
         finally:
             st.stop()
 
@@ -332,106 +347,59 @@ class _Hostile:
         return (_trip, ())
 
 
-class TestWorkerOpTrust:
-    """Every server accepts workers, so a ``complete`` can come from
-    any process that reaches the socket.  Its record is decoded only
-    when it comes from a worker registered over that connection, for a
-    point that worker was leased -- and even then only result-record
-    classes unpickle, so no peer can make the server run code."""
+def _replayed_server(tmp_path, points, **kwargs):
+    """A slot server whose journal already holds *points* pending, as
+    a crashed predecessor would have left it."""
+    path = str(tmp_path / "queue.journal")
+    queue = WorkQueue(journal_path=path)
+    for pt in points:
+        queue.enqueue(protocol.point_to_wire(pt))
+    queue.close()
+    return ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
+                        journal=path, **kwargs)
 
-    def _spy(self, monkeypatch):
-        calls = []
-        real = protocol.unpack_record
 
-        def spy(text):
-            calls.append(text)
-            return real(text)
+def test_no_peer_can_plant_a_record(tmp_path, monkeypatch):
+    """No op hands the server a record: each former worker op gets the
+    ``unknown op`` frame, a ``complete`` carrying a tripwire pickle for
+    an unresolved point's qkey is never unpickled, and the connection
+    still serves a submit afterwards."""
+    held, other = POINTS[0], POINTS[1]
+    qkey = qkey_of(protocol.point_to_wire(held))
+    # the replayed point hangs in its slot: unresolved throughout
+    monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+        {held.label(): {"hang": [0]}}))
+    decoded = []
+    real = journal.loads_record
 
-        monkeypatch.setattr(protocol, "unpack_record", spy)
-        return calls
+    def spy(data):
+        decoded.append(data)
+        return real(data)
 
-    def test_complete_refused_unread_unless_leased(self, server,
-                                                   monkeypatch):
-        calls = self._spy(monkeypatch)
-        hostile = protocol.pack_record(_Hostile())
-        other = connect(server.address)
-        sock = connect(server.address)
+    monkeypatch.setattr(journal, "loads_record", spy)
+    hostile = protocol.pack_record(_Hostile())
+    with _replayed_server(tmp_path, [held]) as st:
+        sock = connect(st.address)
         try:
-            def complete(wid):
+            for op in ("register", "lease", "heartbeat", "complete",
+                       "fail"):
                 protocol.send_frame(sock, {
-                    "op": "complete", "worker_id": wid, "qkey": "k",
-                    "wall": 0.0, "simulated": True, "retries": 0,
-                    "record": hostile})
-                return protocol.recv_frame(sock)
-
-            # never registered
-            assert "error" in complete(1)
-            # registered, but over another connection
-            protocol.send_frame(other, {"op": "register",
-                                        "name": "elsewhere"})
-            elsewhere = protocol.recv_frame(other)["worker_id"]
-            assert "error" in complete(elsewhere)
-            # registered here, but never leased that point
-            protocol.send_frame(sock, {"op": "register", "name": "w"})
-            wid = protocol.recv_frame(sock)["worker_id"]
-            assert complete(wid) == {"ok": True, "credited": False}
-            protocol.send_frame(sock, {"op": "fail", "worker_id": wid,
-                                       "qkey": "k", "kind": "crash"})
-            assert protocol.recv_frame(sock) == {"ok": True,
-                                                 "credited": False}
+                    "op": op, "worker_id": 1, "lease_id": 1,
+                    "qkey": qkey, "record": hostile, "kind": "crash"})
+                assert protocol.recv_frame(sock) == {
+                    "error": "unknown op %r" % op}
+            protocol.send_frame(sock, {
+                "op": "submit",
+                "points": [protocol.point_to_wire(other)]})
+            result, done = protocol.recv_frame(sock), \
+                protocol.recv_frame(sock)
         finally:
             sock.close()
-            other.close()
-        assert calls == [] and _TRIPPED == []
-        with ServeClient(server.address) as client:
-            stats = client.stats()
-        assert stats["counters"]["simulated"] == 0
-        assert stats["queue"]["counters"]["duplicates"] == 2
-
-    def test_hostile_record_from_a_leased_worker_runs_nothing(
-            self, tmp_path, monkeypatch):
-        calls = self._spy(monkeypatch)
-        with ServerThread(jobs=0, socket_dir=str(tmp_path / "sock")) \
-                as st:
-            out = {}
-
-            def submit():
-                with ServeClient(st.address) as client:
-                    out["summary"] = client.submit(POINTS[:1])
-
-            t = threading.Thread(target=submit)
-            t.start()
-            sock = connect(st.address)
-            try:
-                protocol.send_frame(sock, {"op": "register",
-                                           "name": "hostile"})
-                wid = protocol.recv_frame(sock)["worker_id"]
-                deadline = time.monotonic() + 30
-                while True:
-                    protocol.send_frame(sock, {"op": "lease",
-                                               "worker_id": wid})
-                    lease = protocol.recv_frame(sock)
-                    if lease["type"] == "lease" \
-                            or time.monotonic() > deadline:
-                        break
-                    time.sleep(0.02)
-                (item,) = lease["points"]
-                protocol.send_frame(sock, {
-                    "op": "complete", "worker_id": wid,
-                    "qkey": item["qkey"], "wall": 0.0,
-                    "simulated": True, "retries": 0,
-                    "record": protocol.pack_record(_Hostile())})
-                reply = protocol.recv_frame(sock)
-                assert "UnpicklingError" in reply["error"]
-            finally:
-                sock.close()    # the point is requeued
-            assert len(calls) == 1 and _TRIPPED == []
-            worker = WorkerThread(st.address, poll=0.05).start()
-            try:
-                t.join(timeout=60)
-            finally:
-                worker.stop(timeout=5)
-        assert out["summary"].ok and out["summary"].misses == 1
+        assert result["type"] == "result"
+        assert result["label"] == other.label()
+        assert done["type"] == "done" and done["simulated"] == 1
+        assert qkey in st.server.queue.entries
+    assert decoded == [] and _TRIPPED == []
 
 
 class TestChaosThroughServer:
@@ -697,3 +665,188 @@ class TestWorkerPool:
                     os.kill(pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+
+
+class TestJournalResume:
+    def test_server_restart_resumes_without_resimulating(
+            self, tmp_path):
+        """Crash the server mid-campaign: a successor with the same
+        journal + cache serves completed points from the cache and
+        finishes only the remainder."""
+        journal_path = str(tmp_path / "queue.journal")
+        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock1"),
+                          journal=journal_path) as st:
+            with ServeClient(st.address) as client:
+                first = client.submit(POINTS[:2])
+                assert first.ok and first.misses == 2
+        # ServerThread.stop() is a hard stop: no drain, no farewell --
+        # the journal and disk cache are all that survives
+
+        runner.clear_cache(keep_disk=True)   # new process, cold memo
+        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock2"),
+                          journal=journal_path) as st:
+            with ServeClient(st.address) as client:
+                resumed = client.submit(POINTS)
+                assert resumed.ok
+                assert resumed.points == len(POINTS)
+                # the completed part is cache-served, never re-run
+                assert resumed.misses == len(POINTS) - 2
+                qc = client.stats()["queue"]["counters"]
+                assert qc["enqueued"] == len(POINTS) - 2
+
+    def test_journal_replays_pending_work_with_no_client(self,
+                                                          tmp_path):
+        """Pending (enqueued-but-unresolved) journal entries are run
+        after a restart with no client attached -- the campaign
+        finishes itself."""
+        with _replayed_server(tmp_path, POINTS[:2]) as st:
+            assert st.server.queue.counters["replayed"] == 2
+            deadline = time.monotonic() + 60
+            while st.server.queue.entries \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not st.server.queue.entries
+            assert st.server.queue.counters["completed"] == 2
+        # and the results are durably cached for any client
+        runner.clear_cache(keep_disk=True)
+        for pt in POINTS[:2]:
+            assert runner.cached_result(
+                pt.kernel, pt.config, **pt.run_kwargs()) is not None
+
+
+class TestClientReconnect:
+    def test_resubmit_between_batches_after_server_restart(
+            self, tmp_path):
+        """A persistent client survives its server being replaced
+        between submissions: the dead socket is detected, reconnected
+        with backoff, and the batch resubmitted."""
+        sockdir = str(tmp_path / "sock")
+        st1 = ServerThread(jobs=2, socket_dir=sockdir).start()
+        client = ServeClient(st1.address)
+        try:
+            first = client.submit(POINTS[:2])
+            assert first.ok and first.points == 2
+        finally:
+            st1.stop()
+        # a new server on the SAME socket path; the client's socket
+        # is a stale fd to the old one
+        st2 = ServerThread(jobs=2, socket_dir=sockdir).start()
+        try:
+            assert st2.address == st1.address
+            second = client.submit(POINTS)
+            assert second.ok and second.points == len(POINTS)
+            # completed work came from the shared cache, not re-sim
+            assert second.misses == len(POINTS) - 2
+        finally:
+            client.close()
+            st2.stop()
+
+    def test_resubmit_mid_submit_when_server_dies(self, tmp_path,
+                                                  monkeypatch):
+        """The server dies while a submit waits on points its slots
+        are running; a successor appears on the same path; the client
+        reconnects mid-submit and resubmits the unacknowledged
+        remainder."""
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        held = POINTS[:2]
+        # the first server's workers hang on every held point; stopping
+        # it kills them, so its submit stays in flight until then
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {pt.label(): {"hang": [0]} for pt in held}))
+        sockdir = str(tmp_path / "sock")
+        st1 = ServerThread(jobs=2, socket_dir=sockdir).start()
+        out, errors = {}, []
+
+        def submit():
+            try:
+                with ServeClient(st1.address, reconnects=12) as client:
+                    out["summary"] = client.submit(held)
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        t = threading.Thread(target=submit)
+        t.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(attempts()) < len(held) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert len(attempts()) == len(held)   # both slots hang
+        finally:
+            st1.stop()               # server dies mid-submit
+        # the successor's workers fork without the chaos plan
+        monkeypatch.delenv(hardening.CHAOS_ENV)
+        st2 = ServerThread(jobs=2, socket_dir=sockdir).start()
+        try:
+            t.join(timeout=60)
+            assert not t.is_alive()
+            assert not errors, errors
+            assert out["summary"].ok
+            assert out["summary"].points == len(held)
+            assert out["summary"].misses == len(held)
+        finally:
+            st2.stop()
+
+
+class TestIdleExit:
+    def test_idle_exit_waits_for_replayed_work(self, tmp_path,
+                                               monkeypatch):
+        """An --idle-exit server must not vanish while journal-replayed
+        work is unresolved; once it is done, the server exits on
+        schedule."""
+        held = POINTS[0]
+        # the replayed point's first attempt hangs until the 2 s
+        # watchdog kills it, well past the 0.4 s idle window
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {held.label(): {"hang": [0]}}))
+        st = _replayed_server(tmp_path, [held], idle_exit=0.4,
+                              timeout=2, backoff=0.01).start()
+        try:
+            time.sleep(1.2)
+            assert st._thread.is_alive()
+            assert st.server.queue.entries
+            st._thread.join(timeout=30)
+            assert not st._thread.is_alive()
+            assert not st.server.queue.entries
+            assert st.server.counters["retried"] == 1
+        finally:
+            st.stop()
+
+
+class TestGracefulDrain:
+    def test_shutdown_waits_for_queued_points(self, tmp_path,
+                                              monkeypatch):
+        """``shutdown`` replies only once the queue is empty: a point
+        whose first attempt hangs past the watchdog is retried and
+        answered before the server stops, and the reply says
+        ``drained``."""
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        held = POINTS[0]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {held.label(): {"hang": [0]}}))
+        with ServerThread(jobs=2, timeout=1.5, backoff=0.01,
+                          socket_dir=str(tmp_path / "sock"),
+                          drain_timeout=30.0) as st:
+            out = {}
+
+            def submit():
+                with ServeClient(st.address) as client:
+                    out["summary"] = client.submit(POINTS)
+
+            t = threading.Thread(target=submit)
+            t.start()
+            deadline = time.monotonic() + 10
+            while held.label() not in {label for label, _a, _p
+                                       in attempts()} \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert st.server.queue.entries      # held is in flight
+            with ServeClient(st.address) as stopper:
+                reply = stopper.shutdown()
+            assert reply["drained"]
+            assert not st.server.queue.entries
+            t.join(timeout=60)
+            assert not t.is_alive()
+            # the drain waited: every point completed
+            assert out["summary"].ok
+            assert out["summary"].points == len(POINTS)

@@ -294,31 +294,24 @@ int total(int* a, int n) {
     assert "return value:  0" in out
 
 
-def test_worker_parser_flags():
+def test_serve_flags_and_the_retired_worker_tier(capsys):
     args = build_parser().parse_args(
-        ["worker", "--connect", "/tmp/s.sock", "--jobs", "3",
-         "--name", "w1", "--poll", "0.5"])
-    assert args.connect == "/tmp/s.sock"
-    assert args.jobs == 3 and args.name == "w1"
-    assert args.poll == 0.5
-
-
-def test_worker_requires_connect():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["worker"])
-
-
-def test_serve_distributed_flags():
-    args = build_parser().parse_args(
-        ["serve", "--socket", "/tmp/s.sock", "--jobs", "0",
-         "--journal", "/tmp/q.journal", "--lease-ttl", "5",
-         "--requeue-budget", "3", "--drain-timeout", "10"])
-    assert args.jobs == 0 and args.journal == "/tmp/q.journal"
-    assert args.lease_ttl == 5.0 and args.requeue_budget == 3
+        ["serve", "--socket", "/tmp/s.sock", "--jobs", "2",
+         "--journal", "/tmp/q.journal", "--drain-timeout", "10"])
+    assert args.jobs == 2 and args.journal == "/tmp/q.journal"
     assert args.drain_timeout == 10.0
     status = build_parser().parse_args(
         ["serve", "--status", "/tmp/s.sock", "--json"])
     assert status.status == "/tmp/s.sock" and status.json
+    for argv in (["worker", "--connect", "/tmp/s.sock"],
+                 ["serve", "--lease-ttl", "5"],
+                 ["serve", "--requeue-budget", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2, argv
+    # a server without a simulation slot would never answer a miss
+    assert main(["serve", "--jobs", "0", "--socket", "/tmp/s.sock"]) == 2
+    assert "at least one" in capsys.readouterr().err
 
 
 def test_sweep_exact_accounting_flags():
