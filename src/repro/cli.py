@@ -266,11 +266,11 @@ def build_parser():
                         "loops (default 0)")
     p.add_argument("--ladder", action="store_true",
                    help="instead check the backend ladder "
-                        "(interp/fused, plus fused without the "
-                        "compiled LPSU engine on LPSU points, which "
-                        "include two contexts per lane) bit-identical "
-                        "per point: cycles, events, stats, and final "
-                        "memory; failures name the diverging tier")
+                        "(interp/fused, fused without the compiled "
+                        "LPSU engine, the three GPPs timed in one run; "
+                        "LPSU points include two contexts per lane) "
+                        "bit-identical per point: cycles, events, stats "
+                        "and final memory; failures name the tier")
 
     p = sub.add_parser("prove",
                        help="symbolic dependence prover: certify or "

@@ -60,18 +60,20 @@ machinery.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import stat
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from ..resilience.journal import Journal, pack_record, qkey_of, \
     unpack_record
 from ..resilience.watchdog import DeadlineExceeded, deadline
 from ..sim import fusion
+from ..uarch.system import host_shared
 from . import runner
 
 #: env var holding the JSON chaos plan (worker-side fault injection)
@@ -492,8 +494,6 @@ def execute_points(points, jobs, policy, summary):
     """Run *points* under *policy*, appending outcomes, retries,
     failures and incidents to *summary* and seeding the runner memo
     with every finished result."""
-    from .parallel import PointOutcome
-
     ckpt = SweepCheckpoint(policy.checkpoint) if policy.checkpoint \
         else None
     pending = []
@@ -501,9 +501,7 @@ def execute_points(points, jobs, policy, summary):
         # to_wire() refuses an ad-hoc configuration before any point runs
         key = qkey_of(pt.to_wire()) if ckpt is not None else None
         if key is not None and key in ckpt.completed:
-            result, wall = ckpt.completed[key]
-            runner.seed_result(pt.memo_key(), result)
-            summary.outcomes.append(PointOutcome(pt, wall, False))
+            _finish(pt, *ckpt.completed[key], False, summary, None)
         elif key is not None and key in ckpt.failed:
             summary.failures.append(ckpt.failed[key])
         else:
@@ -530,53 +528,120 @@ def _attempt_backend(policy, attempt):
 def _run_serial(points, policy, summary, ckpt):
     """In-process execution with the same retry/quarantine ladder.
     The wall-clock bound uses the SIGALRM watchdog where available
-    (there is no process to kill)."""
-    from .parallel import PointOutcome
+    (there is no process to kill).  A host group of several points
+    (:func:`_host_groups`) runs in one pass, and what that leaves runs
+    point by point."""
+    for group in _host_groups(points):
+        if len(group) > 1:
+            group = _run_group(group, policy, summary, ckpt)
+        for pt in group:
+            label = pt.label()
+            for attempt in range(policy.retries):
+                try:
+                    t0 = time.perf_counter()
+                    before = runner.simulations
+                    with deadline(policy.timeout):
+                        result = runner.run(
+                            pt.kernel, pt.config,
+                            backend=_attempt_backend(policy, attempt),
+                            **pt.run_kwargs())
+                    wall = time.perf_counter() - t0
+                except (KeyboardInterrupt, SystemExit):
+                    raise
+                except BaseException as exc:  # noqa: BLE001
+                    kind = "hang" if isinstance(exc, DeadlineExceeded) \
+                        else "error"
+                    error = "%s: %s" % (type(exc).__name__, exc)
+                    if attempt + 1 < policy.retries:
+                        delay = policy.backoff * (2 ** attempt)
+                        summary.retries.append(
+                            RetryEvent(label, attempt, kind, error, delay))
+                        time.sleep(delay)
+                        continue
+                    failure = PointFailure(label, attempt + 1, kind, error)
+                    summary.failures.append(failure)
+                    if ckpt is not None:
+                        ckpt.record_failure(pt, failure)
+                    break
+                else:
+                    _finish(pt, result, wall, runner.simulations > before,
+                            summary, ckpt)
+                    break
 
+
+def _host_groups(points):
+    """*points* in order, grouped: within a run of one kernel's points
+    (another kernel's could store what a later member is served), the
+    points that differ only in a host they can share one
+    :func:`runner.run_group` pass with."""
+    groups, open_groups, kernel = [], {}, None
     for pt in points:
-        key, label = pt.memo_key(), pt.label()
-        for attempt in range(policy.retries):
-            try:
-                t0 = time.perf_counter()
-                before = runner.simulations
-                with deadline(policy.timeout):
-                    result = runner.run(
-                        pt.kernel, pt.config,
-                        backend=_attempt_backend(policy, attempt),
-                        **pt.run_kwargs())
-                wall = time.perf_counter() - t0
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:  # noqa: BLE001
-                kind = "hang" if isinstance(exc, DeadlineExceeded) \
-                    else "error"
-                error = "%s: %s" % (type(exc).__name__, exc)
-                if attempt + 1 < policy.retries:
-                    delay = policy.backoff * (2 ** attempt)
-                    summary.retries.append(
-                        RetryEvent(label, attempt, kind, error, delay))
-                    time.sleep(delay)
-                    continue
-                failure = PointFailure(label, attempt + 1, kind, error)
-                summary.failures.append(failure)
-                if ckpt is not None:
-                    ckpt.record_failure(pt, failure)
-                break
-            else:
-                runner.seed_result(key, result)
-                summary.outcomes.append(PointOutcome(
-                    pt, wall, runner.simulations > before))
-                if ckpt is not None:
-                    ckpt.record_result(pt, result, wall)
-                break
+        if pt.kernel != kernel:
+            kernel, open_groups = pt.kernel, {}
+        try:
+            # an adaptive point's profiling table reads its host's cycles
+            key = None if pt.mode == "adaptive" else (
+                replace(pt, config=None),
+                host_shared(runner._resolve_config(pt.config)))
+        except KeyError:
+            key = None   # an unknown platform: its own run reports it
+        if key in open_groups:
+            open_groups[key].append(pt)
+        else:
+            groups.append([pt])
+            if key is not None:
+                open_groups[key] = groups[-1]
+    return groups
+
+
+def _finish(pt, result, wall, simulated, summary, ckpt):
+    from .parallel import PointOutcome
+    runner.seed_result(pt.memo_key(), result)
+    summary.outcomes.append(PointOutcome(pt, wall, simulated))
+    if ckpt is not None:
+        ckpt.record_result(pt, result, wall)
+
+
+def _run_group(group, policy, summary, ckpt):
+    """Serve *group*'s memo and disk hits, as its points would be served
+    one by one, then time its misses in one pass under their summed
+    deadline, each taking an equal share of the wall time.  Returns the
+    points left to run one by one: a lone miss, or the misses of a
+    failed pass, whose incident it records."""
+    misses = []
+    for pt in group:
+        t0, hit = time.perf_counter(), None
+        with contextlib.suppress(KeyError):  # an unknown kernel fails later
+            hit = runner.cached_result(pt.kernel, pt.config,
+                                       **pt.run_kwargs())
+        if hit is None:
+            misses.append(pt)
+        else:
+            _finish(pt, hit, time.perf_counter() - t0, False, summary, ckpt)
+    if len(misses) < 2:
+        return misses
+    t0 = time.perf_counter()
+    try:
+        with deadline(policy.timeout * len(misses)):
+            results = runner.run_group(
+                misses[0].kernel, [pt.config for pt in misses],
+                **misses[0].run_kwargs())
+    except Exception as exc:  # noqa: BLE001 - every point runs again
+        summary.incidents.append(runner.Incident(
+            kind="group-to-points",
+            context=" ".join(pt.label() for pt in misses),
+            detail="%s: %s" % (type(exc).__name__, exc)))
+        return misses
+    wall = (time.perf_counter() - t0) / len(misses)
+    for pt, result in zip(misses, results):
+        _finish(pt, result, wall, True, summary, ckpt)
+    return []
 
 
 def _run_parallel(points, jobs, policy, summary, ckpt, pool):
     """Run *points* on up to *jobs* workers of *pool*, one point in
     flight per worker."""
     from multiprocessing.connection import wait
-
-    from .parallel import PointOutcome
 
     #: (point, attempt, not_before) - a retry waits out its backoff
     queue = deque((pt, 0, 0.0) for pt in points)
@@ -604,11 +669,8 @@ def _run_parallel(points, jobs, policy, summary, ckpt, pool):
             quarantine(point, attempt + 1, kind, error)
 
     def finish(point, result, wall, simulated, incidents):
-        runner.seed_result(point.memo_key(), result)
-        summary.outcomes.append(PointOutcome(point, wall, simulated))
+        _finish(point, result, wall, simulated, summary, ckpt)
         summary.incidents.extend(incidents)
-        if ckpt is not None:
-            ckpt.record_result(point, result, wall)
 
     def retire(worker, grace=2.0):
         workers.remove(worker)

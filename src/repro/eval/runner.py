@@ -182,8 +182,9 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
     """Simulate one (kernel, platform, mode) point.
 
     Results are memoized in-process and persisted to the disk cache;
-    either hit returns without touching the simulator.  *config_name*
-    is a configuration name or a :class:`SystemConfig` instance.
+    either hit returns without touching the simulator, and a miss is
+    the one-point case of :func:`run_group`.  *config_name* is a
+    configuration name or a :class:`SystemConfig` instance.
 
     *backend* selects the rung of the simulation ladder
     (:mod:`repro.sim.backends`) that computes a missing result:
@@ -201,26 +202,31 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
     in-process memo and the disk cache, for reads *and* writes --
     verified runs are never cache-served and never pollute the cache.
     """
-    global simulations
-    resolved = resolve_backend(backend or default_backend())
-    key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,
-                   scale, seed, schedule_cirs)
     if not verify:
-        hit = _RESULTS.get(key)
+        hit = cached_result(kernel_name, config_name, mode, binary,
+                            xi_enabled, scale, seed, schedule_cirs,
+                            use_disk_cache)
         if hit is not None:
             return hit
+    return run_group(kernel_name, (config_name,), mode, binary,
+                     xi_enabled, scale, seed, check, schedule_cirs,
+                     use_disk_cache, verify, max_cycles, backend)[0]
 
+
+def run_group(kernel_name, config_names, mode="traditional",
+              binary="xloops", xi_enabled=True, scale="small", seed=0,
+              check=True, schedule_cirs=False, use_disk_cache=True,
+              verify=False, max_cycles=None, backend=None):
+    """Simulate the point of each platform in *config_names* in one
+    :class:`SystemSimulator` run, one host per platform (see its
+    conditions), and return their records in order.  Reads no cache;
+    records each point as :func:`run` does: memo, disk store and one
+    count in :data:`simulations`.  The other arguments are
+    :func:`run`'s."""
+    global simulations
+    resolved = resolve_backend(backend or default_backend())
     spec = get_kernel(kernel_name)
-    sysconfig = _resolve_config(config_name)
-    use_disk = use_disk_cache and not verify and diskcache.enabled()
-    ckey = None
-    if use_disk:
-        ckey = _fingerprint(key)
-        cached = diskcache.load(ckey)
-        if cached is not None:
-            _RESULTS[key] = cached
-            return cached
-
+    sysconfigs = [_resolve_config(c) for c in config_names]
     compiled = _compiled(kernel_name, binary, xi_enabled, schedule_cirs)
 
     def attempt(backend_now):
@@ -230,17 +236,17 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
         workload = spec.workload(scale, seed)
         mem = Memory()
         args = workload.apply(mem)
-        sim = SystemSimulator(compiled.program, sysconfig, mem=mem,
+        sim = SystemSimulator(compiled.program, sysconfigs, mem=mem,
                               verify=verify, backend=backend_now,
                               max_cycles=max_cycles)
-        simulations += 1
-        result = sim.run(entry=spec.entry, args=args, mode=mode)
+        simulations += len(sysconfigs)
+        sim.run(entry=spec.entry, args=args, mode=mode)
         if check:
             workload.check(mem)
-        return result
+        return sim.results
 
     try:
-        result = attempt(resolved.name)
+        results = attempt(resolved.name)
     except (KeyboardInterrupt, SystemExit):
         raise
     except (LivelockError, DeadlineExceeded):
@@ -254,52 +260,58 @@ def run(kernel_name, config_name, mode="traditional", binary="xloops",
         # hiding it
         _INCIDENTS.append(Incident(
             kind="fast-path-fallback",
-            context="%s/%s/%s/%s/%s" % (kernel_name, sysconfig.name,
-                                        mode, binary, scale),
+            context="%s/%s/%s/%s/%s" % (
+                kernel_name, ",".join(c.name for c in sysconfigs), mode,
+                binary, scale),
             detail="%s/%s: %s" % (resolved.name, type(exc).__name__,
                                   exc)))
-        result = attempt("interp")
+        results = attempt("interp")
 
-    out = KernelRun(
-        kernel=kernel_name, config=sysconfig.name, mode=mode,
-        binary=binary,
-        cycles=result.cycles, gpp_instrs=result.gpp_instrs,
-        lpsu_instrs=result.lpsu_instrs,
-        energy_nj=system_energy(result, sysconfig, MCPAT_45NM),
-        vlsi_energy_nj=system_energy(result, sysconfig, VLSI_40NM),
-        events=result.events,
-        lpsu_stats=result.lpsu_stats,
-        specialized_invocations=result.specialized_invocations,
-        adaptive_decisions=result.adaptive_decisions,
-        cache_miss_rate=(result.cache_misses / result.cache_accesses
-                         if result.cache_accesses else 0.0),
-        static_xloops=compiled.loop_kinds())
-    if not verify:
-        _RESULTS[key] = out
-    if use_disk:
-        diskcache.store(ckey, out)
+    use_disk = use_disk_cache and not verify and diskcache.enabled()
+    out = []
+    for config_name, sysconfig, result in zip(config_names, sysconfigs,
+                                              results):
+        rec = KernelRun(
+            kernel=kernel_name, config=sysconfig.name, mode=mode,
+            binary=binary,
+            cycles=result.cycles, gpp_instrs=result.gpp_instrs,
+            lpsu_instrs=result.lpsu_instrs,
+            energy_nj=system_energy(result, sysconfig, MCPAT_45NM),
+            vlsi_energy_nj=system_energy(result, sysconfig, VLSI_40NM),
+            events=result.events,
+            lpsu_stats=result.lpsu_stats,
+            specialized_invocations=result.specialized_invocations,
+            adaptive_decisions=result.adaptive_decisions,
+            cache_miss_rate=(result.cache_misses / result.cache_accesses
+                             if result.cache_accesses else 0.0),
+            static_xloops=compiled.loop_kinds())
+        if not verify:
+            key = memo_key(kernel_name, config_name, mode, binary,
+                           xi_enabled, scale, seed, schedule_cirs)
+            _RESULTS[key] = rec
+            if use_disk:
+                diskcache.store(_fingerprint(key), rec)
+        out.append(rec)
     return out
 
 
 def cached_result(kernel_name, config_name, mode="traditional",
                   binary="xloops", xi_enabled=True, scale="small",
-                  seed=0, schedule_cirs=False):
+                  seed=0, schedule_cirs=False, use_disk_cache=True):
     """The memo- or disk-cached result for this point, or None --
     never simulates.  A disk hit is installed in the in-process memo,
-    so repeated probes are dictionary lookups.  This is the
-    sweep server's cache probe: it answers "can this point be served
+    so repeated probes are dictionary lookups.  This is the cache
+    probe of :func:`run`, of the sweep server and of the serial
+    executor's host groups: it answers "can this point be served
     right now?" without ever paying for a simulation."""
     key = memo_key(kernel_name, config_name, mode, binary, xi_enabled,
                    scale, seed, schedule_cirs)
     hit = _RESULTS.get(key)
-    if hit is not None:
-        return hit
-    if not diskcache.enabled():
-        return None
-    cached = diskcache.load(_fingerprint(key))
-    if cached is not None:
-        _RESULTS[key] = cached
-    return cached
+    if hit is None and use_disk_cache and diskcache.enabled():
+        hit = diskcache.load(_fingerprint(key))
+        if hit is not None:
+            _RESULTS[key] = hit
+    return hit
 
 
 def seed_result(key, result):

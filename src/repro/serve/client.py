@@ -43,8 +43,12 @@ def connect(address, timeout=None):
                 "unix sockets unavailable on this platform; use "
                 "host:port")
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(host)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(host)
+        except BaseException:
+            sock.close()
+            raise
         return sock
     return socket.create_connection((host, port), timeout=timeout)
 

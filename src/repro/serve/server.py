@@ -388,7 +388,6 @@ class SweepServer:
                 "counters": dict(self.counters,
                                  spawned=self.workers.spawned,
                                  workers=self.workers.live),
-                "cache": {"process": dict(diskcache.stats)},
                 "queue": self.queue.stats_payload()}
 
 

@@ -44,6 +44,13 @@ class L1Cache:
             ways.pop()
         return self.config.hit_latency + self.config.miss_latency
 
+    def copy_from(self, other):
+        """Take the lines and counts of *other*, a cache of the same
+        geometry."""
+        self._sets = [list(ways) for ways in other._sets]
+        self.hits = other.hits
+        self.misses = other.misses
+
     @property
     def accesses(self):
         return self.hits + self.misses

@@ -20,7 +20,7 @@ execution, so sequential composition is timing-exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from ..energy.events import EnergyEvents
@@ -64,13 +64,53 @@ class RunResult:
         return self.gpp_instrs + self.lpsu_instrs
 
 
+def host_shared(config):
+    """What the hosts of one :class:`SystemSimulator` run must share:
+    the L1 geometry, the latency table and the LPSU."""
+    return (config.gpp.cache, config.gpp.latencies, config.lpsu)
+
+
+class _FanOut(tuple):
+    """Several hosts' timing models behind one model's interface: the
+    fused blocks and the drivers hand each call to every host."""
+
+    def run_block(self, recs, addrs, ctrl_pc, taken, counts):
+        for model in self:
+            model.run_block(recs, addrs, ctrl_pc, taken, counts)
+
+    def consume(self, step):
+        for model in self:
+            model.consume(step)
+
+    def advance(self, cycles):
+        for model in self:
+            model.advance(cycles)
+
+
 class SystemSimulator:
-    """Simulate *program* on *config* in a given execution mode."""
+    """Simulate *program* on *config* in a given execution mode.
+
+    *config* may be a sequence of hosts with equal :func:`host_shared`
+    parts: they see one instruction stream and, as a GPP stalls for a
+    whole specialized phase, one LPSU phase per xloop, so they share
+    one functional core and keep a timing model, L1 and event counters
+    each.  :meth:`run` returns host 0's :class:`RunResult`, and
+    :attr:`results` every host's.  Adaptive, *max_cycles*, *verify*
+    and *injector* runs read or observe one host and take one."""
 
     def __init__(self, program, config, mem=None, verify=False,
                  max_cycles=None, injector=None, backend=None):
         self.program = program
-        self.config = config
+        self.configs = tuple(config) if isinstance(config, (list, tuple)) \
+            else (config,)
+        if len(self.configs) > 1:
+            if verify or injector is not None or max_cycles is not None:
+                raise ValueError("verify, fault injection and max_cycles "
+                                 "runs time one host")
+            if len(set(map(host_shared, self.configs))) > 1:
+                raise ValueError("hosts must differ only in their GPP core")
+        # host 0: the LPSU phases run against its L1
+        self.config = config = self.configs[0]
         # when set, every specialized invocation runs under a
         # repro.verify InvariantMonitor (pure observer: cycles, energy
         # and stats stay bit-identical; raises InvariantViolation)
@@ -94,12 +134,13 @@ class SystemSimulator:
         # LPSU engine, and the LPSU's cycle jumps and parking
         self.fast = resolved.fast
         self.mem = mem if mem is not None else Memory()
-        self.events = EnergyEvents()
-        self.cache = L1Cache(config.gpp.cache)
-        if config.gpp.is_ooo:
-            self.timing = OOOTiming(config.gpp, self.cache, self.events)
-        else:
-            self.timing = InOrderTiming(config.gpp, self.cache, self.events)
+        self.timings = [
+            (OOOTiming if c.gpp.is_ooo else InOrderTiming)(
+                c.gpp, L1Cache(c.gpp.cache), EnergyEvents())
+            for c in self.configs]
+        self.cache = self.timings[0].cache
+        self.timing = self.timings[0] if len(self.timings) == 1 \
+            else _FanOut(self.timings)
         self.core = FunctionalCore(program, self.mem)
         self.apt = AdaptiveProfilingTable(config.adaptive)
         self.lpsu_stats = LPSUStats()
@@ -124,6 +165,9 @@ class SystemSimulator:
             raise ValueError("unknown mode %r" % mode)
         if mode != "traditional" and self.config.lpsu is None:
             raise ValueError("config %r has no LPSU" % self.config.name)
+        if mode == "adaptive" and len(self.configs) > 1:
+            raise ValueError("adaptive runs time one host: the APT "
+                             "reads its cycles")
         core = self.core
         core.setup_call(entry, args)
         steps = 0
@@ -154,17 +198,19 @@ class SystemSimulator:
                 steps += 1
                 if steps > max_steps:
                     raise SimError("GPP exceeded %d steps" % max_steps)
-        return RunResult(
-            config_name=self.config.name, mode=mode,
-            cycles=self.timing.cycles, gpp_instrs=core.icount,
-            lpsu_instrs=self.lpsu_instrs, events=self.events,
-            lpsu_stats=self.lpsu_stats,
+        self.results = [RunResult(
+            config_name=cfg.name, mode=mode,
+            cycles=timing.cycles, gpp_instrs=core.icount,
+            lpsu_instrs=self.lpsu_instrs, events=timing.events,
+            lpsu_stats=replace(self.lpsu_stats),
             xloop_invocations=self.xloop_invocations,
             specialized_invocations=self.specialized_invocations,
             adaptive_decisions=dict(self.apt.decisions),
             return_value=core.return_value,
-            cache_misses=self.cache.misses,
-            cache_accesses=self.cache.accesses)
+            cache_misses=timing.cache.misses,
+            cache_accesses=timing.cache.accesses)
+            for cfg, timing in zip(self.configs, self.timings)]
+        return self.results[0]
 
     def _run_fused(self, mode, max_steps):
         """Fast GPP driver: dispatch fused superblocks, falling back to
@@ -311,8 +357,9 @@ class SystemSimulator:
         engine = None
         if self._use_engine:
             engine = lpsu_engine(self.program, desc)
+        events = EnergyEvents()
         lpsu = LPSU(desc, core.regs, self.mem, self.cache,
-                    self.config.lpsu, self.events,
+                    self.config.lpsu, events,
                     decoded_body=decoded[lo:lo + desc.body_len],
                     monitor=hook, fast=self.fast, engine=engine)
         if self.injector is not None:
@@ -328,6 +375,13 @@ class SystemSimulator:
                           max_cycles=budget)
         if hook is not None:
             hook.finalize(result)
+        # every other host's L1 held host 0's lines before the phase
+        # (the GPP models access it in program order), so it holds
+        # them after it too
+        for timing in self.timings:
+            timing.events.add(events)
+            if timing.cache is not self.cache:
+                timing.cache.copy_from(self.cache)
 
         self.specialized_invocations += 1
         self.lpsu_stats.__dict__.update({

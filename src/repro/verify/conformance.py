@@ -24,7 +24,6 @@ not hide the rest of the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import List, Optional, Tuple
 
 from ..kernels import ALL_KERNELS, get_kernel
@@ -213,15 +212,17 @@ def check_counterexample(source, entry, params, proof, sweep=LPSU_SWEEP):
 _NOENGINE = "fused-noengine"
 
 
-def _run_snapshot(program, entry, args, mem, gpp, lpsu, mode, tier):
+def _run_snapshot(program, entry, make_args, configs, mode, tier):
+    """One run on *tier* that times every platform of *configs* as a
+    host: each host's snapshot, and the final memory image."""
     backend = "fused" if tier == _NOENGINE else tier
-    sim = SystemSimulator(program, SystemConfig("conf", gpp, lpsu),
-                          mem=mem, backend=backend)
+    mem = Memory()
+    args = make_args(mem)
+    sim = SystemSimulator(program, configs, mem=mem, backend=backend)
     if tier == _NOENGINE:
         sim._use_engine = False
-    r = sim.run(entry=entry, args=args, mode=mode)
-    ev = r.events
-    return {
+    sim.run(entry=entry, args=args, mode=mode)
+    return [{
         "cycles": r.cycles,
         "gpp_instrs": r.gpp_instrs,
         "lpsu_instrs": r.lpsu_instrs,
@@ -230,16 +231,23 @@ def _run_snapshot(program, entry, args, mem, gpp, lpsu, mode, tier):
         "adaptive_decisions": dict(r.adaptive_decisions),
         "return_value": r.return_value,
         "cache": (r.cache_misses, r.cache_accesses),
-        "events": None if ev is None else dict(vars(ev)),
+        "events": None if r.events is None else dict(vars(r.events)),
         "lpsu_stats": repr(r.lpsu_stats),
-    }
+    } for r in sim.results], mem
 
 
-def _diff_detail(a, b, blabel):
-    for k in a:
-        if a[k] != b[k]:
-            return "%s: interp=%r %s=%r" % (k, a[k], blabel, b[k])
-    return "snapshots differ"
+def _mismatch(where, alabel, a, blabel, b):
+    """How run *b* differs from run *a*, both ``(snapshot, memory)``,
+    or None when they agree."""
+    (snap_a, mem_a), (snap_b, mem_b) = a, b
+    if snap_a != snap_b:
+        k = next(k for k in snap_a if snap_a[k] != snap_b[k])
+        return "%s %s!=%s: %s: %s=%r %s=%r" % (
+            where, alabel, blabel, k, alabel, snap_a[k], blabel, snap_b[k])
+    if not mem_a.pages_equal(mem_b):
+        return "%s %s memory differs from %s at 0x%x" % (
+            where, blabel, alabel, mem_a.first_difference(mem_b))
+    return None
 
 
 def check_ladder(name, program, entry, make_args, sweep=LADDER_SWEEP,
@@ -252,38 +260,47 @@ def check_ladder(name, program, entry, make_args, sweep=LADDER_SWEEP,
     LPSU design point, on every Table II GPP.  The failure detail
     names the GPP and the diverging tier.  LPSU points add the
     ``fused-noengine`` tier, pinning the interpreted stepper on the
-    fast path to the same contract.  Never raises."""
+    fast path to the same contract.  Every tier of a traditional or
+    specialized point adds the ``hosts`` run, which times the three
+    GPPs in one pass: each host's snapshot and the memory image must
+    equal that GPP's own run on the tier.  Never raises."""
     res = ConformanceResult(name=name)
     tiers = ("interp", "fused")
     try:
         points = [("traditional", None)]
         points += _specialized_points(sweep, adaptive)
-        for gpp, (mode, lpsu) in product(_LADDER_GPPS, points):
+        for mode, lpsu in points:
             point_tiers = tiers if lpsu is None else tiers + (_NOENGINE,)
-            snaps = []
-            mems = []
+            configs = [SystemConfig("conf", gpp, lpsu)
+                       for gpp in _LADDER_GPPS]
+            runs = {}    # (tier, GPP index) -> (snapshot, memory)
+            for i, gpp in enumerate(_LADDER_GPPS):
+                where = "%s/%s/%r" % (gpp.name, mode, lpsu)
+                for tier in point_tiers:
+                    (snap,), mem = _run_snapshot(
+                        program, entry, make_args, configs[i:i + 1], mode,
+                        tier)
+                    runs[tier, i] = snap, mem
+                res.configs += 1
+                # pairwise against the interp reference: the named tier
+                # is the diverging one (equality is transitive, so the
+                # other pairs follow)
+                for tier in point_tiers[1:]:
+                    detail = _mismatch(where, "interp", runs["interp", i],
+                                       tier, runs[tier, i])
+                    if detail:
+                        return res.fail(detail)
+            if mode == "adaptive":
+                continue    # the APT reads its own host's cycles
             for tier in point_tiers:
-                mem = Memory()
-                args = make_args(mem)
-                snaps.append(_run_snapshot(program, entry, args, mem,
-                                           gpp, lpsu, mode, tier))
-                mems.append(mem)
-            res.configs += 1
-            # pairwise against the interp reference: the named tier is
-            # the diverging one (equality is transitive, so the other
-            # pairs follow)
-            for v in range(1, len(point_tiers)):
-                label = point_tiers[v]
-                if snaps[0] != snaps[v]:
-                    return res.fail("%s/%s/%r interp!=%s: %s"
-                                    % (gpp.name, mode, lpsu, label,
-                                       _diff_detail(snaps[0], snaps[v],
-                                                    label)))
-                if not mems[0].pages_equal(mems[v]):
-                    return res.fail(
-                        "%s/%s/%r %s memory differs from interp at 0x%x"
-                        % (gpp.name, mode, lpsu, label,
-                           mems[0].first_difference(mems[v])))
+                snaps, mem = _run_snapshot(program, entry, make_args,
+                                           configs, mode, tier)
+                for i, gpp in enumerate(_LADDER_GPPS):
+                    detail = _mismatch("%s/%s/%r" % (gpp.name, mode, lpsu),
+                                       tier, runs[tier, i], "hosts",
+                                       (snaps[i], mem))
+                    if detail:
+                        return res.fail(detail)
     except Exception as exc:
         return res.fail("%s: %s" % (type(exc).__name__, exc))
     return res

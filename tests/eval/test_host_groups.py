@@ -1,0 +1,252 @@
+"""Host groups: one pass times a Table II column's GPPs.
+
+Points that differ only in their GPP host (``io``, ``ooo/2``, ``ooo/4``,
+with or without the shared LPSU) see one functional instruction stream
+and one LPSU phase per xloop, so the serial executor times them in one
+:func:`runner.run_group` pass.  These tests pin that a grouped record
+is the single-host record, that every path records and counts each
+point once, and that adaptive, verified and failing runs take one host.
+"""
+
+import contextlib
+import dataclasses
+
+import pytest
+
+from repro.eval import diskcache, hardening, runner
+from repro.eval.configs import config
+from repro.eval.parallel import SweepPoint, sweep, table2_points
+from repro.kernels import TABLE2_KERNELS, get_kernel
+from repro.lang import compile_source
+from repro.resilience.journal import qkey_of
+from repro.resilience.watchdog import DeadlineExceeded
+from repro.uarch import SystemSimulator
+
+SCALE = "tiny"
+GPPS = ("io", "ooo/2", "ooo/4")
+KERNELS = ["vvadd-uc", "saxpy-uc"]
+
+
+@pytest.fixture(autouse=True)
+def _fresh_state(tmp_path, monkeypatch):
+    saved = (diskcache._dir_override, diskcache._force_disabled)
+    # these tests count disk records: force the cache on even under
+    # the hermetic-CI REPRO_NO_CACHE=1 environment
+    monkeypatch.delenv(diskcache.ENV_NO_CACHE, raising=False)
+    monkeypatch.delenv(diskcache.ENV_CACHE_DIR, raising=False)
+    diskcache._force_disabled = False
+    diskcache.configure(cache_dir=str(tmp_path / "cache"))
+    runner.clear_cache()
+    runner.drain_incidents()
+    yield
+    diskcache._dir_override, diskcache._force_disabled = saved
+    diskcache.reset_stats()
+    runner.clear_cache(keep_disk=True)
+    runner.drain_incidents()
+
+
+def _column(kernel):
+    """A kernel's grouped Table II columns: ``(mode, binary, configs)``
+    for its baseline, traditional and specialized points."""
+    spec = get_kernel(kernel)
+    baseline = "serial" if spec.serial_source else "gp"
+    return [("traditional", baseline, GPPS),
+            ("traditional", "xloops", GPPS),
+            ("specialized", "xloops", tuple(g + "+x" for g in GPPS))]
+
+
+def _records(points):
+    return {pt: dataclasses.asdict(runner.cached_result(
+        pt.kernel, pt.config, **pt.run_kwargs())) for pt in points}
+
+
+@contextlib.contextmanager
+def _group_calls(monkeypatch):
+    """Record ``(mode, configs)`` of every :func:`runner.run_group`."""
+    calls = []
+    real = runner.run_group
+
+    def spy(kernel, configs, *args, **kwargs):
+        mode = args[0] if args else kwargs.get("mode", "traditional")
+        calls.append((mode, tuple(configs)))
+        return real(kernel, configs, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_group", spy)
+    yield calls
+
+
+def test_grouped_records_equal_single_host_records():
+    """Every Table II kernel's GP, traditional and specialized
+    records are the same timed in one pass or one host at a time."""
+    for kernel in (k.name for k in TABLE2_KERNELS):
+        for mode, binary, configs in _column(kernel):
+            grouped = runner.run_group(kernel, configs, mode=mode,
+                                       binary=binary, scale=SCALE,
+                                       use_disk_cache=False)
+            runner.clear_cache(keep_disk=True)
+            for cfg, rec in zip(configs, grouped):
+                single = runner.run(kernel, cfg, mode=mode, binary=binary,
+                                    scale=SCALE, use_disk_cache=False)
+                assert dataclasses.asdict(rec) == \
+                    dataclasses.asdict(single), (kernel, cfg, mode, binary)
+            runner.clear_cache(keep_disk=True)
+
+
+def test_serial_and_parallel_sweeps_record_and_count_alike(tmp_path,
+                                                          monkeypatch):
+    """The grouped serial path and the worker path give equal
+    records and simulate, count and store each point once."""
+    points = table2_points(KERNELS, SCALE, 0)
+    unique = len(set(points))
+    sides = {}
+    for jobs in (1, 2):
+        diskcache.configure(cache_dir=str(tmp_path / ("jobs%d" % jobs)))
+        runner.clear_cache(keep_disk=True)
+        before = runner.simulations
+        with _group_calls(monkeypatch) as calls:
+            summary = sweep(points, jobs=jobs)
+        assert summary.ok and summary.points == unique
+        assert summary.misses == unique
+        assert diskcache.disk_stats()["records"] == unique
+        sides[jobs] = _records(points), summary.misses, calls
+        if jobs == 1:
+            # the parent simulated every point itself, once
+            assert runner.simulations - before == unique
+    assert sides[1][0] == sides[2][0]
+    assert sides[1][1] == sides[2][1]
+    assert any(len(cfgs) == 3 for _mode, cfgs in sides[1][2])
+
+
+def test_a_disk_hit_is_served_not_regrouped(monkeypatch):
+    """A point already on disk is served from it; only the other
+    hosts of its group simulate."""
+    on_disk = SweepPoint("vvadd-uc", "ooo/2", scale=SCALE)
+    runner.run(on_disk.kernel, on_disk.config, **on_disk.run_kwargs())
+    runner.clear_cache(keep_disk=True)
+    points = [SweepPoint("vvadd-uc", g, scale=SCALE) for g in GPPS]
+    before = runner.simulations
+    with _group_calls(monkeypatch) as calls:
+        summary = sweep(points, jobs=1)
+    assert runner.simulations - before == 2
+    assert calls == [("traditional", ("io", "ooo/4"))]
+    simulated = {o.point: o.simulated for o in summary.outcomes}
+    assert simulated == {points[0]: True, on_disk: False, points[2]: True}
+
+
+def test_a_grouped_sweep_equals_its_points_run_in_order(tmp_path):
+    """A group's hits are served when the group is reached, as its
+    points would be one by one.  ``ksack-lg-om`` shares
+    ``ksack-sm-om``'s source, and the disk key covers the source, so
+    what an earlier point stores can serve a later one."""
+    points = list(dict.fromkeys(
+        table2_points(["ksack-sm-om", "ksack-lg-om"], SCALE, 0)))
+    for pt in points:
+        runner.run(pt.kernel, pt.config, **pt.run_kwargs())
+    reference = _records(points)
+
+    diskcache.configure(cache_dir=str(tmp_path / "grouped"))
+    runner.clear_cache(keep_disk=True)
+    summary = sweep(points, jobs=1)
+    assert summary.ok
+    assert _records(points) == reference
+
+
+def test_a_failed_group_falls_back_to_its_points(monkeypatch):
+    """A group whose pass raises runs again point by point, with
+    an incident recorded, and yields the same records."""
+    points = table2_points(KERNELS, SCALE, 0)
+    sweep(points, jobs=1)
+    reference = _records(points)
+    runner.clear_cache()
+
+    real = runner.run_group
+
+    def broken(kernel, configs, *args, **kwargs):
+        if len(configs) > 1:
+            raise RuntimeError("group pass exploded")
+        return real(kernel, configs, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_group", broken)
+    before = runner.simulations
+    summary = sweep(points, jobs=1)
+    assert summary.ok and summary.misses == len(reference)
+    assert runner.simulations - before == len(reference)
+    fallbacks = [i for i in summary.incidents if i.kind == "group-to-points"]
+    # two kernels x (baseline, traditional, specialized) columns
+    assert len(fallbacks) == 6
+    assert all("group pass exploded" in i.detail for i in fallbacks)
+    assert _records(points) == reference
+
+
+def test_adaptive_and_verified_runs_take_one_host(monkeypatch):
+    """The executor never groups adaptive points, and a verified,
+    adaptive or cycle-bounded run refuses more than one host."""
+    points = table2_points(KERNELS, SCALE, 0)
+    with _group_calls(monkeypatch) as calls:
+        sweep(points, jobs=1)
+    adaptive = [cfgs for mode, cfgs in calls if mode == "adaptive"]
+    assert len(adaptive) == 6 and all(len(c) == 1 for c in adaptive)
+    assert any(len(cfgs) == 3 for _mode, cfgs in calls)
+
+    hosts = ["io+x", "ooo/4+x"]
+    for kwargs in (dict(verify=True), dict(mode="adaptive"),
+                   dict(max_cycles=10 ** 9)):
+        kwargs.setdefault("mode", "specialized")
+        with pytest.raises(ValueError, match="one host"):
+            runner.run_group("vvadd-uc", hosts, scale=SCALE, **kwargs)
+    program = compile_source(get_kernel("vvadd-uc").source).program
+    with pytest.raises(ValueError, match="GPP core"):
+        SystemSimulator(program, [config("ooo/4+x"), config("ooo/4+x8")])
+
+
+def test_checkpoint_records_and_resumes_grouped_points(tmp_path):
+    """``--checkpoint`` records every grouped point, and a resume
+    serves them all from it."""
+    ckpt = str(tmp_path / "sweep.ckpt")
+    points = table2_points(KERNELS, SCALE, 0)
+    first = sweep(points, jobs=1, checkpoint=ckpt)
+    assert first.ok and first.misses == len(set(points))
+    completed = hardening.SweepCheckpoint(ckpt).completed
+    assert set(completed) == {qkey_of(pt.to_wire()) for pt in points}
+
+    runner.clear_cache()
+    before = runner.simulations
+    second = sweep(points, jobs=1, checkpoint=ckpt)
+    assert second.ok and second.points == len(set(points))
+    assert second.misses == 0
+    assert runner.simulations == before
+
+
+def test_a_group_runs_under_its_points_summed_deadline(monkeypatch):
+    """Under ``--timeout`` a group gets its points' summed budget;
+    one that overruns is re-run point by point, each under its own."""
+    budgets = []
+
+    @contextlib.contextmanager
+    def fake_deadline(seconds):
+        budgets.append(seconds)
+        if seconds > 5:
+            raise DeadlineExceeded("group overran")
+        yield
+
+    monkeypatch.setattr(hardening, "deadline", fake_deadline)
+    points = [SweepPoint("vvadd-uc", g, scale=SCALE) for g in GPPS]
+    before = runner.simulations
+    summary = sweep(points, jobs=1, timeout=5)
+    assert budgets == [15, 5, 5, 5]
+    assert summary.ok and summary.misses == 3
+    assert runner.simulations - before == 3
+    assert [i.kind for i in summary.incidents] == ["group-to-points"]
+    assert "DeadlineExceeded" in summary.incidents[0].detail
+
+
+def test_an_unknown_kernel_or_platform_is_quarantined_not_raised():
+    """A point the grouping cannot key fails in its own run, through
+    the retry ladder, beside points that group as usual."""
+    good = [SweepPoint("vvadd-uc", g, scale=SCALE) for g in GPPS]
+    bad = [SweepPoint("no-such-kernel", g, scale=SCALE) for g in GPPS[:2]]
+    bad.append(SweepPoint("vvadd-uc", "no-such-gpp", scale=SCALE))
+    summary = sweep(bad + good, jobs=1, retries=1)
+    assert sorted(f.label for f in summary.failures) == \
+        sorted(pt.label() for pt in bad)
+    assert summary.points == summary.misses == len(good)

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.kernels import get_kernel
+from repro.lang import compile_source
+from repro.uarch.cache import L1Cache
 from repro.verify import (ConformanceResult, check_case, check_kernel,
-                          run_conformance)
+                          check_ladder, run_conformance)
 from repro.verify.genloops import LPSU_SWEEP, random_cases
 
 #: one representative per dependence pattern + both control extensions
@@ -61,3 +64,20 @@ class TestRunConformance:
         assert len(results) == 4 == len(seen)
         assert all(r.ok for r in results), \
             [(r.name, r.detail) for r in results if not r.ok]
+
+
+class TestLadderHostsTier:
+    def test_a_host_missing_the_lpsu_phase_fails_the_gate(self,
+                                                          monkeypatch):
+        # the hosts run times io, ooo/2 and ooo/4 in one pass; a host
+        # whose L1 misses the shared LPSU phase's lines must show up
+        # against that GPP's own run
+        monkeypatch.setattr(L1Cache, "copy_from",
+                            lambda self, other: None)
+        spec = get_kernel("vvadd-uc")
+        res = check_ladder(
+            spec.name, compile_source(spec.source).program, spec.entry,
+            lambda mem: spec.workload("tiny", 0).apply(mem),
+            sweep=LPSU_SWEEP[:1], adaptive=False)
+        assert not res.ok
+        assert "!=hosts: cache" in res.detail, res.detail
