@@ -168,9 +168,6 @@ def build_parser():
                    help="max attempts per point before it is "
                         "quarantined (default 3; the last attempt "
                         "runs on the interp backend)")
-    p.add_argument("--checkpoint", metavar="FILE",
-                   help="checkpoint completed points to FILE so an "
-                        "interrupted sweep resumes where it stopped")
     p.add_argument("--server", metavar="ADDR",
                    help="route the sweep through a running sweep "
                         "server instead of executing locally (unix "
@@ -187,7 +184,7 @@ def build_parser():
     p.add_argument("--expect-sims-exact", type=int, default=None,
                    metavar="N",
                    help="exit nonzero unless exactly N points invoked "
-                        "the simulator (the distributed chaos gate: "
+                        "the simulator (the chaos and resume gates: "
                         "every miss simulated exactly once)")
     p.add_argument("--expect-points", type=int, default=None,
                    metavar="N",
@@ -230,11 +227,6 @@ def build_parser():
     p.add_argument("--json", action="store_true",
                    help="with --status: print the raw stats payload "
                         "as JSON")
-    p.add_argument("--journal", metavar="FILE",
-                   help="append-only fsync'd work-queue journal; a "
-                        "restarted server replays it and resumes the "
-                        "campaign without re-simulating completed "
-                        "points")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    metavar="SEC",
                    help="max seconds a graceful --stop waits for "
@@ -568,8 +560,7 @@ def cmd_sweep(args):
     else:
         summary = parallel.sweep(points, jobs=args.jobs,
                                  timeout=args.timeout,
-                                 retries=args.retries,
-                                 checkpoint=args.checkpoint)
+                                 retries=args.retries)
     print(summary.render(per_point=not args.quiet))
     ok = summary.ok
     if args.expect_served is not None:
@@ -623,7 +614,7 @@ def cmd_serve(args):
         print("stop sent to %s%s"
               % (args.stop,
                  "" if drained else " (drain timed out; unfinished "
-                 "queue state is in the journal)"))
+                 "points were dropped)"))
         return 0
     if args.cache_dir:
         diskcache.configure(cache_dir=args.cache_dir)
@@ -650,7 +641,6 @@ def cmd_serve(args):
         server = SweepServer(jobs=args.jobs, timeout=args.timeout,
                              retries=args.retries,
                              idle_exit=args.idle_exit,
-                             journal=args.journal,
                              drain_timeout=args.drain_timeout)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -668,8 +658,8 @@ def cmd_serve(args):
              c["served_inflight"], c["simulated"], c["failed"],
              server.workers.spawned))
     q = server.queue.counters
-    print("queue: %d enqueued, %d completed, %d journal error(s)"
-          % (q["enqueued"], q["completed"], q["journal_errors"]))
+    print("queue: %d enqueued, %d completed"
+          % (q["enqueued"], q["completed"]))
     return 0
 
 
@@ -704,9 +694,8 @@ def _serve_status(address, as_json=False):
              c.get("submissions", 0)))
     print("  local workers: %d alive, %d forked so far"
           % (c.get("workers", 0), c.get("spawned", 0)))
-    print("  queue: %d queued; %d completed, %d journal error(s)"
-          % (q.get("queued", 0), qc.get("completed", 0),
-             qc.get("journal_errors", 0)))
+    print("  queue: %d queued; %d completed"
+          % (q.get("queued", 0), qc.get("completed", 0)))
     return 0
 
 

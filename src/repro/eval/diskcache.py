@@ -26,9 +26,13 @@ that lacks the magic, fails its checksum or does not unpickle
 atomic rename) is *never* served: it counts as a miss and is moved to
 ``<cache-dir>/quarantine/`` for post-mortem instead of being silently
 trusted or deleted.  A payload unpickles only into the result-record
-classes (:func:`repro.resilience.journal.loads_record`), so a record
-planted in a shared cache directory runs no code.  ``repro cache
-fsck`` (:func:`fsck`) audits the whole cache offline.
+classes (:func:`loads_record`), so a record planted in a shared cache
+directory runs no code.  ``repro cache fsck`` (:func:`fsck`) audits
+the whole cache offline.
+
+The cache is the harness's one durable store: a sweep or a sweep
+server that is interrupted and started again serves every point it
+finished from here and simulates only the rest.
 
 Records bucket into 256 two-hex-digit shard directories, and the
 store keeps nothing beside them but ``quarantine/``: :func:`disk_stats`,
@@ -50,11 +54,10 @@ workers too):
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import tempfile
-
-from ..resilience.journal import loads_record
 
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_NO_CACHE = "REPRO_NO_CACHE"
@@ -150,6 +153,29 @@ def cache_key(*parts):
 
 def _record_path(key):
     return os.path.join(cache_dir(), key[:2], key + ".pkl")
+
+
+#: the classes a result record is built from -- the only globals
+#: :func:`loads_record` resolves
+_RECORD_CLASSES = {("repro.eval.runner", "KernelRun"),
+                   ("repro.energy.events", "EnergyEvents"),
+                   ("repro.uarch.lpsu", "LPSUStats")}
+
+
+class _RecordUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) not in _RECORD_CLASSES:
+            raise pickle.UnpicklingError("%s.%s is not a record class"
+                                         % (module, name))
+        return super().find_class(module, name)
+
+
+def loads_record(data):
+    """Unpickle a result record from *data* (bytes).  Any global but a
+    record class raises :class:`pickle.UnpicklingError` before it is
+    called, so a record from a peer or a shared cache directory runs
+    no code."""
+    return _RecordUnpickler(io.BytesIO(data)).load()
 
 
 class CorruptRecord(Exception):

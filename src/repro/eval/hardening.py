@@ -1,4 +1,4 @@
-"""Hardened point execution: watchdogs, retry, quarantine, resume.
+"""Hardened point execution: watchdogs, retry, quarantine.
 
 Every point that needs a process of its own runs on a
 :class:`WorkerPool` of persistent forked workers, each fed one point
@@ -44,8 +44,10 @@ completes without it and the summary carries a structured
 
 When worker processes cannot be created at all the engine degrades to
 serial in-process execution (recorded as an incident), which is also
-the ``jobs <= 1`` path.  Long sweeps can checkpoint completed points
-to disk (:class:`SweepCheckpoint`) and resume after an interruption.
+the ``jobs <= 1`` path.  An interrupted sweep resumes from the disk
+cache, where every finished point's record already is: run again, it
+serves those points and simulates only the rest, quarantined points
+included.
 
 Deterministic failure injection for tests and drills: set
 ``$REPRO_CHAOS`` to a JSON object mapping a point-label substring to
@@ -67,10 +69,8 @@ import stat
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
-from ..resilience.journal import Journal, pack_record, qkey_of, \
-    unpack_record
 from ..resilience.watchdog import DeadlineExceeded, deadline
 from ..sim import fusion
 from ..uarch.system import host_shared
@@ -90,7 +90,6 @@ class HardeningPolicy:
     timeout: float = 0.0      # per-point wall-clock bound, 0 = none
     retries: int = 3          # max attempts per point
     backoff: float = 0.25     # base backoff (doubles per attempt)
-    checkpoint: str = ""      # checkpoint file path, "" = disabled
 
 
 @dataclass
@@ -112,17 +111,6 @@ class PointFailure:
     attempts: int
     kind: str        # classification of the *last* failure
     error: str
-
-    def line(self, qkey):
-        """This failure as a journal ``fail`` line."""
-        return dict(op="fail", qkey=qkey, **asdict(self))
-
-    @classmethod
-    def from_line(cls, rec):
-        """Inverse of :meth:`line`, tolerant of missing fields."""
-        return cls(str(rec.get("label", rec["qkey"])),
-                   int(rec.get("attempts", 0)),
-                   str(rec.get("kind", "error")), str(rec.get("error", "")))
 
 
 # ---------------------------------------------------------------------------
@@ -164,45 +152,6 @@ def _apply_chaos(label, attempt):
         os._exit(CHAOS_EXIT)
     if attempt in modes.get("hang", ()):
         time.sleep(3600)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint / resume
-# ---------------------------------------------------------------------------
-
-
-class SweepCheckpoint:
-    """A resumable sweep's finished points in a
-    :class:`~repro.resilience.journal.Journal`, keyed on each point's
-    wire image (so named configurations only): a ``complete`` line
-    carries the result and wall time, a ``fail`` line the failure.
-    An unreadable line or file (a torn tail, the pickle frames of
-    older versions) is ignored, and a failed append dropped."""
-
-    def __init__(self, path):
-        self.journal = Journal(path)
-        self.completed = {}   # qkey -> (result, wall)
-        self.failed = {}      # qkey -> PointFailure
-        for rec in self.journal.records():
-            try:
-                if rec.get("op") == "complete":
-                    self.completed[rec["qkey"]] = (
-                        unpack_record(rec["record"]), float(rec["wall"]))
-                elif rec.get("op") == "fail":
-                    self.failed[rec["qkey"]] = PointFailure.from_line(rec)
-            except Exception:  # noqa: BLE001 - a damaged record, whose
-                continue       # unpickling can raise almost anything
-
-    def record_result(self, point, result, wall):
-        self.journal.append({"op": "complete",
-                             "qkey": qkey_of(point.to_wire()),
-                             "record": pack_record(result), "wall": wall})
-
-    def record_failure(self, point, failure):
-        self.journal.append(failure.line(qkey_of(point.to_wire())))
-
-    def close(self):
-        self.journal.close()
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +418,7 @@ def execute_one(point, policy, pool):
     from .parallel import SweepSummary
     summary = SweepSummary(jobs=1)
     try:
-        _run_parallel([point], 1, policy, summary, None, pool)
+        _run_parallel([point], 1, policy, summary, pool)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 - report, don't kill the server
@@ -494,28 +443,11 @@ def execute_points(points, jobs, policy, summary):
     """Run *points* under *policy*, appending outcomes, retries,
     failures and incidents to *summary* and seeding the runner memo
     with every finished result."""
-    ckpt = SweepCheckpoint(policy.checkpoint) if policy.checkpoint \
-        else None
-    pending = []
-    for pt in points:
-        # to_wire() refuses an ad-hoc configuration before any point runs
-        key = qkey_of(pt.to_wire()) if ckpt is not None else None
-        if key is not None and key in ckpt.completed:
-            _finish(pt, *ckpt.completed[key], False, summary, None)
-        elif key is not None and key in ckpt.failed:
-            summary.failures.append(ckpt.failed[key])
-        else:
-            pending.append(pt)
-
-    try:
-        if jobs <= 1 or len(pending) <= 1:
-            _run_serial(pending, policy, summary, ckpt)
-        else:
-            with WorkerPool() as pool:
-                _run_parallel(pending, jobs, policy, summary, ckpt, pool)
-    finally:
-        if ckpt is not None:
-            ckpt.close()
+    if jobs <= 1 or len(points) <= 1:
+        _run_serial(points, policy, summary)
+    else:
+        with WorkerPool() as pool:
+            _run_parallel(points, jobs, policy, summary, pool)
     summary.incidents.extend(runner.drain_incidents())
 
 
@@ -525,7 +457,7 @@ def _attempt_backend(policy, attempt):
     return "interp" if 0 < attempt == policy.retries - 1 else None
 
 
-def _run_serial(points, policy, summary, ckpt):
+def _run_serial(points, policy, summary):
     """In-process execution with the same retry/quarantine ladder.
     The wall-clock bound uses the SIGALRM watchdog where available
     (there is no process to kill).  A host group of several points
@@ -533,7 +465,7 @@ def _run_serial(points, policy, summary, ckpt):
     point by point."""
     for group in _host_groups(points):
         if len(group) > 1:
-            group = _run_group(group, policy, summary, ckpt)
+            group = _run_group(group, policy, summary)
         for pt in group:
             label = pt.label()
             for attempt in range(policy.retries):
@@ -558,14 +490,12 @@ def _run_serial(points, policy, summary, ckpt):
                             RetryEvent(label, attempt, kind, error, delay))
                         time.sleep(delay)
                         continue
-                    failure = PointFailure(label, attempt + 1, kind, error)
-                    summary.failures.append(failure)
-                    if ckpt is not None:
-                        ckpt.record_failure(pt, failure)
+                    summary.failures.append(
+                        PointFailure(label, attempt + 1, kind, error))
                     break
                 else:
                     _finish(pt, result, wall, runner.simulations > before,
-                            summary, ckpt)
+                            summary)
                     break
 
 
@@ -594,15 +524,13 @@ def _host_groups(points):
     return groups
 
 
-def _finish(pt, result, wall, simulated, summary, ckpt):
+def _finish(pt, result, wall, simulated, summary):
     from .parallel import PointOutcome
     runner.seed_result(pt.memo_key(), result)
     summary.outcomes.append(PointOutcome(pt, wall, simulated))
-    if ckpt is not None:
-        ckpt.record_result(pt, result, wall)
 
 
-def _run_group(group, policy, summary, ckpt):
+def _run_group(group, policy, summary):
     """Serve *group*'s memo and disk hits, as its points would be served
     one by one, then time its misses in one pass under their summed
     deadline, each taking an equal share of the wall time.  Returns the
@@ -617,7 +545,7 @@ def _run_group(group, policy, summary, ckpt):
         if hit is None:
             misses.append(pt)
         else:
-            _finish(pt, hit, time.perf_counter() - t0, False, summary, ckpt)
+            _finish(pt, hit, time.perf_counter() - t0, False, summary)
     if len(misses) < 2:
         return misses
     t0 = time.perf_counter()
@@ -634,11 +562,11 @@ def _run_group(group, policy, summary, ckpt):
         return misses
     wall = (time.perf_counter() - t0) / len(misses)
     for pt, result in zip(misses, results):
-        _finish(pt, result, wall, True, summary, ckpt)
+        _finish(pt, result, wall, True, summary)
     return []
 
 
-def _run_parallel(points, jobs, policy, summary, ckpt, pool):
+def _run_parallel(points, jobs, policy, summary, pool):
     """Run *points* on up to *jobs* workers of *pool*, one point in
     flight per worker."""
     from multiprocessing.connection import wait
@@ -649,10 +577,8 @@ def _run_parallel(points, jobs, policy, summary, ckpt, pool):
     degraded = False
 
     def quarantine(point, attempts, kind, error):
-        failure = PointFailure(point.label(), attempts, kind, error)
-        summary.failures.append(failure)
-        if ckpt is not None:
-            ckpt.record_failure(point, failure)
+        summary.failures.append(
+            PointFailure(point.label(), attempts, kind, error))
 
     def fail(point, attempt, kind, error):
         if pool.closed:
@@ -669,7 +595,7 @@ def _run_parallel(points, jobs, policy, summary, ckpt, pool):
             quarantine(point, attempt + 1, kind, error)
 
     def finish(point, result, wall, simulated, incidents):
-        _finish(point, result, wall, simulated, summary, ckpt)
+        _finish(point, result, wall, simulated, summary)
         summary.incidents.extend(incidents)
 
     def retire(worker, grace=2.0):
@@ -769,4 +695,4 @@ def _run_parallel(points, jobs, policy, summary, ckpt, pool):
                 pool.retire(worker, 0)
 
     if degraded:
-        _run_serial([q[0] for q in queue], policy, summary, ckpt)
+        _run_serial([q[0] for q in queue], policy, summary)

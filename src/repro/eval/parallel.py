@@ -69,13 +69,13 @@ class SweepPoint:
                                    self.binary, self.scale)
 
     def to_wire(self):
-        """The point as JSON: its identity across processes (served,
-        queued, checkpointed).  ``ValueError`` for an ad-hoc
-        SystemConfig, which has no content-stable name."""
+        """The point as JSON, as a client submits it to a sweep
+        server.  ``ValueError`` for an ad-hoc SystemConfig, which has
+        no name to send."""
         if not isinstance(self.config, str):
             raise ValueError(
                 "only named configurations can be submitted to a sweep "
-                "server or checkpointed (got %r)" % (self.config,))
+                "server (got %r)" % (self.config,))
         return {"kernel": self.kernel, "config": self.config,
                 "mode": self.mode, "binary": self.binary,
                 "xi": bool(self.xi_enabled), "scale": self.scale,
@@ -213,20 +213,19 @@ class SweepExecutor:
         fast path disabled).
     backoff
         Base retry backoff in seconds; doubles per failed attempt.
-    checkpoint
-        Path of a checkpoint file for resumable sweeps (completed and
-        quarantined points are skipped on re-run).
+
+    An interrupted sweep resumes from the disk cache: run again, it
+    serves every point that finished and simulates only the rest.
     """
 
     def __init__(self, jobs=None, cache_dir=None, use_cache=True,
-                 timeout=0.0, retries=3, backoff=0.25, checkpoint=None):
+                 timeout=0.0, retries=3, backoff=0.25):
         self.jobs = max(1, int(jobs)) if jobs else 1
         from .hardening import HardeningPolicy
         self.policy = HardeningPolicy(
             timeout=float(timeout or 0.0),
             retries=max(1, int(retries)),
-            backoff=max(0.0, float(backoff)),
-            checkpoint=str(checkpoint) if checkpoint else "")
+            backoff=max(0.0, float(backoff)))
         from . import diskcache
         if cache_dir is not None:
             diskcache.configure(cache_dir=cache_dir)
@@ -258,7 +257,7 @@ class SweepExecutor:
 def sweep(points, jobs=None, cache_dir=None, use_cache=True, **policy):
     """One-shot convenience wrapper around :class:`SweepExecutor`;
     ``**policy`` forwards the hardening knobs (timeout, retries,
-    backoff, checkpoint)."""
+    backoff)."""
     return SweepExecutor(jobs=jobs, cache_dir=cache_dir,
                          use_cache=use_cache, **policy).run_points(points)
 

@@ -12,9 +12,11 @@ Two halves, mirroring how real architecture groups qualify a design:
 * :mod:`repro.resilience.watchdog` -- wall-clock deadlines for the
   hardened evaluation runtime (:mod:`repro.eval.hardening`), and
   :mod:`repro.resilience.backoff` -- the bounded exponential retry
-  schedule the sweep service's client reconnects with, and
-  :mod:`repro.resilience.journal` -- the journal that persists the
-  server's work queue and a resumable sweep alike.
+  schedule the sweep service's client reconnects with.
+
+Recovery from an interrupted sweep or server needs nothing here: the
+disk cache (:mod:`repro.eval.diskcache`) keeps every finished point,
+so a re-run simulates only the rest.
 """
 
 from .backoff import Backoff, BackoffExhausted

@@ -6,7 +6,7 @@ goes on its one :mod:`repro.serve.queue` work queue, which deduplicates
 it and which the server's own hardened simulation slots drain), and
 :mod:`repro.serve.client` for the synchronous reconnecting client the
 CLI and the speed bench use.  ``docs/SERVICE.md`` is the operator
-guide (the journal, the failure matrix, the trust model).
+guide (the failure matrix, restart and resume, the trust model).
 """
 
 from .client import ServeClient, connect

@@ -16,9 +16,9 @@ and on any transport failure reconnects with bounded exponential
 backoff (:class:`~repro.resilience.backoff.Backoff`, budget restored
 whenever progress is made) and resubmits exactly the unacknowledged
 remainder -- answered points are never resubmitted, and a restarted
-server answers the resubmission from its durable cache/journal rather
-than re-simulating.  Only transport failures are retried: an explicit
-``{"error": ...}`` verdict from the server raises
+server answers the resubmission from its disk cache rather than
+re-simulating what it finished.  Only transport failures are retried:
+an explicit ``{"error": ...}`` verdict from the server raises
 :class:`~repro.serve.protocol.RemoteError` immediately.
 """
 

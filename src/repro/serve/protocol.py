@@ -11,11 +11,11 @@ worker pipes with.
 Trust model: no op carries a record to the server, so the server
 decodes none -- every record it serves was simulated by its own slots
 or read from its own cache.  A client decodes the server's records
-only through :func:`~repro.resilience.journal.unpack_record`, which
-resolves only the result-record classes, so no server can make a
-client run code.  Any process that connects can submit points and
-stop the server, so listen on a unix socket or a loopback or private
-address only.
+only through :func:`unpack_record`, which resolves only the
+result-record classes (:func:`repro.eval.diskcache.loads_record`), so
+no server can make a client run code.  Any process that connects can
+submit points and stop the server, so listen on a unix socket or a
+loopback or private address only.
 
 Client -> server operations (protocol 3)::
 
@@ -47,12 +47,13 @@ retried.
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 import os
+import pickle
 import struct
 
-# a record crosses the wire in the journal's encoding
-from ..resilience.journal import pack_record, unpack_record
+from ..eval.diskcache import loads_record
 
 #: frame size bound; a sweep submission of 10^5 points is ~10 MB, a
 #: single KernelRun record a few hundred KB
@@ -158,8 +159,21 @@ def recv_frame(sock):
 
 
 # ---------------------------------------------------------------------------
-# wire points
+# payloads: records and wire points
 # ---------------------------------------------------------------------------
+
+
+def pack_record(obj):
+    """A result record as a JSON-safe string (base64 pickle)."""
+    return base64.b64encode(
+        pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    ).decode("ascii")
+
+
+def unpack_record(text):
+    """Inverse of :func:`pack_record`, through
+    :func:`~repro.eval.diskcache.loads_record`."""
+    return loads_record(base64.b64decode(text))
 
 
 def point_to_wire(pt):

@@ -6,18 +6,17 @@ or :meth:`~WorkQueue.fail`.  This module is pure bookkeeping -- no
 sockets, single-threaded (every call happens on the server's asyncio
 loop thread):
 
-* **One entry per point.**  A point already pending or taken is
-  joined, never queued twice, so one simulation answers every waiter.
+* **One entry per point**, keyed by its
+  :meth:`~repro.eval.parallel.SweepPoint.memo_key`.  A point already
+  pending or taken is joined, never queued twice, so one simulation
+  answers every waiter.
 * **Failures are quarantined.**  The hardened engine already retried
   the point in a slot; its reported failure resolves the entry
   exactly as a local sweep would.
-* **An append-only, fsync'd journal**
-  (:class:`~repro.resilience.journal.Journal`) records
-  enqueue/complete/fail transitions.  On restart the queue replays it
-  and re-enqueues exactly the points that were pending -- completed
-  work is never re-simulated, because the sharded disk cache remains
-  the durable *result* store and a resubmitted completed point is
-  cache-served.
+
+The queue lives in memory only.  A finished point's durable record is
+the disk cache's: a restarted server serves it from there, and a
+client that reconnects resubmits the points it has no answer for.
 """
 
 from __future__ import annotations
@@ -26,25 +25,16 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..eval.hardening import PointFailure
-from ..resilience.journal import Journal, qkey_of
-
-
-def label_of(wire):
-    """Human label of a wire point (mirrors ``SweepPoint.label``)."""
-    return "%s/%s/%s/%s/%s" % (
-        wire.get("kernel", "?"), wire.get("config", "?"),
-        wire.get("mode", "traditional"), wire.get("binary", "xloops"),
-        wire.get("scale", "small"))
 
 
 @dataclass
 class QueueEntry:
     """One point somewhere between enqueue and completion."""
 
-    qkey: str
-    wire: dict
+    qkey: tuple                    # the point's memo key
+    point: object                  # the SweepPoint to simulate
     #: asyncio.Future the server attaches for client waiters; the
-    #: queue never touches it (journal-replayed entries have none)
+    #: queue never touches it
     future: object = None
     #: PointFailure set when the entry quarantines -- the server
     #: resolves waiters
@@ -54,41 +44,26 @@ class QueueEntry:
 class WorkQueue:
     """The server-side queue (see module docstring)."""
 
-    def __init__(self, journal_path=None):
+    def __init__(self):
         self.pending = deque()       # qkeys awaiting a slot
         self.entries = {}            # qkey -> QueueEntry (unresolved)
-        self.counters = {"enqueued": 0, "completed": 0, "replayed": 0,
-                         "journal_errors": 0}
-        self.journal = None
-        if journal_path:
-            self.journal = Journal(journal_path)
-            pending = self.journal.replay()[0]
-            self.journal.open()     # an unwritable path fails here
-            # only pending points come back.  A completed one is in the
-            # disk cache; a journaled failure stays failed: its clients
-            # saw the quarantine record, and a fresh submission after
-            # a restart is a fresh enqueue (below)
-            for qkey, wire in pending.items():
-                self.entries[qkey] = QueueEntry(qkey=qkey, wire=wire)
-                self.pending.append(qkey)
-                self.counters["replayed"] += 1
+        self.counters = {"enqueued": 0, "completed": 0}
 
-    def enqueue(self, wire):
-        """Queue one wire point; ``(entry, created)``.  A point
-        already pending or taken is joined, not duplicated.  A point
+    def enqueue(self, point):
+        """Queue one point; ``(entry, created)``.  A point already
+        pending or taken is joined, not duplicated.  A point
         previously completed or failed is enqueued afresh: the server
         only enqueues after a cache miss, so reaching here again means
         the cached result is genuinely gone (or the client wants a
         quarantined point retried) and recomputation is correct."""
-        qkey = qkey_of(wire)
+        qkey = point.memo_key()
         entry = self.entries.get(qkey)
         if entry is not None:
             return entry, False
-        entry = QueueEntry(qkey=qkey, wire=dict(wire))
+        entry = QueueEntry(qkey=qkey, point=point)
         self.entries[qkey] = entry
         self.pending.append(qkey)
         self.counters["enqueued"] += 1
-        self._log({"op": "enqueue", "qkey": qkey, "wire": entry.wire})
         return entry, True
 
     @property
@@ -108,7 +83,6 @@ class WorkQueue:
         """Resolve a taken point; its entry."""
         entry = self.entries.pop(qkey)
         self.counters["completed"] += 1
-        self._log({"op": "complete", "qkey": qkey})
         return entry
 
     def fail(self, qkey, kind, error, attempts):
@@ -116,31 +90,18 @@ class WorkQueue:
         hardened engine already exhausted its per-point retries); its
         entry, with :attr:`QueueEntry.failure` set."""
         entry = self.entries.pop(qkey)
-        entry.failure = PointFailure(label=label_of(entry.wire),
+        entry.failure = PointFailure(label=entry.point.label(),
                                      attempts=max(1, int(attempts)),
                                      kind=str(kind or "error"),
                                      error=str(error or ""))
-        self._log(entry.failure.line(qkey))
         return entry
-
-    def _log(self, rec):
-        """Journal *rec*, if journaling; a line that failed counts."""
-        if self.journal is not None and not self.journal.append(rec):
-            self.counters["journal_errors"] += 1
 
     @property
     def idle(self):
         """No unresolved entry -- the condition an ``--idle-exit``
         server needs before it may exit: it must never vanish beneath
-        a point in flight or strand journal-replayed work."""
+        a point in flight or one still waiting for a slot."""
         return not self.entries
 
     def stats_payload(self):
-        return {"queued": self.queued,
-                "journal": self.journal.path
-                if self.journal is not None else None,
-                "counters": dict(self.counters)}
-
-    def close(self):
-        if self.journal is not None:
-            self.journal.close()
+        return {"queued": self.queued, "counters": dict(self.counters)}

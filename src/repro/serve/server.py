@@ -22,9 +22,10 @@ streams results back as they complete:
    quarantined point becomes a structured failure frame for every
    waiter, and never stalls other points or other clients.
 
-``--journal`` makes the queue durable (:mod:`repro.resilience.journal`):
-a restarted server replays it and finishes the pending points.
-Results cross the wire as pickled records (see
+The queue lives in memory; the disk cache is the one durable store.
+A restarted server serves every point it finished from there, and a
+client resubmits its unanswered points after a reconnect.  Results
+cross the wire as pickled records (see
 :mod:`repro.serve.protocol`), so a server-routed sweep is bit-identical
 to a direct ``runner.run`` -- the conformance tests assert it.
 
@@ -62,14 +63,12 @@ class SweepServer:
     at least 1, since only a slot answers a miss),
     *timeout*/*retries*/*backoff* the per-point hardening knobs,
     *idle_exit* stops the server after that many seconds with no
-    client activity and an idle queue (0 = run forever).  *journal*
-    persists the queue across restarts, *drain_timeout* bounds the
-    graceful ``shutdown`` wait.
+    client activity and an idle queue (0 = run forever),
+    *drain_timeout* bounds the graceful ``shutdown`` wait.
     """
 
     def __init__(self, jobs=None, timeout=0.0, retries=3, backoff=0.25,
-                 idle_exit=0.0, journal=None,
-                 drain_timeout=DEFAULT_DRAIN_TIMEOUT):
+                 idle_exit=0.0, drain_timeout=DEFAULT_DRAIN_TIMEOUT):
         self.jobs = (os.cpu_count() or 2) if jobs is None else int(jobs)
         if self.jobs < 1:
             raise ValueError("a sweep server needs at least one "
@@ -84,7 +83,7 @@ class SweepServer:
             "served_cache": 0, "served_inflight": 0, "simulated": 0,
             "failed": 0, "retried": 0}
         #: every miss, deduplicated; the slots take from it
-        self.queue = WorkQueue(journal_path=journal)
+        self.queue = WorkQueue()
         #: the forked workers the slots simulate on, joined when
         #: serve() ends
         self.workers = WorkerPool()
@@ -163,7 +162,6 @@ class SweepServer:
         finally:
             for task in tasks:
                 task.cancel()
-            self.queue.close()
             self._threads.shutdown(wait=False)
             if path and os.path.exists(path):
                 try:
@@ -173,8 +171,8 @@ class SweepServer:
 
     def _close_workers(self):
         """Stop the slots, then join every worker.  Slots go first, so
-        the failure of a point whose worker is killed is not credited
-        or journaled: the point stays pending."""
+        the failure of a point whose worker is killed is not credited:
+        the point stays pending."""
         for slot in self._slots:
             slot.cancel()
         self.workers.close()
@@ -185,7 +183,7 @@ class SweepServer:
             await asyncio.sleep(min(self.idle_exit, 5.0))
             idle = loop.time() - self._last_activity
             # an idle-exit server may not vanish beneath a point in
-            # flight or journal-replayed pending work
+            # flight or one still waiting for a slot
             if (idle >= self.idle_exit
                     and self._active_connections == 0
                     and self.queue.idle):
@@ -259,13 +257,8 @@ class SweepServer:
                 self._work.clear()
                 await self._work.wait()
                 continue
-            try:
-                pt = protocol.point_from_wire(entry.wire)
-            except protocol.ProtocolError as exc:
-                self._fail(entry.qkey, "protocol", str(exc), 1)
-                continue
             outcome = await loop.run_in_executor(
-                self._threads, execute_one, pt, self.policy,
+                self._threads, execute_one, entry.point, self.policy,
                 self.workers)
             failure = outcome.failure
             if failure is None:
@@ -334,6 +327,7 @@ class SweepServer:
                 await self._resolve(pt)
             label = pt.label()
         except protocol.ProtocolError as exc:
+            self.counters["failed"] += 1
             return {"type": "failure", "i": i, "label": repr(data),
                     "kind": "protocol", "error": str(exc),
                     "attempts": 0}
@@ -365,7 +359,7 @@ class SweepServer:
         if cached is not None:
             self.counters["served_cache"] += 1
             return ("cache", cached, None, 0.0, False)
-        entry, created = self.queue.enqueue(protocol.point_to_wire(pt))
+        entry, created = self.queue.enqueue(pt)
         if created:
             self._work.set()
         first_waiter = entry.future is None

@@ -1,6 +1,6 @@
 """Hardened sweep execution: crash/hang isolation, retry with
-backoff, quarantine, serial degradation, checkpoint/resume, and the
-runner's fallback to the interp reference rung.
+backoff, quarantine, serial degradation, resume from the disk cache,
+and the runner's fallback to the interp reference rung.
 
 Chaos (deterministic worker sabotage via ``$REPRO_CHAOS``) only acts
 inside forked worker children, so every recovery path here exercises
@@ -23,7 +23,6 @@ import pytest
 
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
-from repro.resilience.journal import Journal, qkey_of
 from repro.sim import fusion
 
 SCALE = "tiny"
@@ -514,53 +513,29 @@ class TestSerialFallback:
         assert summary.retries[0].kind == "error"
 
 
-class TestCheckpoint:
-    def test_resume_skips_completed_points(self, tmp_path):
-        ckpt = str(tmp_path / "sweep.ckpt")
-        first = sweep(POINTS, jobs=2, checkpoint=ckpt)
-        assert first.ok and first.misses == len(POINTS)
+class TestResume:
+    def test_a_parallel_sweep_resumes_its_quarantined_point(
+            self, monkeypatch):
+        """The disk cache is the one durable store: run again on it
+        with a cold memo, a ``jobs=2`` sweep that quarantined a point
+        serves every finished point, retries the quarantined one and
+        simulates nothing else, ending with the records of a clean
+        sweep."""
+        ref = _reference()
+        doomed = POINTS[3]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {doomed.label(): {"crash": [0, 1]}}))
+        first = sweep(POINTS, jobs=2, retries=2, backoff=0.01)
+        assert [f.label for f in first.failures] == [doomed.label()]
+        assert first.points == first.misses == len(POINTS) - 1
 
-        # wipe all caches; only the checkpoint remembers
-        runner.clear_cache()
-        second = sweep(POINTS, jobs=2, checkpoint=ckpt)
-        assert second.ok
-        assert second.points == len(POINTS)
-        assert second.misses == 0   # everything resumed, nothing rerun
-
-    def test_corrupt_checkpoint_is_ignored(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt"
-        ckpt.write_bytes(b"definitely not a pickle")
-        summary = sweep(POINTS[:1], jobs=1, checkpoint=str(ckpt))
-        assert summary.ok and summary.points == 1
-
-    def test_torn_tail_is_dropped_and_cut(self, tmp_path):
-        """A crash mid-append leaves a torn last line: resuming keeps
-        every whole line, re-runs only the torn point, and appends
-        after the cut so the next load sees every point."""
-        ckpt = tmp_path / "sweep.ckpt"
-        sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
-        blob = ckpt.read_bytes()
-        ckpt.write_bytes(blob[:-7])
-        assert len(hardening.SweepCheckpoint(ckpt).completed) == 1
-
-        runner.clear_cache()
-        resumed = sweep(POINTS[:2], jobs=1, checkpoint=str(ckpt))
-        assert resumed.ok and resumed.points == 2
-        assert resumed.misses == 1
-        reloaded = hardening.SweepCheckpoint(ckpt)
-        assert set(reloaded.completed) == {
-            qkey_of(pt.to_wire()) for pt in POINTS[:2]}
-        _, completed, _ = Journal(ckpt).replay()
-        assert completed == set(reloaded.completed)
-
-    def test_ad_hoc_config_is_refused_before_anything_runs(self,
-                                                          tmp_path):
-        from repro.eval.configs import config
-        ad_hoc = SweepPoint("sgemm-uc", config("io"), scale=SCALE)
-        with pytest.raises(ValueError, match="only named configurations"):
-            sweep([POINTS[0], ad_hoc], jobs=1,
-                  checkpoint=str(tmp_path / "sweep.ckpt"))
-        assert runner._RESULTS.get(POINTS[0].memo_key()) is None
+        monkeypatch.delenv(hardening.CHAOS_ENV)
+        runner.clear_cache(keep_disk=True)   # as a fresh process would
+        second = sweep(POINTS, jobs=2, retries=2, backoff=0.01)
+        assert second.ok and second.points == len(POINTS)
+        assert [o.point for o in second.outcomes if o.simulated] == \
+            [doomed]
+        _assert_matches(ref)
 
 
 class TestRunnerDegradation:

@@ -18,7 +18,6 @@ from repro.eval.configs import config
 from repro.eval.parallel import SweepPoint, sweep, table2_points
 from repro.kernels import TABLE2_KERNELS, get_kernel
 from repro.lang import compile_source
-from repro.resilience.journal import qkey_of
 from repro.resilience.watchdog import DeadlineExceeded
 from repro.uarch import SystemSimulator
 
@@ -199,22 +198,49 @@ def test_adaptive_and_verified_runs_take_one_host(monkeypatch):
         SystemSimulator(program, [config("ooo/4+x"), config("ooo/4+x8")])
 
 
-def test_checkpoint_records_and_resumes_grouped_points(tmp_path):
-    """``--checkpoint`` records every grouped point, and a resume
-    serves them all from it."""
-    ckpt = str(tmp_path / "sweep.ckpt")
+def test_an_interrupted_serial_sweep_resumes_from_the_disk_cache(
+        tmp_path, monkeypatch):
+    """A serial sweep interrupted after some of its host groups and
+    points resumes from the disk cache alone: run again with a cold
+    memo, it simulates exactly the points that had not finished and
+    records what an uninterrupted sweep records."""
     points = table2_points(KERNELS, SCALE, 0)
-    first = sweep(points, jobs=1, checkpoint=ckpt)
-    assert first.ok and first.misses == len(set(points))
-    completed = hardening.SweepCheckpoint(ckpt).completed
-    assert set(completed) == {qkey_of(pt.to_wire()) for pt in points}
+    unique = list(dict.fromkeys(points))
+    assert sweep(points, jobs=1).ok
+    reference = _records(unique)
 
-    runner.clear_cache()
+    diskcache.configure(cache_dir=str(tmp_path / "resumed"))
+    runner.clear_cache(keep_disk=True)
+    real = runner.run_group
     before = runner.simulations
-    second = sweep(points, jobs=1, checkpoint=ckpt)
-    assert second.ok and second.points == len(set(points))
-    assert second.misses == 0
-    assert runner.simulations == before
+
+    def interrupted(*args, **kwargs):
+        # every simulation, grouped or not, starts here: stop the
+        # sweep at the first one after the first kernel's three host
+        # groups and one adaptive point
+        if runner.simulations - before >= 10:
+            raise KeyboardInterrupt
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_group", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(points, jobs=1)
+    finished = [pt for pt in unique
+                if runner._RESULTS.get(pt.memo_key()) is not None]
+    assert len(finished) == 10
+    assert diskcache.disk_stats()["records"] == 10
+
+    monkeypatch.setattr(runner, "run_group", real)
+    runner.clear_cache(keep_disk=True)   # as a fresh process would
+    before = runner.simulations
+    with _group_calls(monkeypatch) as calls:
+        resumed = sweep(points, jobs=1)
+    assert resumed.ok and resumed.points == len(unique)
+    assert {o.point for o in resumed.outcomes if o.simulated} == \
+        set(unique) - set(finished)
+    assert runner.simulations - before == len(unique) - 10
+    assert any(len(cfgs) == 3 for _mode, cfgs in calls)
+    assert _records(unique) == reference
 
 
 def test_a_group_runs_under_its_points_summed_deadline(monkeypatch):

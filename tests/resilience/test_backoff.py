@@ -1,4 +1,5 @@
-"""The bounded exponential backoff the distributed tier retries with."""
+"""The bounded exponential backoff the sweep service's client
+reconnects with."""
 
 import pytest
 

@@ -1,13 +1,27 @@
 """Wire protocol: framing, payload packing, and address parsing."""
 
 import io
+import pickle
 import socket
 import threading
 
 import pytest
 
+from repro.energy.events import EnergyEvents
 from repro.eval.parallel import SweepPoint
 from repro.serve import protocol
+
+#: set when unpickling called _trip: unpack_record never may
+_TRIPPED = []
+
+
+def _trip():
+    _TRIPPED.append(True)
+
+
+class _Hostile:
+    def __reduce__(self):
+        return (_trip, ())
 
 
 def _loopback():
@@ -82,6 +96,17 @@ class TestPayloads:
     def test_record_pack_round_trip(self):
         obj = {"cycles": 123, "events": [1, 2, ("a", 3)]}
         assert protocol.unpack_record(protocol.pack_record(obj)) == obj
+
+    def test_unpack_record_resolves_only_record_classes(self):
+        with pytest.raises(pickle.UnpicklingError):
+            protocol.unpack_record(protocol.pack_record(_Hostile()))
+        with pytest.raises(pickle.UnpicklingError):
+            protocol.unpack_record(
+                protocol.pack_record({"nested": [_Hostile()]}))
+        assert _TRIPPED == []
+        events = EnergyEvents()
+        assert protocol.unpack_record(
+            protocol.pack_record({"events": events})) == {"events": events}
 
     def test_point_wire_round_trip(self):
         pt = SweepPoint("sgemm-uc", "io+x", mode="specialized",

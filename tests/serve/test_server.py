@@ -1,8 +1,9 @@
 """The sweep server end to end: global in-flight dedup across
 concurrent clients, crash -> retry -> quarantine without stalling
 anyone, warm resubmissions served entirely from the cache,
-bit-identity with a direct in-process run, and the work queue's
-durability: journal resume, client reconnect, idle-exit and drain.
+bit-identity with a direct in-process run, and recovery with the disk
+cache as the one durable store: client reconnect across a server
+restart, idle-exit and drain.
 
 The server runs on a background thread (:class:`ServerThread`) over a
 real unix socket, its simulations in real forked workers -- the same
@@ -29,11 +30,9 @@ import pytest
 import repro
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint
-from repro.resilience import journal
-from repro.serve import ServeClient, ServerThread, WorkQueue
+from repro.serve import ServeClient, ServerThread
 from repro.serve import protocol
 from repro.serve.client import connect
-from repro.serve.queue import qkey_of
 from tests.eval.test_hardening import _exited
 
 SCALE = "tiny"
@@ -184,6 +183,22 @@ class TestServing:
             assert "no-such-kernel" in summary.failures[0].error
             # the good point still came back
             assert len(summary.outcomes) == 1
+        # a wire point that does not parse fails as well, and the
+        # server counts both kinds of failure
+        sock = connect(server.address)
+        try:
+            protocol.send_frame(sock, {"op": "submit", "points": [
+                {"config": "io"},
+                {"kernel": "no-such-kernel", "config": "io"}]})
+            frames = [protocol.recv_frame(sock) for _ in range(3)]
+        finally:
+            sock.close()
+        assert sorted(f["kind"] for f in frames[:2]) == \
+            ["error", "protocol"]
+        assert frames[2]["type"] == "done" and frames[2]["failed"] == 2
+        with ServeClient(server.address) as client:
+            counters = client.stats()["counters"]
+        assert counters["points"] == 4 and counters["failed"] == 3
 
     def test_slots_drain_the_queue_but_are_not_workers(self, tmp_path):
         """Every miss goes through the work queue, and the server's own
@@ -365,45 +380,57 @@ class _Hostile:
         return (_trip, ())
 
 
-def _replayed_server(tmp_path, points, **kwargs):
-    """A slot server whose journal already holds *points* pending, as
-    a crashed predecessor would have left it."""
-    path = str(tmp_path / "queue.journal")
-    queue = WorkQueue(journal_path=path)
-    for pt in points:
-        queue.enqueue(protocol.point_to_wire(pt))
-    queue.close()
-    return ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
-                        journal=path, **kwargs)
+def _abandon(st, held, quick):
+    """Submit *quick* and *held* on a raw connection and hang up at
+    once, as a client that dies mid-submit, then wait until the server
+    has dropped the connection -- writing *quick*'s result fails --
+    and only *held* is left unresolved, a point no client waits for."""
+    sock = connect(st.address)
+    try:
+        protocol.send_frame(sock, {
+            "op": "submit",
+            "points": [protocol.point_to_wire(quick),
+                       protocol.point_to_wire(held)]})
+    finally:
+        sock.close()
+    server = st.server
+    deadline = time.monotonic() + 30
+    while (server._active_connections
+           or set(server.queue.entries) != {held.memo_key()}) \
+            and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert server._active_connections == 0
+    assert set(server.queue.entries) == {held.memo_key()}
 
 
 def test_no_peer_can_plant_a_record(tmp_path, monkeypatch):
     """No op hands the server a record: each former worker op gets the
     ``unknown op`` frame, a ``complete`` carrying a tripwire pickle for
-    an unresolved point's qkey is never unpickled, and the connection
-    still serves a submit afterwards."""
-    held, other = POINTS[0], POINTS[1]
-    qkey = qkey_of(protocol.point_to_wire(held))
-    # the replayed point hangs in its slot: unresolved throughout
+    an unresolved point is never unpickled, and the connection still
+    serves a submit afterwards."""
+    held, other, quick = POINTS
+    wire = protocol.point_to_wire(held)
+    # the abandoned point hangs in its slot: unresolved throughout
     monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
         {held.label(): {"hang": [0]}}))
     decoded = []
-    real = journal.loads_record
+    real = protocol.loads_record
 
     def spy(data):
         decoded.append(data)
         return real(data)
 
-    monkeypatch.setattr(journal, "loads_record", spy)
+    monkeypatch.setattr(protocol, "loads_record", spy)
     hostile = protocol.pack_record(_Hostile())
-    with _replayed_server(tmp_path, [held]) as st:
+    with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock")) as st:
+        _abandon(st, held, quick)
         sock = connect(st.address)
         try:
             for op in ("register", "lease", "heartbeat", "complete",
                        "fail"):
                 protocol.send_frame(sock, {
                     "op": op, "worker_id": 1, "lease_id": 1,
-                    "qkey": qkey, "record": hostile, "kind": "crash"})
+                    "point": wire, "record": hostile, "kind": "crash"})
                 assert protocol.recv_frame(sock) == {
                     "error": "unknown op %r" % op}
             protocol.send_frame(sock, {
@@ -416,7 +443,7 @@ def test_no_peer_can_plant_a_record(tmp_path, monkeypatch):
         assert result["type"] == "result"
         assert result["label"] == other.label()
         assert done["type"] == "done" and done["simulated"] == 1
-        assert qkey in st.server.queue.entries
+        assert held.memo_key() in st.server.queue.entries
     assert decoded == [] and _TRIPPED == []
 
 
@@ -686,23 +713,26 @@ class TestWorkerPool:
 
 
 class TestJournalResume:
+    """The disk cache is the journal of completed work: it is all a
+    crashed server leaves behind, and all its successor resumes
+    from."""
+
     def test_server_restart_resumes_without_resimulating(
             self, tmp_path):
         """Crash the server mid-campaign: a successor with the same
-        journal + cache serves completed points from the cache and
-        finishes only the remainder."""
-        journal_path = str(tmp_path / "queue.journal")
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock1"),
-                          journal=journal_path) as st:
+        disk cache serves completed points from it and finishes only
+        the remainder."""
+        with ServerThread(jobs=2,
+                          socket_dir=str(tmp_path / "sock1")) as st:
             with ServeClient(st.address) as client:
                 first = client.submit(POINTS[:2])
                 assert first.ok and first.misses == 2
         # ServerThread.stop() is a hard stop: no drain, no farewell --
-        # the journal and disk cache are all that survives
+        # the disk cache is all that survives
 
         runner.clear_cache(keep_disk=True)   # new process, cold memo
-        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock2"),
-                          journal=journal_path) as st:
+        with ServerThread(jobs=2,
+                          socket_dir=str(tmp_path / "sock2")) as st:
             with ServeClient(st.address) as client:
                 resumed = client.submit(POINTS)
                 assert resumed.ok
@@ -711,25 +741,6 @@ class TestJournalResume:
                 assert resumed.misses == len(POINTS) - 2
                 qc = client.stats()["queue"]["counters"]
                 assert qc["enqueued"] == len(POINTS) - 2
-
-    def test_journal_replays_pending_work_with_no_client(self,
-                                                          tmp_path):
-        """Pending (enqueued-but-unresolved) journal entries are run
-        after a restart with no client attached -- the campaign
-        finishes itself."""
-        with _replayed_server(tmp_path, POINTS[:2]) as st:
-            assert st.server.queue.counters["replayed"] == 2
-            deadline = time.monotonic() + 60
-            while st.server.queue.entries \
-                    and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not st.server.queue.entries
-            assert st.server.queue.counters["completed"] == 2
-        # and the results are durably cached for any client
-        runner.clear_cache(keep_disk=True)
-        for pt in POINTS[:2]:
-            assert runner.cached_result(
-                pt.kernel, pt.config, **pt.run_kwargs()) is not None
 
 
 class TestClientReconnect:
@@ -807,20 +818,23 @@ class TestClientReconnect:
 
 
 class TestIdleExit:
-    def test_idle_exit_waits_for_replayed_work(self, tmp_path,
-                                               monkeypatch):
-        """An --idle-exit server must not vanish while journal-replayed
-        work is unresolved; once it is done, the server exits on
-        schedule."""
+    def test_idle_exit_waits_for_abandoned_work(self, tmp_path,
+                                                monkeypatch):
+        """An --idle-exit server must not vanish while a point whose
+        client hung up is unresolved; once it is done, the server
+        exits on schedule."""
         held = POINTS[0]
-        # the replayed point's first attempt hangs until the 2 s
+        quick = SweepPoint("vvadd-uc", "io", scale=SCALE)
+        # the abandoned point's first attempt hangs until the 3 s
         # watchdog kills it, well past the 0.4 s idle window
         monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
             {held.label(): {"hang": [0]}}))
-        st = _replayed_server(tmp_path, [held], idle_exit=0.4,
-                              timeout=2, backoff=0.01).start()
+        st = ServerThread(jobs=2, socket_dir=str(tmp_path / "sock"),
+                          idle_exit=0.4, timeout=3,
+                          backoff=0.01).start()
         try:
-            time.sleep(1.2)
+            _abandon(st, held, quick)
+            time.sleep(1.0)
             assert st._thread.is_alive()
             assert st.server.queue.entries
             st._thread.join(timeout=30)
