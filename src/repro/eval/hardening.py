@@ -10,8 +10,11 @@ built warm from one point to the next -- the compiled kernel
 :mod:`repro.sim.fusion` and the cache's code fingerprint -- so
 repeated points of a kernel pay for them once per worker, not
 once per point.  It keeps *one* kernel warm: before a point of another
-kernel it drops the previous kernel's state, which bounds a
-long-lived worker's memory.  Isolation stays per point:
+kernel it drops the previous kernel's binaries, result memo and GPP
+block tables, which bounds a long-lived worker's memory.  The LPSU
+engines, keyed by loop-body content and bounded by the kernel
+registry, stay for the worker's life, so a worker that returns to a
+kernel builds none of them again.  Isolation stays per point:
 
 * a worker holds only one point in flight, so a *crashed* worker (hard
   exit, OOM kill, corrupted interpreter) is attributable to exactly
@@ -193,9 +196,12 @@ def _release_inherited_sockets(keep):
 def _keep_warm(kernel, warm):
     """The one-warm-kernel rule: before a point of another *kernel*
     than the *warm* one, drop what that kernel left behind -- its
-    compiled binaries, the result memo, and the generated GPP block
-    and LPSU code -- so a long-lived worker holds one kernel's state,
-    not that of every kernel it has met.  Returns the kernel now
+    compiled binaries, the result memo and the generated GPP block
+    tables -- so a long-lived worker holds one kernel's binaries and
+    GPP code, not those of every kernel it has met.  The generated
+    LPSU engines stay (:func:`repro.sim.fusion.clear`): they are keyed
+    by loop-body content and bounded by the kernel registry, so a
+    worker builds each body's engine once.  Returns the kernel now
     warm."""
     if warm is not None and kernel != warm:
         runner.clear_cache(keep_disk=True)

@@ -24,8 +24,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from ..eval.hardening import PointFailure
-
 
 @dataclass
 class QueueEntry:
@@ -36,8 +34,8 @@ class QueueEntry:
     #: asyncio.Future the server attaches for client waiters; the
     #: queue never touches it
     future: object = None
-    #: PointFailure set when the entry quarantines -- the server
-    #: resolves waiters
+    #: the engine's PointFailure, set when the entry quarantines --
+    #: the server resolves waiters
     failure: object = None
 
 
@@ -85,15 +83,14 @@ class WorkQueue:
         self.counters["completed"] += 1
         return entry
 
-    def fail(self, qkey, kind, error, attempts):
-        """Quarantine a taken point on a reported failure (the
-        hardened engine already exhausted its per-point retries); its
-        entry, with :attr:`QueueEntry.failure` set."""
+    def fail(self, qkey, failure):
+        """Quarantine a taken point on the
+        :class:`~repro.eval.hardening.PointFailure` the hardened
+        engine built for it (it already exhausted its per-point
+        retries); its entry, with :attr:`QueueEntry.failure` set to
+        *failure* unchanged."""
         entry = self.entries.pop(qkey)
-        entry.failure = PointFailure(label=entry.point.label(),
-                                     attempts=max(1, int(attempts)),
-                                     kind=str(kind or "error"),
-                                     error=str(error or ""))
+        entry.failure = failure
         return entry
 
     @property

@@ -260,14 +260,12 @@ class SweepServer:
             outcome = await loop.run_in_executor(
                 self._threads, execute_one, entry.point, self.policy,
                 self.workers)
-            failure = outcome.failure
-            if failure is None:
+            if outcome.failure is None:
                 self._complete(entry.qkey, outcome.result, outcome.wall,
                                outcome.simulated, outcome.retries)
             else:
                 self.counters["retried"] += outcome.retries
-                self._fail(entry.qkey, failure.kind, failure.error,
-                           failure.attempts)
+                self._fail(entry.qkey, outcome.failure)
 
     def _complete(self, qkey, record, wall, simulated, retries):
         """Credit one finished point.  One that did not simulate was
@@ -278,9 +276,10 @@ class SweepServer:
         if entry.future is not None and not entry.future.done():
             entry.future.set_result((record, None, wall, simulated))
 
-    def _fail(self, qkey, kind, error, attempts):
-        """Quarantine one point the hardened ladder gave up on."""
-        entry = self.queue.fail(qkey, kind, error, attempts)
+    def _fail(self, qkey, failure):
+        """Quarantine one point the hardened ladder gave up on, with
+        the :class:`~repro.eval.hardening.PointFailure` it built."""
+        entry = self.queue.fail(qkey, failure)
         self.counters["failed"] += 1
         if entry.future is not None and not entry.future.done():
             entry.future.set_result((None, entry.failure, 0.0, False))

@@ -16,11 +16,14 @@ import os
 import pickle
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint, sweep
 from repro.sim import fusion
@@ -420,8 +423,10 @@ class TestSharedPool:
 
 class TestOneWarmKernel:
     """A worker keeps one kernel warm: its reset step drops the
-    previous kernel's compiled binaries and generated code before a
-    point of another kernel."""
+    previous kernel's compiled binaries, result memo and GPP block
+    tables before a point of another kernel.  The generated LPSU
+    engines, keyed by loop-body content, stay for the worker's life,
+    so a worker that returns to a kernel builds none of them again."""
 
     A = SweepPoint("sgemm-uc", "io+x", mode="specialized", scale=SCALE)
     B = SweepPoint("dither-or", "io+x", mode="specialized", scale=SCALE)
@@ -430,8 +435,9 @@ class TestOneWarmKernel:
         runner.run(pt.kernel, pt.config, use_disk_cache=False,
                    **pt.run_kwargs())
 
-    def test_a_new_kernel_drops_the_last_ones_state(self):
-        # arriving from another kernel: start from nothing warm
+    def test_a_new_kernel_drops_the_last_ones_state(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_LPSU_MAKE_CACHE", {})
+        # arriving from another kernel: start from no GPP code warm
         warm = hardening._keep_warm(self.A.kernel, "another-kernel")
         assert not fusion._BLOCK_TABLE_CACHE
         self._simulate(self.A)
@@ -440,17 +446,21 @@ class TestOneWarmKernel:
         content = fusion._program_content(program)
         a_blocks = {k for k in fusion._BLOCK_TABLE_CACHE
                     if k[2] == content}
-        a_engines = set(fusion._LPSU_MAKE_CACHE)
+        a_engines = dict(fusion._LPSU_MAKE_CACHE)
         assert a_blocks and a_engines
 
         warm = hardening._keep_warm(self.B.kernel, warm)
         assert warm == self.B.kernel
         assert runner._compiled.cache_info().currsize == 0
         assert not runner._RESULTS
+        assert not fusion._BLOCK_TABLE_CACHE
         self._simulate(self.B)
         assert runner._compiled.cache_info().currsize == 1   # B's own
         assert not a_blocks & set(fusion._BLOCK_TABLE_CACHE)
-        assert not a_engines & set(fusion._LPSU_MAKE_CACHE)
+        # A's engines are still there, the very same factories
+        assert all(fusion._LPSU_MAKE_CACHE[k] is make
+                   for k, make in a_engines.items())
+        assert len(fusion._LPSU_MAKE_CACHE) > len(a_engines)  # + B's
 
     def test_the_same_kernel_stays_warm(self):
         warm = hardening._keep_warm(self.A.kernel, None)
@@ -460,6 +470,87 @@ class TestOneWarmKernel:
         assert runner._compiled.cache_info().currsize == 1
         assert fusion._BLOCK_TABLE_CACHE == tables
 
+    def test_a_return_to_a_kernel_builds_no_engine(self, monkeypatch,
+                                                   tmp_path):
+        """One pool worker runs A, then B, then A again: it builds A's
+        engines the first time only, and the record of its second A
+        equals a fresh process's bit for bit."""
+        log = tmp_path / "builds.log"
+        log.write_text("")
+        real_build = fusion._LPSUGen.build
+
+        def logged_build(gen):
+            with open(log, "a") as fh:
+                fh.write("build\n")
+            return real_build(gen)
+
+        # the forked worker inherits the wrapper and an empty cache;
+        # with the disk cache off, every point simulates
+        monkeypatch.setattr(fusion._LPSUGen, "build", logged_build)
+        monkeypatch.setattr(fusion, "_LPSU_MAKE_CACHE", {})
+        diskcache.configure(enabled=False)
+        builds, records = [], []
+        with hardening.WorkerPool() as pool:
+            worker = pool.acquire()
+            for pt in (self.A, self.B, self.A):
+                worker.conn.send((pt, 0, None))
+                reply = worker.conn.recv()
+                assert reply[0] == "ok" and reply[3], reply  # simulated
+                records.append(reply[1])
+                builds.append(len(log.read_text().splitlines()))
+            pool.release(worker)
+        a_built, b_built = builds[0], builds[1] - builds[0]
+        assert a_built and b_built
+        assert builds[2] == builds[1]         # back to A: nothing built
+
+        script = (
+            "import dataclasses, pickle, sys\n"
+            "from repro.eval import runner\n"
+            "r = runner.run(%r, %r, use_disk_cache=False, **%r)\n"
+            "sys.stdout.buffer.write(pickle.dumps(dataclasses.asdict(r)))\n"
+            % (self.A.kernel, self.A.config, self.A.run_kwargs()))
+        env = dict(os.environ, REPRO_NO_CACHE="1", PYTHONPATH=
+                   os.path.dirname(os.path.dirname(repro.__file__)))
+        env.pop("REPRO_BACKEND", None)
+        fresh = pickle.loads(subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            check=True).stdout)
+        again = dataclasses.asdict(records[2])
+        assert again == fresh
+        assert repr(again) == repr(fresh)     # -0.0 and NaN included
+        assert dataclasses.asdict(records[0]) == fresh
+
+    def test_one_cache_entry_per_body_content(self, monkeypatch):
+        """Across kernel switches and recompiles, every request for a
+        loop body the process has met is a hit: the cache holds one
+        entry per body content and builds each once."""
+        monkeypatch.setattr(fusion, "_LPSU_MAKE_CACHE", {})
+        requested, built = [], []
+        real_key = fusion._lpsu_content_key
+        real_build = fusion._LPSUGen.build
+
+        def key(descriptor):
+            requested.append(real_key(descriptor))
+            return requested[-1]
+
+        def build(gen):
+            built.append(gen)
+            return real_build(gen)
+
+        monkeypatch.setattr(fusion, "_lpsu_content_key", key)
+        monkeypatch.setattr(fusion._LPSUGen, "build", build)
+        warm = None
+        for pt in (self.A, self.B, self.A):
+            warm = hardening._keep_warm(pt.kernel, warm)
+            self._simulate(pt)
+        cache = fusion._LPSU_MAKE_CACHE
+        # A's recompiled program asked for its bodies again ...
+        assert len(requested) > len(set(requested))
+        # ... and got the entries its first run built
+        assert set(cache) == set(requested)
+        assert len(built) == len(cache)
+        bodies = [k[0] for k in cache]
+        assert len(set(bodies)) == len(bodies)
 
 class TestSerialFallback:
     def test_jobs_one_runs_in_process(self):

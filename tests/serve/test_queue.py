@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.eval.hardening import PointFailure
 from repro.eval.parallel import SweepPoint
 from repro.serve import protocol
 from repro.serve.queue import WorkQueue
@@ -42,8 +43,7 @@ class TestIdentity:
     def test_label_mirrors_sweep_point(self, queue):
         queue.enqueue(POINT_A)
         entry = queue.take()
-        queue.fail(entry.qkey, "crash", "boom", attempts=1)
-        assert entry.failure.label == "sgemm-uc/io/traditional/xloops/tiny"
+        assert entry.point.label() == "sgemm-uc/io/traditional/xloops/tiny"
 
 
 def test_queue_identity_matches_wire_points(queue):
@@ -92,18 +92,31 @@ class TestCompletion:
     def test_failure_quarantines_without_requeue(self, queue):
         queue.enqueue(POINT_A)
         entry = queue.take()
-        assert queue.fail(entry.qkey, "crash", "boom", attempts=3) \
-            is entry
-        failure = entry.failure
-        assert failure.kind == "crash" and failure.attempts == 3
-        assert failure.label == POINT_A.label()
+        failure = PointFailure(POINT_A.label(), 3, "crash", "boom")
+        assert queue.fail(entry.qkey, failure) is entry
+        assert entry.failure is failure
         assert entry.qkey not in queue.entries
         assert queue.queued == 0            # no requeue for failures
+
+    def test_engine_failure_is_stored_unchanged(self, queue):
+        """An engine-level failure (the ladder raised before any
+        attempt ran) reports 0 attempts; the queue keeps the engine's
+        record as it is instead of rebuilding it."""
+        queue.enqueue(POINT_A)
+        entry = queue.take()
+        failure = PointFailure(POINT_A.label(), 0, "error",
+                               "engine: RuntimeError: boom")
+        queue.fail(entry.qkey, failure)
+        assert entry.failure is failure
+        assert (failure.label, failure.attempts, failure.kind,
+                failure.error) == (POINT_A.label(), 0, "error",
+                                   "engine: RuntimeError: boom")
 
     def test_resubmit_after_failure_gets_fresh_budget(self, queue):
         queue.enqueue(POINT_A)
         failed = queue.take()
-        queue.fail(failed.qkey, "crash", "boom", attempts=2)
+        queue.fail(failed.qkey,
+                   PointFailure(POINT_A.label(), 2, "crash", "boom"))
         # a fresh submission of a quarantined point re-enqueues it
         entry, created = queue.enqueue(POINT_A)
         assert created and entry is not failed

@@ -32,6 +32,7 @@ from repro.eval import diskcache, hardening, runner
 from repro.eval.parallel import SweepPoint
 from repro.serve import ServeClient, ServerThread
 from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.client import connect
 from tests.eval.test_hardening import _exited
 
@@ -199,6 +200,40 @@ class TestServing:
         with ServeClient(server.address) as client:
             counters = client.stats()["counters"]
         assert counters["points"] == 4 and counters["failed"] == 3
+
+    def test_engine_failure_reaches_the_client_verbatim(self, server,
+                                                        monkeypatch):
+        """The failure frame carries the kind, error and attempt count
+        of the :class:`PointFailure` the hardened engine built, as it
+        built them: an engine-level failure ran no attempt, and its
+        client reads 0 attempts, not 1."""
+        pt = POINTS[0]
+        failure = hardening.PointFailure(
+            pt.label(), 0, "error", "engine: RuntimeError: boom")
+
+        def engine_failure(point, policy, pool):
+            return hardening.OneOutcome(None, failure, 0.0, False)
+
+        monkeypatch.setattr(server_module, "execute_one", engine_failure)
+        sock = connect(server.address)
+        try:
+            protocol.send_frame(sock, {"op": "submit", "points": [
+                protocol.point_to_wire(pt)]})
+            frame, done = protocol.recv_frame(sock), \
+                protocol.recv_frame(sock)
+        finally:
+            sock.close()
+        assert {k: frame[k] for k in ("type", "label", "kind", "error",
+                                      "attempts")} == {
+            "type": "failure", "label": pt.label(), "kind": "error",
+            "error": "engine: RuntimeError: boom", "attempts": 0}
+        assert done["type"] == "done" and done["failed"] == 1
+        # the client turns the frame back into the same record
+        with ServeClient(server.address) as client:
+            summary = client.submit([pt])
+            counters = client.stats()["counters"]
+        assert summary.failures == [failure]
+        assert counters["failed"] == 2 and counters["simulated"] == 0
 
     def test_slots_drain_the_queue_but_are_not_workers(self, tmp_path):
         """Every miss goes through the work queue, and the server's own
