@@ -11,8 +11,8 @@ table     regenerate one of the paper's tables/figures
 sweep     run an artifact's simulation points in parallel, cached
           (or route them through a sweep server with --server)
 serve     run the sweep-as-a-service result server: many clients,
-          shared cache, one deduplicating work queue drained by its
-          own simulation slots
+          shared cache, each miss simulated once on its hardened
+          worker pool
 verify    traditional-vs-specialized differential conformance under
           the runtime invariant monitor
 prove     symbolic dependence prover: certify every kernel's xloop
@@ -195,15 +195,16 @@ def build_parser():
 
     p = sub.add_parser("serve",
                        help="run the sweep result server (async, "
-                            "shared cache, deduped in-flight sims)")
+                            "shared cache, one simulation per miss "
+                            "however many clients ask)")
     p.add_argument("--socket", metavar="PATH",
                    help="listen on a unix socket at PATH")
     p.add_argument("--listen", metavar="[HOST:]PORT",
                    help="listen on TCP (default 127.0.0.1:%d when "
                         "--socket is not given)" % 7340)
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="simulation slots, at least 1 (default: CPU "
-                        "count); cache hits are unbounded")
+                   help="simulations at once, at least 1 (default: "
+                        "CPU count); cache hits are unbounded")
     p.add_argument("--timeout", type=float, default=0.0, metavar="SEC",
                    help="per-point wall-clock bound for simulations "
                         "(default: unbounded)")
@@ -212,25 +213,21 @@ def build_parser():
                         "quarantined (default 3)")
     p.add_argument("--idle-exit", type=float, default=0.0,
                    metavar="SEC",
-                   help="exit after SEC seconds with no clients, "
-                        "nothing in flight and an empty queue "
-                        "(default: run forever)")
+                   help="exit after SEC seconds with no clients "
+                        "and no point in flight (default: run "
+                        "forever)")
     p.add_argument("--stop", metavar="ADDR",
                    help="ask the server at ADDR to shut down "
-                        "gracefully (it drains its work queue "
-                        "first), then exit")
+                        "gracefully (it first waits, bounded, for "
+                        "the points in flight), then exit")
     p.add_argument("--status", metavar="ADDR",
                    help="one-shot ping of the server at ADDR: print "
                         "live counters (served/simulated/inflight/"
-                        "forked and live simulation workers/queued) "
-                        "and exit")
+                        "forked and live simulation workers) and "
+                        "exit")
     p.add_argument("--json", action="store_true",
                    help="with --status: print the raw stats payload "
                         "as JSON")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
-                   metavar="SEC",
-                   help="max seconds a graceful --stop waits for "
-                        "the queue to empty (default 30)")
     p.add_argument("--cache-dir", metavar="DIR",
                    help="persistent result cache location "
                         "(default ~/.cache/repro or $REPRO_CACHE_DIR)")
@@ -596,15 +593,15 @@ def cmd_serve(args):
     from .serve import ServeClient, SweepServer
     from .serve.protocol import DEFAULT_PORT, ProtocolError, \
         parse_address
+    from .serve.server import DRAIN_TIMEOUT
     if args.status:
         return _serve_status(args.status, as_json=args.json)
     if args.stop:
         try:
-            # a draining server replies only once its queue is
-            # empty; wait at least the drain window
+            # a draining server replies only once nothing is in
+            # flight; wait at least the drain window
             with ServeClient(args.stop,
-                             timeout=args.drain_timeout + 15.0) \
-                    as client:
+                             timeout=DRAIN_TIMEOUT + 15.0) as client:
                 reply = client.shutdown()
         except (OSError, ProtocolError) as exc:
             print("error: cannot reach server at %s: %s"
@@ -640,8 +637,7 @@ def cmd_serve(args):
     try:
         server = SweepServer(jobs=args.jobs, timeout=args.timeout,
                              retries=args.retries,
-                             idle_exit=args.idle_exit,
-                             drain_timeout=args.drain_timeout)
+                             idle_exit=args.idle_exit)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -657,9 +653,6 @@ def cmd_serve(args):
           % (c["points"], c["connections"], c["served_cache"],
              c["served_inflight"], c["simulated"], c["failed"],
              server.workers.spawned))
-    q = server.queue.counters
-    print("queue: %d enqueued, %d completed"
-          % (q["enqueued"], q["completed"]))
     return 0
 
 
@@ -679,8 +672,6 @@ def _serve_status(address, as_json=False):
         print(json_mod.dumps(stats, indent=2, sort_keys=True))
         return 0
     c = stats.get("counters", {})
-    q = stats.get("queue") or {}
-    qc = q.get("counters", {})
     print("server %s (protocol %s, jobs %s)"
           % (stats.get("version", "?"), stats.get("protocol", "?"),
              stats.get("jobs", "?")))
@@ -694,8 +685,6 @@ def _serve_status(address, as_json=False):
              c.get("submissions", 0)))
     print("  local workers: %d alive, %d forked so far"
           % (c.get("workers", 0), c.get("spawned", 0)))
-    print("  queue: %d queued; %d completed"
-          % (q.get("queued", 0), qc.get("completed", 0)))
     return 0
 
 

@@ -6,8 +6,8 @@ from .configs import (CONFIGS, BASELINE_OF, GPP_NAMES, XLOOPS_NAMES,
                       DESIGN_SPACE_NAMES, config)
 from .runner import (KernelRun, run, baseline_run, speedup,
                      energy_efficiency, clear_cache)
-from .parallel import (SweepExecutor, SweepPoint, SweepSummary, sweep,
-                       table2_points, table4_points)
+from .parallel import (SweepPoint, SweepSummary, sweep, table2_points,
+                       table4_points)
 from .report import render_table, render_series, geomean
 from .table2 import Table2Row, build_table2, build_row, render_table2
 from .table3 import build_table3, render_table3
@@ -28,9 +28,9 @@ from .paper_reference import (PAPER_IO_S, PAPER_OOO4_S_LOSERS,
 __all__ = [
     "CONFIGS", "BASELINE_OF", "GPP_NAMES", "XLOOPS_NAMES",
     "DESIGN_SPACE_NAMES", "config", "KernelRun", "run", "baseline_run",
-    "speedup", "energy_efficiency", "clear_cache", "SweepExecutor",
-    "SweepPoint", "SweepSummary", "sweep", "table2_points",
-    "table4_points", "render_table",
+    "speedup", "energy_efficiency", "clear_cache", "SweepPoint",
+    "SweepSummary", "sweep", "table2_points", "table4_points",
+    "render_table",
     "render_series", "geomean", "Table2Row", "build_table2", "build_row",
     "render_table2", "build_table3", "render_table3",
     "Table4Row", "build_table4", "render_table4",

@@ -45,9 +45,12 @@ A point that exhausts its attempts is *quarantined*: the sweep
 completes without it and the summary carries a structured
 :class:`PointFailure` record instead of the whole run aborting.
 
-When worker processes cannot be created at all the engine degrades to
+When worker processes cannot be created at all a sweep degrades to
 serial in-process execution (recorded as an incident), which is also
-the ``jobs <= 1`` path.  An interrupted sweep resumes from the disk
+the ``jobs <= 1`` path.  The server's :func:`execute_one` never does:
+a miss that finds no worker fails with the spawn error, since the
+server's threads can arm no watchdog and must not simulate in the
+server's process.  An interrupted sweep resumes from the disk
 cache, where every finished point's record already is: run again, it
 serves those points and simulates only the rest, quarantined points
 included.
@@ -88,11 +91,18 @@ CHAOS_EXIT = 13
 
 @dataclass
 class HardeningPolicy:
-    """Knobs for the hardened engine (defaults are production-safe)."""
+    """Knobs for the hardened engine (defaults are production-safe),
+    clamped on construction: *timeout* to a float >= 0 (None is 0),
+    *retries* to at least 1 and *backoff* to >= 0."""
 
     timeout: float = 0.0      # per-point wall-clock bound, 0 = none
     retries: int = 3          # max attempts per point
     backoff: float = 0.25     # base backoff (doubles per attempt)
+
+    def __post_init__(self):
+        self.timeout = max(0.0, float(self.timeout or 0.0))
+        self.retries = max(1, int(self.retries))
+        self.backoff = max(0.0, float(self.backoff))
 
 
 @dataclass
@@ -414,17 +424,18 @@ def execute_one(point, policy, pool):
     that saw no failure, the ``interp`` final retry, and quarantine on
     exhaustion -- and return a :class:`OneOutcome`.
 
-    This is the executor of the sweep server's slots: each cache miss
-    goes through exactly the isolation a parallel sweep gives it, one
-    point at a time (the caller bounds concurrency itself).  The
-    finished result is seeded into the runner memo, so subsequent
-    submissions of the same point are cache-served.  Never raises: an
-    engine-level surprise becomes a quarantine record like any other
-    failure."""
+    The sweep server runs each cache miss through it: the miss gets
+    exactly the isolation a parallel sweep gives it, one point at a
+    time (the caller bounds concurrency itself).  The finished result
+    is seeded into the runner memo, so subsequent submissions of the
+    same point are cache-served.  A point that finds no worker because
+    the fork failed fails with the spawn error: it never runs in the
+    caller's process.  Never raises: an engine-level surprise becomes
+    a quarantine record like any other failure."""
     from .parallel import SweepSummary
     summary = SweepSummary(jobs=1)
     try:
-        _run_parallel([point], 1, policy, summary, pool)
+        unplaced = _run_parallel([point], 1, policy, summary, pool)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 - report, don't kill the server
@@ -432,6 +443,10 @@ def execute_one(point, policy, pool):
             point.label(), 0, "error",
             "engine: %s: %s" % (type(exc).__name__, exc)),
             0.0, False, len(summary.retries))
+    if unplaced:   # its spawn error is the last incident
+        summary.failures.append(PointFailure(
+            point.label(), len(summary.retries), "error",
+            summary.incidents[-1].detail))
     if summary.failures:
         return OneOutcome(None, summary.failures[0], 0.0, False,
                           len(summary.retries))
@@ -449,11 +464,10 @@ def execute_points(points, jobs, policy, summary):
     """Run *points* under *policy*, appending outcomes, retries,
     failures and incidents to *summary* and seeding the runner memo
     with every finished result."""
-    if jobs <= 1 or len(points) <= 1:
-        _run_serial(points, policy, summary)
-    else:
+    if jobs > 1 and len(points) > 1:
         with WorkerPool() as pool:
-            _run_parallel(points, jobs, policy, summary, pool)
+            points = _run_parallel(points, jobs, policy, summary, pool)
+    _run_serial(points, policy, summary)
     summary.incidents.extend(runner.drain_incidents())
 
 
@@ -574,7 +588,9 @@ def _run_group(group, policy, summary):
 
 def _run_parallel(points, jobs, policy, summary, pool):
     """Run *points* on up to *jobs* workers of *pool*, one point in
-    flight per worker."""
+    flight per worker.  Returns the points it could not place because
+    a worker fork failed (a ``parallel-to-serial`` incident), once the
+    ones in flight have finished; the caller decides where they run."""
     from multiprocessing.connection import wait
 
     #: (point, attempt, not_before) - a retry waits out its backoff
@@ -630,7 +646,7 @@ def _run_parallel(points, jobs, policy, summary, pool):
                         continue
                     except OSError as exc:
                         # cannot create workers at all: let the ones
-                        # in flight finish, then run the rest serially
+                        # in flight finish, then hand the rest back
                         degraded = summary.degraded = True
                         summary.incidents.append(runner.Incident(
                             kind="parallel-to-serial",
@@ -699,6 +715,4 @@ def _run_parallel(points, jobs, policy, summary, pool):
                 pool.release(worker)
             else:
                 pool.retire(worker, 0)
-
-    if degraded:
-        _run_serial([q[0] for q in queue], policy, summary)
+    return [pt for pt, _attempt, _not_before in queue]

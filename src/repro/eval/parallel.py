@@ -1,9 +1,9 @@
-"""Parallel sweep executor: fan simulation points across persistent
-forked workers, backed by the persistent result cache.
+"""Parallel sweeps: fan simulation points across persistent forked
+workers, backed by the persistent result cache.
 
 A *point* is one ``(kernel, config, mode, binary, xi, scale, seed)``
 simulation -- exactly the argument tuple of
-:func:`repro.eval.runner.run`.  The executor:
+:func:`repro.eval.runner.run`.  :func:`sweep`:
 
 * deduplicates the submitted points,
 * serves what it can from the in-process memo and the disk cache,
@@ -19,7 +19,7 @@ simulation -- exactly the argument tuple of
 With ``jobs <= 1`` everything runs in-process (no workers), which is
 also the fallback when worker processes cannot be created.  Results
 are bit-identical either way: each point is an independent
-deterministic simulation, and the executor only moves *where* it
+deterministic simulation, and :func:`sweep` only moves *where* it
 runs.
 """
 
@@ -111,7 +111,7 @@ class PointOutcome:
 
 @dataclass
 class SweepSummary:
-    """What one executor invocation did, and how long it took.
+    """What one sweep did, and how long it took.
 
     Beyond the outcome list, the summary carries the hardened
     runtime's structured records: per-attempt :class:`RetryEvent`\\ s,
@@ -182,16 +182,19 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-class SweepExecutor:
-    """Executes batches of sweep points, optionally in parallel.
+def sweep(points, jobs=None, cache_dir=None, use_cache=True,
+          timeout=0.0, retries=3, backoff=0.25):
+    """Execute *points* (deduplicated, order-preserving) on the
+    hardened engine (:func:`repro.eval.hardening.execute_points`);
+    returns a :class:`SweepSummary`.  Every result ends up in this
+    process's memo.
 
-    Execution is delegated to the hardened engine in
-    :mod:`repro.eval.hardening`: points run one at a time on up to
-    *jobs* persistent forked workers under a wall-clock watchdog,
-    a crash or hang is isolated to its point and retried with
-    exponential backoff in a fresh worker, exhausted points are
-    quarantined instead of aborting the sweep, and worker-spawn
-    failure degrades to serial in-process execution.
+    The engine runs the points one at a time on up to *jobs*
+    persistent forked workers under a wall-clock watchdog; a crash or
+    hang is isolated to its point and retried with exponential backoff
+    in a fresh worker, exhausted points are quarantined instead of
+    aborting the sweep, and worker-spawn failure degrades to serial
+    in-process execution.
 
     Parameters
     ----------
@@ -209,57 +212,34 @@ class SweepExecutor:
         parallel mode a worker over budget is killed; in serial mode
         the SIGALRM watchdog interrupts the simulation.
     retries
-        Maximum attempts per point (the last one with the simulator
-        fast path disabled).
+        Maximum attempts per point (the last one on the ``interp``
+        reference rung).
     backoff
         Base retry backoff in seconds; doubles per failed attempt.
 
     An interrupted sweep resumes from the disk cache: run again, it
     serves every point that finished and simulates only the rest.
     """
-
-    def __init__(self, jobs=None, cache_dir=None, use_cache=True,
-                 timeout=0.0, retries=3, backoff=0.25):
-        self.jobs = max(1, int(jobs)) if jobs else 1
-        from .hardening import HardeningPolicy
-        self.policy = HardeningPolicy(
-            timeout=float(timeout or 0.0),
-            retries=max(1, int(retries)),
-            backoff=max(0.0, float(backoff)))
-        from . import diskcache
-        if cache_dir is not None:
-            diskcache.configure(cache_dir=cache_dir)
-        if not use_cache:
-            diskcache.configure(enabled=False)
-
-    def run_points(self, points):
-        """Execute *points* (deduplicated, order-preserving); returns
-        a :class:`SweepSummary`.  Every result ends up in the parent
-        process's memo."""
-        from .hardening import execute_points
-        points = list(dict.fromkeys(points))
-        t0 = time.perf_counter()
-        summary = SweepSummary(jobs=self.jobs)
-
-        # anything already memoized is free; don't ship it to a worker
-        pending = []
-        for pt in points:
-            if runner._RESULTS.get(pt.memo_key()) is not None:
-                summary.outcomes.append(PointOutcome(pt, 0.0, False))
-            else:
-                pending.append(pt)
-
-        execute_points(pending, self.jobs, self.policy, summary)
-        summary.wall_time = time.perf_counter() - t0
-        return summary
-
-
-def sweep(points, jobs=None, cache_dir=None, use_cache=True, **policy):
-    """One-shot convenience wrapper around :class:`SweepExecutor`;
-    ``**policy`` forwards the hardening knobs (timeout, retries,
-    backoff)."""
-    return SweepExecutor(jobs=jobs, cache_dir=cache_dir,
-                         use_cache=use_cache, **policy).run_points(points)
+    from . import diskcache
+    from .hardening import HardeningPolicy, execute_points
+    if cache_dir is not None:
+        diskcache.configure(cache_dir=cache_dir)
+    if not use_cache:
+        diskcache.configure(enabled=False)
+    jobs = max(1, int(jobs)) if jobs else 1
+    t0 = time.perf_counter()
+    summary = SweepSummary(jobs=jobs)
+    # anything already memoized is free; don't ship it to a worker
+    pending = []
+    for pt in dict.fromkeys(points):
+        if runner._RESULTS.get(pt.memo_key()) is not None:
+            summary.outcomes.append(PointOutcome(pt, 0.0, False))
+        else:
+            pending.append(pt)
+    execute_points(pending, jobs,
+                   HardeningPolicy(timeout, retries, backoff), summary)
+    summary.wall_time = time.perf_counter() - t0
+    return summary
 
 
 # ---------------------------------------------------------------------------

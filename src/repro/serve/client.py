@@ -1,14 +1,14 @@
 """Synchronous client of the sweep service.
 
 ``repro sweep --server ADDR`` swaps the in-process
-:class:`~repro.eval.parallel.SweepExecutor` for a
-:class:`ServeClient`: the point list goes over the wire, the server
-resolves every point (cache, in-flight join, or its work queue, which
-its own simulation slots drain), and the streamed results land in the
-same :class:`SweepSummary` shape the executor produces -- downstream
-table/figure assembly cannot tell the difference, because each
-returned record is also seeded into the in-process memo exactly as
-the parallel executor seeds its workers' results.
+:func:`~repro.eval.parallel.sweep` for a :class:`ServeClient`: the
+point list goes over the wire, the server resolves every point
+(cache, in-flight join, or a simulation on its hardened worker pool),
+and the streamed results land in the same :class:`SweepSummary` shape
+a local sweep produces -- downstream table/figure assembly cannot tell
+the difference, because each returned record is also seeded into the
+in-process memo exactly as a parallel sweep seeds its workers'
+results.
 
 Robustness: :meth:`ServeClient.submit` survives a dying or restarting
 server.  It tracks which submitted points have not yet been answered,
@@ -32,6 +32,10 @@ from ..eval.hardening import PointFailure
 from ..eval.parallel import PointOutcome, SweepSummary
 from ..resilience.backoff import Backoff, BackoffExhausted
 from . import protocol
+
+#: first and largest delay (seconds) between a submit's reconnects
+RECONNECT_BASE = 0.05
+RECONNECT_CAP = 2.0
 
 
 def connect(address, timeout=None):
@@ -63,13 +67,10 @@ class ServeClient:
     every answered point).
     """
 
-    def __init__(self, address, timeout=None, reconnects=8,
-                 reconnect_base=0.05, reconnect_cap=2.0):
+    def __init__(self, address, timeout=None, reconnects=8):
         self.address = address
         self.timeout = timeout
         self.reconnects = max(1, int(reconnects))
-        self.reconnect_base = float(reconnect_base)
-        self.reconnect_cap = float(reconnect_cap)
         self._sock = None
 
     def _socket(self):
@@ -101,8 +102,8 @@ class ServeClient:
         return self._roundtrip({"op": "stats"})
 
     def shutdown(self):
-        """Ask the server to exit (it drains its work queue first);
-        tolerates it dying before replying."""
+        """Ask the server to exit (it first waits for the points in
+        flight to resolve); tolerates it dying before replying."""
         try:
             return self._roundtrip({"op": "shutdown"})
         except (protocol.ProtocolError, OSError):
@@ -114,7 +115,7 @@ class ServeClient:
         Results stream back as the server finishes them, so a
         slow-simulating point does not delay delivery of the rest.
         Ordering in :attr:`SweepSummary.outcomes` follows completion
-        order, matching the parallel executor's behaviour.  Transport
+        order, matching a parallel sweep's behaviour.  Transport
         failures reconnect and resubmit the unacknowledged remainder
         (see the module docstring).
         """
@@ -125,8 +126,7 @@ class ServeClient:
             return summary
         wires = [protocol.point_to_wire(p) for p in points]
         todo = set(range(len(points)))   # original indices unanswered
-        backoff = Backoff(base=self.reconnect_base,
-                          cap=self.reconnect_cap,
+        backoff = Backoff(base=RECONNECT_BASE, cap=RECONNECT_CAP,
                           attempts=self.reconnects)
         while todo:
             try:
@@ -192,7 +192,7 @@ class ServeClient:
             record = protocol.unpack_record(frame["record"])
             todo.discard(idx)
             backoff.reset()             # progress refills the budget
-            # same memo seeding the parallel executor does for its
+            # same memo seeding a parallel sweep does for its
             # workers' results: downstream table assembly hits the memo
             runner.seed_result(pt.memo_key(), record)
             summary.outcomes.append(PointOutcome(

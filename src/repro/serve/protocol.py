@@ -5,13 +5,13 @@ object.  JSON keeps the protocol debuggable (``socat`` + eyeballs) and
 language-neutral; the one binary payload -- a finished
 :class:`~repro.eval.runner.KernelRun` record, which must cross the
 wire bit-identical -- rides inside it as base64-encoded pickle, the
-same serialization the parallel sweep executor ships results over
-worker pipes with.
+same serialization a parallel sweep ships results over worker pipes
+with.
 
 Trust model: no op carries a record to the server, so the server
-decodes none -- every record it serves was simulated by its own slots
-or read from its own cache.  A client decodes the server's records
-only through :func:`unpack_record`, which resolves only the
+decodes none -- every record it serves was simulated by its own
+workers or read from its own cache.  A client decodes the server's
+records only through :func:`unpack_record`, which resolves only the
 result-record classes (:func:`repro.eval.diskcache.loads_record`), so
 no server can make a client run code.  Any process that connects can
 submit points and stop the server, so listen on a unix socket or a
@@ -21,7 +21,7 @@ Client -> server operations (protocol 3)::
 
     {"op": "ping"}
     {"op": "stats"}
-    {"op": "shutdown"}              # drains the work queue first
+    {"op": "shutdown"}              # waits for the points in flight
     {"op": "submit", "points": [<wire point>, ...]}
 
 Server -> client, per submission, streamed as points complete::

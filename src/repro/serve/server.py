@@ -9,31 +9,33 @@ streams results back as they complete:
    (:func:`repro.eval.runner.cached_result`); nothing is simulated.
    This is the production path: the cache *is* the product, and a
    warm sweep is served entirely from here.
-2. **inflight** -- the point is already in the work queue for another
-   waiter (another client, or an earlier point of the same
-   submission); the request joins that entry's future.  One
-   simulation fans out to every waiter.
-3. **sim** -- a true miss, enqueued on the server's one
-   :class:`~repro.serve.queue.WorkQueue`.  Its ``--jobs`` slots,
-   tasks on the event loop, take pending points and run each with
+2. **inflight** -- another waiter (another client, or an earlier point
+   of the same submission) already started this point's simulation;
+   the request joins that task.  One simulation fans out to every
+   waiter.
+3. **sim** -- a true miss becomes one task, kept in
+   :attr:`SweepServer.inflight` under the point's memo key until it
+   resolves.  It runs the point with
    :func:`repro.eval.hardening.execute_one` on the server's
    :class:`~repro.eval.hardening.WorkerPool` (persistent forked
-   workers, the ``--timeout`` watchdog, retry, quarantine).  A
-   quarantined point becomes a structured failure frame for every
-   waiter, and never stalls other points or other clients.
+   workers, the ``--timeout`` watchdog, retry, quarantine), on one of
+   the ``--jobs`` threads of the server's executor, whose FIFO holds
+   the misses waiting for a thread.  A quarantined point becomes a
+   structured failure frame for every waiter, and never stalls other
+   points or other clients.
 
-The queue lives in memory; the disk cache is the one durable store.
-A restarted server serves every point it finished from there, and a
-client resubmits its unanswered points after a reconnect.  Results
-cross the wire as pickled records (see
-:mod:`repro.serve.protocol`), so a server-routed sweep is bit-identical
-to a direct ``runner.run`` -- the conformance tests assert it.
+The disk cache is the one durable store.  A restarted server serves
+every point it finished from there, and a client resubmits its
+unanswered points after a reconnect.  Results cross the wire as
+pickled records (see :mod:`repro.serve.protocol`), so a
+server-routed sweep is bit-identical to a direct ``runner.run`` --
+the conformance tests assert it.
 
-Concurrency model: the asyncio loop owns all bookkeeping (the queue,
-counters, frame writes); a slot's simulation runs on a thread pool
-whose threads merely block on the hardened engine's worker pipes, so
-the GIL is never contended by simulation work.  The server holds one
-worker pool for its lifetime: a ``shutdown`` op,
+Concurrency model: the asyncio loop owns all bookkeeping (the
+in-flight tasks, counters, frame writes); a miss's simulation runs on
+a thread pool whose threads merely block on the hardened engine's
+worker pipes, so the GIL is never contended by simulation work.  The
+server holds one worker pool for its lifetime: a ``shutdown`` op,
 :meth:`SweepServer.serve`'s exit and :meth:`ServerThread.stop` all
 return only after every worker has been joined; a point still in
 flight then stays unresolved.
@@ -48,48 +50,41 @@ from concurrent.futures import ThreadPoolExecutor
 
 from .. import __version__
 from ..eval import diskcache, runner
-from ..eval.hardening import HardeningPolicy, WorkerPool, execute_one
+from ..eval.hardening import HardeningPolicy, OneOutcome, WorkerPool, \
+    execute_one
 from . import protocol
-from .queue import WorkQueue
 
-#: seconds a graceful drain waits for the queue to empty
-DEFAULT_DRAIN_TIMEOUT = 30.0
+#: seconds a graceful drain waits for the points in flight to resolve
+DRAIN_TIMEOUT = 30.0
 
 
 class SweepServer:
     """One result-serving process; see the module docstring.
 
-    *jobs* is the number of simulation slots (None: the CPU count;
-    at least 1, since only a slot answers a miss),
-    *timeout*/*retries*/*backoff* the per-point hardening knobs,
+    *jobs* is the number of simulations that run at once (None: the
+    CPU count; at least 1, since only a simulation answers a miss),
+    *timeout*/*retries*/*backoff* the per-point hardening knobs, and
     *idle_exit* stops the server after that many seconds with no
-    client activity and an idle queue (0 = run forever),
-    *drain_timeout* bounds the graceful ``shutdown`` wait.
+    client activity and nothing in flight (0 = run forever).
     """
 
     def __init__(self, jobs=None, timeout=0.0, retries=3, backoff=0.25,
-                 idle_exit=0.0, drain_timeout=DEFAULT_DRAIN_TIMEOUT):
+                 idle_exit=0.0):
         self.jobs = (os.cpu_count() or 2) if jobs is None else int(jobs)
         if self.jobs < 1:
             raise ValueError("a sweep server needs at least one "
-                             "simulation slot (jobs=%d)" % self.jobs)
-        self.policy = HardeningPolicy(
-            timeout=float(timeout or 0.0), retries=max(1, int(retries)),
-            backoff=max(0.0, float(backoff)))
+                             "simulation job (jobs=%d)" % self.jobs)
+        self.policy = HardeningPolicy(timeout, retries, backoff)
         self.idle_exit = float(idle_exit or 0.0)
-        self.drain_timeout = max(0.1, float(drain_timeout))
         self.counters = {
             "connections": 0, "submissions": 0, "points": 0,
             "served_cache": 0, "served_inflight": 0, "simulated": 0,
             "failed": 0, "retried": 0}
-        #: every miss, deduplicated; the slots take from it
-        self.queue = WorkQueue()
-        #: the forked workers the slots simulate on, joined when
-        #: serve() ends
+        #: memo key -> the task simulating that point, until it resolves
+        self.inflight = {}
+        #: the forked workers misses simulate on, joined when serve()
+        #: ends
         self.workers = WorkerPool()
-        self._slots = []
-        #: set when a point becomes pending; idle slots wait on it
-        self._work = None
         self._threads = None
         self._stop_event = None
         self._active_connections = 0
@@ -118,7 +113,6 @@ class SweepServer:
         """
         loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._work = asyncio.Event()
         self._threads = ThreadPoolExecutor(
             max_workers=self.jobs, thread_name_prefix="repro-serve")
         self._last_activity = loop.time()
@@ -141,8 +135,6 @@ class SweepServer:
                         if diskcache.enabled() else "disabled"))
         if ready is not None:
             ready.set()
-        self._slots = [asyncio.ensure_future(self._slot())
-                       for _ in range(self.jobs)]
         tasks = []
         if self.idle_exit:
             tasks.append(asyncio.ensure_future(self._idle_watchdog()))
@@ -170,11 +162,11 @@ class SweepServer:
                     pass
 
     def _close_workers(self):
-        """Stop the slots, then join every worker.  Slots go first, so
-        the failure of a point whose worker is killed is not credited:
-        the point stays pending."""
-        for slot in self._slots:
-            slot.cancel()
+        """Cancel the simulation tasks, then join every worker.  The
+        tasks go first, so the failure of a point whose worker is
+        killed is not credited: the point stays unresolved."""
+        for task in self.inflight.values():
+            task.cancel()
         self.workers.close()
 
     async def _idle_watchdog(self):
@@ -183,10 +175,10 @@ class SweepServer:
             await asyncio.sleep(min(self.idle_exit, 5.0))
             idle = loop.time() - self._last_activity
             # an idle-exit server may not vanish beneath a point in
-            # flight or one still waiting for a slot
+            # flight or one still waiting for a thread
             if (idle >= self.idle_exit
                     and self._active_connections == 0
-                    and self.queue.idle):
+                    and not self.inflight):
                 self._stop_event.set()
                 return
 
@@ -233,7 +225,7 @@ class SweepServer:
                     await protocol.write_frame(writer, {
                         "error": "unknown op %r" % (op,)})
         except (ConnectionResetError, BrokenPipeError, OSError):
-            pass                # client went away; queued work lives on
+            pass                # client went away; its misses live on
         finally:
             self._writers.discard(writer)
             self._active_connections -= 1
@@ -245,54 +237,15 @@ class SweepServer:
                     BrokenPipeError, OSError):
                 pass        # server tearing down under us is fine
 
-    # -- the work queue's consumer -------------------------------------------
-
-    async def _slot(self):
-        """One local simulation slot: take a pending point, run it on
-        the worker pool under the hardened ladder, credit it."""
-        loop = asyncio.get_running_loop()
-        while True:
-            entry = self.queue.take()
-            if entry is None:
-                self._work.clear()
-                await self._work.wait()
-                continue
-            outcome = await loop.run_in_executor(
-                self._threads, execute_one, entry.point, self.policy,
-                self.workers)
-            if outcome.failure is None:
-                self._complete(entry.qkey, outcome.result, outcome.wall,
-                               outcome.simulated, outcome.retries)
-            else:
-                self.counters["retried"] += outcome.retries
-                self._fail(entry.qkey, outcome.failure)
-
-    def _complete(self, qkey, record, wall, simulated, retries):
-        """Credit one finished point.  One that did not simulate was
-        served by a cache a sibling process filled meanwhile."""
-        entry = self.queue.complete(qkey)
-        self.counters["retried"] += retries
-        self.counters["simulated" if simulated else "served_cache"] += 1
-        if entry.future is not None and not entry.future.done():
-            entry.future.set_result((record, None, wall, simulated))
-
-    def _fail(self, qkey, failure):
-        """Quarantine one point the hardened ladder gave up on, with
-        the :class:`~repro.eval.hardening.PointFailure` it built."""
-        entry = self.queue.fail(qkey, failure)
-        self.counters["failed"] += 1
-        if entry.future is not None and not entry.future.done():
-            entry.future.set_result((None, entry.failure, 0.0, False))
-
     async def _drain(self):
-        """Graceful wind-down: wait (bounded) for the queue to empty
-        while the slots finish the remainder.  True when everything
-        completed."""
+        """Graceful wind-down: wait, up to :data:`DRAIN_TIMEOUT`, for
+        every point in flight to resolve.  True when everything
+        did."""
         loop = asyncio.get_running_loop()
-        deadline = loop.time() + self.drain_timeout
-        while self.queue.entries and loop.time() < deadline:
+        deadline = loop.time() + DRAIN_TIMEOUT
+        while self.inflight and loop.time() < deadline:
             await asyncio.sleep(0.05)
-        return not self.queue.entries
+        return not self.inflight
 
     async def _handle_submit(self, msg, writer, write_lock):
         self.counters["submissions"] += 1
@@ -322,8 +275,7 @@ class SweepServer:
         """Resolve one wire point into its response frame."""
         try:
             pt = protocol.point_from_wire(data)
-            source, record, failure, wall, simulated = \
-                await self._resolve(pt)
+            source, out = await self._resolve(pt)
             label = pt.label()
         except protocol.ProtocolError as exc:
             self.counters["failed"] += 1
@@ -336,52 +288,68 @@ class SweepServer:
                     "kind": "error",
                     "error": "%s: %s" % (type(exc).__name__, exc),
                     "attempts": 0}
-        if failure is not None:
+        if out.failure is not None:
             return {"type": "failure", "i": i, "label": label,
-                    "kind": failure.kind, "error": failure.error,
-                    "attempts": failure.attempts}
+                    "kind": out.failure.kind, "error": out.failure.error,
+                    "attempts": out.failure.attempts}
         return {"type": "result", "i": i, "label": label,
-                "source": source, "simulated": bool(simulated),
-                "wall": round(wall, 6),
-                "record": protocol.pack_record(record)}
+                "source": source, "simulated": source == "sim",
+                "wall": round(out.wall, 6),
+                "record": protocol.pack_record(out.result)}
 
     # -- point resolution --------------------------------------------------
 
     async def _resolve(self, pt):
-        """``(source, record, failure, wall, simulated)`` for one
-        point: cache probe, else enqueue it (joining the entry already
-        queued or in flight) and await its completion.  shield() keeps
-        the entry's future alive if *we* are cancelled (our client
-        hung up) -- the other waiters still want it."""
+        """``(source, outcome)`` for one point, the outcome a
+        :class:`~repro.eval.hardening.OneOutcome`: cache probe, else
+        join the task already simulating the point or start one, and
+        await it.  shield() keeps the task alive if *we* are cancelled
+        (our client hung up) -- the other waiters still want it."""
         cached = runner.cached_result(pt.kernel, pt.config,
                                       **pt.run_kwargs())
         if cached is not None:
             self.counters["served_cache"] += 1
-            return ("cache", cached, None, 0.0, False)
-        entry, created = self.queue.enqueue(pt)
-        if created:
-            self._work.set()
-        first_waiter = entry.future is None
-        if first_waiter:
-            entry.future = asyncio.get_running_loop().create_future()
-        record, failure, wall, simulated = \
-            await asyncio.shield(entry.future)
-        if not first_waiter:
+            return "cache", OneOutcome(cached, None, 0.0, False)
+        key = pt.memo_key()
+        task = self.inflight.get(key)
+        if task is not None:
+            out = await asyncio.shield(task)
             self.counters["served_inflight"] += 1
-            return ("inflight", record, failure, wall, False)
-        return ("sim" if simulated else "cache", record, failure,
-                wall, simulated)
+            return "inflight", out
+        if self.workers.closed:
+            # a stopping server leaves a new miss unresolved, as it
+            # leaves the ones it cancelled
+            raise asyncio.CancelledError
+        task = self.inflight[key] = asyncio.ensure_future(
+            self._simulate(key, pt))
+        out = await asyncio.shield(task)
+        return ("sim" if out.simulated else "cache"), out
+
+    async def _simulate(self, key, pt):
+        """Run one miss on a worker of the pool, credit it and resolve
+        its entry; its :class:`~repro.eval.hardening.OneOutcome`.  One
+        that did not simulate was served by a cache a sibling process
+        filled meanwhile."""
+        out = await asyncio.get_running_loop().run_in_executor(
+            self._threads, execute_one, pt, self.policy, self.workers)
+        del self.inflight[key]
+        self.counters["retried"] += out.retries
+        if out.failure is not None:
+            self.counters["failed"] += 1
+        else:
+            self.counters["simulated" if out.simulated
+                          else "served_cache"] += 1
+        return out
 
     # -- introspection -----------------------------------------------------
 
     def stats_payload(self):
         return {"ok": True, "version": __version__,
                 "protocol": protocol.PROTOCOL_VERSION,
-                "jobs": self.jobs, "inflight": len(self.queue.entries),
+                "jobs": self.jobs, "inflight": len(self.inflight),
                 "counters": dict(self.counters,
                                  spawned=self.workers.spawned,
-                                 workers=self.workers.live),
-                "queue": self.queue.stats_payload()}
+                                 workers=self.workers.live)}
 
 
 class ServerThread:

@@ -332,7 +332,7 @@ class TestPersistentWorkers:
 
 class TestSharedPool:
     """:func:`hardening.execute_one` on a caller's long-lived pool, as
-    the sweep server's slots run it."""
+    the sweep server runs each miss."""
 
     POLICY = hardening.HardeningPolicy(retries=3, backoff=0.01)
 

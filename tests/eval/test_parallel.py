@@ -12,8 +12,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.eval import diskcache, runner
-from repro.eval.parallel import (SweepExecutor, SweepPoint,
-                                 baseline_point, sweep, table2_points)
+from repro.eval.parallel import (SweepPoint, baseline_point, sweep,
+                                 table2_points)
 
 KERNELS = ["sgemm-uc", "dither-or"]
 SCALE = "tiny"
@@ -130,7 +130,7 @@ class TestDeterminism:
 class TestExecutorSurface:
     def test_points_deduplicate(self):
         pts = [SweepPoint("sgemm-uc", "io", scale=SCALE)] * 3
-        summary = SweepExecutor(jobs=1).run_points(pts)
+        summary = sweep(pts, jobs=1)
         assert summary.points == 1
 
     def test_summary_render(self, tmp_path):

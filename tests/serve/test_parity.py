@@ -1,8 +1,8 @@
 """One point set, two paths, the same answer.
 
 The tiny Table II points of four kernels run two ways, each into a
-fresh cache: a direct parallel sweep, and a sweep server whose own
-slots simulate under chaos (one point's first attempt crashes its
+fresh cache: a direct parallel sweep, and a sweep server whose misses
+simulate under chaos (one point's first attempt crashes its
 worker).  Both paths must return records equal to the direct path's,
 simulate each unique point exactly once, and leave exactly one
 disk-cache record per unique point.

@@ -235,20 +235,16 @@ class TestServing:
         assert summary.failures == [failure]
         assert counters["failed"] == 2 and counters["simulated"] == 0
 
-    def test_slots_drain_the_queue_but_are_not_workers(self, tmp_path):
-        """Every miss goes through the work queue, and the server's own
-        slots are its only consumers: they leave nothing queued or in
-        flight, so a shutdown drains at once."""
+    def test_misses_resolve_and_leave_nothing_in_flight(self, tmp_path):
+        """Every miss simulates once and its task, done, leaves the
+        in-flight table, so a shutdown drains at once."""
         st = ServerThread(jobs=2, socket_dir=str(tmp_path)).start()
         try:
             with ServeClient(st.address) as client:
                 assert client.submit(POINTS).ok
                 stats = client.stats()
-            queue = stats["queue"]
-            assert queue["counters"]["enqueued"] == len(POINTS)
-            assert queue["counters"]["completed"] == len(POINTS)
             assert stats["counters"]["simulated"] == len(POINTS)
-            assert queue["queued"] == 0 and stats["inflight"] == 0
+            assert stats["inflight"] == 0 and "queue" not in stats
             t0 = time.monotonic()
             with ServeClient(st.address) as client:
                 assert client.shutdown()["drained"]
@@ -299,6 +295,30 @@ class TestConcurrentDedup:
             assert summary.ok
             assert summary.points == 5
             assert summary.misses == 1   # one simulation, five answers
+
+    def test_a_point_spelled_two_ways_simulates_once(self, server):
+        """One submission carries a point twice, its wire fields in
+        another order the second time: the server keys a miss by the
+        point's memo key, so the second copy joins the first's
+        simulation."""
+        wire = protocol.point_to_wire(POINTS[1])
+        shuffled = dict(reversed(list(wire.items())))
+        assert list(shuffled) != list(wire)
+        sock = connect(server.address)
+        try:
+            protocol.send_frame(sock, {"op": "submit",
+                                       "points": [wire, shuffled]})
+            frames = [protocol.recv_frame(sock) for _ in range(3)]
+        finally:
+            sock.close()
+        assert [f["type"] for f in frames] == ["result", "result", "done"]
+        assert sorted(f["source"] for f in frames[:2]) == \
+            ["inflight", "sim"]
+        assert frames[0]["record"] == frames[1]["record"]
+        with ServeClient(server.address) as client:
+            counters = client.stats()["counters"]
+        assert counters["simulated"] == 1
+        assert counters["served_inflight"] == 1
 
 
 class TestProtocolEdges:
@@ -431,11 +451,11 @@ def _abandon(st, held, quick):
     server = st.server
     deadline = time.monotonic() + 30
     while (server._active_connections
-           or set(server.queue.entries) != {held.memo_key()}) \
+           or set(server.inflight) != {held.memo_key()}) \
             and time.monotonic() < deadline:
         time.sleep(0.01)
     assert server._active_connections == 0
-    assert set(server.queue.entries) == {held.memo_key()}
+    assert set(server.inflight) == {held.memo_key()}
 
 
 def test_no_peer_can_plant_a_record(tmp_path, monkeypatch):
@@ -445,7 +465,7 @@ def test_no_peer_can_plant_a_record(tmp_path, monkeypatch):
     serves a submit afterwards."""
     held, other, quick = POINTS
     wire = protocol.point_to_wire(held)
-    # the abandoned point hangs in its slot: unresolved throughout
+    # the abandoned point hangs in its worker: unresolved throughout
     monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
         {held.label(): {"hang": [0]}}))
     decoded = []
@@ -478,7 +498,7 @@ def test_no_peer_can_plant_a_record(tmp_path, monkeypatch):
         assert result["type"] == "result"
         assert result["label"] == other.label()
         assert done["type"] == "done" and done["simulated"] == 1
-        assert held.memo_key() in st.server.queue.entries
+        assert held.memo_key() in st.server.inflight
     assert decoded == [] and _TRIPPED == []
 
 
@@ -558,6 +578,28 @@ class TestChaosThroughServer:
                       if not label.startswith("dynprog-om/")) == \
             [0] * len(POINTS)
 
+    def test_a_quarantined_point_is_simulated_afresh(self, server,
+                                                     monkeypatch,
+                                                     tmp_path):
+        """The server keeps no verdict on a quarantined point: submitted
+        again, it simulates afresh from its first attempt."""
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        pt = POINTS[0]
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {pt.label(): {"crash": [0, 1]}}))
+        with ServeClient(server.address) as client:
+            first = client.submit([pt])
+            assert [f.attempts for f in first.failures] == [2]
+            # both crashes retired their workers, so the next one
+            # forks without the chaos plan
+            monkeypatch.delenv(hardening.CHAOS_ENV)
+            second = client.submit([pt])
+            counters = client.stats()["counters"]
+        assert second.ok and second.misses == 1
+        assert [attempt for _label, attempt, _pid in attempts()] == \
+            [0, 1, 0]
+        assert counters["failed"] == 1 and counters["simulated"] == 1
+
 
 class TestWorkerPool:
     """Misses run on one long-lived pool per server: at most ``jobs``
@@ -588,9 +630,9 @@ class TestWorkerPool:
 
     def test_eight_clients_share_two_workers(self, server):
         """Stress: eight clients race shuffled copies of one point set
-        through two simulation slots under a short switch interval.
-        Every unique point simulates exactly once, and the two slots
-        never hold more than two workers."""
+        through two simulation threads under a short switch interval.
+        Every unique point simulates exactly once, and the server never
+        holds more than two workers."""
         unique = [SweepPoint(k, cfg, mode=mode, scale=SCALE)
                   for k in ("sgemm-uc", "dither-or", "vvadd-uc")
                   for cfg, mode in (("io", "traditional"),
@@ -665,6 +707,34 @@ class TestWorkerPool:
                     b.join(timeout=30)
             assert not b.is_alive()
             assert out["b"].failures[0].kind == "hang"
+
+    def test_a_failed_fork_fails_the_point(self, tmp_path, monkeypatch):
+        """A miss that can fork no worker fails with the spawn error.
+        It never falls back to simulating in the server's own process,
+        where its threads could arm no ``--timeout`` watchdog."""
+        def no_fork(pool):
+            raise OSError("process table full")
+
+        monkeypatch.setattr(hardening.WorkerPool, "_fork", no_fork)
+        before = runner.simulations
+        with ServerThread(jobs=2, timeout=1.0,
+                          socket_dir=str(tmp_path)) as st:
+            sock = connect(st.address)
+            try:
+                protocol.send_frame(sock, {"op": "submit", "points": [
+                    protocol.point_to_wire(POINTS[0])]})
+                frame, done = protocol.recv_frame(sock), \
+                    protocol.recv_frame(sock)
+            finally:
+                sock.close()
+            with ServeClient(st.address) as client:
+                counters = client.stats()["counters"]
+        assert frame["type"] == "failure", frame
+        assert (frame["kind"], frame["attempts"]) == ("error", 0)
+        assert frame["error"] == "worker spawn failed: process table full"
+        assert done["failed"] == 1
+        assert runner.simulations == before
+        assert counters["spawned"] == 0 and counters["simulated"] == 0
 
     def test_stop_joins_every_worker(self, tmp_path, monkeypatch):
         """Stopping the server joins its workers, idle and busy: a
@@ -774,8 +844,8 @@ class TestJournalResume:
                 assert resumed.points == len(POINTS)
                 # the completed part is cache-served, never re-run
                 assert resumed.misses == len(POINTS) - 2
-                qc = client.stats()["queue"]["counters"]
-                assert qc["enqueued"] == len(POINTS) - 2
+                counters = client.stats()["counters"]
+                assert counters["simulated"] == len(POINTS) - 2
 
 
 class TestClientReconnect:
@@ -807,7 +877,7 @@ class TestClientReconnect:
 
     def test_resubmit_mid_submit_when_server_dies(self, tmp_path,
                                                   monkeypatch):
-        """The server dies while a submit waits on points its slots
+        """The server dies while a submit waits on points its workers
         are running; a successor appears on the same path; the client
         reconnects mid-submit and resubmits the unacknowledged
         remainder."""
@@ -835,7 +905,7 @@ class TestClientReconnect:
             while len(attempts()) < len(held) \
                     and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert len(attempts()) == len(held)   # both slots hang
+            assert len(attempts()) == len(held)   # both workers hang
         finally:
             st1.stop()               # server dies mid-submit
         # the successor's workers fork without the chaos plan
@@ -871,10 +941,10 @@ class TestIdleExit:
             _abandon(st, held, quick)
             time.sleep(1.0)
             assert st._thread.is_alive()
-            assert st.server.queue.entries
+            assert st.server.inflight
             st._thread.join(timeout=30)
             assert not st._thread.is_alive()
-            assert not st.server.queue.entries
+            assert not st.server.inflight
             assert st.server.counters["retried"] == 1
         finally:
             st.stop()
@@ -883,7 +953,7 @@ class TestIdleExit:
 class TestGracefulDrain:
     def test_shutdown_waits_for_queued_points(self, tmp_path,
                                               monkeypatch):
-        """``shutdown`` replies only once the queue is empty: a point
+        """``shutdown`` replies only once nothing is in flight: a point
         whose first attempt hangs past the watchdog is retried and
         answered before the server stops, and the reply says
         ``drained``."""
@@ -892,8 +962,7 @@ class TestGracefulDrain:
         monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
             {held.label(): {"hang": [0]}}))
         with ServerThread(jobs=2, timeout=1.5, backoff=0.01,
-                          socket_dir=str(tmp_path / "sock"),
-                          drain_timeout=30.0) as st:
+                          socket_dir=str(tmp_path / "sock")) as st:
             out = {}
 
             def submit():
@@ -907,11 +976,11 @@ class TestGracefulDrain:
                                        in attempts()} \
                     and time.monotonic() < deadline:
                 time.sleep(0.01)
-            assert st.server.queue.entries      # held is in flight
+            assert st.server.inflight           # held is in flight
             with ServeClient(st.address) as stopper:
                 reply = stopper.shutdown()
             assert reply["drained"]
-            assert not st.server.queue.entries
+            assert not st.server.inflight
             t.join(timeout=60)
             assert not t.is_alive()
             # the drain waited: every point completed

@@ -296,23 +296,24 @@ int total(int* a, int n) {
 
 def test_serve_flags_and_the_retired_worker_tier(capsys):
     args = build_parser().parse_args(
-        ["serve", "--socket", "/tmp/s.sock", "--jobs", "2",
-         "--drain-timeout", "10"])
-    assert args.jobs == 2 and args.drain_timeout == 10.0
+        ["serve", "--socket", "/tmp/s.sock", "--jobs", "2"])
+    assert args.jobs == 2
     status = build_parser().parse_args(
         ["serve", "--status", "/tmp/s.sock", "--json"])
     assert status.status == "/tmp/s.sock" and status.json
-    # retired flags: the worker tier's, and the queue journal's and
-    # sweep checkpoint's (the disk cache is the one durable store)
+    # retired flags: the worker tier's, the queue journal's and sweep
+    # checkpoint's (the disk cache is the one durable store), and the
+    # drain window's (a constant)
     for argv in (["worker", "--connect", "/tmp/s.sock"],
                  ["serve", "--lease-ttl", "5"],
                  ["serve", "--requeue-budget", "3"],
                  ["serve", "--journal", "/tmp/q.journal"],
+                 ["serve", "--drain-timeout", "10"],
                  ["sweep", "table2", "--checkpoint", "/tmp/s.ckpt"]):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2, argv
-    # a server without a simulation slot would never answer a miss
+    # a server that may run no simulation would never answer a miss
     assert main(["serve", "--jobs", "0", "--socket", "/tmp/s.sock"]) == 2
     assert "at least one" in capsys.readouterr().err
 
