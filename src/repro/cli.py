@@ -550,6 +550,8 @@ def cmd_sweep(args):
         points = [pt for make in sets.values() for pt in make()]
     else:
         points = sets[args.what]()
+    # as sweep() does, so both paths count the same points
+    points = list(dict.fromkeys(points))
     if args.server:
         from .serve import ServeClient
         with ServeClient(args.server) as client:

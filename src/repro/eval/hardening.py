@@ -4,17 +4,16 @@ Every point that needs a process of its own runs on a
 :class:`WorkerPool` of persistent forked workers, each fed one point
 at a time over a pipe.  A parallel sweep holds a pool until its queue
 drains; the sweep server holds one for its lifetime and runs every
-miss through :func:`execute_one` on it.  A worker keeps what it has
-built warm from one point to the next -- the compiled kernel
-(``runner._compiled``), the generated GPP block and LPSU code of
-:mod:`repro.sim.fusion` and the cache's code fingerprint -- so
-repeated points of a kernel pay for them once per worker, not
-once per point.  It keeps *one* kernel warm: before a point of another
-kernel it drops the previous kernel's binaries, result memo and GPP
-block tables, which bounds a long-lived worker's memory.  The LPSU
-engines, keyed by loop-body content and bounded by the kernel
-registry, stay for the worker's life, so a worker that returns to a
-kernel builds none of them again.  Isolation stays per point:
+miss through :func:`execute_one` on it.  A worker keeps what it
+builds for its life -- the compiled binaries (``runner._compiled``),
+each program's decoded and fused tables, the generated GPP block and
+LPSU code of :mod:`repro.sim.fusion` and the cache's code
+fingerprint -- so it compiles each binary and generates each table
+and engine once, however often it returns to a kernel.  The kernel
+registry bounds all of it.  Results it does not keep: it drops each
+point's memo entry once it has replied, since its parent holds the
+record, so what a long-lived worker holds grows with the registry,
+not with its traffic.  Isolation stays per point:
 
 * a worker holds only one point in flight, so a *crashed* worker (hard
   exit, OOM kill, corrupted interpreter) is attributable to exactly
@@ -75,10 +74,9 @@ import stat
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from ..resilience.watchdog import DeadlineExceeded, deadline
-from ..sim import fusion
 from ..uarch.system import host_shared
 from . import runner
 
@@ -203,30 +201,14 @@ def _release_inherited_sockets(keep):
         os.close(devnull)
 
 
-def _keep_warm(kernel, warm):
-    """The one-warm-kernel rule: before a point of another *kernel*
-    than the *warm* one, drop what that kernel left behind -- its
-    compiled binaries, the result memo and the generated GPP block
-    tables -- so a long-lived worker holds one kernel's binaries and
-    GPP code, not those of every kernel it has met.  The generated
-    LPSU engines stay (:func:`repro.sim.fusion.clear`): they are keyed
-    by loop-body content and bounded by the kernel registry, so a
-    worker builds each body's engine once.  Returns the kernel now
-    warm."""
-    if warm is not None and kernel != warm:
-        runner.clear_cache(keep_disk=True)
-        fusion.clear()
-    return kernel
-
-
 def _worker_main(conn):
     """Persistent worker entry: run the ``(point, attempt, backend)``
     tasks arriving on *conn* one at a time, replying with each
-    outcome, until a ``None`` task or EOF.  The first failure is
-    reported and then ends the process, so no later point runs where
-    one failed."""
+    outcome, until a ``None`` task or EOF.  The compiled binaries and
+    generated code stay for the next point; the point's memo entry
+    goes once the reply is sent.  The first failure is reported and
+    then ends the process, so no later point runs where one failed."""
     _release_inherited_sockets(conn.fileno())
-    warm = None
     while True:
         try:
             task = conn.recv()
@@ -236,7 +218,6 @@ def _worker_main(conn):
             break
         point, attempt, backend = task
         try:
-            warm = _keep_warm(point.kernel, warm)
             _apply_chaos(point.label(), attempt)
             t0 = time.perf_counter()
             before = runner.simulations
@@ -245,6 +226,7 @@ def _worker_main(conn):
             wall = time.perf_counter() - t0
             conn.send(("ok", result, wall, runner.simulations > before,
                        runner.drain_incidents()))
+            runner._RESULTS.pop(point.memo_key(), None)
         except BaseException as exc:  # noqa: BLE001 - full report, then die
             try:
                 conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
@@ -416,13 +398,15 @@ class OneOutcome:
     wall: float              # last attempt's wall time (seconds)
     simulated: bool          # False -> a cache served it after all
     retries: int = 0         # failed attempts that were retried
+    incidents: list = field(default_factory=list)   # runner.Incident
 
 
 def execute_one(point, policy, pool):
     """Run one point under the full hardened ladder on a worker of
     *pool* -- the wall-clock watchdog, retry with backoff in a worker
     that saw no failure, the ``interp`` final retry, and quarantine on
-    exhaustion -- and return a :class:`OneOutcome`.
+    exhaustion -- and return a :class:`OneOutcome`, with the
+    incidents its attempts recorded.
 
     The sweep server runs each cache miss through it: the miss gets
     exactly the isolation a parallel sweep gives it, one point at a
@@ -434,30 +418,32 @@ def execute_one(point, policy, pool):
     a quarantine record like any other failure."""
     from .parallel import SweepSummary
     summary = SweepSummary(jobs=1)
+
+    def failed(failure):
+        return OneOutcome(None, failure, 0.0, False,
+                          len(summary.retries), summary.incidents)
+
     try:
         unplaced = _run_parallel([point], 1, policy, summary, pool)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 - report, don't kill the server
-        return OneOutcome(None, PointFailure(
+        return failed(PointFailure(
             point.label(), 0, "error",
-            "engine: %s: %s" % (type(exc).__name__, exc)),
-            0.0, False, len(summary.retries))
+            "engine: %s: %s" % (type(exc).__name__, exc)))
     if unplaced:   # its spawn error is the last incident
         summary.failures.append(PointFailure(
             point.label(), len(summary.retries), "error",
             summary.incidents[-1].detail))
     if summary.failures:
-        return OneOutcome(None, summary.failures[0], 0.0, False,
-                          len(summary.retries))
+        return failed(summary.failures[0])
     if not summary.outcomes:   # pragma: no cover - engine invariant
-        return OneOutcome(None, PointFailure(
-            point.label(), 0, "error", "engine produced no outcome"),
-            0.0, False, len(summary.retries))
+        return failed(PointFailure(
+            point.label(), 0, "error", "engine produced no outcome"))
     out = summary.outcomes[0]
     result = runner._RESULTS.get(point.memo_key())
     return OneOutcome(result, None, out.wall_time, out.simulated,
-                      len(summary.retries))
+                      len(summary.retries), summary.incidents)
 
 
 def execute_points(points, jobs, policy, summary):

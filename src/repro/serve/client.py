@@ -198,6 +198,12 @@ class ServeClient:
             summary.outcomes.append(PointOutcome(
                 point=pt, wall_time=float(frame.get("wall", 0.0)),
                 simulated=bool(frame.get("simulated", False))))
+            summary.incidents.extend(
+                runner.Incident(str(inc.get("kind", "")),
+                                str(inc.get("context", "")),
+                                str(inc.get("detail", "")))
+                for inc in frame.get("incidents", ())
+                if isinstance(inc, dict))
 
     def close(self):
         self._drop_socket()

@@ -28,11 +28,18 @@ Server -> client, per submission, streamed as points complete::
 
     {"type": "result", "i": N, "label": ..., "source":
      "cache"|"inflight"|"sim", "simulated": bool, "wall": secs,
-     "record": <base64 pickle>}
+     "record": <base64 pickle>, "incidents": [{"kind": ...,
+     "context": ..., "detail": ...}, ...]}
     {"type": "failure", "i": N, "label": ..., "kind": ...,
      "error": ..., "attempts": N}
     {"type": "done", "points": N, "simulated": N, "failed": N,
      "jobs": N}
+
+A result frame's ``incidents`` are the degradations the point's
+simulation absorbed (:class:`~repro.eval.runner.Incident`), such as a
+fallback to the ``interp`` rung; a point served from the cache has
+none.  The field is additive: a client that ignores it reads the
+frame as before.
 
 A *wire point* is the JSON image of a
 :class:`~repro.eval.parallel.SweepPoint` -- named configurations only

@@ -295,7 +295,10 @@ class SweepServer:
         return {"type": "result", "i": i, "label": label,
                 "source": source, "simulated": source == "sim",
                 "wall": round(out.wall, 6),
-                "record": protocol.pack_record(out.result)}
+                "record": protocol.pack_record(out.result),
+                "incidents": [{"kind": inc.kind, "context": inc.context,
+                               "detail": inc.detail}
+                              for inc in out.incidents]}
 
     # -- point resolution --------------------------------------------------
 

@@ -507,15 +507,14 @@ def fused_blocks(program, flavor="func", break_pcs=()):
 _LPSU_RUN_CAP = 4096
 
 #: compiled `make` factories keyed by loop-body *content*, so
-#: recompiling the same kernel (cold sweeps, repeated cold runs, a
-#: pool worker returning to a kernel it met before) and every LPSU
-#: design point reuse the generated engine instead of re-emitting +
-#: re-compiling it.  Safe because generated code depends only on the
-#: key below and binds all live state and every configuration value
-#: per-LPSU inside make().  It lives for the process: :func:`clear`
-#: leaves it alone, and the kernel registry bounds it (Table II's 25
-#: kernels have 27 distinct bodies, 1.6 MB of heap; all 41 kernels
-#: with xi on and off have 88, 5.2 MB).
+#: recompiling the same kernel (cold sweeps, repeated cold runs) and
+#: every LPSU design point reuse the generated engine instead of
+#: re-emitting + re-compiling it.  Safe because generated code
+#: depends only on the key below and binds all live state and every
+#: configuration value per-LPSU inside make().  It lives for the
+#: process, as the GPP block tables do, and the kernel registry
+#: bounds it (Table II's 25 kernels have 27 distinct bodies, 1.6 MB
+#: of heap; all 41 kernels with xi on and off have 88, 5.2 MB).
 _LPSU_MAKE_CACHE = {}
 
 
@@ -1307,10 +1306,3 @@ def lpsu_engine(program, descriptor):
     cache[key] = make
     return make
 
-
-def clear():
-    """Drop the content-keyed GPP block tables (a long-lived pool
-    worker switching kernels).  The LPSU engine factories stay: they
-    are few and bounded by the registry's loop bodies, and a worker
-    that meets a kernel again reuses them instead of recompiling."""
-    _BLOCK_TABLE_CACHE.clear()

@@ -422,11 +422,11 @@ class TestSharedPool:
 
 
 class TestOneWarmKernel:
-    """A worker keeps one kernel warm: its reset step drops the
-    previous kernel's compiled binaries, result memo and GPP block
-    tables before a point of another kernel.  The generated LPSU
-    engines, keyed by loop-body content, stay for the worker's life,
-    so a worker that returns to a kernel builds none of them again."""
+    """A kernel a pool worker has run stays warm for the worker's life:
+    its compiled binaries, GPP block tables and LPSU engines stay, so
+    a later point of that kernel -- straight after or after other
+    kernels -- builds none of them again.  Only the point's memo entry
+    goes, once the worker has replied."""
 
     A = SweepPoint("sgemm-uc", "io+x", mode="specialized", scale=SCALE)
     B = SweepPoint("dither-or", "io+x", mode="specialized", scale=SCALE)
@@ -435,73 +435,91 @@ class TestOneWarmKernel:
         runner.run(pt.kernel, pt.config, use_disk_cache=False,
                    **pt.run_kwargs())
 
-    def test_a_new_kernel_drops_the_last_ones_state(self, monkeypatch):
-        monkeypatch.setattr(fusion, "_LPSU_MAKE_CACHE", {})
-        # arriving from another kernel: start from no GPP code warm
-        warm = hardening._keep_warm(self.A.kernel, "another-kernel")
-        assert not fusion._BLOCK_TABLE_CACHE
-        self._simulate(self.A)
-        program = runner._compiled(self.A.kernel, self.A.binary,
-                                   self.A.xi_enabled).program
-        content = fusion._program_content(program)
-        a_blocks = {k for k in fusion._BLOCK_TABLE_CACHE
-                    if k[2] == content}
-        a_engines = dict(fusion._LPSU_MAKE_CACHE)
-        assert a_blocks and a_engines
-
-        warm = hardening._keep_warm(self.B.kernel, warm)
-        assert warm == self.B.kernel
-        assert runner._compiled.cache_info().currsize == 0
-        assert not runner._RESULTS
-        assert not fusion._BLOCK_TABLE_CACHE
-        self._simulate(self.B)
-        assert runner._compiled.cache_info().currsize == 1   # B's own
-        assert not a_blocks & set(fusion._BLOCK_TABLE_CACHE)
-        # A's engines are still there, the very same factories
-        assert all(fusion._LPSU_MAKE_CACHE[k] is make
-                   for k, make in a_engines.items())
-        assert len(fusion._LPSU_MAKE_CACHE) > len(a_engines)  # + B's
-
-    def test_the_same_kernel_stays_warm(self):
-        warm = hardening._keep_warm(self.A.kernel, None)
+    def test_the_same_kernel_stays_warm(self, monkeypatch):
+        """A second point of a kernel, once the first one's memo entry
+        is dropped as a worker drops it, simulates again on the same
+        compiled binary and the same GPP block tables."""
+        monkeypatch.setattr(fusion, "_BLOCK_TABLE_CACHE", {})
         self._simulate(self.A)
         tables = dict(fusion._BLOCK_TABLE_CACHE)
-        assert hardening._keep_warm(self.A.kernel, warm) == self.A.kernel
+        assert tables
+        runner._RESULTS.pop(self.A.memo_key())
+        before = runner.simulations
+        self._simulate(self.A)
+        assert runner.simulations == before + 1
         assert runner._compiled.cache_info().currsize == 1
-        assert fusion._BLOCK_TABLE_CACHE == tables
+        assert fusion._BLOCK_TABLE_CACHE.keys() == tables.keys()
+        assert all(fusion._BLOCK_TABLE_CACHE[k] is table
+                   for k, table in tables.items())
 
     def test_a_return_to_a_kernel_builds_no_engine(self, monkeypatch,
                                                    tmp_path):
-        """One pool worker runs A, then B, then A again: it builds A's
-        engines the first time only, and the record of its second A
-        equals a fresh process's bit for bit."""
-        log = tmp_path / "builds.log"
+        """One pool worker runs A, B, A, B: it compiles each binary,
+        and builds each GPP table and each LPSU engine, the first time
+        only; every point starts with an empty memo; and the record of
+        its second A equals a fresh process's bit for bit."""
+        log = tmp_path / "worker.log"
         log.write_text("")
-        real_build = fusion._LPSUGen.build
 
-        def logged_build(gen):
+        def note(kind, what):
+            digest = hashlib.sha1(repr(what).encode()).hexdigest()
             with open(log, "a") as fh:
-                fh.write("build\n")
-            return real_build(gen)
+                fh.write("%s %s\n" % (kind, digest))
 
-        # the forked worker inherits the wrapper and an empty cache;
-        # with the disk cache off, every point simulates
-        monkeypatch.setattr(fusion._LPSUGen, "build", logged_build)
+        real_compile = runner.compile_source
+        real_table = fusion._build
+        real_engine = fusion._LPSUGen.build
+        real_run = runner.run
+
+        def compile_source(source, **kwargs):
+            note("compile", (source, sorted(kwargs.items())))
+            return real_compile(source, **kwargs)
+
+        def build_table(program, flavor, break_pcs):
+            note("table", (flavor, sorted(break_pcs),
+                           fusion._program_content(program)))
+            return real_table(program, flavor, break_pcs)
+
+        def build_engine(gen):
+            note("engine", (gen.base, sorted(gen.cirs), [
+                (ins.op.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm,
+                 ins.pc) for ins in gen.body]))
+            return real_engine(gen)
+
+        def run(kernel, config, **kwargs):
+            with open(log, "a") as fh:
+                fh.write("memo %d\n" % len(runner._RESULTS))
+            return real_run(kernel, config, **kwargs)
+
+        # the forked worker inherits the wrappers, no compiled binary
+        # and empty code caches; with the disk cache off, every point
+        # simulates
+        monkeypatch.setattr(runner, "compile_source", compile_source)
+        monkeypatch.setattr(fusion, "_build", build_table)
+        monkeypatch.setattr(fusion._LPSUGen, "build", build_engine)
+        monkeypatch.setattr(runner, "run", run)
+        monkeypatch.setattr(fusion, "_BLOCK_TABLE_CACHE", {})
         monkeypatch.setattr(fusion, "_LPSU_MAKE_CACHE", {})
         diskcache.configure(enabled=False)
-        builds, records = [], []
+        records = []
         with hardening.WorkerPool() as pool:
             worker = pool.acquire()
-            for pt in (self.A, self.B, self.A):
+            for pt in (self.A, self.B, self.A, self.B):
+                if len(records) == 2:
+                    first_visits = len(log.read_text().splitlines())
                 worker.conn.send((pt, 0, None))
                 reply = worker.conn.recv()
                 assert reply[0] == "ok" and reply[3], reply  # simulated
                 records.append(reply[1])
-                builds.append(len(log.read_text().splitlines()))
             pool.release(worker)
-        a_built, b_built = builds[0], builds[1] - builds[0]
-        assert a_built and b_built
-        assert builds[2] == builds[1]         # back to A: nothing built
+        lines = log.read_text().splitlines()
+        built = [line for line in lines if not line.startswith("memo ")]
+        kinds = collections.Counter(line.split()[0] for line in built)
+        assert kinds["compile"] and kinds["table"] and kinds["engine"]
+        assert len(set(built)) == len(built)         # each one once
+        assert lines[first_visits:] == ["memo 0"] * 2  # A, B again
+        assert [line for line in lines if line.startswith("memo ")] \
+            == ["memo 0"] * 4
 
         script = (
             "import dataclasses, pickle, sys\n"
@@ -539,9 +557,8 @@ class TestOneWarmKernel:
 
         monkeypatch.setattr(fusion, "_lpsu_content_key", key)
         monkeypatch.setattr(fusion._LPSUGen, "build", build)
-        warm = None
         for pt in (self.A, self.B, self.A):
-            warm = hardening._keep_warm(pt.kernel, warm)
+            runner.clear_cache(keep_disk=True)   # a cold run recompiles
             self._simulate(pt)
         cache = fusion._LPSU_MAKE_CACHE
         # A's recompiled program asked for its bodies again ...
@@ -551,6 +568,7 @@ class TestOneWarmKernel:
         assert len(built) == len(cache)
         bodies = [k[0] for k in cache]
         assert len(set(bodies)) == len(bodies)
+
 
 class TestSerialFallback:
     def test_jobs_one_runs_in_process(self):

@@ -321,6 +321,21 @@ class TestConcurrentDedup:
         assert counters["served_inflight"] == 1
 
 
+    def test_a_served_sweep_counts_its_points_as_a_direct_one(
+            self, server, capsys):
+        """The CLI deduplicates a sweep's points before either path:
+        the two-kernel Table II sweep holds 24 unique points of 28,
+        and through a server it completes and simulates 24, as a
+        direct sweep does."""
+        from repro.cli import main
+        assert main(["sweep", "table2", "--scale", SCALE, "--kernels",
+                     "vvadd-uc", "saxpy-uc", "--server", server.address,
+                     "--quiet", "--expect-points", "24",
+                     "--expect-sims-exact", "24"]) == 0, \
+            capsys.readouterr()
+        assert "24 points" in capsys.readouterr().out
+
+
 class TestProtocolEdges:
     """Hostile or broken bytes on the wire: the server must drop that
     one connection (or answer an error frame) and keep serving every
@@ -599,6 +614,38 @@ class TestChaosThroughServer:
         assert [attempt for _label, attempt, _pid in attempts()] == \
             [0, 1, 0]
         assert counters["failed"] == 1 and counters["simulated"] == 1
+
+
+def test_a_served_point_reports_its_workers_incidents(server,
+                                                      monkeypatch):
+    """A fast-path failure in a pool worker is absorbed by the interp
+    fallback and recorded as an incident: the result frame carries
+    it, and the client lists it as a direct sweep does."""
+    from repro.eval.parallel import sweep
+    from repro.uarch.system import SystemSimulator
+    real_run = SystemSimulator.run
+
+    def exploding(sim, *args, **kwargs):
+        if sim.backend != "interp":
+            raise RuntimeError("fast path exploded")
+        return real_run(sim, *args, **kwargs)
+
+    # forked workers inherit the patch
+    monkeypatch.setattr(SystemSimulator, "run", exploding)
+    points = POINTS[:2]
+    direct = sweep(points, jobs=2)
+    runner.clear_cache()
+    with ServeClient(server.address) as client:
+        served = client.submit(points)
+    for summary in (direct, served):
+        assert summary.ok and summary.misses == 2, summary.render()
+        assert sorted((inc.kind, inc.context) for inc in
+                      summary.incidents) == sorted(
+            ("fast-path-fallback", "%s/%s/%s/%s/%s" % (
+                pt.kernel, pt.config, pt.mode, pt.binary, pt.scale))
+            for pt in points)
+        assert all("fast path exploded" in inc.detail
+                   for inc in summary.incidents)
 
 
 class TestWorkerPool:
