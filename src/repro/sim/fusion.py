@@ -14,14 +14,15 @@ Two block flavours are generated, sharing the block layout:
     ``blk(core) -> next_pc``: architectural state only.  Used by
     :meth:`FunctionalCore.run`.
 ``gpp``
-    ``blk(core, timing) -> next_pc``: the same semantics, then one
-    ``timing.run_block(recs, addrs, ctrl_pc, taken, counts)`` call
-    that hands the GPP timing model (in-order or out-of-order) the
-    block's static ``(src1, src2, dst, kind)`` records, its memory
-    addresses in program order, the outcome of its terminating
-    control op, and its folded static event counts.  The records
-    carry no configuration (each model maps ``kind`` to its own
-    latencies), so one table serves every GPP.
+    ``blk(core, push) -> next_pc``: the same semantics, then one
+    ``push((recs, addrs, ctrl_pc, taken, counts))`` that appends the
+    block's timing work to the driver's pending list: its static
+    ``(src1, src2, dst, kind)`` records, its memory addresses in
+    program order, the outcome of its terminating control op, and its
+    folded static event counts.  The driver hands the list to the GPP
+    timing model's ``run_blocks`` (in-order or out-of-order) in
+    batches.  The records carry no configuration (each model maps
+    ``kind`` to its own latencies), so one table serves every GPP.
 
 The ``lpsu`` flavour (:class:`_LPSUGen`, :func:`lpsu_engine`) compiles
 xloop bodies into the fused-lane LPSU engine.
@@ -388,11 +389,12 @@ def _ctrl_of(ins):
 
 def _gen_block(name, instrs, idxs, lines, timing):
     """One block function: inlined semantics, then (``gpp`` flavour)
-    one ``t.run_block`` call.  All of the block's semantics run before
-    its timing call; that is safe because timing reads only the memory
-    addresses and the branch outcome, and it still sees every cache and
-    predictor access in program order."""
-    lines.append("def %s(c, t):" % name if timing else "def %s(c):" % name)
+    one ``push`` of the block's timing tuple onto the driver's pending
+    list.  All of the block's semantics run before it is timed; that
+    is safe because timing reads only the memory addresses and the
+    branch outcome, and it still sees every cache and predictor access
+    in program order."""
+    lines.append("def %s(c, p):" % name if timing else "def %s(c):" % name)
     lines.append(" R = c.regs")
     lines.append(" mem = c.mem")
     addrs = []
@@ -422,7 +424,7 @@ def _gen_block(name, instrs, idxs, lines, timing):
         taken = "True"
     if timing:
         recs = tuple(_timing_record(instrs[i]) for i in idxs)
-        lines.append(" t.run_block(%r, (%s), %d, %s, %r)"
+        lines.append(" p((%r, (%s), %d, %s, %r))"
                      % (recs, "".join(a + ", " for a in addrs), last.pc,
                         taken, _block_counts(instrs, idxs)))
     lines.append(" c.icount += %d" % len(idxs))
@@ -461,10 +463,10 @@ def _build(program, flavor, break_pcs):
 
 #: compiled block tables shared across program *objects* by content.
 #: Block functions bind nothing program-specific (PCs are literals,
-#: state arrives via the core/timing arguments), so two recompiles of
-#: the same kernel — e.g. repeated cold runs after ``clear_cache`` —
-#: reuse one compiled table, and a ``gpp`` table serves the in-order
-#: and every out-of-order GPP alike.
+#: state arrives via the core and pending-list arguments), so two
+#: recompiles of the same kernel — e.g. repeated cold runs after
+#: ``clear_cache`` — reuse one compiled table, and a ``gpp`` table
+#: serves the in-order and every out-of-order GPP alike.
 _BLOCK_TABLE_CACHE = {}
 
 

@@ -2,31 +2,32 @@
 
 An online model: the system simulator feeds it the dynamic instruction
 stream in execution order -- one :class:`~repro.sim.functional.StepInfo`
-at a time through :meth:`InOrderTiming.consume`, or one fused block at
-a time through :meth:`InOrderTiming.run_block` -- and it advances a
-cycle count using a register scoreboard, the shared L1 model, a
-bimodal predictor, and the common latency table.
+at a time through :meth:`InOrderTiming.consume`, or a batch of fused
+blocks at a time through :meth:`InOrderTiming.run_blocks` -- and it
+advances a cycle count using a register scoreboard, the shared L1
+model, a bimodal predictor, and the common latency table.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ..isa.instructions import FU
 from ..sim.fusion import K_AMO, K_BRANCH, K_JAL, K_LOAD, K_STORE
-from .branch import BimodalPredictor, make_predictor
+from .branch import make_predictor
 from .cache import L1Cache
-from .params import GPPConfig
 
 
 class InOrderTiming:
     """Scoreboarded single-issue pipeline timing."""
 
-    def __init__(self, config, cache=None, events=None, predictor=None):
+    def __init__(self, config, cache=None, events=None):
         self.config = config
         self.lat = config.latencies
         self.cache = cache if cache is not None else L1Cache(config.cache)
         self.events = events
-        self.predictor = predictor or make_predictor(
-            config.bpred_kind, config.bpred_entries)
+        self.predictor = make_predictor(config.bpred_kind,
+                                        config.bpred_entries)
         self.cycle = 0                  # next issue opportunity
         self.reg_ready = [0] * 32
         self.retired = 0
@@ -42,7 +43,7 @@ class InOrderTiming:
 
     def consume(self, step):
         """Account one dynamic instruction; returns its issue cycle.
-        The step-at-a-time reference that :meth:`run_block` must match
+        The step-at-a-time reference that :meth:`run_blocks` must match
         bit for bit."""
         instr = step.instr
         op = instr.op
@@ -114,56 +115,66 @@ class InOrderTiming:
         self.retired += 1
         return issue
 
-    def run_block(self, recs, addrs, ctrl_pc, taken, counts):
-        """Account one fused block (the ``gpp`` flavour of
-        :mod:`repro.sim.fusion`): :meth:`consume` over the block's
-        static ``(src1, src2, dst, kind)`` records, with its memory
-        addresses in program order, the outcome of its terminating
-        control op, and its static event counts folded into one
-        update.  Only the last record can be a branch or jump, so its
-        redirect bubble is charged after the loop."""
+    def run_blocks(self, batch):
+        """Account a non-empty batch of fused blocks (the ``gpp``
+        flavour of :mod:`repro.sim.fusion`), each a ``(recs, addrs,
+        ctrl_pc, taken, counts)`` tuple: :meth:`consume` over every
+        block's static ``(src1, src2, dst, kind)`` records in order,
+        with the block's memory addresses in program order and the
+        outcome of its terminating control op.  Only a block's last
+        record can be a branch or jump, so its redirect bubble is
+        charged after the block's record loop.  The static event
+        counts and the stalls are added once for the whole batch."""
         rr = self.reg_ready
         lat = self._kind_lat
         hit = self._hit
+        access = self.cache.access
+        predict = self.predictor.predict_and_update
+        penalty = self.config.mispredict_penalty
+        amo_lat = self.lat.amo
         cyc = self.cycle
-        sraw = smem = dcm = ai = 0
-        for s1, s2, dst, kind in recs:
-            i = rr[s1]
-            x = rr[s2]
-            if x > i:
-                i = x
-            if i > cyc:
-                sraw += i - cyc
-            else:
-                i = cyc
-            if kind < K_LOAD or kind > K_AMO:
-                if dst:
-                    rr[dst] = i + lat[kind]
-            else:
-                x = self.cache.access(addrs[ai], kind == K_STORE)
-                ai += 1
-                if x > hit:
-                    dcm += 1
-                    smem += x - hit
-                if dst:
-                    rr[dst] = (i + x if kind == K_LOAD
-                               else i + self.lat.amo + x - hit)
-            cyc = i + 1
-        if kind == K_BRANCH:
-            if self.predictor.predict_and_update(ctrl_pc, taken):
-                cyc += self.config.mispredict_penalty
-                self.stall_branch += self.config.mispredict_penalty
-        elif kind >= K_JAL:
-            # jal / jalr: one redirect bubble (ideal return stack)
-            cyc += 1
-            self.stall_branch += 1
+        sraw = smem = sbr = dcm = 0
+        for recs, addrs, ctrl_pc, taken, _counts in batch:
+            ai = 0
+            for s1, s2, dst, kind in recs:
+                i = rr[s1]
+                x = rr[s2]
+                if x > i:
+                    i = x
+                if i > cyc:
+                    sraw += i - cyc
+                else:
+                    i = cyc
+                if kind < K_LOAD or kind > K_AMO:
+                    if dst:
+                        rr[dst] = i + lat[kind]
+                else:
+                    x = access(addrs[ai], kind == K_STORE)
+                    ai += 1
+                    if x > hit:
+                        dcm += 1
+                        smem += x - hit
+                    if dst:
+                        rr[dst] = (i + x if kind == K_LOAD
+                                   else i + amo_lat + x - hit)
+                cyc = i + 1
+            if kind == K_BRANCH:
+                if predict(ctrl_pc, taken):
+                    cyc += penalty
+                    sbr += penalty
+            elif kind >= K_JAL:
+                # jal / jalr: one redirect bubble (ideal return stack)
+                cyc += 1
+                sbr += 1
         self.cycle = cyc
-        self.retired += len(recs)
         self.stall_raw += sraw
+        self.stall_branch += sbr
+        n, rfr, rfw, alu, _mem, mul, div, fpu, fdiv, dc, bp = map(
+            sum, zip(*map(itemgetter(4), batch)))
+        self.retired += n
         ev = self.events
         if ev is not None:
             self.stall_mem += smem
-            n, rfr, rfw, alu, _mem, mul, div, fpu, fdiv, dc, bp = counts
             ev.ic_access += n
             ev.rf_read += rfr
             ev.rf_write += rfw

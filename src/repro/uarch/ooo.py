@@ -18,21 +18,21 @@ of gem5's O3 at the fidelity the paper's results depend on:
   and attributes the <1x traditional-execution speedups to it.
 
 Like the in-order model it takes the instruction stream one step at a
-time (:meth:`OOOTiming.consume`) or one fused block at a time
-(:meth:`OOOTiming.run_block`).
+time (:meth:`OOOTiming.consume`) or a batch of fused blocks at a time
+(:meth:`OOOTiming.run_blocks`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapreplace
+from operator import itemgetter
 
 from ..isa.instructions import FU
 from ..sim.fusion import (K_ALU, K_AMO, K_BRANCH, K_FDIV, K_JALR, K_LOAD,
                           K_STORE)
-from .branch import BimodalPredictor, make_predictor
+from .branch import make_predictor
 from .cache import L1Cache
-from .params import GPPConfig
 
 #: FU classes served by the shared long-latency unit pool
 _LLFU = (FU.MUL, FU.DIV, FU.FPU, FU.FDIV)
@@ -63,13 +63,13 @@ class _UnitPool:
 class OOOTiming:
     """Width/window-parameterized out-of-order timing."""
 
-    def __init__(self, config, cache=None, events=None, predictor=None):
+    def __init__(self, config, cache=None, events=None):
         self.config = config
         self.lat = config.latencies
         self.cache = cache if cache is not None else L1Cache(config.cache)
         self.events = events
-        self.predictor = predictor or make_predictor(
-            config.bpred_kind, config.bpred_entries)
+        self.predictor = make_predictor(config.bpred_kind,
+                                        config.bpred_entries)
 
         self.width = config.width
         self._rob = deque()                      # retire times in flight
@@ -125,7 +125,7 @@ class OOOTiming:
     def consume(self, step):
         """Account one dynamic instruction (a
         :class:`~repro.sim.functional.StepInfo`); returns its issue
-        cycle.  The step-at-a-time reference that :meth:`run_block`
+        cycle.  The step-at-a-time reference that :meth:`run_blocks`
         must match bit for bit."""
         instr = step.instr
         pc = step.pc
@@ -233,18 +233,20 @@ class OOOTiming:
         self.retired += 1
         return issue
 
-    def run_block(self, recs, addrs, ctrl_pc, taken, counts):
-        """Account one fused block (the ``gpp`` flavour of
-        :mod:`repro.sim.fusion`): :meth:`consume` over the block's
-        static ``(src1, src2, dst, kind)`` records, with the window
-        state held in locals for the whole block.
+    def run_blocks(self, batch):
+        """Account a non-empty batch of fused blocks (the ``gpp``
+        flavour of :mod:`repro.sim.fusion`), each a ``(recs, addrs,
+        ctrl_pc, taken, counts)`` tuple: :meth:`consume` over every
+        block's static ``(src1, src2, dst, kind)`` records in order,
+        with the window state held in locals for the whole batch.
 
-        Only the block's last record can be a branch or jump, so its
-        predictor access and fetch redirect run after the loop, and
-        mid-block redirects come only from serializing ops (AMO,
-        fence): the redirect check runs at block entry and after each
-        of those.  A full ROB stays full within a block (every record
-        pops one entry and pushes one)."""
+        Only a block's last record can be a branch or jump, so its
+        predictor access and fetch redirect run after the block's
+        record loop, and mid-block redirects come only from
+        serializing ops (AMO, fence): the redirect check runs at block
+        entry and after each of those.  A full ROB stays full (every
+        record pops one entry and pushes one).  The static event
+        counts, mispredicts and serializations are added once."""
         rr = self.reg_ready
         rob = self._rob
         pop = rob.popleft
@@ -253,7 +255,16 @@ class OOOTiming:
         rob_size = self._rob_size
         width = self.width
         alus = self._alus.free_at
+        mems = self._mem.free_at
+        llfus = self._llfu.free_at
+        kind_lat = self._kind_lat
+        kind_occ = self._kind_occ
         sready = self._store_ready
+        access = self.cache.access
+        predict = self.predictor.predict_and_update
+        penalty = self.config.mispredict_penalty
+        store_lat = self.lat.store
+        amo_lat = self.lat.amo
         hit = self._hit
         fc = self._fetch_cycle
         fn = self._fetch_count
@@ -261,122 +272,125 @@ class OOOTiming:
         rn = self._retire_count
         redirect = self._redirect
         mc = self._max_complete
-        if fc < redirect:
-            fc = redirect
-            fn = 0
-        dcm = ai = 0
-        for s1, s2, dst, kind in recs:
-            if fn < width:
-                fn += 1
-            else:
-                fc += 1
-                fn = 1
-            ready = fc + 1
-            if nrob < rob_size:
-                nrob += 1
-            else:
-                x = pop()
+        dcm = wrong = ser = 0
+        for recs, addrs, ctrl_pc, taken, _counts in batch:
+            if fc < redirect:
+                fc = redirect
+                fn = 0
+            ai = 0
+            for s1, s2, dst, kind in recs:
+                if fn < width:
+                    fn += 1
+                else:
+                    fc += 1
+                    fn = 1
+                ready = fc + 1
+                if nrob < rob_size:
+                    nrob += 1
+                else:
+                    x = pop()
+                    if x > ready:
+                        ready = x
+                x = rr[s1]
                 if x > ready:
                     ready = x
-            x = rr[s1]
-            if x > ready:
-                ready = x
-            x = rr[s2]
-            if x > ready:
-                ready = x
-            if kind == K_ALU or kind >= K_BRANCH:
-                x = alus[0]
-                complete = (ready if ready >= x else x) + 1
-                heapreplace(alus, complete)
-            elif kind <= K_FDIV:
-                pool = self._llfu.free_at
-                x = pool[0]
-                issue = ready if ready >= x else x
-                heapreplace(pool, issue + self._kind_occ[kind])
-                complete = issue + self._kind_lat[kind]
-            elif kind <= K_STORE:
-                a = addrs[ai]
-                ai += 1
-                if kind == K_LOAD:
-                    x = sready.get(a & -4)
-                    if x is not None and x > ready:
-                        ready = x
-                    latency = self.cache.access(a, False)
-                    if latency > hit:
-                        dcm += 1
-                else:
-                    if self.cache.access(a, True) > hit:
-                        dcm += 1
-                    latency = self.lat.store
-                pool = self._mem.free_at
-                x = pool[0]
-                issue = ready if ready >= x else x
-                heapreplace(pool, issue + 1)
-                complete = issue + latency
-                if kind == K_STORE:
-                    sready[a & -4] = complete
-            else:
-                # conservative AMO / fence: wait for every earlier
-                # instruction, and hold fetch until this one completes
-                if mc > ready:
-                    ready = mc
-                self.serializations += 1
-                if kind == K_AMO:
-                    a = addrs[ai]
-                    ai += 1
-                    x = self.cache.access(a, False)
-                    if x > hit:
-                        dcm += 1
-                    latency = self.lat.amo + x - hit
-                    pool = self._mem.free_at
-                    x = pool[0]
-                    issue = ready if ready >= x else x
-                    heapreplace(pool, issue + 1)
-                    complete = issue + latency
-                    sready[a & -4] = complete
-                else:
+                x = rr[s2]
+                if x > ready:
+                    ready = x
+                if kind == K_ALU or kind >= K_BRANCH:
                     x = alus[0]
                     complete = (ready if ready >= x else x) + 1
                     heapreplace(alus, complete)
-                if complete > redirect:
-                    redirect = complete
-                if fc < redirect:
-                    fc = redirect
-                    fn = 0
-            if complete > mc:
-                mc = complete
-            if dst:
-                rr[dst] = complete
-            # in-order retirement bounded by width
-            if complete > rc:
-                rc = complete
-                rn = 1
-            elif rn < width:
-                rn += 1
-            else:
-                rc += 1
-                rn = 1
-            push(rc)
-        if kind == K_BRANCH:
-            if self.predictor.predict_and_update(ctrl_pc, taken):
-                self.mispredicts += 1
-                x = complete + self.config.mispredict_penalty
-                if x > redirect:
-                    redirect = x
-        elif kind == K_JALR:
-            # ideal return-address stack: one-bubble redirect
-            if fc + 2 > redirect:
-                redirect = fc + 2
+                elif kind <= K_FDIV:
+                    x = llfus[0]
+                    issue = ready if ready >= x else x
+                    heapreplace(llfus, issue + kind_occ[kind])
+                    complete = issue + kind_lat[kind]
+                elif kind <= K_STORE:
+                    a = addrs[ai]
+                    ai += 1
+                    if kind == K_LOAD:
+                        x = sready.get(a & -4)
+                        if x is not None and x > ready:
+                            ready = x
+                        latency = access(a, False)
+                        if latency > hit:
+                            dcm += 1
+                    else:
+                        if access(a, True) > hit:
+                            dcm += 1
+                        latency = store_lat
+                    x = mems[0]
+                    issue = ready if ready >= x else x
+                    heapreplace(mems, issue + 1)
+                    complete = issue + latency
+                    if kind == K_STORE:
+                        sready[a & -4] = complete
+                else:
+                    # conservative AMO / fence: wait for every earlier
+                    # instruction, and hold fetch until this one
+                    # completes
+                    if mc > ready:
+                        ready = mc
+                    ser += 1
+                    if kind == K_AMO:
+                        a = addrs[ai]
+                        ai += 1
+                        x = access(a, False)
+                        if x > hit:
+                            dcm += 1
+                        latency = amo_lat + x - hit
+                        x = mems[0]
+                        issue = ready if ready >= x else x
+                        heapreplace(mems, issue + 1)
+                        complete = issue + latency
+                        sready[a & -4] = complete
+                    else:
+                        x = alus[0]
+                        complete = (ready if ready >= x else x) + 1
+                        heapreplace(alus, complete)
+                    if complete > redirect:
+                        redirect = complete
+                    if fc < redirect:
+                        fc = redirect
+                        fn = 0
+                if complete > mc:
+                    mc = complete
+                if dst:
+                    rr[dst] = complete
+                # in-order retirement bounded by width
+                if complete > rc:
+                    rc = complete
+                    rn = 1
+                elif rn < width:
+                    rn += 1
+                else:
+                    rc += 1
+                    rn = 1
+                push(rc)
+            if kind == K_BRANCH:
+                if predict(ctrl_pc, taken):
+                    wrong += 1
+                    x = complete + penalty
+                    if x > redirect:
+                        redirect = x
+            elif kind == K_JALR:
+                # ideal return-address stack: one-bubble redirect
+                if fc + 2 > redirect:
+                    redirect = fc + 2
         self._fetch_cycle = fc
         self._fetch_count = fn
         self._retire_cycle = rc
         self._retire_count = rn
         self._redirect = redirect
         self._max_complete = mc
-        self.retired += len(recs)
+        self.mispredicts += wrong
+        self.serializations += ser
+        n, rfr, rfw, alu, mem, mul, div, fpu, fdiv, dc, bp = map(
+            sum, zip(*map(itemgetter(4), batch)))
+        self.retired += n
         ev = self.events
         if ev is not None:
-            n, rfr, rfw, alu, mem, mul, div, fpu, fdiv, dc, bp = counts
             ev.ic_access += n
             ev.ooo_rename += n
             ev.iq_op += n
@@ -427,9 +441,3 @@ class OOOTiming:
         self._max_complete = max(self._max_complete, base)
         self._rob.clear()
         self._store_ready.clear()
-
-    def drain(self):
-        """Cycles at which every in-flight instruction has retired
-        (used before handing off to the LPSU: the specialized phase
-        starts only when the xloop reaches the ROB head)."""
-        return self._retire_cycle + 1 if self.retired else 0

@@ -15,13 +15,16 @@ The GPP timing models consume the functional instruction stream
 online; when an xloop is handed to the LPSU, the LPSU advances the
 shared architectural memory itself and the GPP timing is advanced by
 the specialized-phase cycle count (the GPP stalls during specialized
-execution, so sequential composition is timing-exact).
+execution, so sequential composition is timing-exact).  On the fused
+tier the blocks queue their timing work on a pending list, which is
+timed in batches, and always before anything reads timing or L1
+state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict
 
 from ..energy.events import EnergyEvents
 from ..sim.functional import (HALT_PC, FunctionalCore, LivelockError,
@@ -39,6 +42,14 @@ from .ooo import OOOTiming
 from .params import SystemConfig
 
 MODES = ("traditional", "specialized", "adaptive")
+
+#: pending fused blocks that the fused driver times in one
+#: ``run_blocks`` call.  A call's fixed cost (loading and storing the
+#: window state, adding the event counts) spread over 256 blocks is
+#: lost in their per-record work, and the list holds at most this many
+#: tuples.  The driver also times the list early, before anything
+#: reads timing or L1 state, so the size changes no result.
+BATCH_BLOCKS = 256
 
 
 @dataclass
@@ -72,11 +83,12 @@ def host_shared(config):
 
 class _FanOut(tuple):
     """Several hosts' timing models behind one model's interface: the
-    fused blocks and the drivers hand each call to every host."""
+    drivers hand each call, and each batch of fused blocks, to every
+    host."""
 
-    def run_block(self, recs, addrs, ctrl_pc, taken, counts):
+    def run_blocks(self, batch):
         for model in self:
-            model.run_block(recs, addrs, ctrl_pc, taken, counts)
+            model.run_blocks(batch)
 
     def consume(self, step):
         for model in self:
@@ -141,6 +153,9 @@ class SystemSimulator:
         self.cache = self.timings[0].cache
         self.timing = self.timings[0] if len(self.timings) == 1 \
             else _FanOut(self.timings)
+        # fused blocks not yet timed: (recs, addrs, ctrl_pc, taken,
+        # counts) tuples, in program order
+        self._pending = []
         self.core = FunctionalCore(program, self.mem)
         self.apt = AdaptiveProfilingTable(config.adaptive)
         self.lpsu_stats = LPSUStats()
@@ -215,14 +230,26 @@ class SystemSimulator:
     def _run_fused(self, mode, max_steps):
         """Fast GPP driver: dispatch fused superblocks, falling back to
         single-stepping for pcs outside any block.  Blocks break at
-        every xloop pc, so the specialize/adaptive dispatch check (and
-        the APT's ``timing.cycles`` reads) happen at exactly the same
-        points, with exactly the same timing state, as the slow loop.
+        every xloop pc, so the specialize/adaptive dispatch check
+        happens at exactly the same points as in the slow loop.
+
+        Each block appends its timing tuple to the pending list, which
+        :meth:`_flush` hands to ``timing.run_blocks``: when it holds
+        :data:`BATCH_BLOCKS` blocks, before a single step, before the
+        APT's profiling stamp and each specialized phase (they read
+        timing or L1 state), and at the end.  Each model so sees the
+        same records, addresses and branch outcomes, and touches its L1
+        and predictor, in the same order as in the slow loop, with
+        nothing reading them in between.
         """
         core = self.core
         timing = self.timing
         program = self.program
         consume = timing.consume
+        pending = self._pending
+        push = pending.append
+        flush = self._flush
+        batch = BATCH_BLOCKS
         core_step = core.step
         if mode == "traditional":
             xloop_pcs = None
@@ -231,8 +258,7 @@ class SystemSimulator:
             xloop_pcs = frozenset(ins.pc for ins in program.instrs
                                   if ins.op.is_xloop)
             break_pcs = xloop_pcs
-        # one block table per (program, break set), whichever GPP:
-        # blocks hand their static records to timing.run_block
+        # one block table per (program, break set), whichever GPP
         get = fused_blocks(program, "gpp", break_pcs).get
         instrs = program.instrs
         base = program.text_base
@@ -244,11 +270,24 @@ class SystemSimulator:
                     continue
             blk = get(pc)
             if blk is None:
+                flush()
                 consume(core_step())
-            elif blk(core, timing) == HALT_PC:
-                core.halted = True
+            else:
+                if blk(core, push) == HALT_PC:
+                    core.halted = True
+                if len(pending) >= batch:
+                    flush()
             if core.icount - steps0 > max_steps:
                 raise SimError("GPP exceeded %d steps" % max_steps)
+        flush()
+
+    def _flush(self):
+        """Time the pending fused blocks, before a read of timing or
+        L1 state."""
+        pending = self._pending
+        if pending:
+            self.timing.run_blocks(pending)
+            pending.clear()
 
     # ------------------------------------------------------------------
     # xloop dispatch
@@ -308,6 +347,7 @@ class SystemSimulator:
             self._run_specialized(desc)
             return True
         if entry.state == GPP_PROFILING:
+            self._flush()
             now = self.timing.cycles
             last = self._last_seen_cycle.get(pc, now)
             self._last_seen_cycle[pc] = now
@@ -338,6 +378,8 @@ class SystemSimulator:
 
     def _run_specialized(self, desc, max_iters=None):
         """Scan + specialized execution phase; updates arch state."""
+        # the phase runs on host 0's L1 and may read the cycle budget
+        self._flush()
         core = self.core
         # reuse the program's pre-decoded handler table for the body
         # (the body is a contiguous slice of the text section)

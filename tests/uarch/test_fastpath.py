@@ -15,11 +15,12 @@ from repro.lang import compile_source
 from repro.sim import Memory, fusion
 from repro.sim.functional import FunctionalCore, run_program
 from repro.sim.fusion import block_runs, fused_blocks
-from repro.uarch import IO, OOO2, OOO4, LPSUConfig, SystemConfig, simulate
+from repro.uarch import (IO, OOO2, OOO4, InOrderTiming, LPSUConfig,
+                         OOOTiming, SystemConfig, simulate)
 from repro.uarch.lpsu import LPSU
-from repro.uarch.system import SystemSimulator
+from repro.uarch.system import BATCH_BLOCKS, SystemSimulator
 from repro.verify import check_ladder
-from repro.verify.conformance import LADDER_SWEEP
+from repro.verify.conformance import LADDER_SWEEP, _run_snapshot
 
 #: one kernel per dependence pattern, kept cheap via tiny workloads
 _KERNELS = ("sgemm-uc", "adpcm-or", "dynprog-om", "btree-ua",
@@ -294,3 +295,115 @@ class TestSystemFastSlow:
             == dict(slow_r.adaptive_decisions)
         assert fast_r.cycles == slow_r.cycles
         assert repr(fast_r.lpsu_stats) == repr(slow_r.lpsu_stats)
+
+
+# ---------------------------------------------------------------------------
+# the fused driver's pending blocks: timed before any read
+# ---------------------------------------------------------------------------
+
+class TestPendingBlockFlushes:
+    """The fused driver times its pending blocks in batches, and before
+    a single step, the APT's profiling stamp and each specialized
+    phase.  Each run here takes one of those paths mid-run, on one
+    host and on three, and must match the interp tier bit for bit:
+    cycles, events, cache totals, LPSU stats, adaptive decisions and
+    the memory image."""
+
+    #: (mode, hosts) of every run: adaptive runs time one host
+    RUNS = (("traditional", (IO,)), ("traditional", (IO, OOO2, OOO4)),
+            ("specialized", (IO,)), ("specialized", (IO, OOO2, OOO4)),
+            ("adaptive", (IO,)), ("adaptive", (OOO2,)),
+            ("adaptive", (OOO4,)))
+
+    @staticmethod
+    def _calls(monkeypatch):
+        """Log, in order, each timing model's ``run_blocks`` batch
+        length, ``consume`` call (``"step"``) and ``cycles`` read, and
+        each LPSU phase (both ``"read"``)."""
+        log = []
+        for cls in (InOrderTiming, OOOTiming):
+            def run_blocks(self, batch, _orig=cls.run_blocks):
+                log.append(len(batch))
+                return _orig(self, batch)
+
+            def consume(self, step, _orig=cls.consume):
+                log.append("step")
+                return _orig(self, step)
+
+            def cycles(self, _orig=cls.cycles.fget):
+                log.append("read")
+                return _orig(self)
+            monkeypatch.setattr(cls, "run_blocks", run_blocks)
+            monkeypatch.setattr(cls, "consume", consume)
+            monkeypatch.setattr(cls, "cycles", property(cycles))
+
+        def lpsu_run(self, *args, _orig=LPSU.run, **kwargs):
+            log.append("read")
+            return _orig(self, *args, **kwargs)
+        monkeypatch.setattr(LPSU, "run", lpsu_run)
+        return log
+
+    def _check(self, name, mode, gpps, log, program=None):
+        """Fused run of *gpps* as hosts against each GPP's own interp
+        run; returns the fused run's snapshots and its part of
+        *log*."""
+        spec, ref_program = _program(name)
+        program = program or ref_program
+
+        def make_args(mem):
+            return spec.workload("tiny", 0).apply(mem)
+
+        configs = [SystemConfig("t", g, LPSUConfig()) for g in gpps]
+        del log[:]
+        snaps, mem = _run_snapshot(program, spec.entry, make_args,
+                                   configs, mode, "fused")
+        fused_log = log[:]
+        for i, config in enumerate(configs):
+            (ref,), ref_mem = _run_snapshot(ref_program, spec.entry,
+                                            make_args, [config], mode,
+                                            "interp")
+            assert snaps[i] == ref, (config.gpp.name, mode)
+            assert mem.pages_equal(ref_mem)
+        return snaps, fused_log
+
+    @pytest.mark.parametrize("name", ("sgemm-uc", "qsort-uc-db"))
+    @pytest.mark.parametrize("mode, gpps", RUNS,
+                             ids=lambda x: x if isinstance(x, str)
+                             else "+".join(g.name for g in x))
+    def test_pruned_blocks_single_step_between_queued_ones(
+            self, name, mode, gpps, monkeypatch):
+        # every other block of the gpp table pruned: the driver
+        # single-steps through consume between queued blocks
+        _spec, program = _program(name)
+        break_pcs = () if mode == "traditional" else [
+            ins.pc for ins in program.instrs if ins.op.is_xloop]
+        table = fused_blocks(program, "gpp", break_pcs)
+        for pc in sorted(table)[::2]:
+            del table[pc]
+        _snaps, log = self._check(name, mode, gpps,
+                                  self._calls(monkeypatch), program)
+        assert any(isinstance(a, int) and b == "step"
+                   for a, b in zip(log, log[1:])), \
+            "no single step followed queued blocks"
+
+    @pytest.mark.parametrize("mode, gpps", RUNS[2:],
+                             ids=lambda x: x if isinstance(x, str)
+                             else "+".join(g.name for g in x))
+    def test_full_batches_before_an_lpsu_phase_or_profiling_stamp(
+            self, mode, gpps, monkeypatch):
+        # viterbi-uc's xloop body runs inner loops of more blocks than
+        # a batch holds: a full batch is timed, and more blocks are
+        # pending, when a specialized phase or the APT's GPP_PROFILING
+        # stamp reads timing state
+        snaps, log = self._check("viterbi-uc", mode, gpps,
+                                 self._calls(monkeypatch))
+        hosts = len(gpps)
+        assert any(
+            log[i:i + hosts] == [BATCH_BLOCKS] * hosts
+            and isinstance(log[i + hosts], int)
+            and 0 < log[i + hosts] < BATCH_BLOCKS
+            and log[i + 2 * hosts] == "read"
+            for i in range(len(log) - 2 * hosts)), \
+            "no full batch and then pending blocks before a read"
+        assert snaps[0]["xloop_invocations"]
+

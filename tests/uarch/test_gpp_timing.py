@@ -1,18 +1,23 @@
 """Unit tests for the in-order and out-of-order GPP timing models,
 driven by the functional golden model.
 
-Every program runs twice: one instruction at a time through
-``consume`` (the reference), and one fused block at a time through
-``run_block`` (the ``gpp`` flavour of :mod:`repro.sim.fusion`).  Both
-runs must leave identical timing state."""
+Every program runs one instruction at a time through ``consume`` (the
+reference), and through the ``gpp`` flavour of
+:mod:`repro.sim.fusion`: each fused block pushes its timing tuple onto
+a pending list, which ``run_blocks`` times in batches of one, of three
+and of :data:`repro.uarch.system.BATCH_BLOCKS` blocks.  Every run must
+leave identical timing state."""
 
 import pytest
 
 from repro.asm import assemble
 from repro.energy import EnergyEvents
-from repro.sim import HALT_PC, FunctionalCore
+from repro.kernels import get_kernel
+from repro.lang import compile_source
+from repro.sim import HALT_PC, FunctionalCore, Memory
 from repro.sim.fusion import fused_blocks
-from repro.uarch import IO, OOO2, OOO4, InOrderTiming, OOOTiming
+from repro.uarch import (IO, OOO2, OOO4, InOrderTiming, LPSUConfig,
+                         OOOTiming, SystemConfig, system)
 from repro.uarch.params import GPPConfig
 
 #: counters and window state compared between the two paths (each
@@ -33,37 +38,51 @@ def _timing_state(timing):
     return st
 
 
-def _drive(prog, config, args, events, fused):
+def _drive(prog, config, args, events, batch=None):
+    """Run *prog* on a fresh timing model: step by step through
+    ``consume`` when *batch* is None, else through the fused blocks,
+    timing their pending list every *batch* blocks and before each
+    single step, as the system simulator's fused driver does."""
     core = FunctionalCore(prog)
     core.setup_call("main", args)
     timing = (OOOTiming if config.is_ooo else InOrderTiming)(
         config, events=events)
-    blocks = fused_blocks(prog, "gpp") if fused else {}
+    blocks = fused_blocks(prog, "gpp") if batch else {}
+    pending = []
     n_fused = 0
     while not core.halted:
         blk = blocks.get(core.pc)
         if blk is None:
+            if pending:
+                timing.run_blocks(pending)
+                pending.clear()
             timing.consume(core.step())
             continue
         n_fused += 1
-        if blk(core, timing) == HALT_PC:
+        if blk(core, pending.append) == HALT_PC:
             core.halted = True
-    assert n_fused or not fused, "no fused block ran"
+        if len(pending) >= batch:
+            timing.run_blocks(pending)
+            pending.clear()
+    if pending:
+        timing.run_blocks(pending)
+    assert n_fused or not batch, "no fused block ran"
     return timing, core
 
 
 def run_timing(src, config, args=(), events=None):
-    """Run *src* from ``main`` on *config* through both paths; assert
-    they agree and return the step path's ``(timing, core)``."""
+    """Run *src* from ``main`` on *config* through the step path and
+    the batched fused path at several batch sizes; assert they agree
+    and return the step path's ``(timing, core)``."""
     prog = assemble(src)
     timing, core = _drive(prog, config, args,
-                          events if events is not None else EnergyEvents(),
-                          fused=False)
-    f_timing, f_core = _drive(prog, config, args, EnergyEvents(),
-                              fused=True)
-    assert f_core.icount == core.icount
-    assert f_core.regs == core.regs
-    assert _timing_state(f_timing) == _timing_state(timing)
+                          events if events is not None else EnergyEvents())
+    for batch in (1, 3, system.BATCH_BLOCKS):
+        f_timing, f_core = _drive(prog, config, args, EnergyEvents(),
+                                  batch)
+        assert f_core.icount == core.icount
+        assert f_core.regs == core.regs
+        assert _timing_state(f_timing) == _timing_state(timing), batch
     return timing, core
 
 
@@ -369,3 +388,54 @@ def test_fused_blocks_match_step_path(src, args, config):
     # every window edge-case program on every GPP shape, not just the
     # one its behavioural test above needs
     run_timing(src, config, args=args)
+
+
+#: Table II kernels whose tiny-scale traditional io runs fill a
+#: BATCH_BLOCKS batch (17 of the 25 do), one per dependence pattern
+_FILLING = ("sgemm-uc", "adpcm-or", "war-om", "hsort-ua", "qsort-uc-db")
+
+
+@pytest.mark.parametrize("name", _FILLING)
+def test_batch_size_changes_no_timing_state_or_record(name, monkeypatch):
+    # one block per batch (as a per-block timing call would time them)
+    # and one batch per run must leave the timing state and records of
+    # the default batch size, on every GPP and in every mode
+    spec = get_kernel(name)
+    program = compile_source(spec.source).program
+    batches = []
+
+    def recording(run_blocks):
+        def wrapper(self, batch):
+            batches.append(len(batch))
+            return run_blocks(self, batch)
+        return wrapper
+
+    for cls in (InOrderTiming, OOOTiming):
+        monkeypatch.setattr(cls, "run_blocks", recording(cls.run_blocks))
+
+    def run(batch_blocks, mode, gpps):
+        monkeypatch.setattr(system, "BATCH_BLOCKS", batch_blocks)
+        mem = Memory()
+        args = spec.workload("tiny", 0).apply(mem)
+        sim = system.SystemSimulator(
+            program, [SystemConfig("t", g, LPSUConfig()) for g in gpps],
+            mem=mem, backend="fused")
+        sim.run(entry=spec.entry, args=args, mode=mode)
+        return ([(_timing_state(t), repr(r))
+                 for t, r in zip(sim.timings, sim.results)], mem)
+
+    runs = [("traditional", (IO, OOO2, OOO4)),
+            ("specialized", (IO, OOO2, OOO4))]
+    runs += [("adaptive", (gpp,)) for gpp in (IO, OOO2, OOO4)]
+    default = system.BATCH_BLOCKS
+    for mode, gpps in runs:
+        del batches[:]
+        ref, ref_mem = run(default, mode, gpps)
+        if mode == "traditional":
+            assert default in batches, "no run filled a batch"
+        for batch_blocks in (1, 10 ** 9):
+            del batches[:]
+            state, mem = run(batch_blocks, mode, gpps)
+            assert state == ref, (mode, batch_blocks)
+            assert mem.pages_equal(ref_mem)
+            assert max(batches) <= batch_blocks
