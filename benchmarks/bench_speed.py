@@ -50,11 +50,23 @@ of its baseline serving rate.
 ``--sections patterns service ...`` re-measures only the named
 sections and merges them into the existing report, so a
 single-section change does not force the expensive full sweep.
+
+Beside each measured section the report records the host-speed
+reference of the repository benchmark (``benchmarks/e2e/hostref.py``)
+under ``hostref``: the median of the reference loop's seconds, sampled
+before and after the section.  Where both the report and the baseline
+carry a section's reference, ``--check`` compares that section in
+nominal seconds (``seconds * NOMINAL_S / reference``), so a slower
+host does not read as slower code; otherwise it compares raw seconds.
+It says which one it used.
 """
 
 import argparse
+import contextlib
+import importlib.util
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -64,7 +76,7 @@ from repro.eval import runner
 from repro.eval.runner import clear_cache, run
 
 #: schema version of BENCH_speed.json; bump on layout changes
-SCHEMA = 8
+SCHEMA = 9
 
 #: every measurable report section, in emission order
 SECTIONS = ("patterns", "long_kernels", "table2", "service")
@@ -115,6 +127,37 @@ SERVICE_SERVED_FLOOR = 0.95
 #: the usual 25% cold-time tolerance; halving the rate is the signal
 #: that the serving stack itself regressed.
 SERVICE_RATE_FLOOR = 0.5
+
+#: host-reference measurements taken before a section, and as many
+#: after: one measurement spreads about 2x on a shared host, and the
+#: median of ten costs about 0.1 s
+HOSTREF_SAMPLES = 5
+
+
+def _load_hostref():
+    """The repository benchmark's host-speed reference, loaded from
+    its file: ``benchmarks/e2e`` is a directory of scripts, not a
+    package, and stays the benchmark's own."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "e2e", "hostref.py")
+    spec = importlib.util.spec_from_file_location("hostref", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hostref = _load_hostref()
+
+
+@contextlib.contextmanager
+def _referenced(report, section):
+    """Record the host-speed reference around one measured section:
+    the median of :data:`HOSTREF_SAMPLES` measurements before it and
+    as many after it."""
+    refs = [hostref.measure() for _ in range(HOSTREF_SAMPLES)]
+    yield
+    refs += [hostref.measure() for _ in range(HOSTREF_SAMPLES)]
+    report["hostref"][section] = round(statistics.median(refs), 5)
 
 
 def _cold(kernel, config, mode, scale, backend, repeats=3):
@@ -192,7 +235,8 @@ def speed_report(scale="small", smoke=False, sections=None):
     want = (lambda name: True) if sections is None \
         else (lambda name: name in sections)
     report = {"schema": SCHEMA, "scale": scale, "patterns": {},
-              "long_kernels": {}, "table2": {}, "service": {}}
+              "long_kernels": {}, "table2": {}, "service": {},
+              "hostref": {}}
     pattern_points = {} if smoke or not want("patterns") \
         else PATTERN_POINTS
     long_points = {k: v for k, v in LONG_POINTS.items()
@@ -204,49 +248,60 @@ def speed_report(scale="small", smoke=False, sections=None):
         saved_env = os.environ.get(diskcache.ENV_CACHE_DIR)
         diskcache.configure(cache_dir=tmp)
         try:
-            for pattern, (kernel, config, mode,
-                          kscale) in pattern_points.items():
-                fast = _cold(kernel, config, mode, kscale, "auto")
-                slow = _cold(kernel, config, mode, kscale, "interp")
-                warm = _warm(kernel, config, mode, kscale)
-                report["patterns"][pattern] = {
-                    "kernel": kernel, "config": config, "mode": mode,
-                    "scale": kscale,
-                    "cold_fast_seconds": round(fast, 4),
-                    "cold_slow_seconds": round(slow, 4),
-                    "warm_seconds": round(warm, 4),
-                    "speedup": round(slow / fast, 2)}
+            if pattern_points:
+                with _referenced(report, "patterns"):
+                    for pattern, (kernel, config, mode,
+                                  kscale) in pattern_points.items():
+                        fast = _cold(kernel, config, mode, kscale, "auto")
+                        slow = _cold(kernel, config, mode, kscale,
+                                     "interp")
+                        warm = _warm(kernel, config, mode, kscale)
+                        report["patterns"][pattern] = {
+                            "kernel": kernel, "config": config,
+                            "mode": mode, "scale": kscale,
+                            "cold_fast_seconds": round(fast, 4),
+                            "cold_slow_seconds": round(slow, 4),
+                            "warm_seconds": round(warm, 4),
+                            "speedup": round(slow / fast, 2)}
 
-            for kernel, (config, mode, kscale) in long_points.items():
-                fast = _cold(kernel, config, mode, kscale, "auto")
-                slow = _cold(kernel, config, mode, kscale, "interp")
-                report["long_kernels"][kernel] = {
-                    "config": config, "mode": mode, "scale": kscale,
-                    "cold_fast_seconds": round(fast, 4),
-                    "cold_slow_seconds": round(slow, 4),
-                    "speedup": round(slow / fast, 2)}
+            if long_points:
+                with _referenced(report, "long_kernels"):
+                    for kernel, (config, mode,
+                                 kscale) in long_points.items():
+                        fast = _cold(kernel, config, mode, kscale, "auto")
+                        slow = _cold(kernel, config, mode, kscale,
+                                     "interp")
+                        report["long_kernels"][kernel] = {
+                            "config": config, "mode": mode,
+                            "scale": kscale,
+                            "cold_fast_seconds": round(fast, 4),
+                            "cold_slow_seconds": round(slow, 4),
+                            "speedup": round(slow / fast, 2)}
 
             measured_table2 = False
             if not smoke and want("table2"):
-                # Table II: cold (fresh cache dir) vs warm (disk-served)
-                clear_cache(keep_disk=True)
-                t0 = time.perf_counter()
-                build_table2(scale=scale)
-                cold = time.perf_counter() - t0
+                with _referenced(report, "table2"):
+                    # Table II: cold (fresh cache dir) vs warm
+                    # (disk-served)
+                    clear_cache(keep_disk=True)
+                    t0 = time.perf_counter()
+                    build_table2(scale=scale)
+                    cold = time.perf_counter() - t0
 
-                clear_cache(keep_disk=True)
-                sims_before = runner.simulations
-                t0 = time.perf_counter()
-                build_table2(scale=scale)
-                warm = time.perf_counter() - t0
-                warm_simulations = runner.simulations - sims_before
-                # the warm pass must never touch the simulator
-                assert warm_simulations == 0, warm_simulations
-                measured_table2 = True
+                    clear_cache(keep_disk=True)
+                    sims_before = runner.simulations
+                    t0 = time.perf_counter()
+                    build_table2(scale=scale)
+                    warm = time.perf_counter() - t0
+                    warm_simulations = runner.simulations - sims_before
+                    # the warm pass must never touch the simulator
+                    assert warm_simulations == 0, warm_simulations
+                    measured_table2 = True
 
             if want("service"):
                 clear_cache(keep_disk=False)
-                report["service"] = _service_section()
+                with _referenced(report, "service"):
+                    report["service"] = _service_section()
         finally:
             diskcache._dir_override = saved
             if saved_env is None:
@@ -265,24 +320,43 @@ def speed_report(scale="small", smoke=False, sections=None):
     return report
 
 
+def _scales(report, baseline, section):
+    """``(now, then, basis)``: the factors that turn the report's and
+    the baseline's seconds in *section* into nominal seconds, when
+    both carry the section's host reference, with basis
+    ``"nominal"``; otherwise ``1.0, 1.0, "raw"``."""
+    now = report.get("hostref", {}).get(section)
+    then = baseline.get("hostref", {}).get(section)
+    if now and then:
+        return hostref.NOMINAL_S / now, hostref.NOMINAL_S / then, \
+            "nominal"
+    return 1.0, 1.0, "raw"
+
+
 def _check(report, baseline):
     """Compare *report* against *baseline*; returns a list of
     regression strings (empty = pass).  Only keys present in both are
-    compared, so adding or renaming points never fails the gate."""
+    compared, so adding or renaming points never fails the gate.
+    Times and rates are compared in nominal seconds where both sides
+    carry the section's host reference (:func:`_scales`), raw
+    otherwise, and each string names the basis."""
     problems = []
 
-    def cmp(label, now, then):
-        if then and now > then * (1 + TOLERANCE):
+    def cmp(section, label, now, then):
+        k_now, k_then, basis = _scales(report, baseline, section)
+        if then and now * k_now > then * k_then * (1 + TOLERANCE):
             problems.append(
-                "%s: cold %.3fs vs baseline %.3fs (+%d%%)"
-                % (label, now, then, round(100 * (now / then - 1))))
+                "%s: cold %.3fs vs baseline %.3fs (+%d%%, %s seconds)"
+                % (label, now * k_now, then * k_then,
+                   round(100 * (now * k_now / (then * k_then) - 1)),
+                   basis))
 
     for section in ("patterns", "long_kernels"):
         base = baseline.get(section, {})
         for key, entry in report.get(section, {}).items():
             b = base.get(key)
             if b is not None:
-                cmp("%s/%s" % (section, key),
+                cmp(section, "%s/%s" % (section, key),
                     entry["cold_fast_seconds"],
                     b.get("cold_fast_seconds"))
             # the fast path must stay a win on specialized points, not
@@ -295,7 +369,8 @@ def _check(report, baseline):
                     "parity (%.2fx)" % (section, key, entry["speedup"]))
     now = report.get("table2", {}).get("cold_seconds")
     if now is not None:
-        cmp("table2", now, baseline.get("table2", {}).get("cold_seconds"))
+        cmp("table2", "table2", now,
+            baseline.get("table2", {}).get("cold_seconds"))
     svc = report.get("service") or {}
     if svc:
         # absolute contract first: a warm resubmission through the
@@ -310,14 +385,17 @@ def _check(report, baseline):
                 "service: warm pass invoked the simulator %d time(s)"
                 % svc["warm_simulator_invocations"])
         b = baseline.get("service") or {}
-        then = b.get("warm_points_per_sec")
+        # a rate is points per second: a nominal rate divides by the
+        # factor nominal seconds multiply by
+        k_now, k_then, basis = _scales(report, baseline, "service")
+        rate = svc["warm_points_per_sec"] / k_now
+        then = (b.get("warm_points_per_sec") or 0) / k_then
         if then and b.get("points") == svc.get("points") \
-                and svc["warm_points_per_sec"] < then * SERVICE_RATE_FLOOR:
+                and rate < then * SERVICE_RATE_FLOOR:
             problems.append(
                 "service: warm serving rate %.0f points/s vs baseline "
-                "%.0f (-%d%%)"
-                % (svc["warm_points_per_sec"], then,
-                   round(100 * (1 - svc["warm_points_per_sec"] / then))))
+                "%.0f (-%d%%, %s seconds)"
+                % (rate, then, round(100 * (1 - rate / then)), basis))
     return problems
 
 
@@ -366,6 +444,10 @@ def main(argv=None):
             print("no usable baseline at %s (%s); nothing to check"
                   % (args.output, exc), file=sys.stderr)
             return 0
+        for section in SECTIONS:
+            if report.get(section) and baseline.get(section):
+                print("%s: compared in %s seconds"
+                      % (section, _scales(report, baseline, section)[2]))
         problems = _check(report, baseline)
         for p in problems:
             print("REGRESSION " + p, file=sys.stderr)
@@ -390,8 +472,10 @@ def main(argv=None):
             merged = {}
         merged["schema"] = report["schema"]
         merged.setdefault("scale", report["scale"])
+        merged.setdefault("hostref", {})
         for name in args.sections:
             merged[name] = report[name]
+            merged["hostref"][name] = report["hostref"][name]
         report = merged
     with open(args.output, "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)

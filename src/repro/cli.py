@@ -161,9 +161,10 @@ def build_parser():
     p.add_argument("--quiet", action="store_true",
                    help="omit the per-point wall-time table")
     p.add_argument("--timeout", type=float, default=0.0, metavar="SEC",
-                   help="per-point wall-clock bound; a worker over "
-                        "budget is killed and the point retried "
-                        "(default: unbounded)")
+                   help="per-point wall-clock bound, summed over a "
+                        "host group; a worker over budget is killed, "
+                        "a group's points rerun alone and a point is "
+                        "retried (default: unbounded)")
     p.add_argument("--retries", type=int, default=3, metavar="N",
                    help="max attempts per point before it is "
                         "quarantined (default 3; the last attempt "

@@ -1,29 +1,38 @@
 """Hardened point execution: watchdogs, retry, quarantine.
 
 Every point that needs a process of its own runs on a
-:class:`WorkerPool` of persistent forked workers, each fed one point
-at a time over a pipe.  A parallel sweep holds a pool until its queue
-drains; the sweep server holds one for its lifetime and runs every
-miss through :func:`execute_one` on it.  A worker keeps what it
-builds for its life -- the compiled binaries (``runner._compiled``),
-each program's decoded and fused tables, the generated GPP block and
-LPSU code of :mod:`repro.sim.fusion` and the cache's code
-fingerprint -- so it compiles each binary and generates each table
-and engine once, however often it returns to a kernel.  The kernel
-registry bounds all of it.  Results it does not keep: it drops each
-point's memo entry once it has replied, since its parent holds the
-record, so what a long-lived worker holds grows with the registry,
-not with its traffic.  Isolation stays per point:
+:class:`WorkerPool` of persistent forked workers, each fed one task at
+a time over a pipe.  A task is one *unit* of :func:`_host_groups`: a
+lone point, or a host group -- points that differ only in a GPP host
+they can share, timed in one :func:`runner.run_group` pass
+(:func:`_run_unit`).  The serial path runs the same units through the
+same helper, so the two cannot drift apart.  A parallel sweep holds a
+pool until its queue drains; the sweep server holds one for its
+lifetime and runs every miss through :func:`execute_one` on it, one
+point per task.  A worker keeps what it builds for its life -- the
+compiled binaries (``runner._compiled``), each program's decoded and
+fused tables, the generated GPP block and LPSU code of
+:mod:`repro.sim.fusion` and the cache's code fingerprint -- so it
+compiles each binary and generates each table and engine once,
+however often it returns to a kernel.  The kernel registry bounds all
+of it.  Results it does not keep: it drops each point's memo entry
+once it has replied, since its parent holds the record, so what a
+long-lived worker holds grows with the registry, not with its
+traffic.  Isolation stays per task:
 
-* a worker holds only one point in flight, so a *crashed* worker (hard
+* a worker holds only one task in flight, so a *crashed* worker (hard
   exit, OOM kill, corrupted interpreter) is attributable to exactly
-  one point, and is detected from its exit sentinel instead of
+  one task, and is detected from its exit sentinel instead of
   deadlocking the parent,
-* a *hung* worker is killed at the point's wall-clock deadline
-  without poisoning its siblings, and
+* a *hung* worker is killed at the task's wall-clock deadline, the
+  per-point timeout times its points, without poisoning its siblings,
 * any failed attempt retires its worker -- an error reply, an exit or
-  a watchdog kill alike -- so a retry, and every later point, never
-  runs in a process that saw a failure.
+  a watchdog kill alike -- so a retry, and every later task, never
+  runs in a process that saw a failure, and
+* a failed host group is split: one ``group-to-points`` incident, and
+  each of its points goes back on the queue alone at the same attempt
+  number, so the per-point ladder below decides which point was at
+  fault (:func:`_after_failure`).
 
 A forked worker's first act is to give up every socket it inherited
 (listening sockets, client connections, other workers' pipe ends), so
@@ -32,14 +41,14 @@ on its own pipe when the parent dies.
 
 The scheduler blocks in :func:`multiprocessing.connection.wait` on its
 workers' pipes and exit sentinels until the nearest kill deadline or
-backoff expiry.  Closing a pool joins every worker; a point in flight
+backoff expiry.  Closing a pool joins every worker; a task in flight
 when its pool closes fails.
 
-Failures are retried with exponential backoff up to a bounded attempt
-count; the final attempt runs on the ``interp`` reference rung (the
-most likely software cause of a crash is a faster rung itself).  Its
-result is cached under the same key as any other rung's, so a warm
-re-sweep serves it.
+Failures of a lone point are retried with exponential backoff up to a
+bounded attempt count; the final attempt runs on the ``interp``
+reference rung (the most likely software cause of a crash is a faster
+rung itself).  Its result is cached under the same key as any other
+rung's, so a warm re-sweep serves it.
 A point that exhausts its attempts is *quarantined*: the sweep
 completes without it and the summary carries a structured
 :class:`PointFailure` record instead of the whole run aborting.
@@ -62,7 +71,8 @@ the attempts to sabotage, e.g.::
 
 Chaos is consulted *only inside worker children* (never in the parent
 or the serial path), so it exercises exactly the crash/hang recovery
-machinery.
+machinery.  A task consults it for each of its points before running
+any, so a group task fails whenever one of its points would.
 """
 
 from __future__ import annotations
@@ -202,12 +212,14 @@ def _release_inherited_sockets(keep):
 
 
 def _worker_main(conn):
-    """Persistent worker entry: run the ``(point, attempt, backend)``
-    tasks arriving on *conn* one at a time, replying with each
-    outcome, until a ``None`` task or EOF.  The compiled binaries and
-    generated code stay for the next point; the point's memo entry
-    goes once the reply is sent.  The first failure is reported and
-    then ends the process, so no later point runs where one failed."""
+    """Persistent worker entry: run the ``(unit, attempt, backend)``
+    tasks arriving on *conn* one at a time (:func:`_run_unit`),
+    replying ``("ok", [(result, wall, simulated)] per point,
+    incidents)``, until a ``None`` task or EOF.  The compiled binaries
+    and generated code stay for the next task; the points' memo
+    entries go once the reply is sent.  The first failure is reported
+    and then ends the process, so no later task runs where one
+    failed."""
     _release_inherited_sockets(conn.fileno())
     while True:
         try:
@@ -216,17 +228,14 @@ def _worker_main(conn):
             break
         if task is None:
             break
-        point, attempt, backend = task
+        unit, attempt, backend = task
         try:
-            _apply_chaos(point.label(), attempt)
-            t0 = time.perf_counter()
-            before = runner.simulations
-            result = runner.run(point.kernel, point.config,
-                                backend=backend, **point.run_kwargs())
-            wall = time.perf_counter() - t0
-            conn.send(("ok", result, wall, runner.simulations > before,
+            for pt in unit:
+                _apply_chaos(pt.label(), attempt)
+            conn.send(("ok", _run_unit(unit, backend),
                        runner.drain_incidents()))
-            runner._RESULTS.pop(point.memo_key(), None)
+            for pt in unit:
+                runner._RESULTS.pop(pt.memo_key(), None)
         except BaseException as exc:  # noqa: BLE001 - full report, then die
             try:
                 conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
@@ -246,14 +255,14 @@ def _mp_context():
 
 
 class _Worker:
-    """One persistent worker process, its pipe, and its point."""
+    """One persistent worker process, its pipe, and its task."""
 
     __slots__ = ("proc", "conn", "task", "kill_at")
 
     def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.task = None      # (point, attempt) in flight, None = idle
+        self.task = None      # (unit, attempt) in flight, None = idle
         self.kill_at = 0.0    # monotonic watchdog deadline, 0 = none
 
     def stop(self, grace):
@@ -278,7 +287,7 @@ class WorkerPool:
 
     A sweep holds one for its parallel part; the sweep server holds
     one for its lifetime.  A caller holds
-    a worker for one point at a time and bounds its own concurrency,
+    a worker for one task at a time and bounds its own concurrency,
     so the pool forks lazily, and never more workers than its callers
     have held at once plus one per failed attempt.
     :meth:`acquire` hands out an idle worker or forks one,
@@ -287,7 +296,7 @@ class WorkerPool:
     threads share one pool.
 
     :meth:`close` returns once every worker is joined: idle workers
-    are told to exit and busy ones are killed, which fails the point
+    are told to exit and busy ones are killed, which fails the task
     each holds; their holders reap them.  A closed pool refuses
     :meth:`acquire` with :class:`PoolClosed`.
     """
@@ -301,7 +310,7 @@ class WorkerPool:
 
     @property
     def live(self):
-        """Worker processes alive now, idle or holding a point."""
+        """Worker processes alive now, idle or holding a task."""
         with self._cond:
             return len(self._idle) + len(self._busy)
 
@@ -464,52 +473,39 @@ def _attempt_backend(policy, attempt):
 
 
 def _run_serial(points, policy, summary):
-    """In-process execution with the same retry/quarantine ladder.
-    The wall-clock bound uses the SIGALRM watchdog where available
-    (there is no process to kill).  A host group of several points
-    (:func:`_host_groups`) runs in one pass, and what that leaves runs
-    point by point."""
-    for group in _host_groups(points):
-        if len(group) > 1:
-            group = _run_group(group, policy, summary)
-        for pt in group:
-            label = pt.label()
-            for attempt in range(policy.retries):
-                try:
-                    t0 = time.perf_counter()
-                    before = runner.simulations
-                    with deadline(policy.timeout):
-                        result = runner.run(
-                            pt.kernel, pt.config,
-                            backend=_attempt_backend(policy, attempt),
-                            **pt.run_kwargs())
-                    wall = time.perf_counter() - t0
-                except (KeyboardInterrupt, SystemExit):
-                    raise
-                except BaseException as exc:  # noqa: BLE001
-                    kind = "hang" if isinstance(exc, DeadlineExceeded) \
-                        else "error"
-                    error = "%s: %s" % (type(exc).__name__, exc)
-                    if attempt + 1 < policy.retries:
-                        delay = policy.backoff * (2 ** attempt)
-                        summary.retries.append(
-                            RetryEvent(label, attempt, kind, error, delay))
-                        time.sleep(delay)
-                        continue
-                    summary.failures.append(
-                        PointFailure(label, attempt + 1, kind, error))
-                    break
-                else:
-                    _finish(pt, result, wall, runner.simulations > before,
-                            summary)
-                    break
+    """In-process execution of *points*' units (:func:`_host_groups`)
+    with the same helper (:func:`_run_unit`) and the same
+    split/retry/quarantine ladder (:func:`_after_failure`) as the
+    workers.  A unit's wall-clock bound, its points' summed timeout,
+    uses the SIGALRM watchdog where available (there is no process to
+    kill); a retry sleeps out its backoff."""
+    queue = deque((unit, 0, 0.0) for unit in _host_groups(points))
+    while queue:
+        unit, attempt, not_before = queue.popleft()
+        wait = not_before - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        try:
+            with deadline(policy.timeout * len(unit)):
+                outs = _run_unit(unit, _attempt_backend(policy, attempt))
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:  # noqa: BLE001
+            kind = "hang" if isinstance(exc, DeadlineExceeded) else "error"
+            queue.extendleft(reversed(_after_failure(
+                unit, attempt, kind, "%s: %s" % (type(exc).__name__, exc),
+                policy, summary)))
+            continue
+        for pt, out in zip(unit, outs):
+            _finish(pt, *out, summary)
 
 
 def _host_groups(points):
-    """*points* in order, grouped: within a run of one kernel's points
-    (another kernel's could store what a later member is served), the
-    points that differ only in a host they can share one
-    :func:`runner.run_group` pass with."""
+    """The units both executors run: *points* in order, grouped.
+    Within a run of one kernel's points (another kernel's could store
+    what a later member is served), the points that differ only in a
+    host they can share one :func:`runner.run_group` pass with form
+    one unit; every other point is a unit of its own."""
     groups, open_groups, kernel = [], {}, None
     for pt in points:
         if pt.kernel != kernel:
@@ -530,80 +526,101 @@ def _host_groups(points):
     return groups
 
 
+def _run_unit(unit, backend=None):
+    """Run one unit of :func:`_host_groups` on rung *backend* and
+    return ``[(result, wall, simulated)]``, one per point, in order.
+    A lone point is :func:`runner.run`.  A host group serves its memo
+    and disk hits, as its points would be served one by one, then
+    times its misses in one :func:`runner.run_group` pass, each taking
+    an equal share of the pass's wall time.  Raises what a run raises;
+    the caller decides what follows (:func:`_after_failure`)."""
+    if len(unit) == 1:
+        [pt] = unit
+        t0, before = time.perf_counter(), runner.simulations
+        result = runner.run(pt.kernel, pt.config, backend=backend,
+                            **pt.run_kwargs())
+        return [(result, time.perf_counter() - t0,
+                 runner.simulations > before)]
+    outs, misses = [None] * len(unit), []
+    for i, pt in enumerate(unit):
+        t0, hit = time.perf_counter(), None
+        with contextlib.suppress(KeyError):  # an unknown kernel fails later
+            hit = runner.cached_result(pt.kernel, pt.config,
+                                       **pt.run_kwargs())
+        if hit is None:
+            misses.append(i)
+        else:
+            outs[i] = (hit, time.perf_counter() - t0, False)
+    if misses:
+        t0 = time.perf_counter()
+        results = runner.run_group(
+            unit[0].kernel, [unit[i].config for i in misses],
+            backend=backend, **unit[0].run_kwargs())
+        wall = (time.perf_counter() - t0) / len(misses)
+        for i, result in zip(misses, results):
+            outs[i] = (result, wall, True)
+    return outs
+
+
+def _after_failure(unit, attempt, kind, error, policy, summary):
+    """The queue entries ``(unit, attempt, not_before)`` that follow a
+    failed *attempt* at *unit*, recording it in *summary*.  A host
+    group is split: one ``group-to-points`` incident, and each of its
+    points goes back alone at the same attempt, as if never grouped.
+    A lone point retries after its backoff, or is quarantined once its
+    attempts are spent."""
+    if len(unit) > 1:
+        summary.incidents.append(runner.Incident(
+            kind="group-to-points",
+            context=" ".join(pt.label() for pt in unit), detail=error))
+        return [([pt], attempt, 0.0) for pt in unit]
+    label = unit[0].label()
+    if attempt + 1 < policy.retries:
+        delay = policy.backoff * (2 ** attempt)
+        summary.retries.append(
+            RetryEvent(label, attempt, kind, error, delay))
+        return [(unit, attempt + 1, time.monotonic() + delay)]
+    summary.failures.append(PointFailure(label, attempt + 1, kind, error))
+    return []
+
+
 def _finish(pt, result, wall, simulated, summary):
     from .parallel import PointOutcome
     runner.seed_result(pt.memo_key(), result)
     summary.outcomes.append(PointOutcome(pt, wall, simulated))
 
 
-def _run_group(group, policy, summary):
-    """Serve *group*'s memo and disk hits, as its points would be served
-    one by one, then time its misses in one pass under their summed
-    deadline, each taking an equal share of the wall time.  Returns the
-    points left to run one by one: a lone miss, or the misses of a
-    failed pass, whose incident it records."""
-    misses = []
-    for pt in group:
-        t0, hit = time.perf_counter(), None
-        with contextlib.suppress(KeyError):  # an unknown kernel fails later
-            hit = runner.cached_result(pt.kernel, pt.config,
-                                       **pt.run_kwargs())
-        if hit is None:
-            misses.append(pt)
-        else:
-            _finish(pt, hit, time.perf_counter() - t0, False, summary)
-    if len(misses) < 2:
-        return misses
-    t0 = time.perf_counter()
-    try:
-        with deadline(policy.timeout * len(misses)):
-            results = runner.run_group(
-                misses[0].kernel, [pt.config for pt in misses],
-                **misses[0].run_kwargs())
-    except Exception as exc:  # noqa: BLE001 - every point runs again
-        summary.incidents.append(runner.Incident(
-            kind="group-to-points",
-            context=" ".join(pt.label() for pt in misses),
-            detail="%s: %s" % (type(exc).__name__, exc)))
-        return misses
-    wall = (time.perf_counter() - t0) / len(misses)
-    for pt, result in zip(misses, results):
-        _finish(pt, result, wall, True, summary)
-    return []
-
-
 def _run_parallel(points, jobs, policy, summary, pool):
-    """Run *points* on up to *jobs* workers of *pool*, one point in
-    flight per worker.  Returns the points it could not place because
-    a worker fork failed (a ``parallel-to-serial`` incident), once the
-    ones in flight have finished; the caller decides where they run."""
+    """Run *points*' units (:func:`_host_groups`) on up to *jobs*
+    workers of *pool*, one task in flight per worker, each killed at
+    its points' summed timeout.  Returns the points it could not place
+    because a worker fork failed (a ``parallel-to-serial`` incident),
+    once the tasks in flight have finished; the caller decides where
+    they run."""
     from multiprocessing.connection import wait
 
-    #: (point, attempt, not_before) - a retry waits out its backoff
-    queue = deque((pt, 0, 0.0) for pt in points)
+    #: (unit, attempt, not_before) - a retry waits out its backoff
+    queue = deque((unit, 0, 0.0) for unit in _host_groups(points))
     workers = []     # the pool's workers this run holds
     degraded = False
 
-    def quarantine(point, attempts, kind, error):
-        summary.failures.append(
-            PointFailure(point.label(), attempts, kind, error))
+    def quarantine(unit, attempts, error):
+        for pt in unit:
+            summary.failures.append(
+                PointFailure(pt.label(), attempts, "error", error))
 
-    def fail(point, attempt, kind, error):
+    def fail(unit, attempt, kind, error):
         if pool.closed:
             # the pool's owner is shutting down: no retry, and never
             # a fallback to simulating in the owner's process
-            quarantine(point, attempt + 1, "error", "worker pool closed")
-        elif attempt + 1 < policy.retries:
-            delay = policy.backoff * (2 ** attempt)
-            summary.retries.append(
-                RetryEvent(point.label(), attempt, kind, error, delay))
-            queue.append((point, attempt + 1,
-                          time.monotonic() + delay))
+            quarantine(unit, attempt + 1, "worker pool closed")
         else:
-            quarantine(point, attempt + 1, kind, error)
+            queue.extend(_after_failure(unit, attempt, kind, error,
+                                        policy, summary))
 
-    def finish(point, result, wall, simulated, incidents):
-        _finish(point, result, wall, simulated, summary)
+    def finish(unit, outs, incidents):
+        for pt, out in zip(unit, outs):
+            _finish(pt, *out, summary)
         summary.incidents.extend(incidents)
 
     def retire(worker, grace=2.0):
@@ -620,15 +637,15 @@ def _run_parallel(points, jobs, policy, summary, pool):
                 idle = [w for w in workers if w.task is None]
                 if not idle and len(workers) >= jobs:
                     break
-                pt, attempt, not_before = queue.popleft()
+                unit, attempt, not_before = queue.popleft()
                 if now < not_before:
-                    queue.append((pt, attempt, not_before))
+                    queue.append((unit, attempt, not_before))
                     continue
                 if len(workers) < jobs:
                     try:
                         worker = pool.acquire()
                     except PoolClosed as exc:
-                        quarantine(pt, attempt, "error", str(exc))
+                        quarantine(unit, attempt, str(exc))
                         continue
                     except OSError as exc:
                         # cannot create workers at all: let the ones
@@ -636,20 +653,20 @@ def _run_parallel(points, jobs, policy, summary, pool):
                         degraded = summary.degraded = True
                         summary.incidents.append(runner.Incident(
                             kind="parallel-to-serial",
-                            context=pt.label(),
+                            context=" ".join(pt.label() for pt in unit),
                             detail="worker spawn failed: %s" % exc))
-                        queue.appendleft((pt, attempt, 0.0))
+                        queue.appendleft((unit, attempt, 0.0))
                         break
                     workers.append(worker)
                 else:
                     worker = idle[0]
                 try:
                     worker.conn.send(
-                        (pt, attempt, _attempt_backend(policy, attempt)))
+                        (unit, attempt, _attempt_backend(policy, attempt)))
                 except OSError:
                     pass   # a dead worker shows on its sentinel below
-                worker.task = (pt, attempt)
-                worker.kill_at = (now + policy.timeout
+                worker.task = (unit, attempt)
+                worker.kill_at = (now + policy.timeout * len(unit)
                                   if policy.timeout else 0.0)
 
             busy = [w for w in workers if w.task is not None]
@@ -659,7 +676,7 @@ def _run_parallel(points, jobs, policy, summary, pool):
             # nearest kill deadline or backoff expiry
             deadlines = [w.kill_at for w in busy if w.kill_at]
             if not degraded:
-                deadlines += [nb for _pt, _a, nb in queue if nb > now]
+                deadlines += [nb for _unit, _a, nb in queue if nb > now]
             timeout = (max(0.0, min(deadlines) - time.monotonic())
                        if deadlines else None)
             ready = set(wait([w.conn for w in busy]
@@ -678,27 +695,28 @@ def _run_parallel(points, jobs, policy, summary, pool):
                     if worker.task is None:   # an idle worker died
                         retire(worker)
                         continue
-                    pt, attempt = worker.task
+                    unit, attempt = worker.task
                     worker.task, worker.kill_at = None, 0.0
                     if reply is not None and reply[0] == "ok":
-                        finish(pt, *reply[1:])
+                        finish(unit, *reply[1:])
                         continue
                     retire(worker)
                     if reply is not None:
-                        fail(pt, attempt, "error", reply[1])
+                        fail(unit, attempt, "error", reply[1])
                     else:
-                        fail(pt, attempt, "crash",
+                        fail(unit, attempt, "crash",
                              "worker exited with code %s"
                              % worker.proc.exitcode)
                 elif worker.kill_at and now > worker.kill_at:
-                    pt, attempt = worker.task
+                    unit, attempt = worker.task
                     retire(worker, grace=0)
-                    fail(pt, attempt, "hang",
-                         "killed after %.3gs wall-clock" % policy.timeout)
+                    fail(unit, attempt, "hang",
+                         "killed after %.3gs wall-clock"
+                         % (policy.timeout * len(unit)))
     finally:
         for worker in workers:
             if worker.task is None:
                 pool.release(worker)
             else:
                 pool.retire(worker, 0)
-    return [pt for pt, _attempt, _not_before in queue]
+    return [pt for unit, _attempt, _not_before in queue for pt in unit]

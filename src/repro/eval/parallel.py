@@ -8,10 +8,11 @@ simulation -- exactly the argument tuple of
 * deduplicates the submitted points,
 * serves what it can from the in-process memo and the disk cache,
 * runs the rest on up to ``--jobs`` persistent worker processes of
-  the hardened engine (:mod:`repro.eval.hardening`), one point at a
-  time each; a worker runs :func:`runner.run`, which writes its result
-  to the shared disk cache, and keeps its compiled kernels and
-  generated simulator code warm for its next point,
+  the hardened engine (:mod:`repro.eval.hardening`), one task at a
+  time each: a lone point, or a host group -- a kernel's points that
+  differ only in their GPP host, timed in one pass.  A worker writes
+  each result to the shared disk cache and keeps its compiled kernels
+  and generated simulator code warm for its next task,
 * installs every result into the parent's memo, so the table/figure
   assembly code that follows hits the memo and never simulates,
 * reports per-point wall time and cache hit/miss counts.
@@ -189,12 +190,15 @@ def sweep(points, jobs=None, cache_dir=None, use_cache=True,
     returns a :class:`SweepSummary`.  Every result ends up in this
     process's memo.
 
-    The engine runs the points one at a time on up to *jobs*
-    persistent forked workers under a wall-clock watchdog; a crash or
-    hang is isolated to its point and retried with exponential backoff
-    in a fresh worker, exhausted points are quarantined instead of
-    aborting the sweep, and worker-spawn failure degrades to serial
-    in-process execution.
+    The engine runs one task at a time on each of up to *jobs*
+    persistent forked workers under a wall-clock watchdog.  A task is
+    a lone point or a host group, whose points differ only in a GPP
+    host they can share and are timed in one pass, as the serial path
+    times them.  A crash or hang is isolated to its task: a failed
+    group's points go back alone, and a point is retried with
+    exponential backoff in a fresh worker.  Exhausted points are
+    quarantined instead of aborting the sweep, and worker-spawn
+    failure degrades to serial in-process execution.
 
     Parameters
     ----------
@@ -208,9 +212,10 @@ def sweep(points, jobs=None, cache_dir=None, use_cache=True,
         workers (``REPRO_NO_CACHE``); the in-process memo still
         applies.
     timeout
-        Per-point wall-clock bound in seconds (0 = unbounded).  In
-        parallel mode a worker over budget is killed; in serial mode
-        the SIGALRM watchdog interrupts the simulation.
+        Per-point wall-clock bound in seconds (0 = unbounded); a host
+        group gets its points' sum.  In parallel mode a worker over
+        budget is killed; in serial mode the SIGALRM watchdog
+        interrupts the simulation.
     retries
         Maximum attempts per point (the last one on the ``interp``
         reference rung).

@@ -82,6 +82,8 @@ class SweepServer:
             "failed": 0, "retried": 0}
         #: memo key -> the task simulating that point, until it resolves
         self.inflight = {}
+        #: submissions not yet answered in full; a drain waits for them
+        self._submitting = 0
         #: the forked workers misses simulate on, joined when serve()
         #: ends
         self.workers = WorkerPool()
@@ -220,7 +222,11 @@ class SweepServer:
                     self._stop_event.set()
                     break
                 elif op == "submit":
-                    await self._handle_submit(msg, writer, write_lock)
+                    self._submitting += 1
+                    try:
+                        await self._handle_submit(msg, writer, write_lock)
+                    finally:
+                        self._submitting -= 1
                 else:
                     await protocol.write_frame(writer, {
                         "error": "unknown op %r" % (op,)})
@@ -239,13 +245,16 @@ class SweepServer:
 
     async def _drain(self):
         """Graceful wind-down: wait, up to :data:`DRAIN_TIMEOUT`, for
-        every point in flight to resolve.  True when everything
-        did."""
+        every point in flight to resolve and every submission to be
+        answered -- a point leaves :attr:`inflight` before its frame
+        and its submission's ``done`` frame are written, and the stop
+        hangs up on every client.  True when everything did."""
         loop = asyncio.get_running_loop()
         deadline = loop.time() + DRAIN_TIMEOUT
-        while self.inflight and loop.time() < deadline:
+        while ((self.inflight or self._submitting)
+               and loop.time() < deadline):
             await asyncio.sleep(0.05)
-        return not self.inflight
+        return not (self.inflight or self._submitting)
 
     async def _handle_submit(self, msg, writer, write_lock):
         self.counters["submissions"] += 1

@@ -23,10 +23,21 @@ def baseline():
 
 
 def test_toplevel_schema(baseline):
-    assert baseline["schema"] == 8
-    for section in ("patterns", "long_kernels", "table2", "service"):
+    assert baseline["schema"] == 9
+    for section in ("patterns", "long_kernels", "table2", "service",
+                    "hostref"):
         assert section in baseline
     assert "distributed" not in baseline
+
+
+def test_host_reference(baseline):
+    """The sections the nightly smoke re-measures carry the host-speed
+    reference they were measured at, so ``--check`` can compare them
+    in nominal seconds."""
+    refs = baseline["hostref"]
+    assert {"long_kernels", "service"} <= set(refs)
+    assert set(refs) <= {"patterns", "long_kernels", "table2", "service"}
+    assert all(0 < ref < 1 for ref in refs.values())
 
 
 def test_pattern_points(baseline):
@@ -67,12 +78,17 @@ def test_service_section(baseline):
     assert svc["warm_points_per_sec"] > 0
 
 
-def test_check_mode_flags_regressions():
+def _bench_speed():
     sys.path.insert(0, os.path.join(_ROOT, "benchmarks"))
     try:
         import bench_speed
     finally:
         sys.path.pop(0)
+    return bench_speed
+
+
+def test_check_mode_flags_regressions():
+    bench_speed = _bench_speed()
     base = {"patterns": {"uc": {"cold_fast_seconds": 1.0}},
             "long_kernels": {}, "table2": {"cold_seconds": 10.0}}
     ok = {"patterns": {"uc": {"kernel": "sgemm-uc",
@@ -107,3 +123,37 @@ def test_check_mode_flags_regressions():
     assert any("cache-served" in p for p in problems)
     assert any("invoked the simulator" in p for p in problems)
     assert any("serving rate" in p for p in problems)
+
+
+def test_check_compares_nominal_seconds_when_both_sides_have_a_reference():
+    """A host half as fast doubles every time and halves the serving
+    rate: with the reference on both sides the check sees the same
+    code and passes; with it on one side only it compares raw seconds
+    and flags both, naming the basis."""
+    bench_speed = _bench_speed()
+    nominal = bench_speed.hostref.NOMINAL_S
+    base = {"long_kernels": {"k": {"cold_fast_seconds": 1.0}},
+            "service": {"points": 28, "warm_points_per_sec": 1000.0},
+            "hostref": {"long_kernels": nominal,
+                        "service": nominal}}
+    slow_host = {"patterns": {},
+                 "long_kernels": {"k": {"mode": "traditional",
+                                        "speedup": 3.0,
+                                        "cold_fast_seconds": 2.0}},
+                 "service": {"points": 28, "warm_served_fraction": 1.0,
+                             "warm_simulator_invocations": 0,
+                             "warm_points_per_sec": 400.0},
+                 "hostref": {"long_kernels": 2 * nominal,
+                             "service": 2 * nominal}}
+    assert bench_speed._check(slow_host, base) == []
+
+    unreferenced = dict(slow_host, hostref={})
+    problems = bench_speed._check(unreferenced, base)
+    assert len(problems) == 2
+    assert all("raw seconds" in p for p in problems)
+
+    slower_code = dict(slow_host, long_kernels={"k": dict(
+        slow_host["long_kernels"]["k"], cold_fast_seconds=2.6)})
+    [problem] = bench_speed._check(slower_code, base)
+    assert problem.startswith("long_kernels/k: cold 1.300s vs baseline "
+                              "1.000s (+30%, nominal seconds)")

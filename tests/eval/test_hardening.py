@@ -106,6 +106,29 @@ def _log_runs(monkeypatch, path):
     return read
 
 
+def _log_attempts(monkeypatch, path):
+    """From now on, log the label, attempt and pid of every point a
+    worker task starts (forked workers inherit the wrapper, and chaos
+    strikes inside it); returns a reader of ``[(label, attempt, pid)]``
+    in start order."""
+    real = hardening._apply_chaos
+
+    def logged(label, attempt):
+        with open(path, "a") as fh:
+            fh.write("%s %d %d\n" % (label, attempt, os.getpid()))
+        real(label, attempt)
+
+    monkeypatch.setattr(hardening, "_apply_chaos", logged)
+
+    def read():
+        if not path.exists():
+            return []
+        return [(label, int(attempt), int(pid)) for label, attempt, pid
+                in (line.split() for line in
+                    path.read_text().splitlines())]
+    return read
+
+
 class _SpawnCounter:
     """The real multiprocessing context, counting worker spawns and
     raising ``OSError`` for every spawn from *fail_from* on."""
@@ -330,6 +353,110 @@ class TestPersistentWorkers:
                     pass
 
 
+class TestGroupTasks:
+    """A host group is one worker task.  When it fails -- an error
+    reply, a crash, or a kill at its points' summed deadline -- its
+    worker retires, one ``group-to-points`` incident is recorded and
+    each point goes back on the queue alone at the same attempt, so
+    the per-point ladder finds the point at fault."""
+
+    GROUP = [SweepPoint("vvadd-uc", gpp, scale=SCALE)
+             for gpp in ("io", "ooo/2", "ooo/4")]
+    FAULTY = GROUP[1]
+
+    def _reference(self):
+        ref = {}
+        for pt in self.GROUP:
+            r = runner.run(pt.kernel, pt.config, use_disk_cache=False,
+                           **pt.run_kwargs())
+            ref[pt] = dataclasses.asdict(r)
+        runner.clear_cache(keep_disk=True)
+        return ref
+
+    def _assert_matches(self, ref, points):
+        for pt in points:
+            r = runner.cached_result(pt.kernel, pt.config,
+                                     **pt.run_kwargs())
+            assert dataclasses.asdict(r) == ref[pt], pt.label()
+
+    def _group_incident(self, summary):
+        [incident] = summary.incidents
+        assert incident.kind == "group-to-points"
+        assert incident.context.split() == [pt.label() for pt in self.GROUP]
+        return incident
+
+    def test_a_crash_reruns_each_point_alone(self, tmp_path, monkeypatch,
+                                             spawns):
+        """One point crashes its group's worker: one incident, each
+        point reruns alone in a fresh worker at attempt 0, and only
+        the crashing point retries."""
+        ref = self._reference()
+        attempts = _log_attempts(monkeypatch, tmp_path / "attempts.log")
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {self.FAULTY.label(): {"crash": [0]}}))
+        summary = sweep(self.GROUP, jobs=2, retries=3, backoff=0.01)
+        assert summary.ok and summary.misses == len(self.GROUP)
+        assert "code %d" % hardening.CHAOS_EXIT \
+            in self._group_incident(summary).detail
+        [event] = summary.retries
+        assert (event.label, event.attempt, event.kind) == \
+            (self.FAULTY.label(), 0, "crash")
+        log = attempts()
+        # the group task met the crash at its second point ...
+        group_pid = log[0][2]
+        assert log[:2] == [(pt.label(), 0, group_pid)
+                           for pt in self.GROUP[:2]]
+        # ... then each point ran alone, in another worker, at attempt 0,
+        # and the crashing one once more at attempt 1
+        alone = collections.Counter((label, attempt)
+                                    for label, attempt, _pid in log[2:])
+        assert alone == collections.Counter(
+            [(pt.label(), 0) for pt in self.GROUP]
+            + [(self.FAULTY.label(), 1)])
+        assert group_pid not in {pid for _l, _a, pid in log[2:]}
+        assert diskcache.disk_stats()["records"] == len(self.GROUP)
+        assert not multiprocessing.active_children()
+        self._assert_matches(ref, self.GROUP)
+
+    def test_a_hang_is_killed_at_the_summed_deadline(self, monkeypatch):
+        """A hung group is killed at ``timeout x len(group)``; alone,
+        its hung point is killed at the per-point timeout and
+        retried."""
+        ref = self._reference()
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {self.FAULTY.label(): {"hang": [0]}}))
+        summary = sweep(self.GROUP, jobs=2, timeout=1.0, retries=3,
+                        backoff=0.01)
+        assert summary.ok and summary.misses == len(self.GROUP)
+        assert self._group_incident(summary).detail == \
+            "killed after 3s wall-clock"
+        [event] = summary.retries
+        assert (event.label, event.kind) == (self.FAULTY.label(), "hang")
+        assert "after 1s" in event.error
+        assert summary.wall_time >= 3.0 + 1.0
+        assert not multiprocessing.active_children()
+        self._assert_matches(ref, self.GROUP)
+
+    def test_retries_one_still_runs_each_point_alone(self, monkeypatch):
+        """With one attempt per point a failed group still splits: the
+        healthy points run alone and finish, and only the crashing one
+        is quarantined, after its single attempt of its own."""
+        ref = self._reference()
+        monkeypatch.setenv(hardening.CHAOS_ENV, json.dumps(
+            {self.FAULTY.label(): {"crash": [0]}}))
+        summary = sweep(self.GROUP, jobs=2, retries=1)
+        self._group_incident(summary)
+        assert not summary.retries
+        [failure] = summary.failures
+        assert (failure.label, failure.attempts, failure.kind) == \
+            (self.FAULTY.label(), 1, "crash")
+        healthy = [pt for pt in self.GROUP if pt != self.FAULTY]
+        assert sorted(o.point.label() for o in summary.outcomes) == \
+            sorted(pt.label() for pt in healthy)
+        assert not multiprocessing.active_children()
+        self._assert_matches(ref, healthy)
+
+
 class TestSharedPool:
     """:func:`hardening.execute_one` on a caller's long-lived pool, as
     the sweep server runs each miss."""
@@ -410,7 +537,7 @@ class TestSharedPool:
         try:
             with hardening.WorkerPool() as pool:
                 worker = pool.acquire()
-                worker.conn.send((POINTS[0], 0, None))
+                worker.conn.send(([POINTS[0]], 0, None))
                 assert worker.conn.recv()[0] == "ok"   # it has started
                 ours.close()
                 peer.settimeout(5)
@@ -507,10 +634,12 @@ class TestOneWarmKernel:
             for pt in (self.A, self.B, self.A, self.B):
                 if len(records) == 2:
                     first_visits = len(log.read_text().splitlines())
-                worker.conn.send((pt, 0, None))
+                worker.conn.send(([pt], 0, None))
                 reply = worker.conn.recv()
-                assert reply[0] == "ok" and reply[3], reply  # simulated
-                records.append(reply[1])
+                assert reply[0] == "ok", reply
+                [(record, _wall, simulated)] = reply[1]
+                assert simulated
+                records.append(record)
             pool.release(worker)
         lines = log.read_text().splitlines()
         built = [line for line in lines if not line.startswith("memo ")]

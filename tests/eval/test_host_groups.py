@@ -2,14 +2,16 @@
 
 Points that differ only in their GPP host (``io``, ``ooo/2``, ``ooo/4``,
 with or without the shared LPSU) see one functional instruction stream
-and one LPSU phase per xloop, so the serial executor times them in one
-:func:`runner.run_group` pass.  These tests pin that a grouped record
+and one LPSU phase per xloop, so both executors time them in one
+:func:`runner.run_group` pass: the serial one in-process, the worker
+path as one task per group.  These tests pin that a grouped record
 is the single-host record, that every path records and counts each
 point once, and that adaptive, verified and failing runs take one host.
 """
 
 import contextlib
 import dataclasses
+import os
 
 import pytest
 
@@ -59,19 +61,29 @@ def _records(points):
         pt.kernel, pt.config, **pt.run_kwargs())) for pt in points}
 
 
-@contextlib.contextmanager
-def _group_calls(monkeypatch):
-    """Record ``(mode, configs)`` of every :func:`runner.run_group`."""
-    calls = []
+def _group_calls(monkeypatch, path):
+    """From now on, log ``mode``, the configs and the pid of every
+    :func:`runner.run_group` pass to *path*, made here or in a worker
+    forked from here (workers inherit the spy); returns a reader of
+    ``[(mode, configs, pid)]`` in completion order."""
     real = runner.run_group
 
     def spy(kernel, configs, *args, **kwargs):
         mode = args[0] if args else kwargs.get("mode", "traditional")
-        calls.append((mode, tuple(configs)))
-        return real(kernel, configs, *args, **kwargs)
+        results = real(kernel, configs, *args, **kwargs)
+        with open(path, "a") as fh:
+            fh.write("%s %s %d\n" % (mode, ",".join(configs), os.getpid()))
+        return results
 
     monkeypatch.setattr(runner, "run_group", spy)
-    yield calls
+
+    def read():
+        if not path.exists():
+            return []
+        return [(mode, tuple(configs.split(",")), int(pid))
+                for mode, configs, pid in
+                (line.split() for line in path.read_text().splitlines())]
+    return read
 
 
 def test_grouped_records_equal_single_host_records():
@@ -93,8 +105,10 @@ def test_grouped_records_equal_single_host_records():
 
 def test_serial_and_parallel_sweeps_record_and_count_alike(tmp_path,
                                                           monkeypatch):
-    """The grouped serial path and the worker path give equal
-    records and simulate, count and store each point once."""
+    """The serial path and the worker path both time each host group
+    in one pass, give equal records, and simulate, count and store
+    each point once; on the worker path every pass runs in a worker,
+    host groups included."""
     points = table2_points(KERNELS, SCALE, 0)
     unique = len(set(points))
     sides = {}
@@ -102,34 +116,58 @@ def test_serial_and_parallel_sweeps_record_and_count_alike(tmp_path,
         diskcache.configure(cache_dir=str(tmp_path / ("jobs%d" % jobs)))
         runner.clear_cache(keep_disk=True)
         before = runner.simulations
-        with _group_calls(monkeypatch) as calls:
-            summary = sweep(points, jobs=jobs)
+        calls = _group_calls(monkeypatch, tmp_path / ("calls%d" % jobs))
+        summary = sweep(points, jobs=jobs)
         assert summary.ok and summary.points == unique
         assert summary.misses == unique
         assert diskcache.disk_stats()["records"] == unique
-        sides[jobs] = _records(points), summary.misses, calls
+        passes = calls()
+        # every point was timed in exactly one pass
+        assert sum(len(cfgs) for _mode, cfgs, _pid in passes) == unique
+        # two kernels x (baseline, traditional, specialized) columns
+        assert sum(len(cfgs) == 3 for _mode, cfgs, _pid in passes) == 6
+        sides[jobs] = _records(points), summary.misses, passes
         if jobs == 1:
             # the parent simulated every point itself, once
             assert runner.simulations - before == unique
+        else:
+            # the parent simulated nothing; its workers ran every pass
+            assert runner.simulations == before
+            pids = {pid for _mode, _cfgs, pid in passes}
+            assert os.getpid() not in pids and 1 <= len(pids) <= 2
     assert sides[1][0] == sides[2][0]
     assert sides[1][1] == sides[2][1]
-    assert any(len(cfgs) == 3 for _mode, cfgs in sides[1][2])
 
 
-def test_a_disk_hit_is_served_not_regrouped(monkeypatch):
+def test_a_disk_hit_is_served_not_regrouped(tmp_path, monkeypatch):
     """A point already on disk is served from it; only the other
-    hosts of its group simulate."""
+    hosts of its group simulate, in one pass."""
+    _sweep_a_partly_cached_group(tmp_path, monkeypatch, jobs=1)
+
+
+def test_a_partly_cached_group_task_simulates_only_its_misses(
+        tmp_path, monkeypatch):
+    """A worker's group task serves its disk hit as the serial path
+    does and times only the other hosts, in one pass, in the
+    worker."""
+    _sweep_a_partly_cached_group(tmp_path, monkeypatch, jobs=2)
+
+
+def _sweep_a_partly_cached_group(tmp_path, monkeypatch, jobs):
     on_disk = SweepPoint("vvadd-uc", "ooo/2", scale=SCALE)
     runner.run(on_disk.kernel, on_disk.config, **on_disk.run_kwargs())
     runner.clear_cache(keep_disk=True)
     points = [SweepPoint("vvadd-uc", g, scale=SCALE) for g in GPPS]
     before = runner.simulations
-    with _group_calls(monkeypatch) as calls:
-        summary = sweep(points, jobs=1)
-    assert runner.simulations - before == 2
-    assert calls == [("traditional", ("io", "ooo/4"))]
+    calls = _group_calls(monkeypatch, tmp_path / "calls")
+    summary = sweep(points, jobs=jobs)
+    assert runner.simulations - before == (2 if jobs == 1 else 0)
+    [(mode, cfgs, pid)] = calls()
+    assert (mode, cfgs) == ("traditional", ("io", "ooo/4"))
+    assert (pid == os.getpid()) == (jobs == 1)
     simulated = {o.point: o.simulated for o in summary.outcomes}
     assert simulated == {points[0]: True, on_disk: False, points[2]: True}
+    assert diskcache.disk_stats()["records"] == 3
 
 
 def test_a_grouped_sweep_equals_its_points_run_in_order(tmp_path):
@@ -177,15 +215,15 @@ def test_a_failed_group_falls_back_to_its_points(monkeypatch):
     assert _records(points) == reference
 
 
-def test_adaptive_and_verified_runs_take_one_host(monkeypatch):
+def test_adaptive_and_verified_runs_take_one_host(tmp_path, monkeypatch):
     """The executor never groups adaptive points, and a verified,
     adaptive or cycle-bounded run refuses more than one host."""
     points = table2_points(KERNELS, SCALE, 0)
-    with _group_calls(monkeypatch) as calls:
-        sweep(points, jobs=1)
-    adaptive = [cfgs for mode, cfgs in calls if mode == "adaptive"]
+    calls = _group_calls(monkeypatch, tmp_path / "calls")
+    sweep(points, jobs=1)
+    adaptive = [cfgs for mode, cfgs, _pid in calls() if mode == "adaptive"]
     assert len(adaptive) == 6 and all(len(c) == 1 for c in adaptive)
-    assert any(len(cfgs) == 3 for _mode, cfgs in calls)
+    assert any(len(cfgs) == 3 for _mode, cfgs, _pid in calls())
 
     hosts = ["io+x", "ooo/4+x"]
     for kwargs in (dict(verify=True), dict(mode="adaptive"),
@@ -233,13 +271,13 @@ def test_an_interrupted_serial_sweep_resumes_from_the_disk_cache(
     monkeypatch.setattr(runner, "run_group", real)
     runner.clear_cache(keep_disk=True)   # as a fresh process would
     before = runner.simulations
-    with _group_calls(monkeypatch) as calls:
-        resumed = sweep(points, jobs=1)
+    calls = _group_calls(monkeypatch, tmp_path / "calls")
+    resumed = sweep(points, jobs=1)
     assert resumed.ok and resumed.points == len(unique)
     assert {o.point for o in resumed.outcomes if o.simulated} == \
         set(unique) - set(finished)
     assert runner.simulations - before == len(unique) - 10
-    assert any(len(cfgs) == 3 for _mode, cfgs in calls)
+    assert any(len(cfgs) == 3 for _mode, cfgs, _pid in calls())
     assert _records(unique) == reference
 
 

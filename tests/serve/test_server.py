@@ -13,6 +13,7 @@ kernels and submissions, give up the sockets they inherit, and are all
 joined when the server stops or dies.
 """
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -34,7 +35,7 @@ from repro.serve import ServeClient, ServerThread
 from repro.serve import protocol
 from repro.serve import server as server_module
 from repro.serve.client import connect
-from tests.eval.test_hardening import _exited
+from tests.eval.test_hardening import _exited, _log_attempts
 
 SCALE = "tiny"
 
@@ -73,29 +74,6 @@ def server(tmp_path):
     with ServerThread(jobs=2, retries=2, backoff=0.01,
                       socket_dir=str(tmp_path)) as st:
         yield st
-
-
-def _log_attempts(monkeypatch, path):
-    """From now on, log the label, attempt and pid of every attempt a
-    pool worker starts (forked workers inherit the wrapper, and chaos
-    strikes inside it); returns a reader of ``[(label, attempt,
-    pid)]``."""
-    real = hardening._apply_chaos
-
-    def logged(label, attempt):
-        with open(path, "a") as fh:
-            fh.write("%s %d %d\n" % (label, attempt, os.getpid()))
-        real(label, attempt)
-
-    monkeypatch.setattr(hardening, "_apply_chaos", logged)
-
-    def read():
-        if not path.exists():
-            return []
-        return [(label, int(attempt), int(pid)) for label, attempt, pid
-                in (line.split() for line in
-                    path.read_text().splitlines())]
-    return read
 
 
 def _pool_counters(address):
@@ -1031,5 +1009,43 @@ class TestGracefulDrain:
             t.join(timeout=60)
             assert not t.is_alive()
             # the drain waited: every point completed
+            assert out["summary"].ok
+            assert out["summary"].points == len(POINTS)
+
+    def test_shutdown_waits_for_unwritten_frames(self, tmp_path,
+                                                 monkeypatch):
+        """A point leaves ``inflight`` before its frame, and its
+        submission's ``done`` frame, are written; a stop that lands
+        in between must not hang up on the client.  The drain waits
+        for every submission to be answered, so the client reads every
+        frame.  Each frame is held back 0.3 s here, which makes that
+        window certain."""
+        real = server_module.SweepServer._point_frame
+
+        async def held_back(self, i, data):
+            frame = await real(self, i, data)
+            await asyncio.sleep(0.3)
+            return frame
+
+        monkeypatch.setattr(server_module.SweepServer, "_point_frame",
+                            held_back)
+        with ServerThread(jobs=2, socket_dir=str(tmp_path / "sock")) as st:
+            out = {}
+
+            def submit():
+                with ServeClient(st.address) as client:
+                    out["summary"] = client.submit(POINTS)
+
+            t = threading.Thread(target=submit)
+            t.start()
+            deadline = time.monotonic() + 10
+            while not st.server.counters["submissions"] \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with ServeClient(st.address) as stopper:
+                reply = stopper.shutdown()
+            assert reply["drained"]
+            t.join(timeout=60)
+            assert not t.is_alive()
             assert out["summary"].ok
             assert out["summary"].points == len(POINTS)
